@@ -21,8 +21,9 @@ from . import __version__
 from .ambient import WarpingProfile
 from .curvature import CurvatureSpec
 from .errors import (BarrierViolation, BisectError, ConeError, ConfigError,
-                     ContinuationStall, DomainError, GaugeError, NewtonStall,
-                     ProfileError, ShapeError, ValidationError, WarpcurveError)
+                     ContinuationStall, DomainError, FrameError, GaugeError,
+                     NewtonStall, ProfileError, ShapeError, ValidationError,
+                     WarpcurveError)
 from .geometry import compute_geometry, fields_csv
 from .grid import make_grid, save_field
 from .problem import barrier_crossings, build_homotopy, build_prescription
@@ -45,6 +46,7 @@ EXIT_CODES = {
     DomainError: 11,
     BisectError: 12,
     ShapeError: 13,
+    FrameError: 14,
 }
 
 _EXIT_DOC = """exit codes:
@@ -56,7 +58,7 @@ _EXIT_DOC = """exit codes:
   7   ContinuationStall  8  BarrierViolation
   9   ConeError         10  ProfileError
  11   DomainError       12  BisectError
- 13   ShapeError
+ 13   ShapeError        14  FrameError
 """
 
 

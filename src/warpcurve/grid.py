@@ -25,7 +25,7 @@ _W1 = {
 _W2 = {
     2: {1: 1.0, 0: -2.0, -1: 1.0},
     4: {2: -1.0 / 12.0, 1: 16.0 / 12.0, 0: -30.0 / 12.0,
-        -1: 16.0 / 12.0, -2: 1.0 / 12.0},
+        -1: 16.0 / 12.0, -2: -1.0 / 12.0},
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 
@@ -194,3 +195,21 @@ def test_power_profile_config(tmp_path, capsys):
     z = load_field(tmp_path / "outp" / "z_final.f64", grid)
     # c0 t^{-p} = p t^{-1}  =>  t = 1 for c0 = p = 2
     assert np.abs(z.values - 1.0).max() <= 1e-8
+
+
+def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys,
+                                                        monkeypatch):
+    import warpcurve.cli as cli
+
+    classes = wc.WarpcurveError.__subclasses__()
+    codes = [cli.EXIT_CODES[c] for c in classes]
+    assert len(set(codes)) == len(codes)
+    for c, code in zip(classes, codes):
+        assert re.search(rf"\b{code}\s+{c.__name__}\b", cli._EXIT_DOC), c
+
+    def frame_failure(cfg):
+        raise wc.FrameError("|grad z| = 0")
+
+    monkeypatch.setattr(cli, "cmd_verify", frame_failure)
+    assert main(["verify", "--config", str(write_cfg(tmp_path))]) == 14
+    assert "error[FrameError]" in capsys.readouterr().err

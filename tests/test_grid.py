@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import warpcurve as wc
-from warpcurve.grid import NodeField, derivatives, load_field, reduce, save_field
+from warpcurve.grid import (_W1, _W2, NodeField, derivatives, load_field,
+                            reduce, save_field)
 
 
 def test_make_grid_spacing():
@@ -78,6 +81,36 @@ def test_gradient_convergence_order(order):
         errs.append(np.abs(g.gradient(np.sin(u))[0] - np.cos(u)).max())
     ratio = errs[0] / errs[1]
     assert abs(ratio - 2 ** order) <= 0.1 * 2 ** order
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_hessian_convergence_order(order):
+    # d2 along both axes and the mixed d1-d1 product
+    errs = []
+    for N in (32, 64):
+        g = wc.make_grid(2, N, order=order)
+        X, Y = g.coords()
+        hess = g.hessian(np.sin(X) * np.sin(Y))
+        exact = (-np.sin(X) * np.sin(Y), np.cos(X) * np.cos(Y))
+        errs.append([np.abs(hess[0, 0] - exact[0]).max(),
+                     np.abs(hess[1, 1] - exact[0]).max(),
+                     np.abs(hess[0, 1] - exact[1]).max()])
+    for coarse, fine in zip(*errs):
+        assert abs(coarse / fine - 2 ** order) <= 0.1 * 2 ** order
+
+
+@pytest.mark.parametrize("table,m", [(_W1, 1), (_W2, 2)], ids=["d1", "d2"])
+def test_stencil_moments(table, m):
+    # an order-p stencil for the m-th derivative reproduces o**k exactly
+    # for k < p + m (sum w o**k = m! delta_km), and not for k = p + m
+    for order, weights in table.items():
+        for k in range(order + m + 1):
+            moment = sum(w * o ** k for o, w in weights.items())
+            if k < order + m:
+                assert moment == pytest.approx(math.factorial(m) * (k == m),
+                                               abs=1e-14), (order, k)
+            else:
+                assert abs(moment) > 1e-3, (order, k)
 
 
 def test_node_field_validation():

@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import warpcurve as wc
+from warpcurve import solver
 from warpcurve.grid import NodeField, random_smooth
-from warpcurve.solver import (SolverConfig, assemble_jacobian,
+from warpcurve.solver import (SolverConfig, _linear_step, assemble_jacobian,
                               build_manufactured, continuation,
                               manufactured_residual_norm, newton_solve,
                               residual)
@@ -228,3 +229,69 @@ def test_report_csv_round_trip(hp1):
     first = rows[0].split(",")
     assert float(first[0]) == 0.0
     assert len(first) == len(report.csv_header().split(","))
+
+
+# -- the Newton linear step -----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def hp2_wavy():
+    return make_problem(n=2, N=32, r=2, eps=0.1, t_plus=1.5)
+
+
+def _wavy_system(hp, mode, seed=5):
+    rng = np.random.default_rng(seed)
+    z = NodeField(hp.t0 + random_smooth(hp.grid, rng, 0.05), hp.grid)
+    J = assemble_jacobian(z, 0.5, hp, mode)
+    return J, -hp.grid.flatten(residual(z, 0.5, hp).values)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("this solver must not be called")
+
+
+def _gmres_misses(A, b, **kwargs):
+    return np.zeros_like(b), 1
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("mode", ["analytic", "fd-colored"])
+def test_krylov_step_matches_direct_solve(order, mode, monkeypatch):
+    hp = make_problem(n=2, N=32, r=2, eps=0.1, t_plus=1.5, order=order)
+    J, rhs = _wavy_system(hp, mode)
+    direct = spla.spsolve(J.tocsc(), rhs)
+    monkeypatch.setattr(spla, "spsolve", _forbidden)   # Krylov path only
+    delta = _linear_step(J, rhs, hp.grid)
+    assert np.abs(delta - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def test_krylov_failure_falls_back_to_direct_solve(hp2_wavy, monkeypatch):
+    J, rhs = _wavy_system(hp2_wavy, "analytic")
+    monkeypatch.setattr(spla, "gmres", _gmres_misses)
+    delta = _linear_step(J, rhs, hp2_wavy.grid)
+    assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
+
+
+def test_one_dimensional_step_is_a_direct_solve(hp1_wavy, monkeypatch):
+    J, rhs = _wavy_system(hp1_wavy, "analytic")
+    monkeypatch.setattr(spla, "gmres", _forbidden)
+    delta = _linear_step(J, rhs, hp1_wavy.grid)
+    assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
+
+
+def test_krylov_continuation_matches_direct_continuation(hp2_wavy,
+                                                         monkeypatch):
+    z, report = continuation(hp2_wavy)
+    monkeypatch.setattr(spla, "gmres", _gmres_misses)
+    zd, reportd = continuation(hp2_wavy)
+    iters = [st.newton_iters for st in report.steps]
+    assert iters == [st.newton_iters for st in reportd.steps]
+    assert sum(iters) > 0
+    assert np.abs(z.values - zd.values).max() <= 1e-10
+
+
+def test_non_finite_linear_step_is_named(hp1_wavy, monkeypatch):
+    monkeypatch.setattr(solver, "_linear_step",
+                        lambda J, rhs, grid: np.full_like(rhs, np.nan))
+    z0 = NodeField.constant(hp1_wavy.grid, hp1_wavy.t0)
+    with pytest.raises(wc.NewtonStall, match="non-finite linear step at s=1"):
+        newton_solve(z0, 1.0, hp1_wavy)
