@@ -18,49 +18,238 @@ they are real and equal to the principal curvatures.  The inverse square
 root of the rank-one-updated metric has the cancellation-free closed form
 
     g^{-1/2} = I/h - (p p^T) / (W h (W + h)),   p = grad z.
+
+The Newton path needs only h, h', h'', W, the derivatives, lam and the
+g-orthonormal eigenvectors, so those are built per node from scalar
+components with no batched linear algebra.  At n = 1, lam = a / W^2.  At
+n = 2 the symmetrized form [[p, q], [q, r]] is diagonalized in closed
+form the way LAPACK's dlaev2 does it: the eigenvalue of larger magnitude
+is (p + r)/2 +- rad with the sign of p + r, the other is det / that one
+(no cancellation), and the eigenvector of the larger eigenvalue is
+(p - r + 2 rad, 2q) or (2q, 2 rad - p + r), whichever avoids
+cancellation.  The matrices g, g^{-1}, g^{-1/2}, a, A, the symmetrized
+form, the eigenvector matrix, nu0, tau and eta are not read on the Newton
+path, so they are built on first access.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FrameError
-from .grid import NodeField, TorusGrid
+from .grid import NodeField
 
 _FRAME_TOL = 1e-10
 
 
-@dataclass
-class GraphGeometry:
-    """Per-node extrinsic data of a graph (grid axes first, matrix axes last)."""
+def eig2_sym(p, q, r):
+    """Eigenpairs of the symmetric 2x2 matrices [[p, q], [q, r]].
 
-    grid: TorusGrid = field(repr=False)
-    profile: object = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    grad: np.ndarray = field(repr=False)      # (*shape, n)
-    hess: np.ndarray = field(repr=False)      # (*shape, n, n)
-    h: np.ndarray = field(repr=False)
-    h1: np.ndarray = field(repr=False)
-    h2: np.ndarray = field(repr=False)
-    W: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
-    g_inv: np.ndarray = field(repr=False)
-    g_inv_sqrt: np.ndarray = field(repr=False)
-    a: np.ndarray = field(repr=False)
-    A: np.ndarray = field(repr=False)
-    atilde: np.ndarray = field(repr=False)
-    lam: np.ndarray = field(repr=False)       # (*shape, n), descending
-    eigvec: np.ndarray = field(repr=False)    # (*shape, n, n), cols match lam
-    nu0: np.ndarray = field(repr=False)
-    tau: np.ndarray = field(repr=False)
-    eta: np.ndarray = field(repr=False)
+    Returns (lam_max, lam_min, c, s): eigenvalues sorted descending and the
+    unit eigenvector (c, s) of lam_max; (-s, c) belongs to lam_min.  At a
+    multiple eigenvalue (q = 0, p = r) the eigenvector is (1, 0).
+    """
+    sm = p + r
+    df = p - r
+    tq = 2.0 * q
+    rt = np.hypot(df, tq)                       # = lam_max - lam_min
+    # the eigenvalue of larger magnitude, then the other as det / it
+    big = 0.5 * (sm + np.copysign(rt, sm))
+    det = p * r - q * q
+    nz = big != 0.0
+    other = np.divide(det, big, out=np.zeros_like(big), where=nz)
+    # max/min rather than the sign of p + r: at a double eigenvalue the
+    # quotient may land one ulp on either side
+    lam_max = np.maximum(big, other)
+    lam_min = np.minimum(big, other)
+    # ([[p, q], [q, r]] - lam_max) (x, y) = 0: of its two solutions, take
+    # the one whose entries add rather than cancel
+    pos = df >= 0.0
+    x = np.where(pos, df + rt, tq)
+    y = np.where(pos, tq, rt - df)
+    nrm = np.hypot(x, y)
+    umbilic = nrm == 0.0
+    nrm[umbilic] = 1.0
+    c = x / nrm
+    c[umbilic] = 1.0
+    return lam_max, lam_min, c, y / nrm
+
+
+class GraphGeometry:
+    """Per-node extrinsic data of a graph (grid axes first, matrix axes last).
+
+    grad is (*shape, n), hess (*shape, n, n), lam (*shape, n) descending;
+    g, g_inv, g_inv_sqrt, a, A, atilde, eigvec are (*shape, n, n) and the
+    eigvec columns match lam.
+    """
+
+    def __init__(self, grid, profile, z, grad, hess, h, h1, h2, W, lam,
+                 frame, eta_anchor=None):
+        self.grid = grid
+        self.profile = profile
+        self.z = z
+        self._grad = grad              # grid layout (n, *shape)
+        self._hess = hess              # grid layout (n, n, *shape)
+        self.h = h
+        self.h1 = h1
+        self.h2 = h2
+        self.W = W
+        self.lam = lam
+        self._frame = frame            # (c, s) of lam_max at n = 2
+        self._eta_anchor = eta_anchor
+
+    @property
+    def grad(self):
+        return np.moveaxis(self._grad, 0, -1)
+
+    @property
+    def hess(self):
+        return np.moveaxis(self._hess, (0, 1), (-2, -1))
 
     @property
     def grad_sup(self):
         return float(np.sqrt((self.grad ** 2).sum(axis=-1)).max())
+
+    def frame_sum(self, w):
+        """sum_k w_k v_k v_k^T over the g-orthonormal eigenvectors v_k.
+
+        w is (*shape, n), matched to lam.  Returns the symmetric result as
+        an n x n nested list of per-node arrays (the off-diagonal entries
+        are one shared array).
+        """
+        V = self._eigvec_g
+        rng = range(self.grid.n)
+        M = [[None for _ in rng] for _ in rng]
+        for i in rng:
+            for j in range(i, self.grid.n):
+                M[i][j] = M[j][i] = sum(w[..., k] * V[i][k] * V[j][k]
+                                        for k in rng)
+        return M
+
+    @cached_property
+    def _eigvec_g(self):
+        # components V[i][k] of v_k = g^{-1/2} q_k, with q_0 = (c, s) and
+        # q_1 = (-s, c) at n = 2
+        S = _inv_sqrt_metric(self.h, self.W, self._grad)
+        if self.grid.n == 1:
+            return [S]
+        s00, s01, s11 = S
+        c, s = self._frame
+        return [[s00 * c + s01 * s, s01 * c - s00 * s],
+                [s01 * c + s11 * s, s11 * c - s01 * s]]
+
+    # -- fields read by verification only, built on first access ---------
+
+    @cached_property
+    def _pp(self):
+        p = self.grad
+        return p[..., :, None] * p[..., None, :]
+
+    @cached_property
+    def g(self):
+        h = self.h
+        return (h * h)[..., None, None] * np.eye(self.grid.n) + self._pp
+
+    @cached_property
+    def g_inv(self):
+        h, W = self.h, self.W
+        return (1.0 / (h * h))[..., None, None] * np.eye(self.grid.n) \
+            - self._pp * (1.0 / (h * h * W * W))[..., None, None]
+
+    @cached_property
+    def g_inv_sqrt(self):
+        return _sym(_inv_sqrt_metric(self.h, self.W, self._grad))
+
+    @cached_property
+    def a(self):
+        return _sym(_second_form(self.h, self.h1, self.W, self._grad,
+                                 self._hess))
+
+    @cached_property
+    def A(self):
+        return self.g_inv @ self.a
+
+    @cached_property
+    def atilde(self):
+        return _sym(_symmetrized_form(self.h, self.h1, self.W, self._grad,
+                                      self._hess))
+
+    @cached_property
+    def eigvec(self):
+        if self.grid.n == 1:
+            return np.ones(self.lam.shape + (1,))
+        c, s = self._frame
+        return np.stack([np.stack([c, -s], axis=-1),
+                         np.stack([s, c], axis=-1)], axis=-2)
+
+    @cached_property
+    def nu0(self):
+        return -self.h / self.W
+
+    @cached_property
+    def tau(self):
+        return self.h * self.h / self.W
+
+    @cached_property
+    def eta(self):
+        eta = -self.profile.antiderivative(self.z)
+        if self._eta_anchor is not None:
+            eta = eta + self.profile.antiderivative(self._eta_anchor)
+        return np.asarray(eta, dtype=float)
+
+
+# Per-node symmetric n x n quantities as lists of their upper-triangle
+# components: [m] at n = 1, [m00, m01, m11] at n = 2.
+
+def _sym(comps):
+    """(*shape, n, n) matrices from upper-triangle components."""
+    if len(comps) == 1:
+        return comps[0][..., None, None]
+    m00, m01, m11 = comps
+    return np.moveaxis(np.array([[m00, m01], [m01, m11]]), (0, 1), (-2, -1))
+
+
+def _inv_sqrt_metric(h, W, grad):
+    """g^{-1/2} = I/h - p p^T / (W h (W + h)), p = grad z."""
+    c = 1.0 / (W * h * (W + h))
+    if len(grad) == 1:
+        return [1.0 / h - grad[0] * grad[0] * c]
+    p0, p1 = grad
+    ih = 1.0 / h
+    return [ih - p0 * p0 * c, -(p0 * p1) * c, ih - p1 * p1 * c]
+
+
+def _second_form(h, h1, W, grad, hess):
+    """a = (-h hess + 2 h' p p^T + h^2 h' I) / W, p = grad z."""
+    diag = h * h * h1
+    if len(grad) == 1:
+        p = grad[0]
+        return [(-h * hess[0, 0] + 2.0 * h1 * (p * p) + diag) / W]
+    p0, p1 = grad
+    return [(-h * hess[0, 0] + 2.0 * h1 * (p0 * p0) + diag) / W,
+            (-h * hess[0, 1] + 2.0 * h1 * (p0 * p1)) / W,
+            (-h * hess[1, 1] + 2.0 * h1 * (p1 * p1) + diag) / W]
+
+
+def _symmetrized_form(h, h1, W, grad, hess):
+    """g^{-1/2} a g^{-1/2}, whose eigenvalues are the curvatures."""
+    S = _inv_sqrt_metric(h, W, grad)
+    a = _second_form(h, h1, W, grad, hess)
+    if len(S) == 1:
+        return [S[0] * a[0] * S[0]]
+    s00, s01, s11 = S
+    a00, a01, a11 = a
+    # rows of g^{-1/2} a, then times g^{-1/2} (symmetric by construction)
+    t00 = s00 * a00 + s01 * a01
+    t01 = s00 * a01 + s01 * a11
+    t10 = s01 * a00 + s11 * a01
+    t11 = s01 * a01 + s11 * a11
+    m01 = 0.5 * (t00 * s01 + t01 * s11 + t10 * s00 + t11 * s01)
+    return [t00 * s00 + t01 * s01, m01, t10 * s01 + t11 * s11]
 
 
 def geometry_from_derivatives(zvals, grad, hess, grid, profile, eta_anchor=None):
@@ -70,39 +259,23 @@ def geometry_from_derivatives(zvals, grad, hess, grid, profile, eta_anchor=None)
     passes discrete stencils here, the manufactured-solution harness passes
     exact analytic derivatives.
     """
-    n = grid.n
-    h, h1, h2 = profile.eval(zvals)
-    h = np.asarray(h)
-    h1 = np.asarray(h1)
-    h2 = np.asarray(h2)
-    p = np.moveaxis(np.asarray(grad), 0, -1)              # (*shape, n)
-    H = np.moveaxis(np.asarray(hess), (0, 1), (-2, -1))    # (*shape, n, n)
-    p2 = (p * p).sum(axis=-1)
-    W = np.sqrt(h * h + p2)
-    eye = np.eye(n)
-    pp = p[..., :, None] * p[..., None, :]
-    g = (h * h)[..., None, None] * eye + pp
-    g_inv = (1.0 / (h * h))[..., None, None] * eye \
-        - pp * (1.0 / (h * h * W * W))[..., None, None]
-    g_inv_sqrt = (1.0 / h)[..., None, None] * eye \
-        - pp * (1.0 / (W * h * (W + h)))[..., None, None]
-    b = -h[..., None, None] * H + (2.0 * h1)[..., None, None] * pp \
-        + (h * h * h1)[..., None, None] * eye
-    a = b / W[..., None, None]
-    A = g_inv @ a
-    atilde = g_inv_sqrt @ a @ g_inv_sqrt
-    atilde = 0.5 * (atilde + np.swapaxes(atilde, -1, -2))
-    w, Q = np.linalg.eigh(atilde)
-    lam = w[..., ::-1]
-    Q = Q[..., ::-1]
-    eta = -profile.antiderivative(zvals)
-    if eta_anchor is not None:
-        eta = eta + profile.antiderivative(eta_anchor)
-    return GraphGeometry(
-        grid=grid, profile=profile, z=np.asarray(zvals, dtype=float),
-        grad=p, hess=H, h=h, h1=h1, h2=h2, W=W, g=g, g_inv=g_inv,
-        g_inv_sqrt=g_inv_sqrt, a=a, A=A, atilde=atilde, lam=lam, eigvec=Q,
-        nu0=-h / W, tau=h * h / W, eta=np.asarray(eta, dtype=float))
+    h, h1, h2 = (np.asarray(v) for v in profile.eval(zvals))
+    grad = np.asarray(grad)
+    hess = np.asarray(hess)
+    W = np.sqrt(h * h + sum(p * p for p in grad))
+    # at n = 1 the curvature is s a s with the scalar s = g^{-1/2} = 1/W in
+    # its rank-one form: at fine 1D grids the residual's rounding floor is
+    # near newton_tol, so this evaluation order is kept to keep 1D
+    # iterates, and Newton counts, unchanged to the last bit
+    st = _symmetrized_form(h, h1, W, grad, hess)
+    if grid.n == 1:
+        lam, frame = st[0][..., None], None
+    else:
+        lam_max, lam_min, c, s = eig2_sym(*st)
+        lam = np.stack([lam_max, lam_min], axis=-1)
+        frame = (c, s)
+    return GraphGeometry(grid, profile, np.asarray(zvals, dtype=float), grad,
+                         hess, h, h1, h2, W, lam, frame, eta_anchor)
 
 
 def compute_geometry(z, grid=None, profile=None, eta_anchor=None):

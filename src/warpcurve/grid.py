@@ -1,5 +1,6 @@
 """Flat torus base (R/LZ)^n, n in {1, 2}, with periodic centered
-finite-difference stencils of order 2 or 4.
+finite-difference stencils of order 2 or 4, their weights derived from
+moment conditions.
 
 Node ordering is fixed once and for all: axis 0 varies fastest (Fortran
 ravel), so the Jacobian sparsity pattern and all serialized dumps are
@@ -10,23 +11,46 @@ coincide with coordinate partial derivatives.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeError
 
+
+def _centered_weights(m, order):
+    """Centered (order + 1)-point weights of the m-th derivative (m = 1, 2).
+
+    The weights w_o, o = -order/2 .. order/2, solve the moment conditions
+    sum_o w_o o**k = m! [k == m] for k = 0 .. order exactly in rationals
+    (Fornberg, Math. Comp. 51, 1988), so each float is the correctly
+    rounded fraction.  Offsets run in descending order (the summation
+    order of the roll path); zero weights are dropped.
+    """
+    q = order // 2
+    offs = list(range(q, -q - 1, -1))
+    size = len(offs)
+    # augmented Vandermonde rows [o**k for o in offs | m! [k == m]],
+    # reduced by Gauss-Jordan elimination (the system is nonsingular)
+    rows = [[Fraction(o) ** k for o in offs]
+            + [Fraction(math.factorial(m) * (k == m))] for k in range(size)]
+    for i in range(size):
+        piv = next(r for r in range(i, size) if rows[r][i] != 0)
+        rows[i], rows[piv] = rows[piv], rows[i]
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(size):
+            f = rows[r][i]
+            if r != i and f != 0:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
+    return {o: float(row[-1]) for o, row in zip(offs, rows) if row[-1] != 0}
+
+
 # centered stencil weights, offset -> coefficient (unscaled by dx powers)
-_W1 = {
-    2: {1: 0.5, -1: -0.5},
-    4: {2: -1.0 / 12.0, 1: 8.0 / 12.0, -1: -8.0 / 12.0, -2: 1.0 / 12.0},
-}
-_W2 = {
-    2: {1: 1.0, 0: -2.0, -1: 1.0},
-    4: {2: -1.0 / 12.0, 1: 16.0 / 12.0, 0: -30.0 / 12.0,
-        -1: 16.0 / 12.0, -2: -1.0 / 12.0},
-}
+_W1 = {p: _centered_weights(1, p) for p in (2, 4)}
+_W2 = {p: _centered_weights(2, p) for p in (2, 4)}
 
 
 class TorusGrid:
@@ -50,6 +74,7 @@ class TorusGrid:
         self.size = self.N ** self.n
         self._ops = {}
         self._coloring = None
+        self._pattern = None
 
     def __repr__(self):
         return (f"TorusGrid(n={self.n}, N={self.N}, L={self.L:.6g}, "
@@ -173,6 +198,37 @@ class TorusGrid:
                 for b in d1_offs:
                     offs.add((a, b))
         return sorted(offs)
+
+    def stencil_pattern(self):
+        """Fixed CSR layout of operators supported on the stencil footprint.
+
+        Row i holds the columns i + o for the offsets o of
+        stencil_footprint(), in that order, so the data array of a matrix
+        in this layout reshapes to (size, n_offsets) with one column per
+        offset.  Returns (indices, indptr, weights); weights has one row
+        per operator -- identity, d1 per axis, d2 per axis, then d11 at
+        n = 2 -- holding its coefficient at each offset, read off the
+        first row of the (circulant) sparse operator.  The arrays are
+        cached and read-only.
+        """
+        if self._pattern is None:
+            foot = np.array(self.stencil_footprint())            # (n_off, n)
+            nodes = np.indices(self.shape).reshape(self.n, -1, order="F")
+            cols = (nodes[:, :, None] + foot.T[:, None, :]) % self.N
+            flat = cols[0] + self.N * cols[1] if self.n == 2 else cols[0]
+            indices = flat.ravel().astype(np.int32)
+            indptr = np.arange(0, indices.size + 1, len(foot), dtype=np.int32)
+            ops = [sp.identity(self.size, format="csr")]
+            ops += [self.d1_matrix(d) for d in range(self.n)]
+            ops += [self.d2_matrix(d) for d in range(self.n)]
+            if self.n == 2:
+                ops.append(self.d11_matrix())
+            first = indices[:len(foot)]
+            weights = np.array([op[0].toarray()[0, first] for op in ops])
+            for arr in (indices, indptr, weights):
+                arr.flags.writeable = False
+            self._pattern = (indices, indptr, weights)
+        return self._pattern
 
     def coloring(self):
         """Greedy column coloring for finite-difference Jacobians.

@@ -3,7 +3,12 @@
 These deliberately avoid the code paths they certify: the dense Jacobian
 differentiates the residual one column at a time (no coloring, no chain
 rule), the gradient check differences f_eval directly, and the 2x2
-eigensolver is the half-angle closed form rather than LAPACK.
+eigensolver is the half-angle form (mean +- radius, eigenvectors from
+the arctan2 angle).  The geometry takes its eigenpairs from a different
+closed form (geometry.eig2_sym: the root of larger magnitude, the other
+as det / root, the eigenvector from a cancellation-free null vector), so
+the verify row "oracle: eig2 vs eigh eigenvalues" compares two
+independent computations; it keeps its name so reports stay comparable.
 """
 
 from __future__ import annotations

@@ -12,21 +12,29 @@ eigenproblem a v = lam g v: with g-orthonormal eigenvectors v_i,
 
 which needs no matrix square roots and stays smooth through eigenvalue
 crossings because f is symmetric.  Writing M = sum f_i v_i v_i^T and
-M2 = sum f_i lam_i v_i v_i^T, the per-node sensitivities to (z, grad z,
-hess z) contract against the sparse stencil operators of the grid.
+M2 = sum f_i lam_i v_i v_i^T (GraphGeometry.frame_sum, in components),
+the per-node sensitivities to (z, grad z, hess z) are one coefficient per
+stencil operator.  J is assembled straight into the grid's fixed CSR
+layout (TorusGrid.stencil_pattern: row i holds the columns i + o in
+footprint order), its entry at offset o being the sum of coefficient
+times operator weight at o.  The colored finite-difference Jacobian
+writes into the same layout.
 
 Each Newton step solves J delta = -R.  At n = 1 J is banded (periodic
 corners aside), so a sparse direct solve has no fill-in.  At n = 2 the
 step is GMRES preconditioned by the circulant part of J: the periodic
-stencils are circulant, so the mean coefficient per stencil offset is
-inverted exactly by the 2D FFT.  The tolerance is tight (1e-12 relative)
+stencils are circulant, so the mean coefficient per stencil offset (the
+column means of J's data in the fixed layout) is inverted exactly by the
+2D FFT.  The tolerance is tight (1e-12 relative)
 so Newton counts and iterates are those of the direct solve, to which
 the step falls back when GMRES misses it or the symbol is singular.
 
 Continuation starts from the exact constant solution z = t0 at s = 0 and
 advances s adaptively (halve on stall, double after two easy steps,
 clamp to land on s = 1), asserting the barrier slab and cone
-admissibility at every accepted state.
+admissibility at every accepted state.  When the step falls below
+ds_min, the ContinuationStall is raised from the last NewtonStall and
+repeats its message, so the cause is named.
 """
 
 from __future__ import annotations
@@ -90,69 +98,81 @@ def residual(z, s, hp):
     return NodeField(state.res, hp.grid)
 
 
-def _analytic_jacobian(state, hp):
+def _jacobian_coefficients(state, hp):
+    """Per-node coefficients of J on the operators of grid.stencil_pattern().
+
+    Returns one grid-shaped array per operator: identity (the z
+    sensitivity minus d_t Psi), d1 per axis, d2 per axis and, at n = 2,
+    d11, in the order of the pattern's weight rows.
+    """
     geom = state.geom
-    grid = hp.grid
-    n = grid.n
+    n = hp.grid.n
     h, h1, h2, W = geom.h, geom.h1, geom.h2, geom.W
-    p = geom.grad
+    rng = range(n)
+    p = [geom.grad[..., d] for d in rng]
+    H = geom.hess
     fi = state.fgrad
-    lam = geom.lam
-    V = geom.g_inv_sqrt @ geom.eigvec          # g-orthonormal eigenvectors
-    M = np.einsum("...ik,...k,...jk->...ij", V, fi, V)
-    M2 = np.einsum("...ik,...k,...jk->...ij", V, fi * lam, V)
-    sfl = (fi * lam).sum(axis=-1)
-    Mp = np.einsum("...ij,...j->...i", M, p)
-    M2p = np.einsum("...ij,...j->...i", M2, p)
-    c_hess = -(h / W)[..., None, None] * M
-    c_grad = (4.0 * h1 / W)[..., None] * Mp \
-        - p * (sfl / W ** 2)[..., None] - 2.0 * M2p
-    MH = np.einsum("...ij,...ij->...", M, geom.hess)
-    pMp = np.einsum("...i,...ij,...j->...", p, M, p)
-    trM = np.einsum("...ii->...", M)
-    trM2 = np.einsum("...ii->...", M2)
+    fl = fi * geom.lam
+    M = geom.frame_sum(fi)
+    M2 = geom.frame_sum(fl)
+    sfl = fl.sum(axis=-1)
+    Mp = [sum(M[i][j] * p[j] for j in rng) for i in rng]
+    M2p = [sum(M2[i][j] * p[j] for j in rng) for i in rng]
+    MH = sum(M[i][j] * H[..., i, j] for i in rng for j in rng)
+    pMp = sum(p[i] * M[i][j] * p[j] for i in rng for j in rng)
+    trM = sum(M[i][i] for i in rng)
+    trM2 = sum(M2[i][i] for i in rng)
     c_z = (-h1 * MH + 2.0 * h2 * pMp + (2.0 * h * h1 ** 2 + h ** 2 * h2) * trM) \
         / W - sfl * h * h1 / W ** 2 - 2.0 * h * h1 * trM2
-    flat = grid.flatten
-    J = sp.diags(flat(c_z - state.psi_t), format="csr")
-    for d in range(n):
-        J = J + sp.diags(flat(c_grad[..., d])) @ grid.d1_matrix(d)
-        J = J + sp.diags(flat(c_hess[..., d, d])) @ grid.d2_matrix(d)
+    c_grad = [(4.0 * h1 / W) * Mp[d] - p[d] * (sfl / W ** 2) - 2.0 * M2p[d]
+              for d in rng]
+    # c_hess = -(h / W) M; the symmetric cross entries share one stencil
+    c_hess = [-(h / W) * M[d][d] for d in rng]
     if n == 2:
-        # the symmetric cross entries share one stencil, hence the factor 2
-        J = J + sp.diags(flat(2.0 * c_hess[..., 0, 1])) @ grid.d11_matrix()
-    return J.tocsr()
+        c_hess.append(-(h / W) * (2.0 * M[0][1]))
+    return [c_z - state.psi_t] + c_grad + c_hess
+
+
+def _pattern_matrix(data, grid):
+    """CSR matrix with (size, n_offsets) data in the grid's stencil layout."""
+    indices, indptr, _ = grid.stencil_pattern()
+    # own copies of the index arrays: scipy may sort or prune in place
+    return sp.csr_matrix((data.ravel(), indices.copy(), indptr.copy()),
+                         shape=(grid.size, grid.size))
+
+
+def _analytic_jacobian(state, hp):
+    grid = hp.grid
+    coef = [grid.flatten(c) for c in _jacobian_coefficients(state, hp)]
+    weights = grid.stencil_pattern()[2]
+    data = np.empty((weights.shape[1], grid.size))
+    for k, col in enumerate(weights.T):
+        # entry at offset k = sum of coefficient * weight over the operators
+        # with a stencil there, added one product at a time in operator
+        # order (no fused multiply-add), as summing diag(c) @ operator does
+        terms = [c * w for c, w in zip(coef, col) if w != 0.0]
+        data[k] = terms[0]
+        for t in terms[1:]:
+            data[k] += t
+    return _pattern_matrix(data.T, grid)
 
 
 def _fd_colored_jacobian(zvals, s, hp, step):
     grid = hp.grid
     colors, ncol = grid.coloring()
-    foot = grid.stencil_footprint()
-    N, size = grid.N, grid.size
-    if grid.n == 1:
-        idx = np.arange(size)
-        maps = [(idx - d[0]) % N for d in foot]
-    else:
-        i0, i1 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        i0f, i1f = grid.flatten(i0), grid.flatten(i1)
-        maps = [((i0f - d[0]) % N) + N * ((i1f - d[1]) % N) for d in foot]
-    rows, cols, data = [], [], []
+    indices = grid.stencil_pattern()[0]
+    # color of the column at each (row, offset) slot of the layout
+    slot_colors = colors[indices].reshape(grid.size, -1)
+    data = np.empty(slot_colors.shape)
     for c in range(ncol):
-        members = np.nonzero(colors == c)[0]
-        pert = np.zeros(size)
-        pert[members] = step
-        dz = grid.unflatten(pert)
-        rp = grid.flatten(_evaluate(zvals + dz, s, hp).res)
-        rm = grid.flatten(_evaluate(zvals - dz, s, hp).res)
+        pert = grid.unflatten(step * (colors == c))
+        rp = grid.flatten(_evaluate(zvals + pert, s, hp).res)
+        rm = grid.flatten(_evaluate(zvals - pert, s, hp).res)
+        # each row meets at most one column of a color: its difference
+        # quotient is the entry at that column's slot
         dr = (rp - rm) / (2.0 * step)
-        for m in maps:
-            r = m[members]
-            rows.append(r)
-            cols.append(members)
-            data.append(dr[r])
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size))
+        np.copyto(data, dr[:, None], where=slot_colors == c)
+    return _pattern_matrix(data, grid)
 
 
 def assemble_jacobian(z, s, hp, mode="analytic", cfg=None):
@@ -194,16 +214,14 @@ class NewtonStats:
 def _circulant_symbol(J, grid):
     """Fourier symbol of the circulant part of J (n = 2).
 
-    Entry (i, j) sits at the periodic offset (j - i) mod N per axis; the
-    mean coefficient per offset is the stencil of the constant-coefficient
-    operator nearest J, which the 2D DFT diagonalizes exactly.
+    J is in the grid's stencil layout, so column k of its data holds every
+    row's entry at offset k; the column means are the stencil of the
+    constant-coefficient operator nearest J, which the 2D DFT
+    diagonalizes exactly.
     """
-    N = grid.N
-    coo = J.tocoo()
-    off = (coo.col % N - coo.row % N) % N \
-        + N * ((coo.col // N - coo.row // N) % N)
-    kernel = np.bincount(off, weights=coo.data, minlength=grid.size)
-    kernel = grid.unflatten(kernel / grid.size)
+    foot = np.array(grid.stencil_footprint()) % grid.N
+    kernel = np.zeros(grid.shape)
+    kernel[tuple(foot.T)] = J.data.reshape(grid.size, len(foot)).mean(axis=0)
     # (C x)_i = sum_o kernel[o] x_{i+o} is a correlation, so its symbol is
     # the conjugate transform of the (real) kernel
     return np.conj(np.fft.fftn(kernel))
@@ -368,12 +386,13 @@ def continuation(hp, cfg=None):
         s_try = min(s + ds, 1.0)
         try:
             z_new, stats = newton_solve(z, s_try, hp, cfg, barrier=barrier)
-        except NewtonStall:
+        except NewtonStall as exc:
             ds *= 0.5
             easy_streak = 0
             if ds < cfg.ds_min:
                 raise ContinuationStall(
-                    f"step fell below ds_min = {cfg.ds_min:.3e} at s = {s:.6g}")
+                    f"step fell below ds_min = {cfg.ds_min:.3e} at s = {s:.6g}"
+                    f": {exc}") from exc
             continue
         z = z_new
         step_ds = s_try - s

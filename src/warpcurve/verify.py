@@ -246,7 +246,7 @@ def jacobian_rows(hp, seed, states=3):
         Ja = assemble_jacobian(z, s, hp, "analytic")
         Jf = assemble_jacobian(z, s, hp, "fd-colored")
         scale = float(np.abs(Ja.data).max())
-        diff = float(np.abs((Ja - Jf).toarray()).max())
+        diff = float(abs(Ja - Jf).max())
         worst = max(worst, diff / scale)
     return [_row(f"oracle: analytic vs colored-FD jacobian, {states} states",
                  worst, "<= 1e-6", worst <= 1e-6)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import warpcurve as wc
-from warpcurve.geometry import (compute_geometry, fields_csv,
+from warpcurve.geometry import (compute_geometry, eig2_sym, fields_csv,
                                 special_frame_check, support_identity_check)
 from warpcurve.grid import NodeField, random_smooth
 
@@ -144,3 +144,51 @@ def test_fields_csv_shape(cosh_profile):
     assert len(lines) == 1 + g.size
     first = [float(x) for x in lines[1].split(",")]
     assert first[2] == pytest.approx(np.cosh(1.0), rel=1e-15)
+
+
+def _check_eigenpairs(m00, m01, m11):
+    lmax, lmin, c, s = eig2_sym(m00, m01, m11)
+    m = np.stack([np.stack([m00, m01], -1), np.stack([m01, m11], -1)], -2)
+    w, _ = np.linalg.eigh(m)
+    scale = np.abs(m).max()
+    assert np.abs(lmax - w[..., 1]).max() <= 1e-14 * scale
+    assert np.abs(lmin - w[..., 0]).max() <= 1e-14 * scale
+    assert np.all(lmax >= lmin)
+    assert np.abs(c * c + s * s - 1.0).max() <= 1e-15
+    # (c, s) and (-s, c) are eigenvectors of lam_max and lam_min
+    for x, y, lam in ((c, s, lmax), (-s, c, lmin)):
+        rx = m00 * x + m01 * y - lam * x
+        ry = m01 * x + m11 * y - lam * y
+        assert np.abs(np.hypot(rx, ry)).max() <= 1e-14 * scale
+
+
+def test_closed_form_eigenpairs_match_eigh():
+    rng = np.random.default_rng(31)
+    m00, m01, m11 = rng.normal(size=(3, 2000))
+    _check_eigenpairs(m00, m01, m11)
+    # umbilic (equal eigenvalues) and nearly umbilic matrices, either sign
+    d = rng.normal(size=400)
+    _check_eigenpairs(d, np.zeros_like(d), d.copy())
+    _check_eigenpairs(d, 1e-9 * d, d * (1.0 + 1e-12))
+    zero = np.zeros(3)
+    _check_eigenpairs(zero, zero, zero)
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.2])
+def test_geometry_eigenpairs_match_eigh_of_symmetrized_form(cosh_profile, amp):
+    g = wc.make_grid(2, 16)
+    z = 1.0 + random_smooth(g, np.random.default_rng(5), amp)
+    geom = compute_geometry(z, g, cosh_profile)
+    w, _ = np.linalg.eigh(geom.atilde)
+    assert np.abs(geom.lam - w[..., ::-1]).max() <= 1e-13
+    Q = geom.eigvec
+    back = (Q * geom.lam[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    assert np.abs(back - geom.atilde).max() <= 1e-13
+    # frame_sum(w) = V diag(w) V^T with V = g^{-1/2} Q
+    wts = np.stack([np.full(g.shape, 2.0), np.full(g.shape, 0.5)], axis=-1)
+    V = geom.g_inv_sqrt @ Q
+    ref = np.einsum("...ik,...k,...jk->...ij", V, wts, V)
+    M = geom.frame_sum(wts)
+    for i in range(2):
+        for j in range(2):
+            assert np.abs(M[i][j] - ref[..., i, j]).max() <= 1e-14

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import warpcurve as wc
@@ -295,3 +296,130 @@ def test_non_finite_linear_step_is_named(hp1_wavy, monkeypatch):
     z0 = NodeField.constant(hp1_wavy.grid, hp1_wavy.t0)
     with pytest.raises(wc.NewtonStall, match="non-finite linear step at s=1"):
         newton_solve(z0, 1.0, hp1_wavy)
+
+
+# -- fixed-pattern Jacobian assembly ------------------------------------------
+
+def _reference_jacobian(state, hp):
+    """J as a sum of diags(coefficient) @ stencil operator, with the
+    per-node sensitivities contracted by einsum over full matrices."""
+    geom = state.geom
+    grid = hp.grid
+    h, h1, h2, W = geom.h, geom.h1, geom.h2, geom.W
+    p = geom.grad
+    fi = state.fgrad
+    lam = geom.lam
+    V = geom.g_inv_sqrt @ geom.eigvec          # g-orthonormal eigenvectors
+    M = np.einsum("...ik,...k,...jk->...ij", V, fi, V)
+    M2 = np.einsum("...ik,...k,...jk->...ij", V, fi * lam, V)
+    sfl = (fi * lam).sum(axis=-1)
+    Mp = np.einsum("...ij,...j->...i", M, p)
+    M2p = np.einsum("...ij,...j->...i", M2, p)
+    c_hess = -(h / W)[..., None, None] * M
+    c_grad = (4.0 * h1 / W)[..., None] * Mp \
+        - p * (sfl / W ** 2)[..., None] - 2.0 * M2p
+    MH = np.einsum("...ij,...ij->...", M, geom.hess)
+    pMp = np.einsum("...i,...ij,...j->...", p, M, p)
+    trM = np.einsum("...ii->...", M)
+    trM2 = np.einsum("...ii->...", M2)
+    c_z = (-h1 * MH + 2.0 * h2 * pMp + (2.0 * h * h1 ** 2 + h ** 2 * h2) * trM) \
+        / W - sfl * h * h1 / W ** 2 - 2.0 * h * h1 * trM2
+    flat = grid.flatten
+    J = sp.diags(flat(c_z - state.psi_t), format="csr")
+    for d in range(grid.n):
+        J = J + sp.diags(flat(c_grad[..., d])) @ grid.d1_matrix(d)
+        J = J + sp.diags(flat(c_hess[..., d, d])) @ grid.d2_matrix(d)
+    if grid.n == 2:
+        J = J + sp.diags(flat(2.0 * c_hess[..., 0, 1])) @ grid.d11_matrix()
+    return J.tocsr()
+
+
+def _reference_symbol(J, grid):
+    """Circulant symbol from offset-binned COO entries of any sparse J."""
+    N = grid.N
+    coo = J.tocoo()
+    off = (coo.col % N - coo.row % N) % N \
+        + N * ((coo.col // N - coo.row // N) % N)
+    kernel = np.bincount(off, weights=coo.data, minlength=grid.size)
+    return np.conj(np.fft.fftn(grid.unflatten(kernel / grid.size)))
+
+
+def _wavy_state(n, order, seed=11):
+    hp = make_problem(n=n, N=64 if n == 1 else 24, r=n, eps=0.1, t_plus=1.5,
+                      order=order)
+    rng = np.random.default_rng(seed)
+    z = hp.t0 + random_smooth(hp.grid, rng, 0.05)
+    return hp, z, solver._evaluate(z, 0.6, hp)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_pattern_jacobian_matches_operator_sum(n, order):
+    hp, _, state = _wavy_state(n, order)
+    J = solver._analytic_jacobian(state, hp)
+    ref = _reference_jacobian(state, hp)
+    assert J.nnz == hp.grid.size * len(hp.grid.stencil_footprint())
+    diff = np.abs((J - ref).toarray()).max()
+    assert diff <= 1e-13 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fd_colored_jacobian_shares_the_pattern(n):
+    hp, z, _ = _wavy_state(n, 2)
+    J = assemble_jacobian(z, 0.6, hp, "fd-colored")
+    indices, indptr, _ = hp.grid.stencil_pattern()
+    assert np.array_equal(J.indices, indices)
+    assert np.array_equal(J.indptr, indptr)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("mode", ["analytic", "fd-colored"])
+def test_pattern_symbol_matches_binned_symbol(order, mode):
+    hp, z, _ = _wavy_state(2, order)
+    J = assemble_jacobian(z, 0.6, hp, mode)
+    sym = solver._circulant_symbol(J, hp.grid)
+    ref = _reference_symbol(J, hp.grid)
+    assert np.abs(sym - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_pattern_is_cached_and_read_only():
+    grid = wc.make_grid(2, 16)
+    indices, indptr, weights = grid.stencil_pattern()
+    assert grid.stencil_pattern()[0] is indices
+    with pytest.raises(ValueError):
+        indices[0] = 0
+    J = solver._pattern_matrix(np.ones((grid.size, weights.shape[1])), grid)
+    J.sort_indices()                           # mutates J's own copy only
+    assert np.array_equal(grid.stencil_pattern()[0], indices)
+
+
+# -- failure causes and solution convergence ------------------------------------
+
+def test_continuation_stall_names_the_newton_stall():
+    # newton_tol below the rounding floor: Newton backtracks until exhausted
+    hp = make_problem(n=1, N=32)
+    with pytest.raises(wc.ContinuationStall) as exc:
+        continuation(hp, SolverConfig(newton_tol=1e-16))
+    cause = exc.value.__cause__
+    assert isinstance(cause, wc.NewtonStall)
+    assert "backtracking exhausted" in str(cause)
+    assert str(cause) in str(exc.value)
+
+
+@pytest.mark.parametrize("order,least", [(2, 1.9), (4, 3.8)])
+@pytest.mark.parametrize("n,r,Ns", [(1, 1, (32, 64, 128, 256)),
+                                    (2, 2, (16, 32, 64))])
+def test_manufactured_solution_error_order(cosh_profile, n, r, Ns, order,
+                                           least):
+    # Newton from the constant start; the error max |z_h - z_m| of the
+    # discrete solution must fall at the stencil order
+    cfg = SolverConfig(newton_tol=1e-12)
+    errs = []
+    for N in Ns:
+        grid = wc.make_grid(n, N, order=order)
+        zm, hp = build_manufactured(grid, cosh_profile, wc.CurvatureSpec(n, r),
+                                    amplitude=0.05)
+        z, _ = newton_solve(NodeField.constant(grid, hp.t0), 1.0, hp, cfg)
+        errs.append(np.abs(z.values - zm.values).max())
+    for coarse, fine in zip(errs, errs[1:]):
+        assert np.log2(coarse / fine) >= least
