@@ -44,6 +44,7 @@ from .errors import FrameError
 from .grid import NodeField
 
 _FRAME_TOL = 1e-10
+_CSV_BLOCK = 1024       # rows formatted per block by fields_csv
 
 
 def eig2_sym(p, q, r):
@@ -361,27 +362,21 @@ def support_identity_check(geom):
 
 
 def fields_csv(geom):
-    """CSV dump of (W, lambda_max, lambda_min, tau) keyed by coordinates."""
+    """CSV dump of (W, lambda_max, lambda_min, tau) keyed by coordinates.
+
+    One row per node in flat (F) order, axis 0 fastest; every value is
+    written with %.17g, so it reads back exactly.
+    """
     grid = geom.grid
     buf = io.StringIO()
     axes = ",".join(f"u{d}" for d in range(grid.n))
     buf.write(f"{axes},W,lambda_max,lambda_min,tau\n")
-    X = grid.coords()
-    lam_max = geom.lam[..., 0]
-    lam_min = geom.lam[..., -1]
-    for node in _iter_nodes(grid):
-        cs = ",".join(format(X[d][node], ".17g") for d in range(grid.n))
-        buf.write(f"{cs},{geom.W[node]:.17g},{lam_max[node]:.17g},"
-                  f"{lam_min[node]:.17g},{geom.tau[node]:.17g}\n")
+    cols = list(grid.coords()) + [geom.W, geom.lam[..., 0], geom.lam[..., -1],
+                                  geom.tau]
+    M = np.column_stack([grid.flatten(c) for c in cols])
+    row = ",".join(["%.17g"] * M.shape[1]) + "\n"
+    # a block of rows at a time: tolist holds one Python float per value
+    for start in range(0, len(M), _CSV_BLOCK):
+        buf.writelines(row % tuple(r)
+                       for r in M[start:start + _CSV_BLOCK].tolist())
     return buf.getvalue()
-
-
-def _iter_nodes(grid):
-    # flat (F) order: axis 0 fastest
-    if grid.n == 1:
-        for i in range(grid.N):
-            yield (i,)
-    else:
-        for i1 in range(grid.N):
-            for i0 in range(grid.N):
-                yield (i0, i1)

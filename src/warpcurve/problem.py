@@ -85,30 +85,26 @@ class Prescription:
             return (self.c0 + self.eps * ang) / h
         return self.psi_fn(t, coords)
 
-    def _psi_t(self, t, ang, coords):
+    def psi_pair(self, t, ang, coords):
+        """(psi, d_t psi) from one evaluation of the profile."""
         if self.form == "radial-decay":
             h, h1, _ = self.profile.eval(t)
-            return -(h1 / h) * (self.c0 + self.eps * ang) / h
+            num = self.c0 + self.eps * ang
+            return num / h, -(h1 / h) * num / h
+        psi = self.psi_fn(t, coords)
         if self.psi_t_fn is not None:
-            return self.psi_t_fn(t, coords)
+            return psi, self.psi_t_fn(t, coords)
         dt = 1e-6 * (1.0 + np.abs(t))
-        return (self.psi_fn(t + dt, coords) - self.psi_fn(t - dt, coords)) \
-            / (2.0 * dt)
+        return psi, (self.psi_fn(t + dt, coords)
+                     - self.psi_fn(t - dt, coords)) / (2.0 * dt)
 
     def _dt_h_psi(self, t, ang, coords):
         if self.form == "radial-decay":
             # h * psi = c0 + eps * g(u): exactly t-independent
             return np.zeros(np.broadcast(np.asarray(t), ang).shape)
         h, h1, _ = self.profile.eval(t)
-        return h1 * self._psi(t, ang, coords) + h * self._psi_t(t, ang, coords)
-
-    # -- per-node evaluation on a height field ------------------------------
-
-    def psi_of(self, zvals):
-        return self._psi(zvals, self.angular, self.grid.coords())
-
-    def psi_t_of(self, zvals):
-        return self._psi_t(zvals, self.angular, self.grid.coords())
+        psi, psi_t = self.psi_pair(t, ang, coords)
+        return h1 * psi + h * psi_t
 
     # -- (t-lattice) x (all nodes) evaluation --------------------------------
 
@@ -268,9 +264,11 @@ class Gauge:
         h, _, _ = self.profile.eval(t)
         return self.k0h0 * np.exp(self.eps_phi * (self.t0 - t)) / h
 
-    def psi0_t(self, t):
+    def psi0_pair(self, t):
+        """(psi0, d_t psi0) from one evaluation of the profile."""
         h, h1, _ = self.profile.eval(t)
-        return -(self.eps_phi + h1 / h) * self.psi0(t)
+        psi0 = self.k0h0 * np.exp(self.eps_phi * (self.t0 - t)) / h
+        return psi0, -(self.eps_phi + h1 / h) * psi0
 
 
 def build_phi(profile, spec, t_minus, t_plus, t0=None, eps_phi=0.1):
@@ -330,9 +328,9 @@ class HomotopyProblem:
     def psi_of(self, s, zvals):
         """(Psi, d_t Psi) per node at homotopy parameter s."""
         p = self.prescription
-        val = s * p.psi_of(zvals) + (1.0 - s) * self.gauge.psi0(zvals)
-        dt = s * p.psi_t_of(zvals) + (1.0 - s) * self.gauge.psi0_t(zvals)
-        return val, dt
+        return _homotopy_pair(
+            s, p.psi_pair(zvals, p.angular, self.grid.coords()),
+            self.gauge.psi0_pair(zvals))
 
     def psi_lattice(self, s, tarr):
         p = self.prescription
@@ -359,11 +357,13 @@ class HomotopyProblem:
         h, h1, _ = self.profile.eval(tarr)
         kap = (h1 / h)[:, None]
         val = self.psi_lattice(s, tarr)
-        dt = s * np.asarray(p._psi_t(np.asarray(tarr)[:, None],
-                                     None if p.angular is None
-                                     else p._flat_args()[0][None, :],
-                                     p._flat_args()[1][:, None, :])) \
-            + (1.0 - s) * np.asarray(self.gauge.psi0_t(tarr))[:, None]
+        ang, coords = p._flat_args()
+        _, psi_t = p.psi_pair(np.asarray(tarr)[:, None],
+                              None if ang is None else ang[None, :],
+                              coords[:, None, :])
+        _, psi0_t = self.gauge.psi0_pair(tarr)
+        dt = s * np.asarray(psi_t) \
+            + (1.0 - s) * np.asarray(psi0_t)[:, None]
         return dt + kap * val
 
     def homotopy_report(self):
@@ -378,9 +378,7 @@ class HomotopyProblem:
         _, slab, _ = validation_lattices(p)
         rows = []
 
-        vals = np.stack([self.psi_lattice(s, slab) for s in S_LATTICE])
-        m2 = float(vals.min())
-        idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        m2, idx = _first_min(self.psi_lattice(s, slab) for s in S_LATTICE)
         rows.append(ConditionRow(
             "homotopy (ii): Psi > 0", m2,
             (S_LATTICE[idx[0]], float(slab[idx[1]]), int(idx[2])), m2 > 0))
@@ -404,9 +402,8 @@ class HomotopyProblem:
             (S_LATTICE[i4[0]], p.t_plus, int(i4[1])), m4 > 0))
 
         strict_s = [s for s in S_LATTICE if s < 1.0]
-        drifts = np.stack([self.drift_lattice(s, slab) for s in strict_s])
-        m5 = float((-drifts).min())
-        i5 = np.unravel_index(int(np.argmax(drifts)), drifts.shape)
+        # the witness of min(-drift) is the first argmax of the drift
+        m5, i5 = _first_min(-self.drift_lattice(s, slab) for s in strict_s)
         end = self.drift_lattice(1.0, slab)
         slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
         end_ok = float(end.max()) <= slack
@@ -417,6 +414,20 @@ class HomotopyProblem:
             note="strict for s < 1; s = 1 slice checked non-strictly "
                  "(reduces to hypothesis (c))"))
         return rows
+
+
+def _first_min(slices):
+    """min over a sequence of equal-shape arrays and its first position.
+
+    The position is (slice index, *index in the slice), the one np.argmin
+    of their stack would give, but only one slice is held at a time.
+    """
+    mins, args = [], []
+    for a in slices:
+        mins.append(a.min())
+        args.append(np.unravel_index(int(np.argmin(a)), a.shape))
+    k = int(np.argmin(mins))      # first slice holding the min (or a NaN)
+    return float(np.min(mins)), (k,) + args[k]
 
 
 def psi_homotopy(hp, s, t, u=None):
@@ -432,9 +443,15 @@ def psi_homotopy(hp, s, t, u=None):
     p = hp.prescription
     ang = None if p.angular is None else p.angular[u]
     coords = np.array([c[u] for c in hp.grid.coords()])
-    val = s * p._psi(t, ang, coords) + (1.0 - s) * hp.gauge.psi0(t)
-    dt = s * p._psi_t(t, ang, coords) + (1.0 - s) * hp.gauge.psi0_t(t)
+    val, dt = _homotopy_pair(s, p.psi_pair(t, ang, coords),
+                             hp.gauge.psi0_pair(t))
     return float(val), float(dt)
+
+
+def _homotopy_pair(s, pair, pair0):
+    """(Psi, d_t Psi) = s (psi, psi_t) + (1 - s) (psi0, psi0_t)."""
+    (psi, psi_t), (psi0, psi0_t) = pair, pair0
+    return s * psi + (1.0 - s) * psi0, s * psi_t + (1.0 - s) * psi0_t
 
 
 def build_homotopy(prescription, t0=None, eps_phi=0.1):

@@ -20,19 +20,26 @@ footprint order), its entry at offset o being the sum of coefficient
 times operator weight at o.  The colored finite-difference Jacobian
 writes into the same layout.
 
-Each Newton step solves J delta = -R.  At n = 1 J is banded (periodic
-corners aside), so a sparse direct solve has no fill-in.  At n = 2 the
-step is GMRES preconditioned by the circulant part of J: the periodic
-stencils are circulant, so the mean coefficient per stencil offset (the
-column means of J's data in the fixed layout) is inverted exactly by the
-2D FFT.  The tolerance is tight (1e-12 relative)
-so Newton counts and iterates are those of the direct solve, to which
-the step falls back when GMRES misses it or the symbol is singular.
+Each Newton step solves J delta = -R.  At n = 1 J is a periodic band
+matrix: the band of half-width b (the stencil radius) plus b wrapped
+entries in the corners of the first and last b rows.  Its data in the
+fixed layout go straight into LAPACK band storage, and the corners are a
+rank-2b Woodbury correction (Temperton, J. Comput. Phys. 19, 1975; Hager,
+SIAM Rev. 31, 1989): one band solve with 1 + 2b right-hand sides, then a
+2b x 2b solve.  A singular band part or a non-finite result falls back to
+the sparse direct solve.  At n = 2 the step is GMRES preconditioned by
+the circulant part of J: the periodic stencils are circulant, so the mean
+coefficient per stencil offset (the column means of J's data in the fixed
+layout) is inverted exactly by the 2D FFT.  The tolerance is tight (1e-12
+relative) so Newton counts and iterates are those of the direct solve, to
+which the step falls back when GMRES misses it or the symbol is singular.
 
 Continuation starts from the exact constant solution z = t0 at s = 0 and
 advances s adaptively (halve on stall, double after two easy steps,
 clamp to land on s = 1), asserting the barrier slab and cone
-admissibility at every accepted state.  When the step falls below
+admissibility at every accepted state.  The monitors of an accepted
+state (residual, cone margin, gradient, curvature) are read from the
+evaluation Newton ended on, not recomputed.  When the step falls below
 ds_min, the ContinuationStall is raised from the last NewtonStall and
 repeats its message, so the cause is named.
 """
@@ -42,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -199,6 +207,8 @@ class NewtonStats:
     residual_norms: list
     halvings: int
     converged: bool
+    # the evaluation of the returned iterate, read by the step monitors
+    state: _EvalState = field(default=None, repr=False, compare=False)
 
     @property
     def quadratic_constant(self):
@@ -227,10 +237,52 @@ def _circulant_symbol(J, grid):
     return np.conj(np.fft.fftn(kernel))
 
 
+def _cyclic_band_solve(J, rhs):
+    """Solve J x = rhs for a periodic band J (n = 1) in the fixed layout.
+
+    Column k of J's data holds offset o = k - b.  J = A + P C P^T, with A
+    the band part, P selecting the b first and the b last nodes S and C
+    the entries of J between them that cross the seam, so by Woodbury
+    x = y - Z (I + C Z_S)^{-1} C y_S with A [y, Z] = [rhs, P].
+    """
+    size = J.shape[0]
+    D = J.data.reshape(size, -1)
+    b = D.shape[1] // 2
+    # LAPACK band storage: ab[b - o, j] = J[j - o, j]
+    ab = np.zeros((2 * b + 1, size))
+    for k in range(2 * b + 1):
+        o = k - b
+        lo, hi = max(o, 0), size + min(o, 0)
+        ab[b - o, lo:hi] = D[lo - o:hi - o, k]
+    S = np.r_[0:b, size - b:size]
+    # signed offset between the nodes of S; the b first and the b last
+    # meet only across the seam
+    p, q = np.indices((2 * b, 2 * b))
+    o = (S[q] - S[p] + b) % size - b
+    cross = (np.abs(o) <= b) & ((p < b) != (q < b))
+    C = np.zeros((2 * b, 2 * b))
+    C[cross] = D[S[p[cross]], o[cross] + b]
+    B = np.zeros((size, 1 + 2 * b))
+    B[:, 0] = rhs
+    B[S, np.arange(1, 2 * b + 1)] = 1.0
+    Y = sla.solve_banded((b, b), ab, B, check_finite=False)
+    y, Z = Y[:, 0], Y[:, 1:]
+    cap = np.eye(2 * b) + C @ Z[S]
+    return y - Z @ np.linalg.solve(cap, C @ y[S])
+
+
 def _linear_step(J, rhs, grid):
-    """Solve J delta = rhs: direct at n = 1, FFT-preconditioned GMRES at
-    n = 2 with a direct fallback (see the module docstring)."""
-    if grid.n == 2:
+    """Solve J delta = rhs: a cyclic band solve at n = 1, FFT-preconditioned
+    GMRES at n = 2, each with a direct fallback (see the module docstring)."""
+    if grid.n == 1:
+        try:
+            delta = _cyclic_band_solve(J, rhs)
+        except np.linalg.LinAlgError:      # singular band or corner system
+            pass
+        else:
+            if np.all(np.isfinite(delta)):
+                return delta
+    else:
         sym = _circulant_symbol(J, grid)
         if np.all(np.isfinite(sym)) and np.all(sym != 0):
             def apply_inverse(r):
@@ -314,7 +366,7 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None):
         norms.append(rnorm)
     return (NodeField(zvals, hp.grid),
             NewtonStats(iterations=iters, residual_norms=norms,
-                        halvings=halvings, converged=True))
+                        halvings=halvings, converged=True, state=state))
 
 
 @dataclass
@@ -355,8 +407,9 @@ class SolveReport:
                    f"{st.lam1_max:.17g}")
 
 
-def _monitors(zvals, s, hp):
-    state = _evaluate(zvals, s, hp)
+def _monitors(state, hp):
+    """Step monitors of an accepted state, from Newton's evaluation of it."""
+    zvals = state.geom.z
     margin = curvature.cone_margin(hp.spec, state.geom.lam)
     return (float(np.abs(state.res).max()), float(zvals.min()),
             float(zvals.max()), float(np.min(margin)),
@@ -376,7 +429,8 @@ def continuation(hp, cfg=None):
     report = SolveReport()
     z = NodeField.constant(hp.grid, hp.t0)
     z, stats = newton_solve(z, 0.0, hp, cfg, barrier=barrier)
-    res, zmin, zmax, margin, gmax, lmax = _monitors(z.values, 0.0, hp)
+    res, zmin, zmax, margin, gmax, lmax = _monitors(stats.state, hp)
+    stats.state = None              # not held through the next solve
     report.steps.append(StepRecord(0.0, 0.0, stats.iterations, res, zmin,
                                    zmax, margin, gmax, lmax))
     s = 0.0
@@ -397,7 +451,8 @@ def continuation(hp, cfg=None):
         z = z_new
         step_ds = s_try - s
         s = s_try
-        res, zmin, zmax, margin, gmax, lmax = _monitors(z.values, s, hp)
+        res, zmin, zmax, margin, gmax, lmax = _monitors(stats.state, hp)
+        stats.state = None
         if margin <= 0:
             raise ConeError(f"accepted state left the cone at s={s:.6g}")
         report.steps.append(StepRecord(s, step_ds, stats.iterations, res,

@@ -146,6 +146,29 @@ def test_fields_csv_shape(cosh_profile):
     assert first[2] == pytest.approx(np.cosh(1.0), rel=1e-15)
 
 
+def _fields_csv_by_node(geom):
+    """fields.csv written one node at a time, in flat (F) order."""
+    grid = geom.grid
+    X = grid.coords()
+    out = [",".join(f"u{d}" for d in range(grid.n))
+           + ",W,lambda_max,lambda_min,tau\n"]
+    for i in range(grid.size):
+        node = np.unravel_index(i, grid.shape, order="F")
+        cs = ",".join(format(X[d][node], ".17g") for d in range(grid.n))
+        out.append(f"{cs},{geom.W[node]:.17g},{geom.lam[node][0]:.17g},"
+                   f"{geom.lam[node][-1]:.17g},{geom.tau[node]:.17g}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_fields_csv_matches_node_loop(cosh_profile, n, N):
+    g = wc.make_grid(n, N)
+    rng = np.random.default_rng(2)
+    z = NodeField(1.0 + random_smooth(g, rng, 0.1), g)
+    geom = compute_geometry(z, g, cosh_profile)
+    assert fields_csv(geom) == _fields_csv_by_node(geom)
+
+
 def _check_eigenpairs(m00, m01, m11):
     lmax, lmin, c, s = eig2_sym(m00, m01, m11)
     m = np.stack([np.stack([m00, m01], -1), np.stack([m01, m11], -1)], -2)

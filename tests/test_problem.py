@@ -194,3 +194,103 @@ def test_angular_mode_two_axes(cosh):
     with pytest.raises(wc.ConfigError):
         build_prescription(cosh, spec, g, c0=1.0, eps=0.1, mode=(1,),
                            t_minus=0.5, t_plus=1.5)
+
+
+# -- fused (psi, d_t psi) and the streamed homotopy report ----------------------
+
+def _custom_psi(t, coords):
+    # h psi = (sinh 1 + 0.05 cos u) e^{-0.1 (t - 1)}: strictly decreasing in t
+    return (SINH1 + 0.05 * np.cos(coords[0])) * np.exp(-0.1 * (t - 1.0)) \
+        / np.cosh(t)
+
+
+def _custom_psi_t(t, coords):
+    return -(0.1 + np.tanh(t)) * _custom_psi(t, coords)
+
+
+def _problems(cosh, spec1):
+    g = wc.make_grid(1, 64)
+    radial = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
+    out = [radial]
+    for psi_t_fn in (None, _custom_psi_t):
+        p = build_prescription(cosh, spec1, g, form="custom",
+                               psi_fn=_custom_psi, psi_t_fn=psi_t_fn,
+                               t_minus=0.5, t_plus=1.5)
+        out.append(wc.build_homotopy(p))
+    return out
+
+
+def _per_term(hp, s, t, ang, coords):
+    """(Psi, d_t Psi) from the per-term formulas, one profile call each."""
+    p, gauge = hp.prescription, hp.gauge
+    if p.form == "radial-decay":
+        h, _, _ = p.profile.eval(t)
+        psi = (p.c0 + p.eps * ang) / h
+        h, h1, _ = p.profile.eval(t)
+        psi_t = -(h1 / h) * (p.c0 + p.eps * ang) / h
+    else:
+        psi = p.psi_fn(t, coords)
+        if p.psi_t_fn is not None:
+            psi_t = p.psi_t_fn(t, coords)
+        else:
+            dt = 1e-6 * (1.0 + np.abs(t))
+            psi_t = (p.psi_fn(t + dt, coords) - p.psi_fn(t - dt, coords)) \
+                / (2.0 * dt)
+    psi0 = gauge.psi0(t)
+    h, h1, _ = gauge.profile.eval(t)
+    psi0_t = -(gauge.eps_phi + h1 / h) * gauge.psi0(t)
+    return (s * psi + (1.0 - s) * psi0, s * psi_t + (1.0 - s) * psi0_t,
+            psi, psi_t)
+
+
+def test_fused_psi_pairs_match_per_term_formulas(cosh, spec1):
+    rng = np.random.default_rng(3)
+    for hp in _problems(cosh, spec1):
+        p = hp.prescription
+        z = 1.0 + 0.2 * rng.standard_normal(hp.grid.shape)
+        coords = hp.grid.coords()
+        for s in (0.0, 0.3, 1.0):
+            val, dt, _, _ = _per_term(hp, s, z, p.angular, coords)
+            got = hp.psi_of(s, z)
+            assert np.array_equal(got[0], val) and np.array_equal(got[1], dt)
+            ang = None if p.angular is None else p.angular[5]
+            val, dt, _, _ = _per_term(hp, s, 1.1, ang, coords[:, 5])
+            assert psi_homotopy(hp, s, 1.1, u=5) == (float(val), float(dt))
+        # d/dt (h psi) on the lattice, as h' psi + h psi_t
+        slab = np.linspace(0.5, 1.5, 9)
+        ang, flat = p._flat_args()
+        t = slab[:, None]
+        a = np.zeros((1, hp.grid.size)) if ang is None else ang[None, :]
+        _, _, psi, psi_t = _per_term(hp, 1.0, t, a, flat[:, None, :])
+        h, h1, _ = cosh.eval(t)
+        expect = np.zeros_like(psi) if p.form == "radial-decay" \
+            else h1 * psi + h * psi_t
+        assert np.array_equal(p.dt_h_psi_lattice(slab), expect)
+
+
+def _stacked_homotopy_report(hp):
+    """homotopy_report's (ii) and (v) rows from the full (s, t, node) stacks."""
+    p = hp.prescription
+    _, slab, _ = validation_lattices(p)
+    vals = np.stack([hp.psi_lattice(s, slab) for s in S_LATTICE])
+    m2 = float(vals.min())
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    strict_s = [s for s in S_LATTICE if s < 1.0]
+    drifts = np.stack([hp.drift_lattice(s, slab) for s in strict_s])
+    m5 = float((-drifts).min())
+    i5 = np.unravel_index(int(np.argmax(drifts)), drifts.shape)
+    return [(m2, (S_LATTICE[idx[0]], float(slab[idx[1]]), int(idx[2]))),
+            (m5, (strict_s[i5[0]], float(slab[i5[1]]), int(i5[2])))]
+
+
+def test_homotopy_report_matches_stacked_lattices(cosh, spec1):
+    hps = _problems(cosh, spec1)
+    hp = hps[0]
+    gauge0 = Gauge(profile=hp.profile, spec=hp.spec, t0=hp.t0, eps_phi=0.0)
+    hps.append(HomotopyProblem(prescription=hp.prescription,
+                               profile=hp.profile, spec=hp.spec, grid=hp.grid,
+                               gauge=gauge0, t0=hp.t0, eps_phi=0.0))
+    for hp in hps:
+        rows = hp.homotopy_report()
+        got = [(r.margin, r.witness) for r in (rows[0], rows[3])]
+        assert got == _stacked_homotopy_report(hp)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import warpcurve as wc
-from warpcurve import solver
+from warpcurve import curvature, solver
 from warpcurve.grid import NodeField, random_smooth
 from warpcurve.solver import (SolverConfig, _linear_step, assemble_jacobian,
                               build_manufactured, continuation,
@@ -272,9 +272,34 @@ def test_krylov_failure_falls_back_to_direct_solve(hp2_wavy, monkeypatch):
     assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
 
 
-def test_one_dimensional_step_is_a_direct_solve(hp1_wavy, monkeypatch):
+def test_one_dimensional_step_is_a_direct_solve(monkeypatch):
+    # the cyclic band solve, with neither GMRES nor the sparse fallback
+    for order in (2, 4):
+        hp = make_problem(n=1, N=256, eps=0.1, t_plus=1.5, order=order)
+        for mode in ("analytic", "fd-colored"):
+            J, rhs = _wavy_system(hp, mode)
+            direct = spla.spsolve(J.tocsc(), rhs)
+            with monkeypatch.context() as m:
+                m.setattr(spla, "gmres", _forbidden)
+                m.setattr(spla, "spsolve", _forbidden)
+                delta = _linear_step(J, rhs, hp.grid)
+            assert np.abs(delta - direct).max() \
+                <= 1e-10 * np.abs(direct).max()
+
+
+def _band_singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("singular matrix")
+
+
+def _band_nan(l_and_u, ab, b, **kwargs):
+    return np.full(b.shape, np.nan)
+
+
+@pytest.mark.parametrize("band", [_band_singular, _band_nan])
+def test_band_failure_falls_back_to_direct_solve(hp1_wavy, band,
+                                                 monkeypatch):
     J, rhs = _wavy_system(hp1_wavy, "analytic")
-    monkeypatch.setattr(spla, "gmres", _forbidden)
+    monkeypatch.setattr(solver.sla, "solve_banded", band)
     delta = _linear_step(J, rhs, hp1_wavy.grid)
     assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
 
@@ -288,6 +313,31 @@ def test_krylov_continuation_matches_direct_continuation(hp2_wavy,
     assert iters == [st.newton_iters for st in reportd.steps]
     assert sum(iters) > 0
     assert np.abs(z.values - zd.values).max() <= 1e-10
+
+
+def test_step_records_match_a_fresh_evaluation(hp1_wavy, monkeypatch):
+    # the monitors of each accepted state, as a new evaluation there gives
+    accepted = []
+    newton = solver.newton_solve
+
+    def recording(z0, s, hp, cfg=None, barrier=None):
+        z, stats = newton(z0, s, hp, cfg, barrier)
+        accepted.append((s, z.values.copy(), stats.iterations))
+        return z, stats
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    _, report = continuation(hp1_wavy)
+    assert len(accepted) == len(report.steps) > 2
+    s_prev = 0.0
+    for (s, z, iters), rec in zip(accepted, report.steps):
+        state = solver._evaluate(z, s, hp1_wavy)
+        lam = state.geom.lam
+        margin = curvature.cone_margin(hp1_wavy.spec, lam)
+        assert rec == solver.StepRecord(
+            s, s - s_prev, iters, float(np.abs(state.res).max()),
+            float(z.min()), float(z.max()), float(np.min(margin)),
+            state.geom.grad_sup, float(lam[..., 0].max()))
+        s_prev = s
 
 
 def test_non_finite_linear_step_is_named(hp1_wavy, monkeypatch):
@@ -423,3 +473,18 @@ def test_manufactured_solution_error_order(cosh_profile, n, r, Ns, order,
         errs.append(np.abs(z.values - zm.values).max())
     for coarse, fine in zip(errs, errs[1:]):
         assert np.log2(coarse / fine) >= least
+
+
+@pytest.mark.parametrize("mode,eps", [(2, 0.02), (2, -0.02), (4, 0.03)])
+def test_one_dimensional_cases_at_the_tolerance_floor(mode, eps):
+    # N = 2048 residuals round near newton_tol: these cases end within 30%
+    # of it, so a last-bit change in the 1D arithmetic shows up here first
+    profile = wc.WarpingProfile.cosh(0.2, 3.0)
+    grid = wc.make_grid(1, 2048)
+    p = wc.build_prescription(profile, wc.CurvatureSpec(1, 1), grid,
+                              c0=np.sinh(1.0), eps=eps, mode=mode,
+                              t_minus=0.5, t_plus=1.5)
+    _, report = continuation(wc.build_homotopy(p, eps_phi=0.1))
+    assert [st.newton_iters for st in report.steps] == [0, 2, 2, 2, 2, 2]
+    assert report.final.s == 1.0
+    assert report.final.residual <= SolverConfig().newton_tol
