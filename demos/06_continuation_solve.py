@@ -2,8 +2,11 @@
 
 At s = 0 the equation f(lam) = phi(z) k(z) has the exact constant
 solution z = t0; continuation tracks the branch while s deforms the right
-side into the prescribed psi.  Every accepted state is admissible and
-stays strictly between the barriers.
+side into the prescribed psi.  It tries the whole step to s = 1 first.
+Newton abandons a step as soon as a correction fails to contract by 1/2
+(Theta > 1/2); the continuation then halves ds, and it doubles ds again
+after a step whose first contraction is at most 1/4.  Every accepted
+state is admissible and stays strictly between the barriers.
 """
 
 import numpy as np
@@ -40,3 +43,12 @@ z2, rep2 = continuation(hp2)
 print(f"\nn=2, r=2 on 48x48: reached s = {rep2.s_values[-1]}, "
       f"residual {rep2.final.residual:.2e}, "
       f"z in [{rep2.final.z_min:.6f}, {rep2.final.z_max:.6f}]")
+
+# a crossing near the top of a wide slab, far from the anchor t0: the full
+# step contracts too slowly, so the continuation subdivides it
+p3 = build_prescription(prof, spec, grid, c0=np.sinh(2.85), eps=0.05, mode=2,
+                        t_minus=0.21, t_plus=2.95)
+z3, rep3 = continuation(build_homotopy(p3))
+print(f"\ncrossing near t = 2.85, anchor t0 = {rep3.steps[0].z_min:.2f}: "
+      f"steps ds = {[st.ds for st in rep3.steps[1:]]}, Newton iterations "
+      f"{[st.newton_iters for st in rep3.steps]}")

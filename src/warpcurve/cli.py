@@ -68,6 +68,9 @@ def _fmt(x):
 
 # -- configuration ------------------------------------------------------------
 
+_SOLVER_DEFAULTS = SolverConfig()
+
+
 @dataclass
 class RunConfig:
     profile_kind: str = "cosh"
@@ -89,10 +92,10 @@ class RunConfig:
     t_plus: float = 1.6
     t0: float = None
     eps_phi: float = 0.1
-    newton_tol: float = 1e-10
-    max_newton: int = 30
-    ds0: float = 0.1
-    ds_min: float = 1e-4
+    newton_tol: float = _SOLVER_DEFAULTS.newton_tol
+    max_newton: int = _SOLVER_DEFAULTS.max_newton
+    ds0: float = _SOLVER_DEFAULTS.ds0
+    ds_min: float = _SOLVER_DEFAULTS.ds_min
     jacobian: str = "analytic"
     out_dir: str = "out"
     unsafe: bool = False

@@ -35,7 +35,8 @@ from .errors import (BisectError, ConfigError, GaugeError, ValidationError)
 T_LATTICE = 257            # t-points of the validation lattice
 S_LATTICE = (0.0, 0.25, 0.5, 0.75, 1.0)
 CUSTOM_C_SLACK = 1e-10     # FD slack for d/dt (h psi) <= 0 on custom forms
-_BISECT_ITERS = 60
+_ROOT_ULPS = 4             # crossing brackets end at most this many ulps wide
+_ROOT_MAX_ITERS = 100      # cap on the root-finding passes over the nodes
 _MARGIN_FACTOR = 0.5       # how far beyond the barriers (a)/(b) are sampled
 
 
@@ -203,31 +204,58 @@ def _validate_prescription(p):
 
 
 def barrier_crossings(p):
-    """Per-node bisection of psi(t, u) = k(t) on [t_minus, t_plus].
+    """Per-node root of F = psi(t, u) - k(t) on [t_minus, t_plus].
 
-    Returns the lowest and highest crossing heights: the tightest
-    constant-slice barriers compatible with the maximum principle.
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), vectorized over
+    the nodes: each bracket [lo, hi] with F(lo) > 0 > F(hi) shrinks to
+    the secant point, and the F value of an end kept twice in a row is
+    halved, so that both ends converge.  The secant point is held half the
+    stopping width inside the bracket, so a root within rounding of an end
+    still closes it.  A node is done when its bracket is at most
+    _ROOT_ULPS ulps wide (the crossing is its midpoint) or F is 0 at the
+    secant point (the crossing is that point).  Returns the lowest and
+    highest crossing heights: the tightest constant-slice barriers
+    compatible with the maximum principle.
     """
     ang, coords = p._flat_args()
-    M = p.grid.size
+    nodes = np.arange(p.grid.size)
 
     def F(t):
-        a = None if ang is None else ang
-        return np.asarray(p._psi(t, a, coords)) - np.asarray(p.k_of(t))
+        a = None if ang is None else ang[nodes]
+        return np.asarray(p._psi(t, a, coords[:, nodes])) \
+            - np.asarray(p.k_of(t))
 
-    lo = np.full(M, p.t_minus)
-    hi = np.full(M, p.t_plus)
+    lo = np.full(nodes.size, p.t_minus)
+    hi = np.full(nodes.size, p.t_plus)
     Flo = F(lo)
     Fhi = F(hi)
     if np.any(Flo <= 0) or np.any(Fhi >= 0):
         bad = int(np.argmin(Flo)) if np.any(Flo <= 0) else int(np.argmax(Fhi))
         raise BisectError(f"no sign change for the crossing at node {bad}")
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        pos = F(mid) > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    cross = 0.5 * (lo + hi)
+    cross = np.empty(nodes.size)
+    lo_kept = hi_kept = np.zeros(nodes.size, dtype=bool)
+    for _ in range(_ROOT_MAX_ITERS):
+        tol = _ROOT_ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        done = hi - lo <= tol
+        cross[nodes[done]] = 0.5 * (lo + hi)[done]
+        keep = ~done
+        nodes, lo, hi, Flo, Fhi, lo_kept, hi_kept, tol = (
+            a[keep] for a in (nodes, lo, hi, Flo, Fhi, lo_kept, hi_kept, tol))
+        if nodes.size == 0:
+            return float(cross.min()), float(cross.max())
+        c = np.clip((lo * Fhi - hi * Flo) / (Fhi - Flo),
+                    lo + 0.5 * tol, hi - 0.5 * tol)
+        c = np.where(np.isnan(c), 0.5 * (lo + hi), c)
+        Fc = F(c)
+        # F = 0 moves both ends onto c; a NaN moves hi, as bisection did
+        up = Fc >= 0
+        down = ~(Fc > 0)
+        Fhi = np.where(up & hi_kept, 0.5 * Fhi, Fhi)
+        Flo = np.where(down & lo_kept, 0.5 * Flo, Flo)
+        lo, Flo = np.where(up, c, lo), np.where(up, Fc, Flo)
+        hi, Fhi = np.where(down, c, hi), np.where(down, Fc, Fhi)
+        lo_kept, hi_kept = down, up
+    cross[nodes] = 0.5 * (lo + hi)
     return float(cross.min()), float(cross.max())
 
 

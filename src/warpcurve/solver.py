@@ -35,13 +35,18 @@ relative) so Newton counts and iterates are those of the direct solve, to
 which the step falls back when GMRES misses it or the symbol is singular.
 
 Continuation starts from the exact constant solution z = t0 at s = 0 and
-advances s adaptively (halve on stall, double after two easy steps,
-clamp to land on s = 1), asserting the barrier slab and cone
-admissibility at every accepted state.  The monitors of an accepted
-state (residual, cone margin, gradient, curvature) are read from the
-evaluation Newton ended on, not recomputed.  When the step falls below
-ds_min, the ContinuationStall is raised from the last NewtonStall and
-repeats its message, so the cause is named.
+tries the whole interval first (ds0 = 1).  Its step control reads
+Newton's contraction rate (Deuflhard, "Newton Methods for Nonlinear
+Problems", 2004): Newton abandons the step as soon as two successive
+undamped corrections give Theta_k = |Delta_k|_inf / |Delta_{k-1}|_inf
+> 1/2, after two linear solves rather than a run to its iteration or
+backtracking budget.  That and any other NewtonStall halve ds; after a
+step whose first contraction Theta_1 is <= 1/4, ds doubles, clamped to
+land on s = 1.  Every accepted state is asserted to lie in the barrier
+slab and the cone; its monitors (residual, cone margin, gradient,
+curvature) are read from the evaluation Newton ended on.  When the step
+falls below ds_min, the ContinuationStall is raised from the last
+NewtonStall and repeats its message, so the cause is named.
 """
 
 from __future__ import annotations
@@ -59,17 +64,19 @@ from .errors import (BarrierViolation, ConeError, ConfigError,
 from .geometry import compute_geometry, geometry_from_derivatives
 from .grid import NodeField
 
+_THETA_MAX = 0.5       # continuation abandons a step once Theta_k > this
+_THETA_GROW = 0.25     # and doubles ds after a step with Theta_1 <= this
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-10     # residual sup-norm target
     max_newton: int = 30
     max_halvings: int = 20        # backtracking budget per Newton step
-    ds0: float = 0.1
+    ds0: float = 1.0              # first continuation step: the whole way
     ds_min: float = 1e-4
     jacobian_mode: str = "analytic"   # or "fd-colored"
     fd_step: float = 1e-6             # scaled by (1 + |z|_inf)
-    easy_iters: int = 4               # step counts as easy if iters <= this
 
     def __post_init__(self):
         if min(self.newton_tol, self.ds0, self.ds_min, self.fd_step) <= 0:
@@ -207,6 +214,9 @@ class NewtonStats:
     residual_norms: list
     halvings: int
     converged: bool
+    # first contraction |Delta_1| / |Delta_0| of the undamped corrections;
+    # 0 when Newton took at most one iteration
+    theta0: float = 0.0
     # the evaluation of the returned iterate, read by the step monitors
     state: _EvalState = field(default=None, repr=False, compare=False)
 
@@ -310,13 +320,15 @@ def _check_barrier(zvals, barrier):
             f"({lo:.6g}, {hi:.6g})")
 
 
-def newton_solve(z0, s, hp, cfg=None, barrier=None):
+def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
     """Damped Newton at fixed s; every accepted iterate stays admissible.
 
     Backtracks (up to cfg.max_halvings) while the trial is inadmissible,
     leaves the profile interval, or fails to decrease the residual
     sup-norm.  When barrier levels are supplied, every accepted iterate is
-    asserted to stay strictly inside them.
+    asserted to stay strictly inside them.  When theta_max is given (the
+    continuation does), a NewtonStall is raised as soon as the undamped
+    corrections contract by a ratio above it.
     """
     cfg = cfg or SolverConfig()
     zvals = (z0.values if isinstance(z0, NodeField) else np.asarray(z0, float)
@@ -327,6 +339,7 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None):
     norms = [rnorm]
     iters = 0
     halvings = 0
+    dnorm = theta0 = 0.0
     while rnorm > cfg.newton_tol:
         if iters >= cfg.max_newton:
             raise NewtonStall(
@@ -340,6 +353,15 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None):
         if not np.all(np.isfinite(delta)):
             raise NewtonStall(f"non-finite linear step at s={s:.6g} "
                               f"(residual {rnorm:.3e})")
+        dnorm_prev, dnorm = dnorm, float(np.abs(delta).max())
+        if iters > 0:
+            theta = dnorm / dnorm_prev
+            if iters == 1:
+                theta0 = theta
+            if theta_max is not None and theta > theta_max:
+                raise NewtonStall(
+                    f"Newton contraction theta={theta:.3g} > {theta_max:g} "
+                    f"at s={s:.6g} (residual {rnorm:.3e})")
         delta = hp.grid.unflatten(delta)
         alpha = 1.0
         accepted = False
@@ -366,7 +388,8 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None):
         norms.append(rnorm)
     return (NodeField(zvals, hp.grid),
             NewtonStats(iterations=iters, residual_norms=norms,
-                        halvings=halvings, converged=True, state=state))
+                        halvings=halvings, converged=True, theta0=theta0,
+                        state=state))
 
 
 @dataclass
@@ -419,10 +442,13 @@ def _monitors(state, hp):
 def continuation(hp, cfg=None):
     """Track the solution branch from (s=0, z=t0) to s=1.
 
-    Adaptive stepping: halve ds on a Newton stall (ContinuationStall below
-    ds_min), double after two consecutive easy steps, clamp the last step
-    so s = 1 is hit exactly.  Accepted states are asserted to stay inside
-    the barrier slab and the admissibility cone.
+    The first step tries s = cfg.ds0 (by default s = 1 at once).  Newton
+    abandons a step as soon as a correction fails to contract by 1/2
+    (Theta > 1/2); that and any other NewtonStall halve ds, and below
+    ds_min a ContinuationStall names the last stall.  After an accepted
+    step whose first contraction Theta_1 is <= 1/4, ds doubles, clamped
+    so that s = 1 is hit exactly.  Accepted states are asserted to stay
+    inside the barrier slab and the admissibility cone.
     """
     cfg = cfg or SolverConfig()
     barrier = (hp.t_minus, hp.t_plus)
@@ -435,14 +461,13 @@ def continuation(hp, cfg=None):
                                    zmax, margin, gmax, lmax))
     s = 0.0
     ds = cfg.ds0
-    easy_streak = 0
     while s < 1.0:
         s_try = min(s + ds, 1.0)
         try:
-            z_new, stats = newton_solve(z, s_try, hp, cfg, barrier=barrier)
+            z_new, stats = newton_solve(z, s_try, hp, cfg, barrier=barrier,
+                                        theta_max=_THETA_MAX)
         except NewtonStall as exc:
             ds *= 0.5
-            easy_streak = 0
             if ds < cfg.ds_min:
                 raise ContinuationStall(
                     f"step fell below ds_min = {cfg.ds_min:.3e} at s = {s:.6g}"
@@ -457,13 +482,8 @@ def continuation(hp, cfg=None):
             raise ConeError(f"accepted state left the cone at s={s:.6g}")
         report.steps.append(StepRecord(s, step_ds, stats.iterations, res,
                                        zmin, zmax, margin, gmax, lmax))
-        if stats.iterations <= cfg.easy_iters:
-            easy_streak += 1
-        else:
-            easy_streak = 0
-        if easy_streak >= 2:
-            ds = min(2.0 * ds, 1.0)
-            easy_streak = 0
+        if stats.theta0 <= _THETA_GROW:
+            ds = min(2.0 * ds, 1.0 - s)
     report.verdict = "converged"
     return z, report
 

@@ -7,6 +7,8 @@ import warpcurve as wc
 from warpcurve.cli import main
 from warpcurve.grid import load_field
 
+from conftest import make_problem
+
 
 BASE = """\
 [profile]
@@ -178,6 +180,15 @@ def test_deterministic_reports(tmp_path, capsys):
     za = (tmp_path / "o1" / "z_final.f64").read_bytes()
     zb = (tmp_path / "o2" / "z_final.f64").read_bytes()
     assert za == zb
+
+
+def test_default_solve_follows_the_solver_defaults(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, eps=0.1, t_plus=1.5)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    steps = (tmp_path / "out" / "steps.csv").read_text().strip().split("\n")
+    _, report = wc.continuation(make_problem(n=1, N=256, eps=0.1, t_plus=1.5),
+                                wc.SolverConfig())
+    assert steps == [report.csv_header()] + list(report.csv_rows())
 
 
 def test_power_profile_config(tmp_path, capsys):

@@ -180,6 +180,48 @@ def test_bisect_error_without_sign_change(cosh, spec1):
         barrier_crossings(p)
 
 
+def _bisect_crossings(p):
+    """60 bisection steps per node: the crossings barrier_crossings returns."""
+    ang, coords = p._flat_args()
+    lo = np.full(p.grid.size, p.t_minus)
+    hi = np.full(p.grid.size, p.t_plus)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        pos = p._psi(mid, ang, coords) - p.k_of(mid) > 0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    cross = 0.5 * (lo + hi)
+    return float(cross.min()), float(cross.max())
+
+
+@pytest.mark.parametrize("n,mode,eps", [
+    (1, 1, 0.0), (1, 1, 0.13), (1, 2, -0.02), (1, 3, 0.27), (1, 4, 0.05),
+    (1, 4, 0.27), (2, (1, 2), 0.1), (1, None, 0.0)])
+def test_barrier_crossings_match_bisection(cosh, n, mode, eps, monkeypatch):
+    g = wc.make_grid(n, 256 if n == 1 else 32)
+    spec = wc.CurvatureSpec(n, 1)
+    if mode is None:
+        p = build_prescription(cosh, spec, g, form="custom",
+                               psi_fn=_custom_psi, t_minus=0.5, t_plus=1.5)
+    else:
+        p = build_prescription(cosh, spec, g, c0=np.sinh(1.0), eps=eps,
+                               mode=mode, t_minus=0.5, t_plus=1.5)
+    k_of = p.k_of
+    passes = []
+    monkeypatch.setattr(p, "k_of", lambda t: passes.append(t) or k_of(t))
+    got = barrier_crossings(p)
+    monkeypatch.undo()
+    ref = _bisect_crossings(p)
+    for x, y in zip(got, ref):
+        assert abs(x - y) <= 4 * np.spacing(y)
+    # two passes check the bracket ends; bisection took 60 more
+    assert len(passes) - 2 <= 13
+    if eps == 0.0 and mode is not None:
+        # psi = sinh(1) / cosh(t) crosses k = tanh(t) at t = 1 exactly
+        assert abs(got[0] - 1.0) <= 4 * np.spacing(1.0)
+        assert abs(got[1] - 1.0) <= 4 * np.spacing(1.0)
+
+
 def test_s_lattice_is_the_documented_one():
     assert S_LATTICE == (0.0, 0.25, 0.5, 0.75, 1.0)
 

@@ -10,6 +10,7 @@ from warpcurve.solver import (SolverConfig, _linear_step, assemble_jacobian,
                               build_manufactured, continuation,
                               manufactured_residual_norm, newton_solve,
                               residual)
+from warpcurve.verify import build_condition_table
 
 from conftest import make_problem
 
@@ -151,10 +152,28 @@ def test_continuation_stall_surfaces(hp1_wavy):
         continuation(hp1_wavy, cfg)
 
 
-def test_step_doubling_after_easy_successes(hp1):
-    _, report = continuation(hp1)
-    ds = [st.ds for st in report.steps[1:]]
-    assert any(b > a for a, b in zip(ds, ds[1:]))   # doubling happened
+def test_step_doubling_after_easy_successes(hp1, monkeypatch):
+    # from a short first step, ds doubles after every step whose first
+    # contraction is <= 1/4, and the last step is clamped onto s = 1
+    thetas = []
+    newton = solver.newton_solve
+
+    def recording(*args, **kwargs):
+        z, stats = newton(*args, **kwargs)
+        thetas.append(stats.theta0)
+        return z, stats
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    _, report = continuation(hp1, SolverConfig(ds0=0.1))
+    assert 0.0 < max(thetas) <= 0.25
+    s, ds, expected = 0.0, 0.1, []
+    while s < 1.0:
+        s_next = min(s + ds, 1.0)
+        expected.append((s_next, s_next - s))
+        s, ds = s_next, min(2.0 * ds, 1.0 - s_next)
+    assert [(st.s, st.ds) for st in report.steps[1:]] == expected
+    assert [st.ds for st in report.steps[1:]] == pytest.approx(
+        [0.1, 0.2, 0.4, 0.3], abs=1e-15)
 
 
 def test_constant_solution_is_stencil_exact(hp1):
@@ -320,13 +339,13 @@ def test_step_records_match_a_fresh_evaluation(hp1_wavy, monkeypatch):
     accepted = []
     newton = solver.newton_solve
 
-    def recording(z0, s, hp, cfg=None, barrier=None):
-        z, stats = newton(z0, s, hp, cfg, barrier)
+    def recording(z0, s, hp, cfg=None, barrier=None, **kwargs):
+        z, stats = newton(z0, s, hp, cfg, barrier, **kwargs)
         accepted.append((s, z.values.copy(), stats.iterations))
         return z, stats
 
     monkeypatch.setattr(solver, "newton_solve", recording)
-    _, report = continuation(hp1_wavy)
+    _, report = continuation(hp1_wavy, SolverConfig(ds0=0.1))
     assert len(accepted) == len(report.steps) > 2
     s_prev = 0.0
     for (s, z, iters), rec in zip(accepted, report.steps):
@@ -475,16 +494,121 @@ def test_manufactured_solution_error_order(cosh_profile, n, r, Ns, order,
         assert np.log2(coarse / fine) >= least
 
 
-@pytest.mark.parametrize("mode,eps", [(2, 0.02), (2, -0.02), (4, 0.03)])
-def test_one_dimensional_cases_at_the_tolerance_floor(mode, eps):
-    # N = 2048 residuals round near newton_tol: these cases end within 30%
-    # of it, so a last-bit change in the 1D arithmetic shows up here first
+def _floor_problem(mode, eps):
     profile = wc.WarpingProfile.cosh(0.2, 3.0)
     grid = wc.make_grid(1, 2048)
     p = wc.build_prescription(profile, wc.CurvatureSpec(1, 1), grid,
                               c0=np.sinh(1.0), eps=eps, mode=mode,
                               t_minus=0.5, t_plus=1.5)
-    _, report = continuation(wc.build_homotopy(p, eps_phi=0.1))
-    assert [st.newton_iters for st in report.steps] == [0, 2, 2, 2, 2, 2]
+    return wc.build_homotopy(p, eps_phi=0.1)
+
+
+@pytest.mark.parametrize("mode,eps", [(2, 0.02), (2, -0.02), (4, 0.03)])
+def test_one_dimensional_cases_at_the_tolerance_floor(mode, eps):
+    # N = 2048 residuals round near newton_tol (the 0.1-step schedule ended
+    # these cases within 30% of it; the full step ends them near 2e-11), so
+    # a last-bit change in the 1D arithmetic shows up here first
+    _, report = continuation(_floor_problem(mode, eps))
+    assert [st.newton_iters for st in report.steps] == [0, 3]
     assert report.final.s == 1.0
     assert report.final.residual <= SolverConfig().newton_tol
+
+
+# -- contraction-rate step control ---------------------------------------------
+
+def test_a_step_that_does_not_contract_is_subdivided(hp1_wavy, monkeypatch):
+    z_ref, _ = continuation(hp1_wavy)
+    step = solver._linear_step
+    deltas = []
+
+    def stuck(J, rhs, grid):
+        deltas.append(step(J, rhs, grid))
+        # s = 0 needs no iteration, so calls 1 and 2 are the first s = 1
+        # attempt: its second correction is as long as its first
+        return deltas[0].copy() if len(deltas) == 2 else deltas[-1]
+
+    stalls = []
+    newton = solver.newton_solve
+
+    def recording(z0, s, hp, cfg=None, barrier=None, **kwargs):
+        solves = len(deltas)
+        try:
+            return newton(z0, s, hp, cfg, barrier, **kwargs)
+        except wc.NewtonStall as exc:
+            stalls.append((s, len(deltas) - solves, str(exc)))
+            raise
+
+    monkeypatch.setattr(solver, "_linear_step", stuck)
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    z, report = continuation(hp1_wavy)
+    assert len(stalls) == 1
+    s, solves, message = stalls[0]
+    assert s == 1.0 and solves <= 2
+    assert "Newton contraction theta=1 > 0.5 at s=1" in message
+    assert report.steps[1].ds < 1.0
+    assert report.final.s == 1.0
+    assert np.abs(z.values - z_ref.values).max() <= 1e-10
+
+
+def test_an_iteration_budget_below_the_full_step_subdivides():
+    # the full step needs 3 Newton iterations on this case
+    cfg = SolverConfig(max_newton=2)
+    _, report = continuation(_floor_problem(2, 0.02), cfg)
+    assert report.steps[1].ds < 1.0
+    assert report.final.s == 1.0
+    assert report.final.residual <= cfg.newton_tol
+
+
+def test_a_crossing_far_from_the_anchor_needs_subdivision(monkeypatch):
+    # psi crosses k near t = 2.85, the top of a wide slab, far from the
+    # anchor t0 = 1.58: the full step's corrections contract by more than
+    # 1/2, so the continuation halves it
+    profile = wc.WarpingProfile.cosh(0.2, 3.0)
+    spec = wc.CurvatureSpec(1, 1)
+    kwargs = dict(c0=np.sinh(2.85), eps=0.05, mode=2, t_minus=0.21,
+                  t_plus=2.95)
+    small = wc.build_prescription(profile, spec, wc.make_grid(1, 64), **kwargs)
+    rows = build_condition_table(wc.build_homotopy(small))
+    assert all(r.passed for r in rows)
+    p = wc.build_prescription(profile, spec, wc.make_grid(1, 256), **kwargs)
+    stalls = []
+    newton = solver.newton_solve
+
+    def recording(*args, **kw):
+        try:
+            return newton(*args, **kw)
+        except wc.NewtonStall as exc:
+            stalls.append(str(exc))
+            raise
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    z, report = continuation(wc.build_homotopy(p))
+    assert len(stalls) == 1 and "Newton contraction" in stalls[0]
+    assert [st.ds for st in report.steps[1:]] == [0.5, 0.5]
+    assert [st.newton_iters for st in report.steps] == [0, 5, 4]
+    assert report.final.residual <= SolverConfig().newton_tol
+    lo, hi = wc.barrier_crossings(p)
+    assert lo <= z.values.min() and z.values.max() <= hi
+
+
+def test_standalone_newton_has_no_contraction_check(cosh_profile,
+                                                    monkeypatch):
+    # from the constant start the damped steps contract by less than 1/2
+    grid = wc.make_grid(1, 64)
+    zm, hp = build_manufactured(grid, cosh_profile, wc.CurvatureSpec(1, 1),
+                                amplitude=0.26, freqs=(2,))
+    z0 = NodeField.constant(grid, hp.t0)
+    step = solver._linear_step
+    norms = []
+
+    def recording(J, rhs, grid):
+        delta = step(J, rhs, grid)
+        norms.append(np.abs(delta).max())
+        return delta
+
+    monkeypatch.setattr(solver, "_linear_step", recording)
+    z, stats = newton_solve(z0, 1.0, hp)
+    assert max(b / a for a, b in zip(norms, norms[1:])) > 0.5
+    assert stats.converged and stats.residual_norms[-1] <= 1e-10
+    with pytest.raises(wc.NewtonStall, match="Newton contraction"):
+        newton_solve(z0, 1.0, hp, theta_max=solver._THETA_MAX)
