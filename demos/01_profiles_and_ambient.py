@@ -9,7 +9,7 @@ what the whole construction rests on.
 import numpy as np
 
 from warpcurve import (CurvatureSpec, WarpingProfile, ambient_curvature,
-                       eval_warp, k_radial, kappa)
+                       k_radial, kappa)
 
 profiles = {
     "cosh  (increasing kappa)": WarpingProfile.cosh(0.2, 3.0),
@@ -20,7 +20,7 @@ profiles = {
 print("profile                      t      h(t)      kappa    c_rad    c_tan")
 for name, prof in profiles.items():
     for t in (0.5, 1.0, 1.5):
-        h, h1, h2 = eval_warp(prof, t)
+        h, h1, h2 = prof.eval(t)
         cr, ct = ambient_curvature(prof, t)
         print(f"{name}  {t:4.2f}  {h:8.4f}  {kappa(prof, t):7.4f}  "
               f"{cr:7.4f}  {ct:7.4f}")
@@ -37,6 +37,6 @@ for r in (1, 2):
 # a tabulated profile: same numbers through a not-a-knot cubic spline
 ts = np.linspace(0.1, 3.2, 300)
 table = WarpingProfile.from_table(ts, np.cosh(ts))
-h, h1, h2 = eval_warp(table, 1.0)
+h, h1, h2 = table.eval(1.0)
 print(f"\ntabulated cosh at t=1: h={h:.10f} (exact {np.cosh(1.0):.10f}), "
       f"h'={h1:.10f}, h''={h2:.10f}")

@@ -35,7 +35,7 @@ print(f"  phi' < 0 everywhere: "
 
 print("\nhomotopy condition margins on the (257 t) x (256 u) x (5 s) lattice:")
 for row in hp.homotopy_report():
-    print(f"  {row.name:<40s} margin {row.margin: .6e}  "
+    print(f"  {row.name:<40s} margin {row.value: .6e}  "
           f"{'ok' if row.passed else 'VIOLATED'}")
 
 print("\nwith eps_phi = 0 the drift condition degenerates (negative control):")
@@ -45,5 +45,5 @@ hp0 = HomotopyProblem(prescription=p, profile=prof, spec=spec, grid=grid,
                                   eps_phi=0.0),
                       t0=hp.t0, eps_phi=0.0)
 for row in hp0.homotopy_report():
-    print(f"  {row.name:<40s} margin {row.margin: .6e}  "
+    print(f"  {row.name:<40s} margin {row.value: .6e}  "
           f"{'ok' if row.passed else 'VIOLATED'}")

@@ -8,7 +8,7 @@ every structural hypothesis the construction rests on (mean-convex
 leaves, barrier levels, cone admissibility, gauge decay).
 """
 
-from .ambient import WarpingProfile, ambient_curvature, eval_warp, k_radial, kappa
+from .ambient import WarpingProfile, ambient_curvature, k_radial, kappa
 from .curvature import (CurvatureSpec, F_matrix_derivative, check_structural,
                         f_eval, f_grad, in_cone, sym_poly)
 from .errors import (BarrierViolation, BisectError, ConeError, ConfigError,
@@ -21,8 +21,7 @@ from .grid import (NodeField, TorusGrid, derivatives, load_field, make_grid,
                    random_smooth, reduce, save_field)
 from .oracle import OracleReport, eig2_oracle, fd_gradcheck, fd_jacobian
 from .problem import (Gauge, HomotopyProblem, Prescription, barrier_crossings,
-                      build_homotopy, build_phi, build_prescription,
-                      psi_homotopy)
+                      build_homotopy, build_phi, build_prescription)
 from .solver import (ManufacturedProblem, NewtonStats, SolveReport,
                      SolverConfig, StepRecord, assemble_jacobian,
                      build_manufactured, continuation,

@@ -154,11 +154,6 @@ class WarpingProfile:
 
 # -- module-level operations ------------------------------------------------
 
-def eval_warp(profile, t):
-    """h, h', h'' of the warping function at t."""
-    return profile.eval(t)
-
-
 def kappa(profile, t):
     """Principal curvature h'/h of the slice {t} x M (must be positive)."""
     h, h1, _ = profile.eval(t)

@@ -336,38 +336,23 @@ def cmd_sweep(cfg, axis):
             except WarpcurveError as exc:
                 invariant_fired |= isinstance(exc, (BarrierViolation, ConeError))
                 rows.append(_sweep_row("N", N, type(exc).__name__))
-    elif axis == "eps":
-        values = cfg.sweep_eps
+    elif axis in ("eps", "r"):
+        values = cfg.sweep_eps if axis == "eps" else \
+            cfg.sweep_r or tuple(range(1, cfg.n + 1))
         if len(values) < 2:
             raise ConfigError("sweep axis needs at least 2 values")
-        for eps in values:
+        for value in values:
             try:
-                presc, hp, z, report, lo, hi = run_solve(eps=eps)
+                presc, hp, z, report, lo, hi = run_solve(**{axis: value})
                 fin = report.final
                 rows.append(_sweep_row(
-                    "eps", eps, "ok", fin.residual,
+                    axis, value, "ok", fin.residual,
                     sum(s.newton_iters for s in report.steps),
                     fin.z_min, fin.z_max, lo, hi, fin.lam1_max, fin.grad_max))
                 ok_runs += 1
             except WarpcurveError as exc:
                 invariant_fired |= isinstance(exc, (BarrierViolation, ConeError))
-                rows.append(_sweep_row("eps", eps, type(exc).__name__))
-    elif axis == "r":
-        values = cfg.sweep_r or tuple(range(1, cfg.n + 1))
-        if len(values) < 2:
-            raise ConfigError("sweep axis needs at least 2 values")
-        for r in values:
-            try:
-                presc, hp, z, report, lo, hi = run_solve(r=r)
-                fin = report.final
-                rows.append(_sweep_row(
-                    "r", r, "ok", fin.residual,
-                    sum(s.newton_iters for s in report.steps),
-                    fin.z_min, fin.z_max, lo, hi, fin.lam1_max, fin.grad_max))
-                ok_runs += 1
-            except WarpcurveError as exc:
-                invariant_fired |= isinstance(exc, (BarrierViolation, ConeError))
-                rows.append(_sweep_row("r", r, type(exc).__name__))
+                rows.append(_sweep_row(axis, value, type(exc).__name__))
     elif axis == "s-trace":
         presc, hp, z, report, lo, hi = run_solve()
         for st in report.steps:

@@ -231,40 +231,26 @@ class TorusGrid:
         return self._pattern
 
     def coloring(self):
-        """Greedy column coloring for finite-difference Jacobians.
+        """Column coloring for finite-difference Jacobians.
 
         Two columns may share a color only if no residual row depends on
         both, i.e. their offset difference (mod N per axis) is outside the
-        footprint difference set.  Returns (colors flat array, count).
+        footprint difference set, which lies in the box |d| <= D = order
+        on every axis.  Each axis is cut into N // (D + 1) consecutive
+        blocks of near-equal length, each at least D + 1 long, and a node
+        takes its position within its block per axis (c0 + K c1 at n = 2,
+        K the longest block): two distinct nodes of one color are then at
+        least D + 1 apart, both ways round, on an axis where they differ.
+        Returns (colors flat array, count).
         """
-        if self._coloring is not None:
-            return self._coloring
-        foot = self.stencil_footprint()
-        conflicts = set()
-        for a in foot:
-            for b in foot:
-                d = tuple((ai - bi) % self.N for ai, bi in zip(a, b))
-                conflicts.add(d)
-        conflicts.discard((0,) * self.n)
-        colors = -np.ones(self.size, dtype=int)
-        # enumerate nodes in flat (F) order: axis 0 fastest
-        if self.n == 1:
-            nodes = [(i,) for i in range(self.N)]
-        else:
-            nodes = [(i0, i1) for i1 in range(self.N) for i0 in range(self.N)]
-        for flat, node in enumerate(nodes):
-            used = set()
-            for d in conflicts:
-                nb = tuple((ni + di) % self.N for ni, di in zip(node, d))
-                nb_flat = nb[0] if self.n == 1 else nb[0] + self.N * nb[1]
-                c = colors[nb_flat]
-                if c >= 0:
-                    used.add(c)
-            c = 0
-            while c in used:
-                c += 1
-            colors[flat] = c
-        self._coloring = (colors, int(colors.max()) + 1)
+        if self._coloring is None:
+            q = self.N // (self.order + 1)
+            starts = np.arange(q) * self.N // q
+            idx = np.arange(self.N)
+            c = idx - starts[np.searchsorted(starts, idx, side="right") - 1]
+            K = int(c.max()) + 1
+            colors = c if self.n == 1 else self.flatten(c[:, None] + K * c)
+            self._coloring = (colors, K ** self.n)
         return self._coloring
 
 

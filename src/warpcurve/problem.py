@@ -21,6 +21,13 @@ small slack.  The gauge is the explicit closed form
 
 which turns the homotopy drift condition at s = 0 into the identity
 d/dt (phi k) + kappa (phi k) = -eps_phi * phi k < 0.
+
+psi is evaluated in one place, Prescription.psi / psi_pair, at heights t
+over a flat node index, from profile values the caller already holds (the
+solver passes the geometry's h, h').  Each hypothesis margin is computed
+once, as a CheckRow with its witness: hypothesis_rows for positivity and
+(a)-(c), which validation raises from and verify tabulates, and
+HomotopyProblem.homotopy_report for (ii)-(v).
 """
 
 from __future__ import annotations
@@ -38,10 +45,11 @@ CUSTOM_C_SLACK = 1e-10     # FD slack for d/dt (h psi) <= 0 on custom forms
 _ROOT_ULPS = 4             # crossing brackets end at most this many ulps wide
 _ROOT_MAX_ITERS = 100      # cap on the root-finding passes over the nodes
 _MARGIN_FACTOR = 0.5       # how far beyond the barriers (a)/(b) are sampled
+_STRICT = "> 0 (strict lattice)"   # requirement of the homotopy rows
 
 
 def _angular_field(grid, mode):
-    """Product of per-axis cosines with integer frequencies."""
+    """Product of per-axis cosines with integer frequencies, flat order."""
     mode = tuple(int(m) for m in np.atleast_1d(mode))
     if len(mode) != grid.n:
         raise ConfigError(f"angular mode needs {grid.n} frequencies, got {mode}")
@@ -50,12 +58,43 @@ def _angular_field(grid, mode):
     for d, m in enumerate(mode):
         if m != 0:
             out = out * np.cos(m * X[d])
-    return out
+    return grid.flatten(out)
+
+
+@dataclass
+class CheckRow:
+    """One checked condition: worst value, requirement and verdict.
+
+    witness is the first lattice point attaining the value -- (t, node)
+    for the prescription hypotheses, (s, t, node) for the homotopy
+    conditions -- and None for checks without one.
+    """
+
+    name: str
+    value: float
+    requirement: str
+    passed: bool
+    witness: tuple = None
+    note: str = ""
+
+    def format(self, width=46):
+        mark = "pass" if self.passed else "FAIL"
+        return (f"{self.name:<{width}s} {self.value: .17g}  "
+                f"[{self.requirement}]  {mark}")
 
 
 @dataclass
 class Prescription:
-    """A validated prescription psi together with its barrier levels."""
+    """A validated prescription psi together with its barrier levels.
+
+    The per-node data is stored once, in flat node order (axis 0
+    fastest): the angular factor g(u) of the radial-decay form, or the
+    node coordinates x, shape (n, size), that a custom psi_fn(t, x)
+    receives.  psi and psi_pair evaluate at heights t over the nodes a
+    flat index selects (all by default), t broadcasting against them,
+    from the caller's profile values h = h(t) and h1 = h'(t); the custom
+    form sees x[:, node], so x[d] broadcasts against t.
+    """
 
     form: str
     profile: object = field(repr=False)
@@ -70,71 +109,62 @@ class Prescription:
     psi_t_fn: object = field(default=None, repr=False)
     validated: bool = False
     angular: np.ndarray = field(default=None, repr=False)
+    coords: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.form not in ("radial-decay", "custom"):
             raise ConfigError(f"unknown prescription form {self.form!r}")
         if self.form == "radial-decay":
             self.angular = _angular_field(self.grid, self.mode)
-        if self.form == "custom" and self.psi_fn is None:
+            return
+        if self.psi_fn is None:
             raise ConfigError("custom prescription needs psi_fn(t, coords)")
+        self.coords = np.stack([self.grid.flatten(c)
+                                for c in self.grid.coords()])
 
-    # t and ang/coords must be mutually broadcastable arrays
-    def _psi(self, t, ang, coords):
+    def psi(self, t, h, node=slice(None)):
+        """psi at heights t over the selected nodes, from h = h(t)."""
         if self.form == "radial-decay":
-            h, _, _ = self.profile.eval(t)
-            return (self.c0 + self.eps * ang) / h
-        return self.psi_fn(t, coords)
+            return (self.c0 + self.eps * self.angular[node]) / h
+        return self.psi_fn(t, self.coords[:, node])
 
-    def psi_pair(self, t, ang, coords):
-        """(psi, d_t psi) from one evaluation of the profile."""
+    def psi_pair(self, t, h, h1, node=slice(None)):
+        """(psi, d_t psi) at heights t over the selected nodes."""
         if self.form == "radial-decay":
-            h, h1, _ = self.profile.eval(t)
-            num = self.c0 + self.eps * ang
+            num = self.c0 + self.eps * self.angular[node]
             return num / h, -(h1 / h) * num / h
-        psi = self.psi_fn(t, coords)
+        x = self.coords[:, node]
+        psi = self.psi_fn(t, x)
         if self.psi_t_fn is not None:
-            return psi, self.psi_t_fn(t, coords)
+            return psi, self.psi_t_fn(t, x)
         dt = 1e-6 * (1.0 + np.abs(t))
-        return psi, (self.psi_fn(t + dt, coords)
-                     - self.psi_fn(t - dt, coords)) / (2.0 * dt)
-
-    def _dt_h_psi(self, t, ang, coords):
-        if self.form == "radial-decay":
-            # h * psi = c0 + eps * g(u): exactly t-independent
-            return np.zeros(np.broadcast(np.asarray(t), ang).shape)
-        h, h1, _ = self.profile.eval(t)
-        psi, psi_t = self.psi_pair(t, ang, coords)
-        return h1 * psi + h * psi_t
+        return psi, (self.psi_fn(t + dt, x)
+                     - self.psi_fn(t - dt, x)) / (2.0 * dt)
 
     # -- (t-lattice) x (all nodes) evaluation --------------------------------
 
-    def _flat_args(self):
-        ang = None if self.angular is None else self.grid.flatten(self.angular)
-        coords = np.stack([self.grid.flatten(c) for c in self.grid.coords()])
-        return ang, coords
-
     def psi_lattice(self, tarr):
-        ang, coords = self._flat_args()
         t = np.asarray(tarr)[:, None]
-        a = None if ang is None else ang[None, :]
-        return self._psi(t, a, coords[:, None, :])
+        return self.psi(t, self.profile.eval(t)[0])
 
     def dt_h_psi_lattice(self, tarr):
-        ang, coords = self._flat_args()
+        """d/dt (h psi) on (t-lattice) x nodes, as h' psi + h psi_t."""
         t = np.asarray(tarr)[:, None]
-        a = ang[None, :] if ang is not None else np.zeros((1, self.grid.size))
-        return self._dt_h_psi(t, a, coords[:, None, :])
+        if self.form == "radial-decay":
+            # h * psi = c0 + eps * g(u): exactly t-independent
+            return np.zeros((t.shape[0], self.grid.size))
+        h, h1, _ = self.profile.eval(t)
+        psi, psi_t = self.psi_pair(t, h, h1)
+        return h1 * psi + h * psi_t
 
     def k_of(self, t):
         return ambient.k_radial(self.profile, self.spec, t)
 
 
-def _worst(margins, tarr):
-    """Index of the worst lattice point; returns (t, node, value)."""
-    flat = int(np.argmin(margins))
-    it, node = np.unravel_index(flat, margins.shape)
-    return float(tarr[it]), int(node), float(margins[it, node])
+def _worst(lattice, tarr, pick=np.argmin):
+    """Value at the first worst lattice point and its (t, node) witness."""
+    it, node = np.unravel_index(int(pick(lattice)), lattice.shape)
+    return float(lattice[it, node]), (float(tarr[it]), int(node))
 
 
 def build_prescription(profile, spec, grid, form="radial-decay", c0=1.0,
@@ -176,31 +206,44 @@ def validation_lattices(p):
     return below, slab, above
 
 
-def _validate_prescription(p):
+def hypothesis_rows(p):
+    """Positivity and hypotheses (a)-(c) on the validation lattices.
+
+    Yields one CheckRow per hypothesis, in the order validation checks
+    them, each with its worst lattice value and first (t, node) witness.
+    Each lattice is evaluated when its row is drawn, so validation, which
+    stops at the first failed row, evaluates none after it.
+    """
     below, slab, above = validation_lattices(p)
-    psi_slab = p.psi_lattice(slab)
-    if np.min(psi_slab) <= 0:
-        t, node, val = _worst(psi_slab, slab)
-        raise ValidationError("positivity", t=t, node=node,
-                              detail=f"psi = {val:.6g} <= 0")
-    k_below = np.asarray(p.k_of(below))[:, None]
-    marg_a = p.psi_lattice(below) - k_below
-    if np.min(marg_a) <= 0:
-        t, node, val = _worst(marg_a, below)
-        raise ValidationError("a", t=t, node=node,
-                              detail=f"psi - k = {val:.6g} <= 0 (need psi > k)")
-    k_above = np.asarray(p.k_of(above))[:, None]
-    marg_b = k_above - p.psi_lattice(above)
-    if np.min(marg_b) <= 0:
-        t, node, val = _worst(marg_b, above)
-        raise ValidationError("b", t=t, node=node,
-                              detail=f"k - psi = {val:.6g} <= 0 (need psi < k)")
+    value, w = _worst(p.psi_lattice(slab), slab)
+    yield CheckRow("prescription: min psi on slab", value, "> 0", value > 0, w)
+    value, w = _worst(
+        p.psi_lattice(below) - np.asarray(p.k_of(below))[:, None], below)
+    yield CheckRow("hypothesis (a): min psi - k, t <= t_minus", value, "> 0",
+                   value > 0, w)
+    value, w = _worst(
+        np.asarray(p.k_of(above))[:, None] - p.psi_lattice(above), above)
+    yield CheckRow("hypothesis (b): min k - psi, t >= t_plus", value, "> 0",
+                   value > 0, w)
     slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
-    decay = p.dt_h_psi_lattice(slab)
-    if np.max(decay) > slack:
-        t, node, val = _worst(-decay, slab)
-        raise ValidationError("c", t=t, node=node,
-                              detail=f"d/dt(h psi) = {-val:.6g} > 0")
+    value, w = _worst(p.dt_h_psi_lattice(slab), slab, np.argmax)
+    yield CheckRow("hypothesis (c): max d/dt(h psi) on slab", value,
+                   f"<= {slack:g}", value <= slack, w)
+
+
+# ValidationError letter and detail of each hypothesis_rows row, in order
+_FAILURES = (("positivity", "psi = {:.6g} <= 0"),
+             ("a", "psi - k = {:.6g} <= 0 (need psi > k)"),
+             ("b", "k - psi = {:.6g} <= 0 (need psi < k)"),
+             ("c", "d/dt(h psi) = {:.6g} > 0"))
+
+
+def _validate_prescription(p):
+    for (letter, detail), row in zip(_FAILURES, hypothesis_rows(p)):
+        if not row.passed:
+            t, node = row.witness
+            raise ValidationError(letter, t=t, node=node,
+                                  detail=detail.format(row.value))
 
 
 def barrier_crossings(p):
@@ -217,12 +260,10 @@ def barrier_crossings(p):
     highest crossing heights: the tightest constant-slice barriers
     compatible with the maximum principle.
     """
-    ang, coords = p._flat_args()
     nodes = np.arange(p.grid.size)
 
     def F(t):
-        a = None if ang is None else ang[nodes]
-        return np.asarray(p._psi(t, a, coords[:, nodes])) \
+        return np.asarray(p.psi(t, p.profile.eval(t)[0], nodes)) \
             - np.asarray(p.k_of(t))
 
     lo = np.full(nodes.size, p.t_minus)
@@ -287,15 +328,13 @@ class Gauge:
         kap_prime = h2 / h - kap * kap
         return self.phi(t) * (-self.eps_phi - kap - kap_prime / kap)
 
-    def psi0(self, t):
-        """The s = 0 prescription phi(t) k(t) = k0 h0 e^{eps(t0-t)} / h."""
-        h, _, _ = self.profile.eval(t)
+    def psi0(self, t, h):
+        """The s = 0 prescription phi(t) k(t) = k0 h0 e^{eps(t0-t)} / h(t)."""
         return self.k0h0 * np.exp(self.eps_phi * (self.t0 - t)) / h
 
-    def psi0_pair(self, t):
-        """(psi0, d_t psi0) from one evaluation of the profile."""
-        h, h1, _ = self.profile.eval(t)
-        psi0 = self.k0h0 * np.exp(self.eps_phi * (self.t0 - t)) / h
+    def psi0_pair(self, t, h, h1):
+        """(psi0, d_t psi0) from h = h(t) and h1 = h'(t)."""
+        psi0 = self.psi0(t, h)
         return psi0, -(self.eps_phi + h1 / h) * psi0
 
 
@@ -325,15 +364,6 @@ def build_phi(profile, spec, t_minus, t_plus, t0=None, eps_phi=0.1):
 # -- homotopy ----------------------------------------------------------------
 
 @dataclass
-class ConditionRow:
-    name: str
-    margin: float
-    witness: tuple
-    passed: bool
-    note: str = ""
-
-
-@dataclass
 class HomotopyProblem:
     """The full continuation problem: prescription, gauge, and anchor."""
 
@@ -353,18 +383,27 @@ class HomotopyProblem:
     def t_plus(self):
         return self.prescription.t_plus
 
-    def psi_of(self, s, zvals):
-        """(Psi, d_t Psi) per node at homotopy parameter s."""
-        p = self.prescription
-        return _homotopy_pair(
-            s, p.psi_pair(zvals, p.angular, self.grid.coords()),
-            self.gauge.psi0_pair(zvals))
+    def psi_of(self, s, zvals, h, h1):
+        """(Psi, d_t Psi) per node at homotopy parameter s.
+
+        h and h1 are h and h' at the heights zvals (the geometry's).
+        """
+        f, u = self.grid.flatten, self.grid.unflatten
+        t, h, h1 = f(zvals), f(h), f(h1)
+        psi, psi_t = _homotopy_pair(s, self.prescription.psi_pair(t, h, h1),
+                                    self.gauge.psi0_pair(t, h, h1))
+        return u(psi), u(psi_t)
+
+    def _lattice(self, tarr):
+        """A t-lattice as a column, with h and h' there."""
+        t = np.asarray(tarr)[:, None]
+        h, h1, _ = self.profile.eval(t)
+        return t, h, h1
 
     def psi_lattice(self, s, tarr):
-        p = self.prescription
-        val = s * p.psi_lattice(tarr) \
-            + (1.0 - s) * np.asarray(self.gauge.psi0(tarr))[:, None]
-        return val
+        t, h, _ = self._lattice(tarr)
+        return s * self.prescription.psi(t, h) \
+            + (1.0 - s) * self.gauge.psi0(t, h)
 
     def drift_lattice(self, s, tarr):
         """d_t Psi + kappa Psi on (t-lattice) x nodes (homotopy condition (v)).
@@ -373,29 +412,21 @@ class HomotopyProblem:
         eps_phi phi k, so equalities in the decay hypothesis show up as
         literal zeros instead of rounding noise.
         """
-        p = self.prescription
-        h, _, _ = self.profile.eval(tarr)
-        return s * (p.dt_h_psi_lattice(tarr) / h[:, None]) \
-            + (1.0 - s) * (-self.eps_phi) \
-            * np.asarray(self.gauge.psi0(tarr))[:, None]
+        t, h, _ = self._lattice(tarr)
+        return s * (self.prescription.dt_h_psi_lattice(tarr) / h) \
+            + (1.0 - s) * (-self.eps_phi) * self.gauge.psi0(t, h)
 
     def drift_raw_lattice(self, s, tarr):
         """Same quantity assembled termwise from Psi and d_t Psi."""
-        p = self.prescription
-        h, h1, _ = self.profile.eval(tarr)
-        kap = (h1 / h)[:, None]
-        val = self.psi_lattice(s, tarr)
-        ang, coords = p._flat_args()
-        _, psi_t = p.psi_pair(np.asarray(tarr)[:, None],
-                              None if ang is None else ang[None, :],
-                              coords[:, None, :])
-        _, psi0_t = self.gauge.psi0_pair(tarr)
-        dt = s * np.asarray(psi_t) \
-            + (1.0 - s) * np.asarray(psi0_t)[:, None]
-        return dt + kap * val
+        t, h, h1 = self._lattice(tarr)
+        val, dt = _homotopy_pair(s, self.prescription.psi_pair(t, h, h1),
+                                 self.gauge.psi0_pair(t, h, h1))
+        return dt + (h1 / h) * val
 
     def homotopy_report(self):
-        """Numeric margins of the homotopy conditions (ii)-(v) on the lattice.
+        """CheckRows of the homotopy conditions (ii)-(v) on the lattice.
+
+        Each row's witness is the first (s, t, node) attaining its margin.
 
         Conditions (ii)-(iv) are strict for every s in the lattice, and so
         is (v) for s < 1; the s = 1 slice of (v) reduces to the decay
@@ -407,9 +438,9 @@ class HomotopyProblem:
         rows = []
 
         m2, idx = _first_min(self.psi_lattice(s, slab) for s in S_LATTICE)
-        rows.append(ConditionRow(
-            "homotopy (ii): Psi > 0", m2,
-            (S_LATTICE[idx[0]], float(slab[idx[1]]), int(idx[2])), m2 > 0))
+        rows.append(CheckRow(
+            "homotopy (ii): Psi > 0", m2, _STRICT, m2 > 0,
+            (S_LATTICE[idx[0]], float(slab[idx[1]]), int(idx[2]))))
 
         k_lo = float(np.asarray(p.k_of(p.t_minus)))
         k_hi = float(np.asarray(p.k_of(p.t_plus)))
@@ -417,17 +448,17 @@ class HomotopyProblem:
                             for s in S_LATTICE])
         m3 = float((lo_vals - k_lo).min())
         i3 = np.unravel_index(int(np.argmin(lo_vals - k_lo)), lo_vals.shape)
-        rows.append(ConditionRow(
-            "homotopy (iii): Psi(s, t_minus) > k", m3,
-            (S_LATTICE[i3[0]], p.t_minus, int(i3[1])), m3 > 0))
+        rows.append(CheckRow(
+            "homotopy (iii): Psi(s, t_minus) > k", m3, _STRICT, m3 > 0,
+            (S_LATTICE[i3[0]], p.t_minus, int(i3[1]))))
 
         hi_vals = np.stack([self.psi_lattice(s, np.array([p.t_plus]))[0]
                             for s in S_LATTICE])
         m4 = float((k_hi - hi_vals).min())
         i4 = np.unravel_index(int(np.argmax(hi_vals)), hi_vals.shape)
-        rows.append(ConditionRow(
-            "homotopy (iv): Psi(s, t_plus) < k", m4,
-            (S_LATTICE[i4[0]], p.t_plus, int(i4[1])), m4 > 0))
+        rows.append(CheckRow(
+            "homotopy (iv): Psi(s, t_plus) < k", m4, _STRICT, m4 > 0,
+            (S_LATTICE[i4[0]], p.t_plus, int(i4[1]))))
 
         strict_s = [s for s in S_LATTICE if s < 1.0]
         # the witness of min(-drift) is the first argmax of the drift
@@ -435,10 +466,10 @@ class HomotopyProblem:
         end = self.drift_lattice(1.0, slab)
         slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
         end_ok = float(end.max()) <= slack
-        rows.append(ConditionRow(
-            "homotopy (v): d_t Psi + kappa Psi < 0", m5,
-            (strict_s[i5[0]], float(slab[i5[1]]), int(i5[2])),
+        rows.append(CheckRow(
+            "homotopy (v): d_t Psi + kappa Psi < 0", m5, _STRICT,
             (m5 > 0) and end_ok,
+            (strict_s[i5[0]], float(slab[i5[1]]), int(i5[2])),
             note="strict for s < 1; s = 1 slice checked non-strictly "
                  "(reduces to hypothesis (c))"))
         return rows
@@ -456,24 +487,6 @@ def _first_min(slices):
         args.append(np.unravel_index(int(np.argmin(a)), a.shape))
     k = int(np.argmin(mins))      # first slice holding the min (or a NaN)
     return float(np.min(mins)), (k,) + args[k]
-
-
-def psi_homotopy(hp, s, t, u=None):
-    """Value and t-derivative of the homotopy at (s, t, u).
-
-    With u = None, t may be a full height field (per-node evaluation);
-    with a node index u, t is the scalar height there.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ConfigError(f"homotopy parameter s = {s} outside [0, 1]")
-    if u is None:
-        return hp.psi_of(s, np.asarray(t, dtype=float))
-    p = hp.prescription
-    ang = None if p.angular is None else p.angular[u]
-    coords = np.array([c[u] for c in hp.grid.coords()])
-    val, dt = _homotopy_pair(s, p.psi_pair(t, ang, coords),
-                             hp.gauge.psi0_pair(t))
-    return float(val), float(dt)
 
 
 def _homotopy_pair(s, pair, pair0):

@@ -101,7 +101,7 @@ def _evaluate(zvals, s, hp):
     geom = compute_geometry(zvals, hp.grid, hp.profile)
     fvals = curvature.f_eval(hp.spec, geom.lam)
     fgrad = curvature.f_grad(hp.spec, geom.lam)
-    psi, psi_t = hp.psi_of(s, zvals)
+    psi, psi_t = hp.psi_of(s, zvals, geom.h, geom.h1)
     return _EvalState(geom=geom, fvals=fvals, fgrad=fgrad, psi=psi,
                       psi_t=psi_t, res=fvals - psi)
 
@@ -509,7 +509,7 @@ class ManufacturedProblem:
         self.t_plus = float(t_plus)
         self.t0 = 0.5 * (t_minus + t_plus)
 
-    def psi_of(self, s, zvals):
+    def psi_of(self, s, zvals, h, h1):
         zeros = np.zeros_like(self.psi_values)
         return self.psi_values, zeros
 

@@ -9,27 +9,13 @@ check yields one row (name, worst-case value, verdict).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import curvature, oracle
 from .geometry import compute_geometry, special_frame_check, support_identity_check
 from .grid import NodeField, make_grid, random_smooth
-from .problem import CUSTOM_C_SLACK, validation_lattices
+from .problem import CheckRow, hypothesis_rows, validation_lattices
 from .solver import assemble_jacobian
-
-
-@dataclass
-class CheckRow:
-    name: str
-    value: float
-    requirement: str
-    passed: bool
-
-    def format(self, width=46):
-        mark = "pass" if self.passed else "FAIL"
-        return f"{self.name:<{width}s} {self.value: .17g}  [{self.requirement}]  {mark}"
 
 
 def _row(name, value, requirement, passed):
@@ -48,21 +34,7 @@ def profile_rows(profile):
 
 
 def prescription_rows(p):
-    below, slab, above = validation_lattices(p)
-    psi_slab = p.psi_lattice(slab)
-    rows = [_row("prescription: min psi on slab", psi_slab.min(), "> 0",
-                 psi_slab.min() > 0)]
-    marg_a = p.psi_lattice(below) - np.asarray(p.k_of(below))[:, None]
-    rows.append(_row("hypothesis (a): min psi - k, t <= t_minus",
-                     marg_a.min(), "> 0", marg_a.min() > 0))
-    marg_b = np.asarray(p.k_of(above))[:, None] - p.psi_lattice(above)
-    rows.append(_row("hypothesis (b): min k - psi, t >= t_plus",
-                     marg_b.min(), "> 0", marg_b.min() > 0))
-    slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
-    decay = p.dt_h_psi_lattice(slab)
-    rows.append(_row("hypothesis (c): max d/dt(h psi) on slab",
-                     decay.max(), f"<= {slack:g}", decay.max() <= slack))
-    return rows
+    return list(hypothesis_rows(p))
 
 
 def gauge_rows(hp):
@@ -88,10 +60,7 @@ def gauge_rows(hp):
 
 
 def homotopy_rows(hp):
-    rows = []
-    for r in hp.homotopy_report():
-        rows.append(_row(r.name, r.margin, "> 0 (strict lattice)", r.passed))
-    return rows
+    return hp.homotopy_report()
 
 
 def structural_rows(spec, mu1, mu2, seed):

@@ -75,7 +75,7 @@ def test_criterion_4_homotopy_conditions():
                       eps_phi=0.1)
     rows = hp.homotopy_report()
     assert all(r.passed for r in rows)
-    min_margin = min(r.margin for r in rows)
+    min_margin = min(r.value for r in rows)
     assert min_margin > 0.0
     # negative control: zero decay rate must fail exactly the (v) row
     gauge0 = Gauge(profile=hp.profile, spec=hp.spec, t0=hp.t0, eps_phi=0.0)
@@ -84,7 +84,7 @@ def test_criterion_4_homotopy_conditions():
                           t0=hp.t0, eps_phi=0.0)
     rows0 = hp0.homotopy_report()
     assert [r.passed for r in rows0] == [True, True, True, False]
-    assert rows0[3].margin == 0.0
+    assert rows0[3].value == 0.0
     _report(4, f"homotopy margins (ii)-(v) all > 0 (min {min_margin:.3e}); "
                f"eps_phi = 0 fails exactly the (v) row with margin 0")
 

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import warpcurve as wc
-from warpcurve.ambient import ambient_curvature, eval_warp, k_radial, kappa
+from warpcurve.ambient import ambient_curvature, k_radial, kappa
 
 from conftest import COSH1, SINH1, TANH1
 
 
 def test_eval_exp_all_derivatives_coincide():
     prof = wc.WarpingProfile.exp(-2.0, 2.0)
-    h, h1, h2 = eval_warp(prof, 0.7)
+    h, h1, h2 = prof.eval(0.7)
     target = 2.0137527074704765216245493886  # exp(0.7)
     for v in (h, h1, h2):
         assert v == pytest.approx(target, rel=1e-15)
@@ -17,8 +17,8 @@ def test_eval_exp_all_derivatives_coincide():
 
 def test_eval_cosh_at_zero_and_one():
     prof = wc.WarpingProfile.cosh(-0.5, 3.0)
-    assert eval_warp(prof, 0.0) == (1.0, 0.0, 1.0)
-    h, h1, h2 = eval_warp(prof, 1.0)
+    assert prof.eval(0.0) == (1.0, 0.0, 1.0)
+    h, h1, h2 = prof.eval(1.0)
     assert h == pytest.approx(COSH1, rel=1e-15)
     assert h1 == pytest.approx(SINH1, rel=1e-15)
     assert h2 == pytest.approx(COSH1, rel=1e-15)
@@ -27,9 +27,9 @@ def test_eval_cosh_at_zero_and_one():
 def test_eval_outside_interval_raises():
     prof = wc.WarpingProfile.cosh(0.2, 3.0)
     with pytest.raises(wc.DomainError):
-        eval_warp(prof, 3.5)
+        prof.eval(3.5)
     with pytest.raises(wc.DomainError):
-        eval_warp(prof, 0.2)   # interval is open
+        prof.eval(0.2)   # interval is open
 
 
 def test_kappa_values():

@@ -152,8 +152,10 @@ def test_sparse_operators_match_roll_stencils():
                                atol=1e-12)
 
 
+# N % (order + 1) != 0 in every case: the last axis blocks are longer
 @pytest.mark.parametrize("n,N,order", [(1, 20, 2), (1, 16, 4), (2, 17, 2),
-                                       (2, 16, 4)])
+                                       (2, 16, 4), (1, 19, 4), (2, 19, 4),
+                                       (1, 22, 2), (2, 23, 2), (2, 21, 4)])
 def test_coloring_is_a_valid_jacobian_coloring(n, N, order):
     g = wc.make_grid(n, max(N, 16), order=order)
     colors, ncol = g.coloring()
@@ -173,3 +175,23 @@ def test_coloring_is_a_valid_jacobian_coloring(n, N, order):
             nb_flat = nb[0] if n == 1 else nb[0] + g.N * nb[1]
             assert colors[flat] != colors[nb_flat]
     assert ncol == colors.max() + 1
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_coloring_is_valid_for_every_small_grid(n, order):
+    for N in range(16, 70):
+        g = wc.make_grid(n, N, order=order)
+        colors, ncol = g.coloring()
+        C = g.unflatten(colors)
+        foot = np.array(g.stencil_footprint())
+        for d in {tuple(a - b) for a in foot for b in foot} - {(0,) * n}:
+            # node i and node i + d never share a color
+            assert not np.any(C == np.roll(C, d, axis=tuple(range(n))))
+        assert ncol == colors.max() + 1
+
+
+@pytest.mark.parametrize("n,N,order,count", [(1, 2048, 2, 4), (2, 64, 2, 16),
+                                             (2, 128, 2, 16), (2, 64, 4, 36)])
+def test_coloring_counts(n, N, order, count):
+    assert wc.make_grid(n, N, order=order).coloring()[1] == count

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import warpcurve as wc
-from warpcurve.problem import (HomotopyProblem, Gauge, S_LATTICE,
-                               barrier_crossings, build_phi,
-                               build_prescription, psi_homotopy,
+from warpcurve import verify
+from warpcurve.problem import (CUSTOM_C_SLACK, HomotopyProblem, Gauge,
+                               S_LATTICE, barrier_crossings, build_phi,
+                               build_prescription, hypothesis_rows,
                                validation_lattices)
 
 from conftest import SINH1, TANH1, make_problem
@@ -102,25 +103,28 @@ def test_gauge_rejects_negative_decay(cosh, spec1):
 def test_homotopy_endpoints_and_midpoint(cosh, spec1):
     hp = make_problem(n=1, N=64, t_minus=0.5, t_plus=1.5)   # t0 = 1
     zc = np.full((64,), 1.0)
-    v1, _ = psi_homotopy(hp, 1.0, zc)
+    h, h1, _ = hp.profile.eval(zc)
+    v1, _ = hp.psi_of(1.0, zc, h, h1)
     assert np.abs(v1 - SINH1 / np.cosh(1.0)).max() <= 1e-15
-    v0, _ = psi_homotopy(hp, 0.0, zc)
-    assert np.abs(v0 - hp.gauge.psi0(1.0)).max() <= 1e-15
+    v0, _ = hp.psi_of(0.0, zc, h, h1)
+    assert np.abs(v0 - hp.gauge.psi0(1.0, hp.profile.eval(1.0)[0])).max() \
+        <= 1e-15
     # at the crossing-anchor point both endpoints equal k(1) = tanh(1)
-    vmid, _ = psi_homotopy(hp, 0.5, 1.0, u=(0,))
-    assert vmid == pytest.approx(TANH1, rel=1e-14)
-    with pytest.raises(wc.ConfigError):
-        psi_homotopy(hp, 1.5, zc)
+    h, h1, _ = hp.profile.eval(1.0)
+    psi, _ = hp.prescription.psi_pair(1.0, h, h1, 0)
+    psi0, _ = hp.gauge.psi0_pair(1.0, h, h1)
+    assert 0.5 * psi + 0.5 * psi0 == pytest.approx(TANH1, rel=1e-14)
 
 
 def test_homotopy_linearity_and_default_anchor(cosh, spec1):
     hp = make_problem(n=1, N=64)       # t_plus = 1.6 so t0 defaults to 1.05
     assert hp.t0 == pytest.approx(1.05)
     z = np.full((64,), 0.9)
+    h, h1, _ = hp.profile.eval(z)
     for s in (0.25, 0.5, 0.75):
-        vs, _ = hp.psi_of(s, z)
-        v1, _ = hp.psi_of(1.0, z)
-        v0, _ = hp.psi_of(0.0, z)
+        vs, _ = hp.psi_of(s, z, h, h1)
+        v1, _ = hp.psi_of(1.0, z, h, h1)
+        v0, _ = hp.psi_of(0.0, z, h, h1)
         assert np.abs(vs - (s * v1 + (1 - s) * v0)).max() <= 1e-15
 
 
@@ -128,7 +132,7 @@ def test_drift_identity_at_s0(cosh, spec1):
     hp = make_problem(n=1, N=64)
     slab = np.linspace(0.5, 1.6, 257)
     drift = hp.drift_lattice(0.0, slab)
-    psi0 = np.asarray(hp.gauge.psi0(slab))[:, None]
+    psi0 = hp.gauge.psi0(slab, hp.profile.eval(slab)[0])[:, None]
     assert np.abs(drift + 0.1 * psi0).max() <= 1e-15
     raw = hp.drift_raw_lattice(0.5, slab)
     red = hp.drift_lattice(0.5, slab)
@@ -139,7 +143,7 @@ def test_homotopy_report_margins(cosh, spec1):
     hp = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
     rows = hp.homotopy_report()
     assert [r.passed for r in rows] == [True] * 4
-    assert all(r.margin > 1e-12 for r in rows)   # strict slack
+    assert all(r.value > 1e-12 for r in rows)   # strict slack
 
 
 def test_homotopy_v_fails_exactly_at_zero_decay(cosh, spec1):
@@ -150,7 +154,7 @@ def test_homotopy_v_fails_exactly_at_zero_decay(cosh, spec1):
                           t0=hp.t0, eps_phi=0.0)
     rows = hp0.homotopy_report()
     assert [r.passed for r in rows] == [True, True, True, False]
-    assert rows[3].margin == 0.0
+    assert rows[3].value == 0.0
     assert rows[3].witness[0] == 0.0      # worst point reported at s = 0
 
 
@@ -182,12 +186,11 @@ def test_bisect_error_without_sign_change(cosh, spec1):
 
 def _bisect_crossings(p):
     """60 bisection steps per node: the crossings barrier_crossings returns."""
-    ang, coords = p._flat_args()
     lo = np.full(p.grid.size, p.t_minus)
     hi = np.full(p.grid.size, p.t_plus)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        pos = p._psi(mid, ang, coords) - p.k_of(mid) > 0
+        pos = p.psi(mid, p.profile.eval(mid)[0]) - p.k_of(mid) > 0
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
     cross = 0.5 * (lo + hi)
@@ -232,7 +235,9 @@ def test_angular_mode_two_axes(cosh):
     p = build_prescription(cosh, spec, g, c0=np.sinh(1.0), eps=0.1,
                            mode=(2, 1), t_minus=0.5, t_plus=1.5)
     X, Y = g.coords()
-    assert np.allclose(p.angular, np.cos(2 * X) * np.cos(Y), atol=1e-14)
+    # stored once, in flat node order
+    assert np.allclose(p.angular, g.flatten(np.cos(2 * X) * np.cos(Y)),
+                       atol=1e-14)
     with pytest.raises(wc.ConfigError):
         build_prescription(cosh, spec, g, c0=1.0, eps=0.1, mode=(1,),
                            t_minus=0.5, t_plus=1.5)
@@ -263,7 +268,7 @@ def _problems(cosh, spec1):
 
 
 def _per_term(hp, s, t, ang, coords):
-    """(Psi, d_t Psi) from the per-term formulas, one profile call each."""
+    """Psi, d_t Psi, psi, psi_t, psi0, psi0_t from the per-term formulas."""
     p, gauge = hp.prescription, hp.gauge
     if p.form == "radial-decay":
         h, _, _ = p.profile.eval(t)
@@ -278,33 +283,50 @@ def _per_term(hp, s, t, ang, coords):
             dt = 1e-6 * (1.0 + np.abs(t))
             psi_t = (p.psi_fn(t + dt, coords) - p.psi_fn(t - dt, coords)) \
                 / (2.0 * dt)
-    psi0 = gauge.psi0(t)
     h, h1, _ = gauge.profile.eval(t)
-    psi0_t = -(gauge.eps_phi + h1 / h) * gauge.psi0(t)
+    psi0 = gauge.k0h0 * np.exp(gauge.eps_phi * (gauge.t0 - t)) / h
+    psi0_t = -(gauge.eps_phi + h1 / h) * psi0
     return (s * psi + (1.0 - s) * psi0, s * psi_t + (1.0 - s) * psi0_t,
-            psi, psi_t)
+            psi, psi_t, psi0, psi0_t)
+
+
+def _problems_2d(cosh):
+    g = wc.make_grid(2, 16)
+    p = build_prescription(cosh, wc.CurvatureSpec(2, 1), g, form="custom",
+                           psi_fn=_custom_psi, t_minus=0.5, t_plus=1.5)
+    return [make_problem(n=2, N=16, eps=0.1, t_plus=1.5), wc.build_homotopy(p)]
 
 
 def test_fused_psi_pairs_match_per_term_formulas(cosh, spec1):
     rng = np.random.default_rng(3)
-    for hp in _problems(cosh, spec1):
-        p = hp.prescription
-        z = 1.0 + 0.2 * rng.standard_normal(hp.grid.shape)
-        coords = hp.grid.coords()
+    for hp in _problems(cosh, spec1) + _problems_2d(cosh):
+        p, grid = hp.prescription, hp.grid
+        z = 1.0 + 0.2 * rng.standard_normal(grid.shape)
+        coords = grid.coords()
+        flat = np.stack([grid.flatten(c) for c in coords])
+        ang = None if p.angular is None else grid.unflatten(p.angular)
+        h, h1, _ = cosh.eval(z)
         for s in (0.0, 0.3, 1.0):
-            val, dt, _, _ = _per_term(hp, s, z, p.angular, coords)
-            got = hp.psi_of(s, z)
+            val, dt, *_ = _per_term(hp, s, z, ang, coords)
+            got = hp.psi_of(s, z, h, h1)
             assert np.array_equal(got[0], val) and np.array_equal(got[1], dt)
-            ang = None if p.angular is None else p.angular[5]
-            val, dt, _, _ = _per_term(hp, s, 1.1, ang, coords[:, 5])
-            assert psi_homotopy(hp, s, 1.1, u=5) == (float(val), float(dt))
-        # d/dt (h psi) on the lattice, as h' psi + h psi_t
+            # one node through the evaluator's flat node index
+            _, _, psi, psi_t, psi0, psi0_t = _per_term(
+                hp, s, 1.1, None if ang is None else p.angular[5], flat[:, 5])
+            h5, h15, _ = cosh.eval(1.1)
+            assert p.psi_pair(1.1, h5, h15, 5) == (psi, psi_t)
+            assert p.psi(1.1, h5, 5) == psi
+            assert hp.gauge.psi0_pair(1.1, h5, h15) == (psi0, psi0_t)
+        # the lattices: (t column) x (all nodes in flat order)
         slab = np.linspace(0.5, 1.5, 9)
-        ang, flat = p._flat_args()
         t = slab[:, None]
-        a = np.zeros((1, hp.grid.size)) if ang is None else ang[None, :]
-        _, _, psi, psi_t = _per_term(hp, 1.0, t, a, flat[:, None, :])
+        a = np.zeros((1, grid.size)) if ang is None else p.angular[None, :]
+        val, dt, psi, psi_t, _, _ = _per_term(hp, 1.0, t, a, flat[:, None, :])
+        assert np.array_equal(p.psi_lattice(slab), psi)
+        assert np.array_equal(hp.psi_lattice(1.0, slab), val)
         h, h1, _ = cosh.eval(t)
+        assert np.array_equal(hp.drift_raw_lattice(1.0, slab),
+                              dt + (h1 / h) * val)
         expect = np.zeros_like(psi) if p.form == "radial-decay" \
             else h1 * psi + h * psi_t
         assert np.array_equal(p.dt_h_psi_lattice(slab), expect)
@@ -334,5 +356,103 @@ def test_homotopy_report_matches_stacked_lattices(cosh, spec1):
                                gauge=gauge0, t0=hp.t0, eps_phi=0.0))
     for hp in hps:
         rows = hp.homotopy_report()
-        got = [(r.margin, r.witness) for r in (rows[0], rows[3])]
+        got = [(r.value, r.witness) for r in (rows[0], rows[3])]
         assert got == _stacked_homotopy_report(hp)
+
+
+# -- the hypothesis margins: one engine for validation and verify ------------
+
+def _custom_form(c0, eps):
+    # depends on the last coordinate, so a witness at n = 2 pins the flat order
+    return dict(form="custom",
+                psi_fn=lambda t, x: (c0 + eps * np.cos(x[-1])) / np.cosh(t))
+
+
+_FAILING = {
+    "positivity-radial": dict(c0=0.5, eps=0.6, mode=1, t_minus=0.5,
+                              t_plus=1.6),
+    "positivity-custom": dict(_custom_form(0.5, 0.6), t_minus=0.5,
+                              t_plus=1.6),
+    "a-radial": dict(c0=SINH1, mode=1, t_minus=1.2, t_plus=1.6),
+    "a-custom": dict(_custom_form(SINH1, 0.05), t_minus=1.2, t_plus=1.6),
+    "b-radial": dict(c0=SINH1, eps=0.05, mode=2, t_minus=0.5, t_plus=0.9),
+    "b-custom": dict(_custom_form(SINH1, -0.05), t_minus=0.5, t_plus=0.9),
+    # h psi = 0.7 - 0.05 cos u grows with h: d/dt (h psi) = h' psi > 0
+    "c-custom": dict(form="custom", t_minus=0.5, t_plus=1.2,
+                     psi_fn=lambda t, x: 0.7 - 0.05 * np.cos(x[-1]) + 0.0 * t),
+}
+
+_MESSAGES = {
+    "positivity-radial": "hypothesis (positivity) violated at t=0.5, "
+                         "node={}: psi = -0.0886819 <= 0",
+    "positivity-custom": "hypothesis (positivity) violated at t=0.5, "
+                         "node={}: psi = -0.0886819 <= 0",
+    "a-radial": "hypothesis (a) violated at t=1.2, node={}: "
+                "psi - k = -0.184607 <= 0 (need psi > k)",
+    "a-custom": "hypothesis (a) violated at t=1.2, node={}: "
+                "psi - k = -0.212222 <= 0 (need psi > k)",
+    "b-radial": "hypothesis (b) violated at t=0.9, node={}: "
+                "k - psi = -0.138641 <= 0 (need psi < k)",
+    "b-custom": "hypothesis (b) violated at t=0.9, node={}: "
+                "k - psi = -0.138641 <= 0 (need psi < k)",
+    "c-custom": "hypothesis (c) violated at t=1.2, node={}: "
+                "d/dt(h psi) = 1.1321 > 0",
+}
+
+# witness node at n = 1 (N = 64) and n = 2 (N = 16, flat order)
+_NODES = {"positivity-radial": (32, 8), "positivity-custom": (32, 128),
+          "a-radial": (0, 0), "a-custom": (32, 128), "b-radial": (0, 0),
+          "b-custom": (32, 128), "c-custom": (32, 128)}
+
+
+def _failing_prescription(cosh, n, case, validate=True):
+    g = wc.make_grid(n, 64 if n == 1 else 16)
+    kw = dict(_FAILING[case])
+    if n == 2 and "mode" in kw:
+        kw["mode"] = (kw["mode"], 1)
+    return build_prescription(cosh, wc.CurvatureSpec(n, 1), g,
+                              validate=validate, **kw)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("case", sorted(_FAILING))
+def test_validation_error_messages(cosh, n, case):
+    with pytest.raises(wc.ValidationError) as exc:
+        _failing_prescription(cosh, n, case)
+    assert str(exc.value) == _MESSAGES[case].format(_NODES[case][n - 1])
+    assert exc.value.hypothesis == case.split("-")[0]
+    assert exc.value.node == _NODES[case][n - 1]
+
+
+def _lattice_margins(p):
+    """positivity and (a)-(c) reduced over the full validation lattices."""
+    below, slab, above = validation_lattices(p)
+    k_below = np.asarray(p.k_of(below))[:, None]
+    k_above = np.asarray(p.k_of(above))[:, None]
+    return [p.psi_lattice(slab).min(), (p.psi_lattice(below) - k_below).min(),
+            (k_above - p.psi_lattice(above)).min(),
+            p.dt_h_psi_lattice(slab).max()]
+
+
+@pytest.mark.parametrize("case", [None] + sorted(_FAILING))
+def test_prescription_rows_are_the_engine_rows(cosh, spec1, case):
+    if case is None:
+        g = wc.make_grid(1, 64)
+        p = build_prescription(cosh, spec1, g, c0=SINH1, eps=0.1, mode=1,
+                               t_minus=0.5, t_plus=1.5)
+    else:
+        p = _failing_prescription(cosh, 1, case, validate=False)
+    rows = verify.prescription_rows(p)
+    ref = _lattice_margins(p)
+    slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
+    assert [r.value for r in rows] == ref
+    assert [r.passed for r in rows] == [m > 0 for m in ref[:3]] \
+        + [ref[3] <= slack]
+    assert rows == list(hypothesis_rows(p))
+    if case is not None:
+        # validation raises the first failed row, witness included
+        bad = next(r for r in rows if not r.passed)
+        with pytest.raises(wc.ValidationError) as exc:
+            wc.problem._validate_prescription(p)
+        assert (exc.value.t, exc.value.node) == bad.witness
+        assert f"{bad.value:.6g}" in str(exc.value)

@@ -441,6 +441,40 @@ def test_fd_colored_jacobian_shares_the_pattern(n):
     assert np.array_equal(J.indptr, indptr)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_profile_is_evaluated_once_per_evaluate(n, monkeypatch):
+    hp, z, _ = _wavy_state(n, 2)
+    calls = {"eval": 0, "psi_of": 0}
+    profile_eval, psi_of = wc.WarpingProfile.eval, type(hp).psi_of
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(wc.WarpingProfile, "eval",
+                        counted("eval", profile_eval))
+    monkeypatch.setattr(type(hp), "psi_of", counted("psi_of", psi_of))
+    solver._evaluate(z, 0.6, hp)
+    assert calls == {"eval": 1, "psi_of": 1}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_fd_colored_jacobian_equals_one_color_per_column(n, order,
+                                                         monkeypatch):
+    # row i of the residual reads only its footprint, so any valid coloring
+    # gives the difference quotients of single columns, bit for bit
+    hp, z, _ = _wavy_state(n, order)
+    J = assemble_jacobian(z, 0.6, hp, "fd-colored")
+    size = hp.grid.size
+    monkeypatch.setattr(hp.grid, "coloring", lambda: (np.arange(size), size))
+    J1 = assemble_jacobian(z, 0.6, hp, "fd-colored")
+    assert np.array_equal(J.data, J1.data)
+    assert np.array_equal(J.indices, J1.indices)
+
+
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("mode", ["analytic", "fd-colored"])
 def test_pattern_symbol_matches_binned_symbol(order, mode):
