@@ -157,11 +157,26 @@ class WarpingProfile:
 def kappa(profile, t):
     """Principal curvature h'/h of the slice {t} x M (must be positive)."""
     h, h1, _ = profile.eval(t)
+    return _kappa(h, h1)
+
+
+def _kappa(h, h1):
     kap = h1 / h
     if np.any(np.asarray(kap) <= 0):
         raise ProfileError(
             "kappa = h'/h <= 0: profile violates mean convexity of the leaves")
     return kap
+
+
+def k_level(spec, h, h1):
+    """Curvature level f(kappa, ..., kappa) from h and h' at the heights.
+
+    For callers that already hold the profile values: k_radial without
+    a second profile evaluation.
+    """
+    from .curvature import f_eval
+    kap = np.asarray(_kappa(h, h1), dtype=float)
+    return f_eval(spec, np.stack([kap] * spec.n, axis=-1))
 
 
 def k_radial(profile, spec, t):
@@ -170,10 +185,8 @@ def k_radial(profile, spec, t):
     With the normalized symmetric functions of warpcurve.curvature this
     equals kappa(t) for every order r.
     """
-    from .curvature import f_eval
-    kap = np.asarray(kappa(profile, t), dtype=float)
-    lam = np.stack([kap] * spec.n, axis=-1)
-    out = f_eval(spec, lam)
+    h, h1, _ = profile.eval(t)
+    out = k_level(spec, h, h1)
     if np.ndim(t) == 0 and np.isscalar(out) is False and np.ndim(out) == 0:
         return float(out)
     return out

@@ -28,6 +28,22 @@ solver passes the geometry's h, h').  Each hypothesis margin is computed
 once, as a CheckRow with its witness: hypothesis_rows for positivity and
 (a)-(c), which validation raises from and verify tabulates, and
 HomotopyProblem.homotopy_report for (ii)-(v).
+
+For the radial-decay form these margins cost T + M work on a T x M
+lattice, not T * M.  At a fixed (s, t) every lattice entry is a rounded
+monotone function of the node's h psi = c0 + eps g(u): psi = (h psi)/h,
+psi - k, k - psi and s psi + (1 - s) psi0.  This needs two
+preconditions: h > 0, which profile.eval enforces, and s >= 0, which
+holds on S_LATTICE.  Rounded division by h > 0, subtraction of or from
+a t-constant and multiplication by s >= 0 never reverse an order.  So
+the worst node of every t-row is the node where h psi is smallest or
+largest; NaN included, which np.argmin and np.argmax both pick first.
+_rows evaluates those two columns, takes the first t-row holding the
+extreme, and recomputes that one row over all nodes.  Its first argmin
+is the witness np.argmin over the whole lattice gives, rounding ties
+between different h psi values included.  The decay (c) and the drift
+(v) are node-independent for this form and are evaluated as t-columns.
+Custom forms are evaluated on the whole lattice.
 """
 
 from __future__ import annotations
@@ -122,16 +138,20 @@ class Prescription:
         self.coords = np.stack([self.grid.flatten(c)
                                 for c in self.grid.coords()])
 
+    def h_psi(self, node=slice(None)):
+        """h psi = c0 + eps g(u) of the radial-decay form, per node."""
+        return self.c0 + self.eps * self.angular[node]
+
     def psi(self, t, h, node=slice(None)):
         """psi at heights t over the selected nodes, from h = h(t)."""
         if self.form == "radial-decay":
-            return (self.c0 + self.eps * self.angular[node]) / h
+            return self.h_psi(node) / h
         return self.psi_fn(t, self.coords[:, node])
 
     def psi_pair(self, t, h, h1, node=slice(None)):
         """(psi, d_t psi) at heights t over the selected nodes."""
         if self.form == "radial-decay":
-            num = self.c0 + self.eps * self.angular[node]
+            num = self.h_psi(node)
             return num / h, -(h1 / h) * num / h
         x = self.coords[:, node]
         psi = self.psi_fn(t, x)
@@ -143,28 +163,64 @@ class Prescription:
 
     # -- (t-lattice) x (all nodes) evaluation --------------------------------
 
-    def psi_lattice(self, tarr):
-        t = np.asarray(tarr)[:, None]
-        return self.psi(t, self.profile.eval(t)[0])
-
     def dt_h_psi_lattice(self, tarr):
-        """d/dt (h psi) on (t-lattice) x nodes, as h' psi + h psi_t."""
-        t = np.asarray(tarr)[:, None]
+        """d/dt (h psi) on (t-lattice) x nodes, as h' psi + h psi_t.
+
+        For radial-decay it is one column: h psi = c0 + eps g(u) is
+        exactly t-independent, so every node's value is 0.
+        """
         if self.form == "radial-decay":
-            # h * psi = c0 + eps * g(u): exactly t-independent
-            return np.zeros((t.shape[0], self.grid.size))
-        h, h1, _ = self.profile.eval(t)
+            return np.zeros((len(tarr), 1))
+        t, h, h1 = _column(self.profile, tarr)
         psi, psi_t = self.psi_pair(t, h, h1)
         return h1 * psi + h * psi_t
+
+    def separable_key(self):
+        """Per-node value each lattice row is monotone in, or None.
+
+        h psi for radial-decay (see the module docstring); custom forms
+        have none and are reduced over the whole lattice.
+        """
+        return self.h_psi() if self.form == "radial-decay" else None
 
     def k_of(self, t):
         return ambient.k_radial(self.profile, self.spec, t)
 
 
-def _worst(lattice, tarr, pick=np.argmin):
-    """Value at the first worst lattice point and its (t, node) witness."""
-    it, node = np.unravel_index(int(pick(lattice)), lattice.shape)
-    return float(lattice[it, node]), (float(tarr[it]), int(node))
+def _column(profile, tarr):
+    """A t-lattice as a column, with h and h' there."""
+    t = np.asarray(tarr)[:, None]
+    h, h1, _ = profile.eval(t)
+    return t, h, h1
+
+
+def _rows(lattice, key):
+    """The t-rows of a (t-rows, nodes) lattice that hold its first minimum.
+
+    lattice(rows, node) evaluates the rows a slice selects at a flat node
+    index.  Returns (index of the first row returned, those rows over all
+    nodes).  Without a key that is the whole lattice.  With the key of
+    Prescription.separable_key, every row is monotone in it: the two
+    columns at its argmin and argmax hold each row's minimum (or first
+    NaN), so only they and the first row attaining the least of these
+    are evaluated.
+    """
+    if key is None:
+        return 0, lattice(slice(None), slice(None))
+    ext = lattice(slice(None), np.array([np.argmin(key), np.argmax(key)]))
+    row_min = np.take_along_axis(ext, np.argmin(ext, axis=1)[:, None], axis=1)
+    it = int(np.argmin(row_min))
+    return it, lattice(slice(it, it + 1), slice(None))
+
+
+def _worst(rows, tarr, pick=np.argmin):
+    """Value at the first worst lattice point and its (t, node) witness.
+
+    rows is the pair (first row index, rows) that _rows returns.
+    """
+    it0, a = rows
+    it, node = np.unravel_index(int(pick(a)), a.shape)
+    return float(a[it, node]), (float(tarr[it0 + it]), int(node))
 
 
 def build_prescription(profile, spec, grid, form="radial-decay", c0=1.0,
@@ -215,18 +271,25 @@ def hypothesis_rows(p):
     stops at the first failed row, evaluates none after it.
     """
     below, slab, above = validation_lattices(p)
-    value, w = _worst(p.psi_lattice(slab), slab)
+    key = p.separable_key()
+    t, h, _ = _column(p.profile, slab)
+    value, w = _worst(_rows(lambda r, node: p.psi(t[r], h[r], node), key),
+                      slab)
     yield CheckRow("prescription: min psi on slab", value, "> 0", value > 0, w)
+    t, h, h1 = _column(p.profile, below)
+    k = ambient.k_level(p.spec, h, h1)
     value, w = _worst(
-        p.psi_lattice(below) - np.asarray(p.k_of(below))[:, None], below)
+        _rows(lambda r, node: p.psi(t[r], h[r], node) - k[r], key), below)
     yield CheckRow("hypothesis (a): min psi - k, t <= t_minus", value, "> 0",
                    value > 0, w)
+    t, h, h1 = _column(p.profile, above)
+    k = ambient.k_level(p.spec, h, h1)
     value, w = _worst(
-        np.asarray(p.k_of(above))[:, None] - p.psi_lattice(above), above)
+        _rows(lambda r, node: k[r] - p.psi(t[r], h[r], node), key), above)
     yield CheckRow("hypothesis (b): min k - psi, t >= t_plus", value, "> 0",
                    value > 0, w)
     slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
-    value, w = _worst(p.dt_h_psi_lattice(slab), slab, np.argmax)
+    value, w = _worst((0, p.dt_h_psi_lattice(slab)), slab, np.argmax)
     yield CheckRow("hypothesis (c): max d/dt(h psi) on slab", value,
                    f"<= {slack:g}", value <= slack, w)
 
@@ -263,8 +326,9 @@ def barrier_crossings(p):
     nodes = np.arange(p.grid.size)
 
     def F(t):
-        return np.asarray(p.psi(t, p.profile.eval(t)[0], nodes)) \
-            - np.asarray(p.k_of(t))
+        h, h1, _ = p.profile.eval(t)
+        return np.asarray(p.psi(t, h, nodes)) \
+            - np.asarray(ambient.k_level(p.spec, h, h1))
 
     lo = np.full(nodes.size, p.t_minus)
     hi = np.full(nodes.size, p.t_plus)
@@ -318,8 +382,8 @@ class Gauge:
         self.k0h0 = k0 * h0
 
     def phi(self, t):
-        h, _, _ = self.profile.eval(t)
-        k = ambient.k_radial(self.profile, self.spec, t)
+        h, h1, _ = self.profile.eval(t)
+        k = ambient.k_level(self.spec, h, h1)
         return self.k0h0 * np.exp(self.eps_phi * (self.t0 - t)) / (k * h)
 
     def phi_prime(self, t):
@@ -394,16 +458,9 @@ class HomotopyProblem:
                                     self.gauge.psi0_pair(t, h, h1))
         return u(psi), u(psi_t)
 
-    def _lattice(self, tarr):
-        """A t-lattice as a column, with h and h' there."""
-        t = np.asarray(tarr)[:, None]
-        h, h1, _ = self.profile.eval(t)
-        return t, h, h1
-
     def psi_lattice(self, s, tarr):
-        t, h, _ = self._lattice(tarr)
-        return s * self.prescription.psi(t, h) \
-            + (1.0 - s) * self.gauge.psi0(t, h)
+        t, h, _ = _column(self.profile, tarr)
+        return _blend(s, self.prescription.psi(t, h), self.gauge.psi0(t, h))
 
     def drift_lattice(self, s, tarr):
         """d_t Psi + kappa Psi on (t-lattice) x nodes (homotopy condition (v)).
@@ -412,16 +469,9 @@ class HomotopyProblem:
         eps_phi phi k, so equalities in the decay hypothesis show up as
         literal zeros instead of rounding noise.
         """
-        t, h, _ = self._lattice(tarr)
+        t, h, _ = _column(self.profile, tarr)
         return s * (self.prescription.dt_h_psi_lattice(tarr) / h) \
             + (1.0 - s) * (-self.eps_phi) * self.gauge.psi0(t, h)
-
-    def drift_raw_lattice(self, s, tarr):
-        """Same quantity assembled termwise from Psi and d_t Psi."""
-        t, h, h1 = self._lattice(tarr)
-        val, dt = _homotopy_pair(s, self.prescription.psi_pair(t, h, h1),
-                                 self.gauge.psi0_pair(t, h, h1))
-        return dt + (h1 / h) * val
 
     def homotopy_report(self):
         """CheckRows of the homotopy conditions (ii)-(v) on the lattice.
@@ -437,7 +487,16 @@ class HomotopyProblem:
         _, slab, _ = validation_lattices(p)
         rows = []
 
-        m2, idx = _first_min(self.psi_lattice(s, slab) for s in S_LATTICE)
+        t, h, _ = _column(self.profile, slab)
+        psi0 = self.gauge.psi0(t, h)
+        key = p.separable_key()
+
+        def psi_rows(s):
+            # s >= 0 keeps each row monotone in the key
+            return _rows(lambda r, node: _blend(
+                s, p.psi(t[r], h[r], node), psi0[r]), key)
+
+        m2, idx = _first_min(psi_rows(s) for s in S_LATTICE)
         rows.append(CheckRow(
             "homotopy (ii): Psi > 0", m2, _STRICT, m2 > 0,
             (S_LATTICE[idx[0]], float(slab[idx[1]]), int(idx[2]))))
@@ -462,7 +521,8 @@ class HomotopyProblem:
 
         strict_s = [s for s in S_LATTICE if s < 1.0]
         # the witness of min(-drift) is the first argmax of the drift
-        m5, i5 = _first_min(-self.drift_lattice(s, slab) for s in strict_s)
+        m5, i5 = _first_min((0, -self.drift_lattice(s, slab))
+                            for s in strict_s)
         end = self.drift_lattice(1.0, slab)
         slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
         end_ok = float(end.max()) <= slack
@@ -476,23 +536,31 @@ class HomotopyProblem:
 
 
 def _first_min(slices):
-    """min over a sequence of equal-shape arrays and its first position.
+    """min over a sequence of (t, node) lattices and its first position.
 
-    The position is (slice index, *index in the slice), the one np.argmin
-    of their stack would give, but only one slice is held at a time.
+    Each slice is the pair (first row index, rows) that _rows returns.
+    The position is (slice index, t index, node), the one np.argmin of
+    the stacked full lattices would give, but only one slice is held at
+    a time.
     """
     mins, args = [], []
-    for a in slices:
+    for it0, a in slices:
         mins.append(a.min())
-        args.append(np.unravel_index(int(np.argmin(a)), a.shape))
+        it, node = np.unravel_index(int(np.argmin(a)), a.shape)
+        args.append((it0 + it, node))
     k = int(np.argmin(mins))      # first slice holding the min (or a NaN)
     return float(np.min(mins)), (k,) + args[k]
+
+
+def _blend(s, a, a0):
+    """s a + (1 - s) a0: the homotopy's mix of a psi and a psi0 term."""
+    return s * a + (1.0 - s) * a0
 
 
 def _homotopy_pair(s, pair, pair0):
     """(Psi, d_t Psi) = s (psi, psi_t) + (1 - s) (psi0, psi0_t)."""
     (psi, psi_t), (psi0, psi0_t) = pair, pair0
-    return s * psi + (1.0 - s) * psi0, s * psi_t + (1.0 - s) * psi0_t
+    return _blend(s, psi, psi0), _blend(s, psi_t, psi0_t)
 
 
 def build_homotopy(prescription, t0=None, eps_phi=0.1):

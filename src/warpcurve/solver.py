@@ -91,7 +91,6 @@ class SolverConfig:
 class _EvalState:
     geom: object
     fvals: np.ndarray
-    fgrad: np.ndarray
     psi: np.ndarray
     psi_t: np.ndarray
     res: np.ndarray
@@ -100,10 +99,9 @@ class _EvalState:
 def _evaluate(zvals, s, hp):
     geom = compute_geometry(zvals, hp.grid, hp.profile)
     fvals = curvature.f_eval(hp.spec, geom.lam)
-    fgrad = curvature.f_grad(hp.spec, geom.lam)
     psi, psi_t = hp.psi_of(s, zvals, geom.h, geom.h1)
-    return _EvalState(geom=geom, fvals=fvals, fgrad=fgrad, psi=psi,
-                      psi_t=psi_t, res=fvals - psi)
+    return _EvalState(geom=geom, fvals=fvals, psi=psi, psi_t=psi_t,
+                      res=fvals - psi)
 
 
 def residual(z, s, hp):
@@ -126,7 +124,8 @@ def _jacobian_coefficients(state, hp):
     rng = range(n)
     p = [geom.grad[..., d] for d in rng]
     H = geom.hess
-    fi = state.fgrad
+    # f_eval has checked the cone at these eigenvalues already
+    fi = curvature.f_grad(hp.spec, geom.lam)
     fl = fi * geom.lam
     M = geom.frame_sum(fi)
     M2 = geom.frame_sum(fl)

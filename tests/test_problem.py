@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
 from warpcurve import verify
@@ -134,7 +137,7 @@ def test_drift_identity_at_s0(cosh, spec1):
     drift = hp.drift_lattice(0.0, slab)
     psi0 = hp.gauge.psi0(slab, hp.profile.eval(slab)[0])[:, None]
     assert np.abs(drift + 0.1 * psi0).max() <= 1e-15
-    raw = hp.drift_raw_lattice(0.5, slab)
+    raw = _drift_raw_lattice(hp, 0.5, slab)
     red = hp.drift_lattice(0.5, slab)
     assert np.abs(raw - red).max() <= 1e-13
 
@@ -209,14 +212,19 @@ def test_barrier_crossings_match_bisection(cosh, n, mode, eps, monkeypatch):
     else:
         p = build_prescription(cosh, spec, g, c0=np.sinh(1.0), eps=eps,
                                mode=mode, t_minus=0.5, t_plus=1.5)
-    k_of = p.k_of
-    passes = []
-    monkeypatch.setattr(p, "k_of", lambda t: passes.append(t) or k_of(t))
+    passes, levels = [], []
+    profile_eval, k_level = p.profile.eval, wc.ambient.k_level
+    monkeypatch.setattr(p.profile, "eval",
+                        lambda t: passes.append(t) or profile_eval(t))
+    monkeypatch.setattr(wc.ambient, "k_level",
+                        lambda *a: levels.append(a) or k_level(*a))
     got = barrier_crossings(p)
     monkeypatch.undo()
     ref = _bisect_crossings(p)
     for x, y in zip(got, ref):
         assert abs(x - y) <= 4 * np.spacing(y)
+    # one profile evaluation per pass: k comes from the h, h' psi uses
+    assert len(levels) == len(passes)
     # two passes check the bracket ends; bisection took 60 more
     assert len(passes) - 2 <= 13
     if eps == 0.0 and mode is not None:
@@ -290,6 +298,16 @@ def _per_term(hp, s, t, ang, coords):
             psi, psi_t, psi0, psi0_t)
 
 
+def _drift_raw_lattice(hp, s, tarr):
+    """d_t Psi + kappa Psi on (t-lattice) x nodes, termwise from the pairs."""
+    t = np.asarray(tarr)[:, None]
+    h, h1, _ = hp.profile.eval(t)
+    (psi, psi_t), (psi0, psi0_t) = (hp.prescription.psi_pair(t, h, h1),
+                                    hp.gauge.psi0_pair(t, h, h1))
+    val = s * psi + (1.0 - s) * psi0
+    return s * psi_t + (1.0 - s) * psi0_t + (h1 / h) * val
+
+
 def _problems_2d(cosh):
     g = wc.make_grid(2, 16)
     p = build_prescription(cosh, wc.CurvatureSpec(2, 1), g, form="custom",
@@ -322,14 +340,18 @@ def test_fused_psi_pairs_match_per_term_formulas(cosh, spec1):
         t = slab[:, None]
         a = np.zeros((1, grid.size)) if ang is None else p.angular[None, :]
         val, dt, psi, psi_t, _, _ = _per_term(hp, 1.0, t, a, flat[:, None, :])
-        assert np.array_equal(p.psi_lattice(slab), psi)
+        assert np.array_equal(_psi_lattice(p, slab), psi)
         assert np.array_equal(hp.psi_lattice(1.0, slab), val)
         h, h1, _ = cosh.eval(t)
-        assert np.array_equal(hp.drift_raw_lattice(1.0, slab),
+        assert np.array_equal(_drift_raw_lattice(hp, 1.0, slab),
                               dt + (h1 / h) * val)
-        expect = np.zeros_like(psi) if p.form == "radial-decay" \
-            else h1 * psi + h * psi_t
-        assert np.array_equal(p.dt_h_psi_lattice(slab), expect)
+        if p.form == "radial-decay":
+            # one column: every node's d/dt (h psi) is exactly 0
+            assert np.array_equal(p.dt_h_psi_lattice(slab),
+                                  np.zeros((slab.size, 1)))
+        else:
+            assert np.array_equal(p.dt_h_psi_lattice(slab),
+                                  h1 * psi + h * psi_t)
 
 
 def _stacked_homotopy_report(hp):
@@ -340,7 +362,9 @@ def _stacked_homotopy_report(hp):
     m2 = float(vals.min())
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
     strict_s = [s for s in S_LATTICE if s < 1.0]
-    drifts = np.stack([hp.drift_lattice(s, slab) for s in strict_s])
+    full = (slab.size, hp.grid.size)   # radial-decay drifts are one column
+    drifts = np.stack([np.broadcast_to(hp.drift_lattice(s, slab), full)
+                       for s in strict_s])
     m5 = float((-drifts).min())
     i5 = np.unravel_index(int(np.argmax(drifts)), drifts.shape)
     return [(m2, (S_LATTICE[idx[0]], float(slab[idx[1]]), int(idx[2]))),
@@ -424,30 +448,59 @@ def test_validation_error_messages(cosh, n, case):
     assert exc.value.node == _NODES[case][n - 1]
 
 
+def _psi_lattice(p, tarr):
+    """psi on (t-lattice) x (all nodes)."""
+    t = np.asarray(tarr)[:, None]
+    return p.psi(t, p.profile.eval(t)[0])
+
+
 def _lattice_margins(p):
-    """positivity and (a)-(c) reduced over the full validation lattices."""
+    """positivity and (a)-(c) reduced over the full validation lattices.
+
+    Returns the margins and the first (t, node) np.argmin (np.argmax for
+    (c)) picks on each lattice.
+    """
     below, slab, above = validation_lattices(p)
     k_below = np.asarray(p.k_of(below))[:, None]
     k_above = np.asarray(p.k_of(above))[:, None]
-    return [p.psi_lattice(slab).min(), (p.psi_lattice(below) - k_below).min(),
-            (k_above - p.psi_lattice(above)).min(),
-            p.dt_h_psi_lattice(slab).max()]
+    # radial-decay d/dt (h psi) is one column; spread it over the nodes
+    dth = np.broadcast_to(p.dt_h_psi_lattice(slab), (slab.size, p.grid.size))
+    lattices = [(_psi_lattice(p, slab), slab, np.argmin),
+                (_psi_lattice(p, below) - k_below, below, np.argmin),
+                (k_above - _psi_lattice(p, above), above, np.argmin),
+                (dth, slab, np.argmax)]
+    margins = [a.min() for a, _, _ in lattices[:3]] + [dth.max()]
+    witnesses = []
+    for a, tarr, pick in lattices:
+        it, node = np.unravel_index(int(pick(a)), a.shape)
+        witnesses.append((float(tarr[it]), int(node)))
+    return margins, witnesses
 
 
-@pytest.mark.parametrize("case", [None] + sorted(_FAILING))
-def test_prescription_rows_are_the_engine_rows(cosh, spec1, case):
-    if case is None:
-        g = wc.make_grid(1, 64)
-        p = build_prescription(cosh, spec1, g, c0=SINH1, eps=0.1, mode=1,
-                               t_minus=0.5, t_plus=1.5)
-    else:
-        p = _failing_prescription(cosh, 1, case, validate=False)
+def _assert_engine_rows(p):
+    """hypothesis_rows and homotopy (ii), (v) equal the full-lattice ones."""
     rows = verify.prescription_rows(p)
-    ref = _lattice_margins(p)
+    ref, witnesses = _lattice_margins(p)
     slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
     assert [r.value for r in rows] == ref
+    assert [r.witness for r in rows] == witnesses
     assert [r.passed for r in rows] == [m > 0 for m in ref[:3]] \
         + [ref[3] <= slack]
+    hrows = wc.build_homotopy(p).homotopy_report()
+    got = [(r.value, r.witness) for r in (hrows[0], hrows[3])]
+    assert got == _stacked_homotopy_report(wc.build_homotopy(p))
+    return rows
+
+
+def _check_prescription_rows(cosh, n, case):
+    if case is None:
+        g = wc.make_grid(n, 64 if n == 1 else 16)
+        p = build_prescription(cosh, wc.CurvatureSpec(n, 1), g, c0=SINH1,
+                               eps=0.1, mode=1 if n == 1 else (1, 1),
+                               t_minus=0.5, t_plus=1.5)
+    else:
+        p = _failing_prescription(cosh, n, case, validate=False)
+    rows = _assert_engine_rows(p)
     assert rows == list(hypothesis_rows(p))
     if case is not None:
         # validation raises the first failed row, witness included
@@ -456,3 +509,89 @@ def test_prescription_rows_are_the_engine_rows(cosh, spec1, case):
             wc.problem._validate_prescription(p)
         assert (exc.value.t, exc.value.node) == bad.witness
         assert f"{bad.value:.6g}" in str(exc.value)
+
+
+@pytest.mark.parametrize("case", [None] + sorted(_FAILING))
+def test_prescription_rows_are_the_engine_rows(cosh, case):
+    _check_prescription_rows(cosh, 1, case)
+
+
+@pytest.mark.parametrize("case", [None] + sorted(_FAILING))
+def test_prescription_rows_are_the_engine_rows_2d(cosh, case):
+    _check_prescription_rows(cosh, 2, case)
+
+
+# -- the separable (T + M) margins of the radial-decay form -----------------
+
+_PROFILES = {"cosh": wc.WarpingProfile.cosh(0.2, 3.0),
+             "exp": wc.WarpingProfile.exp(-1.0, 2.0),
+             "power": wc.WarpingProfile.power(2.0, 0.3, 3.0)}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2]), N=st.integers(16, 48),
+       modes=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       eps=st.one_of(st.just(0.0), st.floats(-0.8, 0.8)),
+       c0=st.floats(0.3, 2.0), profile=st.sampled_from(sorted(_PROFILES)),
+       lo=st.floats(0.05, 0.6), width=st.floats(0.1, 0.9))
+def test_separable_margins_equal_the_full_lattice(n, N, modes, eps, c0,
+                                                  profile, lo, width):
+    # validate=False: failing hypotheses must keep their witnesses too; a
+    # 0 frequency makes g constant, so every node ties (TorusGrid needs
+    # N >= 16)
+    prof = _PROFILES[profile]
+    t_minus = prof.t_lo + lo * (prof.t_hi - prof.t_lo)
+    t_plus = t_minus + width * (prof.t_hi - t_minus)
+    p = build_prescription(prof, wc.CurvatureSpec(n, 1), wc.make_grid(n, N),
+                           c0=c0, eps=eps, mode=modes[:n], t_minus=t_minus,
+                           t_plus=t_plus, validate=False)
+    _assert_engine_rows(p)
+
+
+@pytest.mark.parametrize("n,N,mode", [(1, 19, 3), (1, 38, 4), (2, 19, (3, 1))])
+def test_separable_witness_keeps_rounding_ties(cosh, n, N, mode):
+    # two nodes whose h psi differ by one ulp round to the same psi on
+    # some t-row: the full lattice's first argmin is not argmin(h psi)
+    p = build_prescription(cosh, wc.CurvatureSpec(n, 1), wc.make_grid(n, N),
+                           c0=SINH1, eps=0.3, mode=mode, t_minus=0.5,
+                           t_plus=1.5)
+    node = _assert_engine_rows(p)[0].witness[1]
+    key = p.h_psi()
+    assert node != np.argmin(key) and key[node] != key.min()
+
+
+def test_nan_prescription_fails_at_the_full_lattice_witness(cosh, spec1):
+    g = wc.make_grid(1, 64)
+    p = build_prescription(cosh, spec1, g, c0=SINH1, eps=float("nan"),
+                           mode=1, t_minus=0.5, t_plus=1.5, validate=False)
+    rows = list(hypothesis_rows(p))
+    _, witnesses = _lattice_margins(p)
+    assert [r.witness for r in rows] == witnesses
+    assert [np.isnan(r.value) for r in rows] == [True] * 3 + [False]
+    assert [r.passed for r in rows] == [False, False, False, True]
+    with pytest.raises(wc.ValidationError) as exc:
+        wc.problem._validate_prescription(p)
+    assert str(exc.value) == \
+        "hypothesis (positivity) violated at t=0.5, node=0: psi = nan <= 0"
+    hp = wc.build_homotopy(p)
+    rows = hp.homotopy_report()
+    (m2, w2), (m5, w5) = _stacked_homotopy_report(hp)
+    assert np.isnan(rows[0].value) and np.isnan(m2)
+    assert rows[0].witness == w2 == (0.0, 0.5, 0)
+    assert (rows[3].value, rows[3].witness) == (m5, w5)
+
+
+def test_separable_margins_allocate_no_full_lattice(cosh):
+    # n = 2, N = 128: one 257 x 16384 lattice of float64 is 33.7 MB
+    grid = wc.make_grid(2, 128)
+    spec = wc.CurvatureSpec(2, 1)
+    tracemalloc.start()
+    try:
+        p = build_prescription(cosh, spec, grid, c0=SINH1, eps=0.1,
+                               mode=(1, 1), t_minus=0.5, t_plus=1.5)
+        rows = wc.build_homotopy(p).homotopy_report()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.passed for r in rows] == [True] * 4
+    assert peak < 4e6

@@ -376,7 +376,7 @@ def _reference_jacobian(state, hp):
     grid = hp.grid
     h, h1, h2, W = geom.h, geom.h1, geom.h2, geom.W
     p = geom.grad
-    fi = state.fgrad
+    fi = curvature.f_grad(hp.spec, state.geom.lam)
     lam = geom.lam
     V = geom.g_inv_sqrt @ geom.eigvec          # g-orthonormal eigenvectors
     M = np.einsum("...ik,...k,...jk->...ij", V, fi, V)
@@ -458,6 +458,20 @@ def test_profile_is_evaluated_once_per_evaluate(n, monkeypatch):
     monkeypatch.setattr(type(hp), "psi_of", counted("psi_of", psi_of))
     solver._evaluate(z, 0.6, hp)
     assert calls == {"eval": 1, "psi_of": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_f_grad_is_computed_only_for_the_analytic_jacobian(n, monkeypatch):
+    hp, z, _ = _wavy_state(n, 2)
+    calls = []
+    f_grad = curvature.f_grad
+    monkeypatch.setattr(curvature, "f_grad",
+                        lambda *a: calls.append(a) or f_grad(*a))
+    solver._evaluate(z, 0.6, hp)
+    assemble_jacobian(z, 0.6, hp, "fd-colored")
+    assert calls == []
+    assemble_jacobian(z, 0.6, hp, "analytic")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("order", [2, 4])
