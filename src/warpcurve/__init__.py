@@ -10,21 +10,19 @@ leaves, barrier levels, cone admissibility, gauge decay).
 
 from .ambient import WarpingProfile, ambient_curvature, k_radial, kappa
 from .curvature import (CurvatureSpec, F_matrix_derivative, check_structural,
-                        f_eval, f_grad, in_cone, sym_poly)
+                        f_eval, f_grad, in_cone)
 from .errors import (BarrierViolation, BisectError, ConeError, ConfigError,
                      ContinuationStall, DomainError, FrameError, GaugeError,
                      NewtonStall, ProfileError, ShapeError, ValidationError,
                      WarpcurveError)
-from .geometry import (GraphGeometry, compute_geometry, fields_csv,
-                       special_frame_check, support_identity_check)
-from .grid import (NodeField, TorusGrid, derivatives, load_field, make_grid,
-                   random_smooth, reduce, save_field)
-from .oracle import OracleReport, eig2_oracle, fd_gradcheck, fd_jacobian
-from .problem import (Gauge, HomotopyProblem, Prescription, barrier_crossings,
+from .geometry import (compute_geometry, special_frame_check,
+                       support_identity_check)
+from .grid import NodeField, make_grid, random_smooth, reduce
+from .oracle import OracleReport, fd_gradcheck
+from .problem import (Gauge, HomotopyProblem, barrier_crossings,
                       build_homotopy, build_phi, build_prescription)
-from .solver import (ManufacturedProblem, NewtonStats, SolveReport,
-                     SolverConfig, StepRecord, assemble_jacobian,
-                     build_manufactured, continuation,
-                     manufactured_residual_norm, newton_solve, residual)
+from .solver import (SolverConfig, assemble_jacobian, build_manufactured,
+                     continuation, manufactured_residual_norm, newton_solve,
+                     residual)
 
 __version__ = "0.1.0"

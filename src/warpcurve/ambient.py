@@ -186,10 +186,7 @@ def k_radial(profile, spec, t):
     equals kappa(t) for every order r.
     """
     h, h1, _ = profile.eval(t)
-    out = k_level(spec, h, h1)
-    if np.ndim(t) == 0 and np.isscalar(out) is False and np.ndim(out) == 0:
-        return float(out)
-    return out
+    return k_level(spec, h, h1)
 
 
 def ambient_curvature(profile, t):

@@ -63,15 +63,14 @@ def sym_poly(lam, q):
 def _sym_poly_reduced(lam, q):
     """S_q(lam | i) with entry i omitted, shape batch + (n,).
 
-    Uses e_q(lam) = e_q(lam|i) + lam_i e_{q-1}(lam|i) upward in q.
+    Summed over the other entries directly: the recurrence
+    e_q(lam|i) = e_q(lam) - lam_i e_{q-1}(lam|i) cancels when lam_i
+    dominates.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
-    red = np.ones(lam.shape[:-1] + (n,))
-    for m in range(1, q + 1):
-        full = np.asarray(sym_poly(lam, m))
-        red = full[..., None] - lam * red
-    return red
+    return np.stack([np.asarray(sym_poly(lam[..., np.arange(n) != i], q))
+                     for i in range(n)], axis=-1)
 
 
 def cone_margin(spec, lam):

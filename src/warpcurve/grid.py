@@ -2,6 +2,11 @@
 finite-difference stencils of order 2 or 4, their weights derived from
 moment conditions.
 
+The weight tables _W1/_W2 are the one stencil source: the roll path
+(d1, d2, gradient, hessian) applies them, and the fixed CSR layout of
+every sparse matrix (stencil_pattern, pattern_matrix), its footprint and
+per-operator weights are derived from them in closed form.
+
 Node ordering is fixed once and for all: axis 0 varies fastest (Fortran
 ravel), so the Jacobian sparsity pattern and all serialized dumps are
 deterministic.  On the flat base, frame components of z_i and z_ij
@@ -72,7 +77,6 @@ class TorusGrid:
         self.dx = self.L / self.N
         self.shape = (self.N,) * self.n
         self.size = self.N ** self.n
-        self._ops = {}
         self._coloring = None
         self._pattern = None
 
@@ -130,49 +134,49 @@ class TorusGrid:
 
     # -- sparse operators (same weights as the roll path) --------------------
 
-    def _circulant(self, weights, scale):
-        N = self.N
-        rows, cols, data = [], [], []
-        idx = np.arange(N)
-        for off, w in weights.items():
-            rows.append(idx)
-            cols.append((idx + off) % N)
-            data.append(np.full(N, w * scale))
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N, N))
+    def _stencils(self):
+        """Stencil (offset tuple -> weight) of each pattern operator.
 
-    def _kron(self, mat, axis):
-        # flat index = i0 + N*i1 (axis 0 fastest): axis-0 ops are the inner
-        # kron factor, axis-1 ops the outer one
-        if self.n == 1:
-            return mat
-        eye = sp.identity(self.N, format="csr")
-        return sp.kron(eye, mat, "csr") if axis == 0 else sp.kron(mat, eye, "csr")
+        Identity, d1 per axis, d2 per axis, then d11 at n = 2: _W1/_W2
+        times 1/dx and 1/dx**2 (the roll path's scales), and for d11 the
+        products of the scaled d1 weights.
+        """
+        n = self.n
+        w1 = {o: w * (1.0 / self.dx) for o, w in _W1[self.order].items()}
+        w2 = {o: w * (1.0 / self.dx ** 2) for o, w in _W2[self.order].items()}
+
+        def along(weights, axis):
+            return {tuple(o if d == axis else 0 for d in range(n)): w
+                    for o, w in weights.items()}
+
+        out = [{(0,) * n: 1.0}]
+        out += [along(w1, d) for d in range(n)]
+        out += [along(w2, d) for d in range(n)]
+        if n == 2:
+            out.append({(a, b): wa * wb for a, wa in w1.items()
+                        for b, wb in w1.items()})
+        return out
+
+    def _operator(self, row, axis):
+        if not 0 <= axis < self.n:
+            raise ConfigError(f"axis must be in [0, {self.n}), got {axis}")
+        # constant coefficients: every row holds the operator's pattern weights
+        weights = self.stencil_pattern()[2][row + axis]
+        return self.pattern_matrix(np.tile(weights, self.size))
 
     def d1_matrix(self, axis=0):
-        key = ("d1", axis)
-        if key not in self._ops:
-            c = self._circulant(_W1[self.order], 1.0 / self.dx)
-            self._ops[key] = self._kron(c, axis)
-        return self._ops[key]
+        """Sparse first derivative along an axis, in the fixed layout."""
+        return self._operator(1, axis)
 
     def d2_matrix(self, axis=0):
-        key = ("d2", axis)
-        if key not in self._ops:
-            c = self._circulant(_W2[self.order], 1.0 / self.dx ** 2)
-            self._ops[key] = self._kron(c, axis)
-        return self._ops[key]
+        """Sparse second derivative along an axis, in the fixed layout."""
+        return self._operator(1 + self.n, axis)
 
     def d11_matrix(self):
-        """Mixed second derivative (n = 2 only)."""
+        """Sparse mixed second derivative (n = 2 only), in the fixed layout."""
         if self.n != 2:
             raise ConfigError("mixed derivative needs n = 2")
-        key = ("d11",)
-        if key not in self._ops:
-            c = self._circulant(_W1[self.order], 1.0 / self.dx)
-            self._ops[key] = sp.kron(c, c, "csr")
-        return self._ops[key]
+        return self._operator(5, 0)
 
     # -- flattening, footprint, coloring -------------------------------------
 
@@ -183,21 +187,8 @@ class TorusGrid:
         return np.asarray(flat).reshape(self.shape, order="F")
 
     def stencil_footprint(self):
-        """Offsets (tuples) of nodes the residual at a node depends on."""
-        d1_offs = sorted(_W1[self.order])
-        d2_offs = sorted(_W2[self.order])
-        offs = set()
-        if self.n == 1:
-            offs.update((o,) for o in d1_offs + d2_offs + [0])
-        else:
-            offs.add((0, 0))
-            for o in d1_offs + d2_offs:
-                offs.add((o, 0))
-                offs.add((0, o))
-            for a in d1_offs:
-                for b in d1_offs:
-                    offs.add((a, b))
-        return sorted(offs)
+        """Offsets (tuples) the residual at a node depends on, sorted."""
+        return sorted(set().union(*self._stencils()))
 
     def stencil_pattern(self):
         """Fixed CSR layout of operators supported on the stencil footprint.
@@ -207,28 +198,35 @@ class TorusGrid:
         in this layout reshapes to (size, n_offsets) with one column per
         offset.  Returns (indices, indptr, weights); weights has one row
         per operator -- identity, d1 per axis, d2 per axis, then d11 at
-        n = 2 -- holding its coefficient at each offset, read off the
-        first row of the (circulant) sparse operator.  The arrays are
-        cached and read-only.
+        n = 2 -- holding its coefficient at each offset (0 off its
+        stencil).  The arrays are cached and read-only.
         """
         if self._pattern is None:
-            foot = np.array(self.stencil_footprint())            # (n_off, n)
-            nodes = np.indices(self.shape).reshape(self.n, -1, order="F")
-            cols = (nodes[:, :, None] + foot.T[:, None, :]) % self.N
-            flat = cols[0] + self.N * cols[1] if self.n == 2 else cols[0]
-            indices = flat.ravel().astype(np.int32)
+            foot = self.stencil_footprint()
+            weights = np.array([[st.get(o, 0.0) for o in foot]
+                                for st in self._stencils()])
+            offs = np.array(foot, dtype=np.int32)
+            idx = np.arange(self.N, dtype=np.int32)
+            # per axis, the wrapped index of i + o for every offset o
+            wrap = [(idx[:, None] + offs[:, d]) % self.N
+                    for d in range(self.n)]
+            # flat index = i0 + N*i1 (axis 0 fastest): rows run over i1
+            # outside, i0 inside
+            flat = wrap[0] if self.n == 1 else \
+                wrap[0][None] + self.N * wrap[1][:, None]
+            indices = flat.ravel()
             indptr = np.arange(0, indices.size + 1, len(foot), dtype=np.int32)
-            ops = [sp.identity(self.size, format="csr")]
-            ops += [self.d1_matrix(d) for d in range(self.n)]
-            ops += [self.d2_matrix(d) for d in range(self.n)]
-            if self.n == 2:
-                ops.append(self.d11_matrix())
-            first = indices[:len(foot)]
-            weights = np.array([op[0].toarray()[0, first] for op in ops])
             for arr in (indices, indptr, weights):
                 arr.flags.writeable = False
             self._pattern = (indices, indptr, weights)
         return self._pattern
+
+    def pattern_matrix(self, data):
+        """CSR matrix in the fixed layout from (size, n_offsets) data."""
+        indices, indptr, _ = self.stencil_pattern()
+        # own copies of the index arrays: scipy may sort or prune in place
+        return sp.csr_matrix((np.ravel(data), indices.copy(), indptr.copy()),
+                             shape=(self.size, self.size))
 
     def coloring(self):
         """Column coloring for finite-difference Jacobians.

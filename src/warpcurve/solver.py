@@ -17,8 +17,9 @@ the per-node sensitivities to (z, grad z, hess z) are one coefficient per
 stencil operator.  J is assembled straight into the grid's fixed CSR
 layout (TorusGrid.stencil_pattern: row i holds the columns i + o in
 footprint order), its entry at offset o being the sum of coefficient
-times operator weight at o.  The colored finite-difference Jacobian
-writes into the same layout.
+times operator weight at o, the weights derived by the grid from its
+stencil tables.  The colored finite-difference Jacobian writes into the
+same layout; TorusGrid.pattern_matrix builds both.
 
 Each Newton step solves J delta = -R.  At n = 1 J is a periodic band
 matrix: the band of half-width b (the stencil radius) plus b wrapped
@@ -55,7 +56,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import curvature
@@ -147,14 +147,6 @@ def _jacobian_coefficients(state, hp):
     return [c_z - state.psi_t] + c_grad + c_hess
 
 
-def _pattern_matrix(data, grid):
-    """CSR matrix with (size, n_offsets) data in the grid's stencil layout."""
-    indices, indptr, _ = grid.stencil_pattern()
-    # own copies of the index arrays: scipy may sort or prune in place
-    return sp.csr_matrix((data.ravel(), indices.copy(), indptr.copy()),
-                         shape=(grid.size, grid.size))
-
-
 def _analytic_jacobian(state, hp):
     grid = hp.grid
     coef = [grid.flatten(c) for c in _jacobian_coefficients(state, hp)]
@@ -168,7 +160,7 @@ def _analytic_jacobian(state, hp):
         data[k] = terms[0]
         for t in terms[1:]:
             data[k] += t
-    return _pattern_matrix(data.T, grid)
+    return grid.pattern_matrix(data.T)
 
 
 def _fd_colored_jacobian(zvals, s, hp, step):
@@ -186,7 +178,7 @@ def _fd_colored_jacobian(zvals, s, hp, step):
         # quotient is the entry at that column's slot
         dr = (rp - rm) / (2.0 * step)
         np.copyto(data, dr[:, None], where=slot_colors == c)
-    return _pattern_matrix(data, grid)
+    return grid.pattern_matrix(data)
 
 
 def assemble_jacobian(z, s, hp, mode="analytic", cfg=None):

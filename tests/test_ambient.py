@@ -57,6 +57,7 @@ def test_k_radial_exp_is_one():
     spec = wc.CurvatureSpec(n=1, r=1)
     for t in (-1.0, 0.0, 1.3):
         assert k_radial(prof, spec, t) == pytest.approx(1.0, rel=1e-15)
+    assert type(k_radial(prof, spec, 1.0)) is float
 
 
 def test_ambient_curvature_coefficients():

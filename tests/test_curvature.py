@@ -59,6 +59,14 @@ def test_f_grad_schur_ordering():
     assert np.all(g[:, 0] <= g[:, 1] + 1e-14)
 
 
+def test_f_grad_euler_relation_with_a_dominant_eigenvalue():
+    # S_1(lam|1) = lam_0 must not be formed as (lam_0 + lam_1) - lam_1,
+    # which loses about ulp(372) of the small entry
+    spec = CurvatureSpec(2, 2)
+    lam = np.array([1.596e-3, 372.1])
+    assert abs((f_grad(spec, lam) * lam).sum() - f_eval(spec, lam)) <= 1e-12
+
+
 def test_matrix_derivative_diagonal_and_umbilic():
     spec = CurvatureSpec(2, 2)
     F = matrix_derivative(spec, np.diag([3.0, 1.0]))

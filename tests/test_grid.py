@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import warpcurve as wc
 from warpcurve.grid import (_W1, _W2, NodeField, derivatives, load_field,
@@ -150,6 +151,86 @@ def test_sparse_operators_match_roll_stencils():
             mixed = g.d1(g.d1(z, 0), 1)
             assert np.allclose(g.d11_matrix() @ flat, g.flatten(mixed),
                                atol=1e-12)
+
+
+def _ref_circulant(N, weights, scale):
+    idx = np.arange(N)
+    rows = np.concatenate([idx] * len(weights))
+    cols = np.concatenate([(idx + o) % N for o in weights])
+    data = np.concatenate([np.full(N, w * scale) for w in weights.values()])
+    return sp.csr_matrix((data, (rows, cols)), shape=(N, N))
+
+
+def _ref_operators(g):
+    """identity, d1 per axis, d2 per axis, d11: kron of 1D circulants."""
+    c1 = _ref_circulant(g.N, _W1[g.order], 1.0 / g.dx)
+    c2 = _ref_circulant(g.N, _W2[g.order], 1.0 / g.dx ** 2)
+    eye = sp.identity(g.N, format="csr")
+    if g.n == 1:
+        return [eye, c1, c2]
+    # flat index i0 + N*i1: axis-0 operators are the inner kron factor
+    return [sp.identity(g.size, format="csr"),
+            sp.kron(eye, c1, "csr"), sp.kron(c1, eye, "csr"),
+            sp.kron(eye, c2, "csr"), sp.kron(c2, eye, "csr"),
+            sp.kron(c1, c1, "csr")]
+
+
+def _ref_footprint(g):
+    """Identity, d1 and d2 along each axis and, at n = 2, d1 x d1."""
+    d1_offs = sorted(_W1[g.order])
+    d2_offs = sorted(_W2[g.order])
+    if g.n == 1:
+        return sorted({(o,) for o in d1_offs + d2_offs + [0]})
+    offs = {(0, 0)}
+    for o in d1_offs + d2_offs:
+        offs.update({(o, 0), (0, o)})
+    offs.update((a, b) for a in d1_offs for b in d1_offs)
+    return sorted(offs)
+
+
+def _ref_indices(g):
+    foot = np.array(_ref_footprint(g))
+    nodes = np.indices(g.shape).reshape(g.n, -1, order="F")
+    cols = (nodes[:, :, None] + foot.T[:, None, :]) % g.N
+    flat = cols[0] + g.N * cols[1] if g.n == 2 else cols[0]
+    return flat.ravel()
+
+
+# N % (order + 1) != 0 except at N = 18, order 2 and N = 20, order 4
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 17), (1, 18), (1, 20), (1, 33),
+                                 (2, 16), (2, 17), (2, 18), (2, 20)])
+def test_pattern_is_derived_from_the_stencil_tables(n, N, order):
+    g = wc.make_grid(n, N, order=order)
+    foot = _ref_footprint(g)
+    assert g.stencil_footprint() == foot
+    indices, indptr, weights = g.stencil_pattern()
+    assert np.array_equal(indices, _ref_indices(g))
+    assert np.array_equal(indptr, np.arange(0, g.size + 1) * len(foot))
+    ops = _ref_operators(g)
+    # each operator's weight at an offset o is its entry (0, o)
+    first = indices[:len(foot)]
+    ref_weights = np.array([op[0].toarray()[0, first] for op in ops])
+    assert np.array_equal(weights, ref_weights)
+    mine = [g.d1_matrix(d) for d in range(n)] + [g.d2_matrix(d)
+                                                 for d in range(n)]
+    if n == 2:
+        mine.append(g.d11_matrix())
+    for op, ref in zip(mine, ops[1:]):
+        assert op.nnz == g.size * len(foot)
+        assert np.array_equal(op.toarray(), ref.toarray())
+
+
+def test_operator_matrices_reject_bad_axes():
+    g1, g2 = wc.make_grid(1, 16), wc.make_grid(2, 16)
+    with pytest.raises(wc.ConfigError):
+        g1.d11_matrix()
+    for bad in (g1.d1_matrix, g1.d2_matrix):
+        with pytest.raises(wc.ConfigError):
+            bad(1)
+    for bad in (g2.d1_matrix, g2.d2_matrix):
+        with pytest.raises(wc.ConfigError):
+            bad(2)
 
 
 # N % (order + 1) != 0 in every case: the last axis blocks are longer

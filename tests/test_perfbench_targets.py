@@ -1,21 +1,42 @@
-"""The traced benchmark wraps warpcurve attributes by name.
+"""The benchmark calls warpcurve by name.
 
 perfbench/layers.py looks each wrapped attribute up with getattr when a
-traced run starts; a renamed one would break ``perfbench/run.py --trace 1``
-without failing any library test, so every target is checked here.
+traced run starts, and perfbench/workloads.py's ``setup`` calls the grid's
+operator API; a renamed or broken one would break ``perfbench/run.py``
+without failing any other library test, so both are checked here.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_attribute_exists():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load("layers")
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in layers.targets()
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("n,N,r,mode", [(1, 32, 1, (2,)), (2, 16, 2, (1, 2))])
+def test_workload_setup_runs_on_small_cases(n, N, r, mode):
+    workloads = _load("workloads")
+    presc, hp = workloads.setup(workloads.Case(n, N, r, mode, 0.1),
+                                color=True)
+    assert hp.grid.shape == (N,) * n
+    assert presc.grid is hp.grid

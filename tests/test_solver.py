@@ -505,7 +505,7 @@ def test_pattern_is_cached_and_read_only():
     assert grid.stencil_pattern()[0] is indices
     with pytest.raises(ValueError):
         indices[0] = 0
-    J = solver._pattern_matrix(np.ones((grid.size, weights.shape[1])), grid)
+    J = grid.pattern_matrix(np.ones((grid.size, weights.shape[1])))
     J.sort_indices()                           # mutates J's own copy only
     assert np.array_equal(grid.stencil_pattern()[0], indices)
 
