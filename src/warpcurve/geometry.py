@@ -309,35 +309,54 @@ def special_frame_check(geom, node):
     frame formulas (diagonal metric), and reports the maximum deviation
     from the rotated general-formula operator g^{-1} a.
     """
-    gvec = np.atleast_1d(geom.grad[node])
-    norm = float(np.sqrt((gvec ** 2).sum()))
-    if norm < _FRAME_TOL:
-        raise FrameError(f"|grad z| = {norm:.3e} at node {node}: "
+    A_sp, A_gen = _special_frame(geom, tuple(np.atleast_1d(i) for i in node))
+    return SpecialFrameReport(node=node,
+                              deviation=float(np.abs(A_sp - A_gen).max()),
+                              special=A_sp[0], general=A_gen[0])
+
+
+def special_frame_deviations(geom, idx):
+    """special_frame_check's deviation at each node of the index arrays."""
+    A_sp, A_gen = _special_frame(geom, idx)
+    return np.abs(A_sp - A_gen).max(axis=(-2, -1))
+
+
+def _special_frame(geom, idx):
+    """Special-frame and rotated general shape operators, each (k, n, n).
+
+    idx holds one index array of length k per grid axis.  Raises
+    FrameError at the first node where grad z vanishes.
+    """
+    grad = geom.grad[idx]
+    norm = np.sqrt((grad ** 2).sum(axis=-1))
+    bad = norm < _FRAME_TOL
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        node = tuple(int(i[k]) for i in idx)
+        raise FrameError(f"|grad z| = {norm[k]:.3e} at node {node}: "
                          "special frame undefined")
     n = geom.grid.n
     if n == 1:
-        R = np.array([[1.0 if gvec[0] > 0 else -1.0]])
+        R = np.where(grad > 0, 1.0, -1.0)[..., None]
     else:
-        e1 = gvec / norm
-        R = np.array([[e1[0], e1[1]], [-e1[1], e1[0]]])
-    Ht = R @ np.atleast_2d(geom.hess[node]) @ R.T
-    h = float(geom.h[node])
-    h1 = float(geom.h1[node])
-    W = float(geom.W[node])
+        e0, e1 = (grad / norm[:, None]).T
+        R = np.stack([np.stack([e0, e1], axis=-1),
+                      np.stack([-e1, e0], axis=-1)], axis=-2)
+    Rt = np.swapaxes(R, -1, -2)
+    Ht = R @ geom.hess[idx] @ Rt
+    h, h1, W = geom.h[idx], geom.h1[idx], geom.W[idx]
     z1 = norm
-    A_sp = np.empty((n, n))
-    A_sp[0, 0] = (-h * Ht[0, 0] + 2.0 * h1 * z1 * z1 + h * h * h1) / W ** 3
+    A_sp = np.empty(Ht.shape)
+    A_sp[:, 0, 0] = (-h * Ht[:, 0, 0] + 2.0 * h1 * z1 * z1 + h * h * h1) \
+        / W ** 3
     for j in range(1, n):
-        A_sp[0, j] = -h * Ht[0, j] / W ** 3
-        A_sp[j, 0] = -Ht[j, 0] / (h * W)
+        A_sp[:, 0, j] = -h * Ht[:, 0, j] / W ** 3
+        A_sp[:, j, 0] = -Ht[:, j, 0] / (h * W)
     for i in range(1, n):
         for j in range(1, n):
-            A_sp[i, j] = (-h * Ht[i, j] + (h * h * h1 if i == j else 0.0)) \
-                / (h * h * W)
-    A_gen = R @ np.atleast_2d(geom.A[node]) @ R.T
-    dev = float(np.abs(A_sp - A_gen).max())
-    return SpecialFrameReport(node=node, deviation=dev, special=A_sp,
-                              general=A_gen)
+            A_sp[:, i, j] = (-h * Ht[:, i, j]
+                             + (h * h * h1 if i == j else 0.0)) / (h * h * W)
+    return A_sp, R @ geom.A[idx] @ Rt
 
 
 def support_identity_check(geom):

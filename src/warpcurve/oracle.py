@@ -69,45 +69,56 @@ def _fd_dense(zvals, s, hp, step):
 
 
 def fd_gradcheck(spec, lam, step=1e-6):
-    """Central finite differences of f_eval against f_grad at one point."""
+    """Central finite differences of f_eval against f_grad.
+
+    lam is one point (n,) or a batch (..., n).  Every probe at +-10 step
+    along each axis must stay in the cone, else ConeError names the first
+    offending point before anything is evaluated.  The reported location
+    is the worst coordinate for one point and the index (point...,
+    coordinate) for a batch.
+    """
     lam = np.asarray(lam, dtype=float)
-    for i in range(spec.n):
-        for sign in (+1.0, -1.0):
-            probe = lam.copy()
-            probe[i] += sign * 10.0 * step
-            if not curvature.in_cone(spec, probe):
-                raise ConeError(
-                    f"lambda too close to the cone boundary for step {step:g}")
+    eye = np.eye(spec.n)
+    guard = lam[..., None, None, :] \
+        + np.array([1.0, -1.0])[:, None, None] * (10.0 * step) * eye
+    outside = ~curvature.in_cone(spec, guard).all(axis=(-2, -1))
+    if np.any(outside):
+        point = _index(np.argmax(outside), outside.shape)
+        where = f" at point {point}" if point else ""
+        raise ConeError(
+            f"lambda too close to the cone boundary for step {step:g}{where}",
+            node=point or None)
     grad = curvature.f_grad(spec, lam)
-    fd = np.empty(spec.n)
-    for i in range(spec.n):
-        lp = lam.copy()
-        lp[i] += step
-        lm = lam.copy()
-        lm[i] -= step
-        fd[i] = (curvature.f_eval(spec, lp) - curvature.f_eval(spec, lm)) \
-            / (2.0 * step)
+    fd = (curvature.f_eval(spec, lam[..., None, :] + step * eye)
+          - curvature.f_eval(spec, lam[..., None, :] - step * eye)) \
+        / (2.0 * step)
     abs_err = np.abs(fd - grad)
     rel_err = abs_err / np.maximum(np.abs(grad), 1e-300)
-    worst = int(np.argmax(rel_err))
+    worst = _index(np.argmax(rel_err), rel_err.shape)
     return OracleReport(quantity="f_grad vs central FD",
                         max_abs_err=float(abs_err.max()),
                         max_rel_err=float(rel_err[worst]),
-                        location=worst)
+                        location=worst[0] if lam.ndim == 1 else worst)
+
+
+def _index(flat, shape):
+    return tuple(int(i) for i in np.unravel_index(flat, shape))
 
 
 def eig2_oracle(m):
-    """Closed-form eigenpair of a symmetric 2x2 matrix (half-angle form).
+    """Closed-form eigenpairs of symmetric 2x2 matrices (half-angle form).
 
-    Returns eigenvalues sorted descending and the rotation Q whose columns
-    are the matching eigenvectors.
+    m is (..., 2, 2).  Returns eigenvalues (..., 2) sorted descending and
+    the rotations Q (..., 2, 2) whose columns are the matching
+    eigenvectors.
     """
     m = np.asarray(m, dtype=float)
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
     mean = 0.5 * (a + c)
     rad = np.hypot(0.5 * (a - c), b)
-    lam = np.array([mean + rad, mean - rad])
+    lam = np.stack([mean + rad, mean - rad], axis=-1)
     theta = 0.5 * np.arctan2(2.0 * b, a - c)
     co, si = np.cos(theta), np.sin(theta)
-    Q = np.array([[co, -si], [si, co]])
+    Q = np.stack([np.stack([co, -si], axis=-1),
+                  np.stack([si, co], axis=-1)], axis=-2)
     return lam, Q

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
-from warpcurve.curvature import (CurvatureSpec, check_structural, f_eval,
+from warpcurve import verify
+from warpcurve.curvature import (EIG_PAIR_TOL, CurvatureSpec,
+                                 _cluster_average, check_structural, f_eval,
                                  f_grad, in_cone, matrix_derivative,
                                  sample_cone, sym_poly)
+from warpcurve.oracle import fd_gradcheck
 
 
 def test_spec_validation():
@@ -110,6 +114,60 @@ def test_matrix_derivative_matches_fd_on_random_cone_matrices():
     assert worst <= 1e-6
 
 
+def _random_cone_matrices(spec, rng, count):
+    lam = sample_cone(spec, rng, count, 0.5, 2.0)
+    th = rng.uniform(0, 2 * np.pi, size=count)
+    Q = np.stack([np.stack([np.cos(th), -np.sin(th)], axis=-1),
+                  np.stack([np.sin(th), np.cos(th)], axis=-1)], axis=-2)
+    return (Q * lam[:, None, :]) @ np.swapaxes(Q, -1, -2)
+
+
+def test_stacked_matrix_derivative_equals_per_matrix_calls():
+    spec = CurvatureSpec(2, 2)
+    m = _random_cone_matrices(spec, np.random.default_rng(12), 60)
+    # near-umbilic and umbilic matrices take the cluster-average branch
+    m = np.concatenate([m, [[[0.8 + 5e-13, 1e-13], [1e-13, 0.8]],
+                            np.diag([0.8, 0.8])]])
+    F = matrix_derivative(spec, m)
+    for k in range(len(m)):
+        Fk = matrix_derivative(spec, m[k])
+        assert np.abs(F[k] - Fk).max() <= 1e-14 * np.abs(Fk).max()
+    grid = matrix_derivative(spec, m.reshape(2, 31, 2, 2))
+    assert np.array_equal(grid.reshape(F.shape), F)
+
+
+def _cluster_average_loop(lam, vals, tol=EIG_PAIR_TOL):
+    vals = np.array(vals, dtype=float)
+    start = 0
+    for i in range(1, len(lam) + 1):
+        if i == len(lam) or abs(lam[i] - lam[i - 1]) > tol:
+            if i - start > 1:
+                vals[start:i] = vals[start:i].mean()
+            start = i
+    return vals
+
+
+def test_cluster_average_matches_the_per_row_loop():
+    lam = np.array([[3.0, 2.0, 1.0], [2.0, 2.0 - 1e-12, 1.0],
+                    [2.0, 1.0 + 1e-11, 1.0], [1.0, 1.0, 1.0],
+                    [1.0, 1.0 - 6e-10, 1.0 - 1.2e-9]])
+    vals = np.random.default_rng(6).uniform(0.5, 2.0, size=lam.shape)
+    out = _cluster_average(lam, vals)
+    for row in range(len(lam)):
+        assert np.array_equal(out[row],
+                              _cluster_average_loop(lam[row], vals[row]))
+    assert np.array_equal(out[0], vals[0])
+
+
+def test_verify_stacked_fd_matches_the_per_matrix_reference():
+    spec = CurvatureSpec(2, 2)
+    m = _random_cone_matrices(spec, np.random.default_rng(13), 20)
+    fd = verify._fd_matrix_derivative(spec, m)
+    for k in range(len(m)):
+        ref = _fd_matrix_derivative(spec, m[k])
+        assert np.abs(fd[k] - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
 def test_F_matrix_derivative_on_geometry():
     prof = wc.WarpingProfile.cosh(0.2, 3.0)
     grid = wc.make_grid(2, 16)
@@ -180,3 +238,18 @@ def test_cone_error_carries_node():
     with pytest.raises(wc.ConeError) as exc:
         f_eval(spec, lam)
     assert exc.value.node == (2, 3)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       nr=st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+def test_gradient_euler_and_homogeneity_on_random_cone_points(seed, nr):
+    spec = CurvatureSpec(*nr)
+    rng = np.random.default_rng(seed)
+    lam = sample_cone(spec, rng, 200, 0.5, 2.0)
+    assert fd_gradcheck(spec, lam).max_rel_err <= 1e-6
+    euler = (f_grad(spec, lam) * lam).sum(axis=-1) - f_eval(spec, lam)
+    assert np.abs(euler).max() <= 1e-12
+    c = rng.uniform(0.5, 2.0, size=200)
+    hom = f_eval(spec, lam * c[:, None]) - c * f_eval(spec, lam)
+    assert np.abs(hom).max() <= 1e-12

@@ -3,7 +3,8 @@ import pytest
 
 import warpcurve as wc
 from warpcurve.geometry import (compute_geometry, eig2_sym, fields_csv,
-                                special_frame_check, support_identity_check)
+                                special_frame_check, special_frame_deviations,
+                                support_identity_check)
 from warpcurve.grid import NodeField, random_smooth
 
 from conftest import SINH1
@@ -112,6 +113,30 @@ def test_special_frame_n1_and_errors(cosh_profile):
     const = compute_geometry(NodeField.constant(g, 1.0), g, cosh_profile)
     with pytest.raises(wc.FrameError):
         special_frame_check(const, (7,))
+
+
+@pytest.mark.parametrize("n,N", [(1, 128), (2, 32)])
+def test_special_frame_batch_matches_per_node_calls(cosh_profile, n, N):
+    g = wc.make_grid(n, N)
+    rng = np.random.default_rng(22)
+    geom = compute_geometry(1.0 + random_smooth(g, rng, 0.12), g,
+                            cosh_profile)
+    nodes = rng.integers(N, size=(300, n))
+    dev = special_frame_deviations(geom, tuple(nodes.T))
+    single = [special_frame_check(geom, tuple(node)).deviation
+              for node in nodes]
+    assert np.abs(dev - single).max() <= 1e-15
+    assert dev.max() <= 1e-10
+
+
+def test_special_frame_batch_names_the_first_flat_node(cosh_profile):
+    g = wc.make_grid(2, 32)
+    z = 1.0 + 0.1 * np.sin(g.coords()[0])
+    geom = compute_geometry(z, g, cosh_profile)
+    # grad z = (0.1 cos x, 0) vanishes on the row x = pi/2, index 8
+    with pytest.raises(wc.FrameError, match=r"at node \(8, 9\)"):
+        special_frame_deviations(geom, (np.array([3, 8, 8]),
+                                        np.array([4, 9, 2])))
 
 
 def test_support_identities_constant_slice(cosh_profile):

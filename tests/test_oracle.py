@@ -82,6 +82,55 @@ def test_gradcheck_cone_margin():
         fd_gradcheck(spec, np.array([1.0, 1e-7]), step=1e-6)
 
 
+def test_gradcheck_batch_rejects_a_boundary_point_before_evaluating(
+        monkeypatch):
+    spec = wc.CurvatureSpec(2, 2)
+    lam = sample_cone(spec, np.random.default_rng(4), 6, 0.5, 2.0)
+    lam = np.insert(lam, 3, [1.0, 1e-7], axis=0)
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("f evaluated before the cone guard")
+
+    monkeypatch.setattr(wc.curvature, "f_grad", evaluated)
+    monkeypatch.setattr(wc.curvature, "f_eval", evaluated)
+    with pytest.raises(wc.ConeError) as exc:
+        fd_gradcheck(spec, lam, step=1e-6)
+    assert exc.value.node == (3,)
+    assert "at point (3,)" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gradcheck_batch_is_bit_identical_to_per_point_calls_at_r1(n):
+    # r = 1 takes no fractional power, so the batch and a single point run
+    # the same correctly rounded arithmetic
+    spec = wc.CurvatureSpec(n, 1)
+    lam = sample_cone(spec, np.random.default_rng(40 + n), 300, 0.5, 2.0)
+    batch = fd_gradcheck(spec, lam)
+    single = [fd_gradcheck(spec, p) for p in lam]
+    rel = [rep.max_rel_err for rep in single]
+    point = int(np.argmax(rel))
+    assert batch.max_rel_err == rel[point]
+    assert batch.max_abs_err == max(rep.max_abs_err for rep in single)
+    assert batch.location == (point, single[point].location)
+    grid_batch = fd_gradcheck(spec, lam.reshape(20, 15, n))
+    assert grid_batch.max_rel_err == batch.max_rel_err
+    assert grid_batch.location == (point // 15, point % 15,
+                                   single[point].location)
+
+
+def test_eig2_stacked_equals_per_matrix_calls():
+    rng = np.random.default_rng(32)
+    a, b, c = rng.normal(size=(3, 6, 5))
+    m = np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)],
+                 axis=-2)
+    lam, Q = eig2_oracle(m)
+    assert lam.shape == (6, 5, 2) and Q.shape == (6, 5, 2, 2)
+    for idx in np.ndindex(6, 5):
+        lam1, Q1 = eig2_oracle(m[idx])
+        assert np.array_equal(lam[idx], lam1)
+        assert np.array_equal(Q[idx], Q1)
+
+
 def test_eig2_identity_and_diagonal():
     lam, Q = eig2_oracle(np.eye(2))
     assert np.allclose(lam, [1.0, 1.0]) and np.allclose(Q, np.eye(2))

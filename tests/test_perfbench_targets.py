@@ -40,3 +40,15 @@ def test_workload_setup_runs_on_small_cases(n, N, r, mode):
                                 color=True)
     assert hp.grid.shape == (N,) * n
     assert presc.grid is hp.grid
+
+
+@pytest.mark.parametrize("seed", [7, 913, 926])
+def test_verify_workload_passes_every_row(seed, tmp_path):
+    # seeds 913 and 926 sample a state with a dominant eigenvalue, where
+    # the Euler row is most sensitive to the rounding of f_grad; a failed
+    # row counts as a failed benchmark operation
+    workloads = _load("workloads")
+    case, = workloads.draw_cases("verify2d", seed)
+    rows = workloads.op_verify2d(case, workloads.Rep(), tmp_path)
+    assert workloads.check_verify(case, rows, None) == []
+    assert len(rows) == 33
