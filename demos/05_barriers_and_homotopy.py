@@ -39,11 +39,7 @@ for row in hp.homotopy_report():
           f"{'ok' if row.passed else 'VIOLATED'}")
 
 print("\nwith eps_phi = 0 the drift condition degenerates (negative control):")
-from warpcurve.problem import Gauge, HomotopyProblem
-hp0 = HomotopyProblem(prescription=p, profile=prof, spec=spec, grid=grid,
-                      gauge=Gauge(profile=prof, spec=spec, t0=hp.t0,
-                                  eps_phi=0.0),
-                      t0=hp.t0, eps_phi=0.0)
+hp0 = build_homotopy(p, t0=hp.t0, eps_phi=0.0)
 for row in hp0.homotopy_report():
     print(f"  {row.name:<40s} margin {row.value: .6e}  "
           f"{'ok' if row.passed else 'VIOLATED'}")

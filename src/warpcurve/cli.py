@@ -1,9 +1,10 @@
 """Command-line front end: solve, verify, and sweep workflows.
 
 Configs are INI-style key-value blocks (JSON with the same nesting is
-also accepted).  All floating output is printed with 17 significant
-digits so reports round-trip exactly; runs are deterministic for a fixed
-config and seed.
+also accepted); RunConfig's fields declare every key a config may set,
+and the loader refuses any other.  All floating output is printed with
+17 significant digits so reports round-trip exactly; runs are
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,32 +35,18 @@ from .verify import build_condition_table
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-EXIT_CODES = {
-    ConfigError: 3,
-    ValidationError: 4,
-    GaugeError: 5,
-    NewtonStall: 6,
-    ContinuationStall: 7,
-    BarrierViolation: 8,
-    ConeError: 9,
-    ProfileError: 10,
-    DomainError: 11,
-    BisectError: 12,
-    ShapeError: 13,
-    FrameError: 14,
-}
+EXIT_CODES = {cls: code for code, cls in enumerate(
+    (ConfigError, ValidationError, GaugeError, NewtonStall, ContinuationStall,
+     BarrierViolation, ConeError, ProfileError, DomainError, BisectError,
+     ShapeError, FrameError), start=3)}
 
-_EXIT_DOC = """exit codes:
-  0   success (verify: all rows passed)
-  1   verify: one or more rows failed
-  2   usage error (bad arguments, unreadable config)
-  3   ConfigError        4  ValidationError (prints the hypothesis letter)
-  5   GaugeError         6  NewtonStall
-  7   ContinuationStall  8  BarrierViolation
-  9   ConeError         10  ProfileError
- 11   DomainError       12  BisectError
- 13   ShapeError        14  FrameError
-"""
+_EXIT_DOC = "\n".join([
+    "exit codes:",
+    "  0   success (verify: all rows passed)",
+    "  1   verify: one or more rows failed",
+    "  2   usage error (bad arguments, unreadable config)",
+    *(f" {code:>2}   {cls.__name__}" for cls, code in EXIT_CODES.items()),
+    ""])
 
 
 def _fmt(x):
@@ -71,41 +58,69 @@ def _fmt(x):
 _SOLVER_DEFAULTS = SolverConfig()
 
 
+def _bool(text):
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return value
+
+
+def _many(cast):
+    """Parser of a list key: a JSON array, or text split on commas/blanks."""
+    def parse(value):
+        items = value if isinstance(value, list) else \
+            value.replace(",", " ").split()
+        return tuple(cast(str(x)) for x in items)
+    return parse
+
+
+_floats, _ints = _many(float), _many(int)
+
+
+def _key(default, block, parse=float, key=None):
+    """A RunConfig field set by `[block] key` (key defaults to the field
+    name), parsed from the value's text, or a list key's JSON array."""
+    return field(default=default,
+                 metadata={"block": block, "key": key, "parse": parse})
+
+
 @dataclass
 class RunConfig:
-    profile_kind: str = "cosh"
-    profile_p: float = 2.0
-    table_t: tuple = ()
-    table_h: tuple = ()
-    t_lo: float = 0.2
-    t_hi: float = 3.0
-    n: int = 1
-    N: int = 256
-    L: float = 2.0 * np.pi
-    order: int = 2
-    r: int = 1
-    form: str = "radial-decay"
-    c0: float = float(np.sinh(1.0))
-    eps: float = 0.0
-    mode: tuple = (1,)
-    t_minus: float = 0.5
-    t_plus: float = 1.6
-    t0: float = None
-    eps_phi: float = 0.1
-    newton_tol: float = _SOLVER_DEFAULTS.newton_tol
-    max_newton: int = _SOLVER_DEFAULTS.max_newton
-    ds0: float = _SOLVER_DEFAULTS.ds0
-    ds_min: float = _SOLVER_DEFAULTS.ds_min
-    jacobian: str = "analytic"
-    out_dir: str = "out"
-    unsafe: bool = False
-    seed: int = 12345
-    sweep_N: tuple = ()
-    sweep_eps: tuple = (0.0, 0.05, 0.1)
-    sweep_r: tuple = ()
-    mms_center: float = 1.0
-    mms_amplitude: float = 0.01
-    mms_freqs: tuple = ()
+    """One run's settings; each field's metadata is the key that sets it."""
+
+    profile_kind: str = _key("cosh", "profile", str, key="kind")
+    profile_p: float = _key(2.0, "profile", key="p")
+    table_t: tuple = _key((), "profile", _floats)
+    table_h: tuple = _key((), "profile", _floats)
+    t_lo: float = _key(0.2, "profile")
+    t_hi: float = _key(3.0, "profile")
+    n: int = _key(1, "grid", int)
+    N: int = _key(256, "grid", int)
+    L: float = _key(2.0 * np.pi, "grid")
+    order: int = _key(2, "grid", int)
+    r: int = _key(1, "curvature", int)
+    form: str = _key("radial-decay", "prescription", str)
+    c0: float = _key(float(np.sinh(1.0)), "prescription")
+    eps: float = _key(0.0, "prescription")
+    mode: tuple = _key((1,), "prescription", _ints)
+    t_minus: float = _key(0.5, "prescription")
+    t_plus: float = _key(1.6, "prescription")
+    t0: float = _key(None, "homotopy")
+    eps_phi: float = _key(0.1, "homotopy")
+    newton_tol: float = _key(_SOLVER_DEFAULTS.newton_tol, "solver")
+    max_newton: int = _key(_SOLVER_DEFAULTS.max_newton, "solver", int)
+    ds0: float = _key(_SOLVER_DEFAULTS.ds0, "solver")
+    ds_min: float = _key(_SOLVER_DEFAULTS.ds_min, "solver")
+    jacobian: str = _key("analytic", "solver", str)
+    out_dir: str = _key("out", "output", str, key="dir")
+    unsafe: bool = _key(False, "run", _bool)
+    seed: int = _key(12345, "run", int)
+    sweep_N: tuple = _key((), "sweep", _ints, key="N")
+    sweep_eps: tuple = _key((0.0, 0.05, 0.1), "sweep", _floats, key="eps")
+    sweep_r: tuple = _key((), "sweep", _ints, key="r")
+    mms_center: float = _key(1.0, "manufactured", key="center")
+    mms_amplitude: float = _key(0.01, "manufactured", key="amplitude")
+    mms_freqs: tuple = _key((), "manufactured", _ints, key="freqs")
 
     def validate(self):
         if self.r > self.n:
@@ -123,94 +138,71 @@ class RunConfig:
         return json.dumps(pairs, indent=2, sort_keys=True)
 
 
-def _floats(text):
-    return tuple(float(x) for x in str(text).replace(",", " ").split())
-
-
-def _ints(text):
-    return tuple(int(x) for x in str(text).replace(",", " ").split())
+# (block, key) -> field, for every key a config may set
+_SCHEMA = {(f.metadata["block"], f.metadata["key"] or f.name): f
+           for f in fields(RunConfig)}
 
 
 def _load_blocks(path):
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        raw = json.loads(text)
-        return {str(k): dict(v) for k, v in raw.items()}
-    cp = configparser.ConfigParser()
+        blocks = json.loads(text)
+        for name, kv in blocks.items():
+            if not isinstance(kv, dict):
+                raise ValueError(f"JSON block {name!r} is not an object")
+        return blocks
+    # no section is the implicit default one, so [DEFAULT] is just an
+    # unknown block; values are literal text up to a ` ;` comment
+    cp = configparser.ConfigParser(default_section="", interpolation=None,
+                                   inline_comment_prefixes=(";",))
     cp.optionxform = str            # keep key case: n and N differ
     cp.read_string(text)
     return {name: dict(cp.items(name)) for name in cp.sections()}
 
 
 def load_config(path):
-    """Parse a config file (INI blocks or JSON) into a RunConfig."""
+    """Parse a config file (INI blocks or JSON) into a RunConfig.
+
+    Every block and key outside the schema is a ConfigError naming all of
+    them; a value its parser rejects is a ValueError naming its key.
+    """
     blocks = _load_blocks(path)
-    cfg = RunConfig()
-
-    def get(block, key, cast, current):
-        val = blocks.get(block, {}).get(key)
-        if val is None:
-            return current
-        if cast is bool:
-            return str(val).strip().lower() in ("1", "true", "yes", "on")
-        return cast(val)
-
-    cfg.profile_kind = get("profile", "kind", str, cfg.profile_kind)
-    cfg.profile_p = get("profile", "p", float, cfg.profile_p)
-    cfg.table_t = get("profile", "table_t", _floats, cfg.table_t)
-    cfg.table_h = get("profile", "table_h", _floats, cfg.table_h)
-    cfg.t_lo = get("profile", "t_lo", float, cfg.t_lo)
-    cfg.t_hi = get("profile", "t_hi", float, cfg.t_hi)
-    cfg.n = get("grid", "n", int, cfg.n)
-    cfg.N = get("grid", "n_nodes", int, get("grid", "N", int, cfg.N))
-    cfg.L = get("grid", "l", float, get("grid", "L", float, cfg.L))
-    cfg.order = get("grid", "order", int, cfg.order)
-    cfg.r = get("curvature", "r", int, cfg.r)
-    cfg.form = get("prescription", "form", str, cfg.form)
-    cfg.c0 = get("prescription", "c0", float, cfg.c0)
-    cfg.eps = get("prescription", "eps", float, cfg.eps)
-    cfg.mode = get("prescription", "mode", _ints, cfg.mode)
-    cfg.t_minus = get("prescription", "t_minus", float, cfg.t_minus)
-    cfg.t_plus = get("prescription", "t_plus", float, cfg.t_plus)
-    cfg.t0 = get("homotopy", "t0", float, cfg.t0)
-    cfg.eps_phi = get("homotopy", "eps_phi", float, cfg.eps_phi)
-    cfg.newton_tol = get("solver", "newton_tol", float, cfg.newton_tol)
-    cfg.max_newton = get("solver", "max_newton", int, cfg.max_newton)
-    cfg.ds0 = get("solver", "ds0", float, cfg.ds0)
-    cfg.ds_min = get("solver", "ds_min", float, cfg.ds_min)
-    cfg.jacobian = get("solver", "jacobian", str, cfg.jacobian)
-    cfg.out_dir = get("output", "dir", str, cfg.out_dir)
-    cfg.unsafe = get("run", "unsafe", bool, cfg.unsafe)
-    cfg.seed = get("run", "seed", int, cfg.seed)
-    cfg.sweep_N = get("sweep", "n_values", _ints,
-                      get("sweep", "N", _ints, cfg.sweep_N))
-    cfg.sweep_eps = get("sweep", "eps", _floats, cfg.sweep_eps)
-    cfg.sweep_r = get("sweep", "r", _ints, cfg.sweep_r)
-    cfg.mms_center = get("manufactured", "center", float, cfg.mms_center)
-    cfg.mms_amplitude = get("manufactured", "amplitude", float,
-                            cfg.mms_amplitude)
-    cfg.mms_freqs = get("manufactured", "freqs", _ints, cfg.mms_freqs)
+    known = {block for block, _ in _SCHEMA}
+    unknown = [f"[{b}]" for b in blocks if b not in known] + [
+        f"[{b}] {k}" for b, kv in blocks.items() if b in known
+        for k in kv if (b, k) not in _SCHEMA]
+    if unknown:
+        raise ConfigError(f"unknown config block/key: {', '.join(unknown)}")
+    values = {}
+    for (block, key), f in _SCHEMA.items():
+        raw = blocks.get(block, {}).get(key)
+        if raw is None:
+            continue
+        try:
+            values[f.name] = f.metadata["parse"](
+                raw if isinstance(raw, list) else str(raw))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"[{block}] {key} = {raw!r}: {exc}") from None
+    cfg = RunConfig(**values)
     if len(cfg.mode) == 1 and cfg.n == 2:
         cfg.mode = (cfg.mode[0], 0)
     cfg.validate()
     return cfg
 
 
-def build_problem(cfg, grid=None, r=None, eps=None):
+def build_profile(cfg):
+    """The warping profile a config names."""
+    if cfg.profile_kind == "custom-table":
+        return WarpingProfile.from_table(cfg.table_t, cfg.table_h,
+                                         cfg.t_lo, cfg.t_hi)
+    params = (cfg.profile_p,) if cfg.profile_kind == "power" else ()
+    return WarpingProfile(cfg.profile_kind, params, cfg.t_lo, cfg.t_hi)
+
+
+def build_problem(cfg, r=None, eps=None):
     """Instantiate profile, grid, spec, prescription, and homotopy."""
-    if cfg.profile_kind == "cosh":
-        profile = WarpingProfile.cosh(cfg.t_lo, cfg.t_hi)
-    elif cfg.profile_kind == "exp":
-        profile = WarpingProfile.exp(cfg.t_lo, cfg.t_hi)
-    elif cfg.profile_kind == "power":
-        profile = WarpingProfile.power(cfg.profile_p, cfg.t_lo, cfg.t_hi)
-    elif cfg.profile_kind == "custom-table":
-        profile = WarpingProfile.from_table(cfg.table_t, cfg.table_h,
-                                            cfg.t_lo, cfg.t_hi)
-    else:
-        raise ConfigError(f"unknown profile kind {cfg.profile_kind!r}")
-    if grid is None:
-        grid = make_grid(cfg.n, cfg.N, cfg.L, cfg.order)
+    profile = build_profile(cfg)
+    grid = make_grid(cfg.n, cfg.N, cfg.L, cfg.order)
     spec = CurvatureSpec(n=cfg.n, r=cfg.r if r is None else r)
     presc = build_prescription(
         profile, spec, grid, form=cfg.form, c0=cfg.c0,
@@ -300,13 +292,12 @@ def cmd_sweep(cfg, axis):
     invariant_fired = False
     scfg = solver_config(cfg)
 
-    def run_solve(n_nodes=None, r=None, eps=None):
-        grid = make_grid(cfg.n, n_nodes or cfg.N, cfg.L, cfg.order)
-        _, grid, spec, presc, hp = build_problem(cfg, grid=grid, r=r, eps=eps)
-        z, report = continuation(hp, scfg)
+    def run_solve(r=None, eps=None):
+        _, _, _, presc, hp = build_problem(cfg, r=r, eps=eps)
+        _, report = continuation(hp, scfg)
         lo, hi = barrier_crossings(presc) if presc.validated else \
             (hp.t_minus, hp.t_plus)
-        return presc, hp, z, report, lo, hi
+        return report, lo, hi
 
     if axis == "N":
         if not cfg.unsafe:
@@ -315,8 +306,7 @@ def cmd_sweep(cfg, axis):
         values = cfg.sweep_N or ((64, 128, 256) if cfg.n == 1 else (24, 48, 96))
         if len(values) < 2:
             raise ConfigError("sweep axis needs at least 2 values")
-        profile, _, spec, _, _ = build_problem(
-            cfg, grid=make_grid(cfg.n, max(16, min(values)), cfg.L, cfg.order))
+        profile, spec = build_profile(cfg), CurvatureSpec(cfg.n, cfg.r)
         freqs = cfg.mms_freqs or (1,) * cfg.n
         for N in values:
             grid = make_grid(cfg.n, N, cfg.L, cfg.order)
@@ -343,7 +333,7 @@ def cmd_sweep(cfg, axis):
             raise ConfigError("sweep axis needs at least 2 values")
         for value in values:
             try:
-                presc, hp, z, report, lo, hi = run_solve(**{axis: value})
+                report, lo, hi = run_solve(**{axis: value})
                 fin = report.final
                 rows.append(_sweep_row(
                     axis, value, "ok", fin.residual,
@@ -354,7 +344,7 @@ def cmd_sweep(cfg, axis):
                 invariant_fired |= isinstance(exc, (BarrierViolation, ConeError))
                 rows.append(_sweep_row(axis, value, type(exc).__name__))
     elif axis == "s-trace":
-        presc, hp, z, report, lo, hi = run_solve()
+        report, lo, hi = run_solve()
         for st in report.steps:
             rows.append(_sweep_row("s", st.s, "ok", st.residual,
                                    st.newton_iters, st.z_min, st.z_max, lo, hi,
@@ -407,10 +397,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, configparser.Error, ValueError) as exc:
+    except (configparser.Error, ValueError) as exc:
         print(f"error: cannot parse config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WarpcurveError as exc:

@@ -66,8 +66,9 @@ class TorusGrid:
             raise ConfigError(f"dimension n must be 1 or 2, got {n}")
         if N < 16:
             raise ConfigError(f"need at least 16 nodes per axis, got {N}")
-        if L <= 0:
-            raise ConfigError("period L must be positive")
+        if not 0 < L < np.inf:              # False on NaN too
+            raise ConfigError(
+                f"period L must be finite and positive, got {L!r}")
         if order not in (2, 4):
             raise ConfigError(f"stencil order must be 2 or 4, got {order}")
         self.n = int(n)

@@ -408,8 +408,9 @@ def build_phi(profile, spec, t_minus, t_plus, t0=None, eps_phi=0.1):
         t0 = 0.5 * (t_minus + t_plus)
     if not (t_minus < t0 < t_plus):
         raise ConfigError(f"anchor t0 = {t0} must lie in ({t_minus}, {t_plus})")
-    if eps_phi < 0:
-        raise GaugeError("decay rate eps_phi must be nonnegative")
+    if not 0 <= eps_phi < np.inf:       # False on NaN too
+        raise GaugeError(f"decay rate eps_phi must be finite and "
+                         f"nonnegative, got {eps_phi!r}")
     # eps_phi = 0 is admitted so the verify table can exhibit the homotopy (v)
     # failure as a negative control; a solve does not depend on (v)
     g = Gauge(profile=profile, spec=spec, t0=float(t0), eps_phi=float(eps_phi))
@@ -429,15 +430,34 @@ def build_phi(profile, spec, t_minus, t_plus, t0=None, eps_phi=0.1):
 
 @dataclass
 class HomotopyProblem:
-    """The full continuation problem: prescription, gauge, and anchor."""
+    """The full continuation problem: prescription, gauge, and anchor.
+
+    Each input is stored once: the profile, spec and grid are the
+    prescription's, the anchor t0 and decay rate eps_phi the gauge's.
+    """
 
     prescription: Prescription
-    profile: object = field(repr=False)
-    spec: object = field(repr=False)
-    grid: object = field(repr=False)
-    gauge: Gauge = None
-    t0: float = 0.0
-    eps_phi: float = 0.1
+    gauge: Gauge
+
+    @property
+    def profile(self):
+        return self.prescription.profile
+
+    @property
+    def spec(self):
+        return self.prescription.spec
+
+    @property
+    def grid(self):
+        return self.prescription.grid
+
+    @property
+    def t0(self):
+        return self.gauge.t0
+
+    @property
+    def eps_phi(self):
+        return self.gauge.eps_phi
 
     @property
     def t_minus(self):
@@ -568,6 +588,4 @@ def build_homotopy(prescription, t0=None, eps_phi=0.1):
     p = prescription
     gauge = build_phi(p.profile, p.spec, p.t_minus, p.t_plus, t0=t0,
                       eps_phi=eps_phi)
-    return HomotopyProblem(prescription=p, profile=p.profile, spec=p.spec,
-                           grid=p.grid, gauge=gauge, t0=gauge.t0,
-                           eps_phi=gauge.eps_phi)
+    return HomotopyProblem(prescription=p, gauge=gauge)

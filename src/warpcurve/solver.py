@@ -79,8 +79,11 @@ class SolverConfig:
     fd_step: float = 1e-6             # scaled by (1 + |z|_inf)
 
     def __post_init__(self):
-        if min(self.newton_tol, self.ds0, self.ds_min, self.fd_step) <= 0:
-            raise ConfigError("solver tolerances must be positive")
+        for name in ("newton_tol", "ds0", "ds_min", "fd_step"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:          # False on NaN too
+                raise ConfigError(f"solver {name} must be finite and "
+                                  f"positive, got {value!r}")
         if self.ds0 > 1.0:
             raise ConfigError("initial continuation step must be <= 1")
         if self.jacobian_mode not in ("analytic", "fd-colored"):
@@ -331,7 +334,7 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
     iters = 0
     halvings = 0
     dnorm = theta0 = 0.0
-    while rnorm > cfg.newton_tol:
+    while not rnorm <= cfg.newton_tol:      # a NaN residual never converges
         if iters >= cfg.max_newton:
             raise NewtonStall(
                 f"no convergence in {cfg.max_newton} iterations at s={s:.6g} "

@@ -12,7 +12,6 @@ from warpcurve.curvature import f_eval, f_grad, sample_cone
 from warpcurve.geometry import (compute_geometry, special_frame_check,
                                 support_identity_check)
 from warpcurve.grid import NodeField, random_smooth
-from warpcurve.problem import HomotopyProblem, Gauge
 from warpcurve.solver import (assemble_jacobian, continuation,
                               manufactured_residual_norm, newton_solve)
 
@@ -78,10 +77,7 @@ def test_criterion_4_homotopy_conditions():
     min_margin = min(r.value for r in rows)
     assert min_margin > 0.0
     # negative control: zero decay rate must fail exactly the (v) row
-    gauge0 = Gauge(profile=hp.profile, spec=hp.spec, t0=hp.t0, eps_phi=0.0)
-    hp0 = HomotopyProblem(prescription=hp.prescription, profile=hp.profile,
-                          spec=hp.spec, grid=hp.grid, gauge=gauge0,
-                          t0=hp.t0, eps_phi=0.0)
+    hp0 = wc.build_homotopy(hp.prescription, t0=hp.t0, eps_phi=0.0)
     rows0 = hp0.homotopy_report()
     assert [r.passed for r in rows0] == [True, True, True, False]
     assert rows0[3].value == 0.0

@@ -25,6 +25,12 @@ def test_make_grid_rejects(bad):
         wc.make_grid(**bad)
 
 
+@pytest.mark.parametrize("L", [np.nan, np.inf])
+def test_make_grid_rejects_a_non_finite_period(L):
+    with pytest.raises(wc.ConfigError, match="finite and positive"):
+        wc.make_grid(1, 64, L)
+
+
 def test_constant_field_has_zero_derivatives():
     g = wc.make_grid(2, 24)
     grad, hess = derivatives(NodeField.constant(g, 3.7))

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
 from warpcurve import verify
-from warpcurve.problem import (CUSTOM_C_SLACK, HomotopyProblem, Gauge,
-                               S_LATTICE, barrier_crossings, build_phi,
-                               build_prescription, hypothesis_rows,
+from warpcurve.problem import (CUSTOM_C_SLACK, S_LATTICE, barrier_crossings,
+                               build_phi, build_prescription, hypothesis_rows,
                                validation_lattices)
 
 from conftest import SINH1, TANH1, make_problem
@@ -103,6 +102,22 @@ def test_gauge_rejects_negative_decay(cosh, spec1):
         build_phi(cosh, spec1, 0.5, 1.5, eps_phi=-0.1)
 
 
+@pytest.mark.parametrize("eps_phi", [np.nan, np.inf])
+def test_gauge_rejects_a_non_finite_decay(cosh, spec1, eps_phi):
+    # a NaN rate used to pass both the sign test and the phi' < 0 scan
+    with pytest.raises(wc.GaugeError, match="finite"):
+        build_phi(cosh, spec1, 0.5, 1.5, eps_phi=eps_phi)
+
+
+def test_homotopy_stores_each_input_once(cosh, spec1):
+    hp = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
+    p, g = hp.prescription, hp.gauge
+    assert (hp.profile, hp.spec, hp.grid) == (p.profile, p.spec, p.grid)
+    assert (hp.t0, hp.eps_phi) == (g.t0, g.eps_phi)
+    with pytest.raises(AttributeError):
+        hp.eps_phi = 0.0
+
+
 def test_homotopy_endpoints_and_midpoint(cosh, spec1):
     hp = make_problem(n=1, N=64, t_minus=0.5, t_plus=1.5)   # t0 = 1
     zc = np.full((64,), 1.0)
@@ -151,10 +166,7 @@ def test_homotopy_report_margins(cosh, spec1):
 
 def test_homotopy_v_fails_exactly_at_zero_decay(cosh, spec1):
     hp = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
-    gauge0 = Gauge(profile=hp.profile, spec=hp.spec, t0=hp.t0, eps_phi=0.0)
-    hp0 = HomotopyProblem(prescription=hp.prescription, profile=hp.profile,
-                          spec=hp.spec, grid=hp.grid, gauge=gauge0,
-                          t0=hp.t0, eps_phi=0.0)
+    hp0 = wc.build_homotopy(hp.prescription, t0=hp.t0, eps_phi=0.0)
     rows = hp0.homotopy_report()
     assert [r.passed for r in rows] == [True, True, True, False]
     assert rows[3].value == 0.0
@@ -374,10 +386,7 @@ def _stacked_homotopy_report(hp):
 def test_homotopy_report_matches_stacked_lattices(cosh, spec1):
     hps = _problems(cosh, spec1)
     hp = hps[0]
-    gauge0 = Gauge(profile=hp.profile, spec=hp.spec, t0=hp.t0, eps_phi=0.0)
-    hps.append(HomotopyProblem(prescription=hp.prescription,
-                               profile=hp.profile, spec=hp.spec, grid=hp.grid,
-                               gauge=gauge0, t0=hp.t0, eps_phi=0.0))
+    hps.append(wc.build_homotopy(hp.prescription, t0=hp.t0, eps_phi=0.0))
     for hp in hps:
         rows = hp.homotopy_report()
         got = [(r.value, r.witness) for r in (rows[0], rows[3])]

@@ -242,6 +242,37 @@ def test_solver_config_validation():
         SolverConfig(jacobian_mode="magic")
 
 
+@pytest.mark.parametrize("name", ["newton_tol", "ds0", "ds_min", "fd_step"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_solver_config_rejects_non_finite_tolerances(name, value):
+    with pytest.raises(wc.ConfigError, match=name):
+        SolverConfig(**{name: value})
+
+
+def test_nan_tolerance_cannot_fake_convergence():
+    # a NaN newton_tol used to pass every `residual <= tol` test unread,
+    # so the continuation returned z = t0 unsolved as "converged"
+    hp = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
+    with pytest.raises(wc.ConfigError, match="newton_tol"):
+        continuation(hp, SolverConfig(newton_tol=np.nan))
+    z, report = continuation(hp, SolverConfig())
+    assert report.verdict == "converged" and report.final.residual <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_nan_residual_never_counts_as_converged():
+    # an unvalidated NaN prescription used to end in "converged", residual nan
+    grid = wc.make_grid(1, 64)
+    p = wc.build_prescription(wc.WarpingProfile.cosh(0.2, 3.0),
+                              wc.CurvatureSpec(1, 1), grid, c0=np.nan,
+                              t_minus=0.5, t_plus=1.5, validate=False)
+    hp = wc.build_homotopy(p)
+    with pytest.raises(wc.NewtonStall, match="residual nan"):
+        newton_solve(NodeField.constant(grid, hp.t0), 1.0, hp)
+    with pytest.raises(wc.NewtonStall, match="residual nan"):
+        continuation(hp)
+
+
 def test_report_csv_round_trip(hp1):
     _, report = continuation(hp1)
     rows = list(report.csv_rows())
