@@ -15,8 +15,8 @@ from .errors import ConfigError, DomainError, ProfileError
 
 KINDS = ("cosh", "exp", "power", "custom-table")
 
-# scan resolution used to vet tabulated profiles at construction
-_TABLE_SCAN = 1024
+# interior points of the h > 0, kappa > 0 scan (WarpingProfile.scan)
+_SCAN = 1024
 
 
 class WarpingProfile:
@@ -27,8 +27,9 @@ class WarpingProfile:
     ``exp`` (h = e^t, constant kappa = 1), ``power`` (h = t^p, p > 0,
     decreasing kappa = p/t).  ``custom-table`` interpolates samples with a
     not-a-knot cubic spline; its derivatives come from the spline, and
-    kappa > 0 is vetted on a 1024-point scan unless the mean-convexity
-    check is explicitly suppressed (degenerate test profiles only).
+    h > 0 and kappa > 0 are vetted on the 1024-point scan (kappa unless
+    the mean-convexity check is explicitly suppressed, for degenerate
+    test profiles only).
     """
 
     def __init__(self, kind, params=(), t_lo=None, t_hi=None,
@@ -44,7 +45,7 @@ class WarpingProfile:
         self.require_mean_convex = bool(require_mean_convex)
         self._spline = _spline
         if kind == "power":
-            if not self.params or self.params[0] <= 0:
+            if not self.params or not self.params[0] > 0:   # NaN too
                 raise ConfigError("power profile needs exponent p > 0")
             if self.t_lo < 0:
                 raise ProfileError("power profile lives on (0, inf)")
@@ -88,19 +89,22 @@ class WarpingProfile:
                    require_mean_convex=require_mean_convex, _spline=spline)
 
     def _scan_table(self):
-        # vet h > 0 (always) and kappa > 0 (unless suppressed) on the
-        # interior of the queried interval
-        t = np.linspace(self.t_lo, self.t_hi, _TABLE_SCAN + 2)[1:-1]
-        h = self._spline(t)
-        if np.any(h <= 0):
-            bad = t[np.argmin(h)]
-            raise ProfileError(f"tabulated h <= 0 near t={bad:.6g}")
-        if self.require_mean_convex:
-            kap = self._spline(t, 1) / h
-            if np.any(kap <= 0):
-                bad = t[np.argmin(kap)]
-                raise ProfileError(
-                    f"tabulated profile has kappa <= 0 near t={bad:.6g}")
+        (h, t_h), (kap, t_kap) = self.scan()
+        if not h > 0:
+            raise ProfileError(f"tabulated h <= 0 near t={t_h:.6g}")
+        if self.require_mean_convex and not kap > 0:    # unless suppressed
+            raise ProfileError(
+                f"tabulated profile has kappa <= 0 near t={t_kap:.6g}")
+
+    def scan(self):
+        """(min h, t) and (min kappa, t) on linspace(t_lo, t_hi, 1026)
+        without its ends, each t the first attaining it, NaN first: tables
+        are vetted on it at construction, and verify tabulates it."""
+        t = np.linspace(self.t_lo, self.t_hi, _SCAN + 2)[1:-1]
+        h, h1, _ = self._values(t)
+        kap = h1 / h
+        i, j = int(np.argmin(h)), int(np.argmin(kap))
+        return (float(h[i]), float(t[i])), (float(kap[j]), float(t[j]))
 
     # -- pointwise evaluation ----------------------------------------------
 
@@ -114,7 +118,15 @@ class WarpingProfile:
     def eval(self, t):
         """Return (h, h', h'') at t; t may be a scalar or an array."""
         scalar = np.isscalar(t) or np.ndim(t) == 0
-        t = self._check_domain(t)
+        h, h1, h2 = self._values(self._check_domain(t))
+        if np.any(h <= 0):
+            raise ProfileError("h(t) <= 0 inside the queried interval")
+        if scalar:
+            return float(h), float(h1), float(h2)
+        return h, h1, h2
+
+    def _values(self, t):
+        """(h, h', h'') at heights t inside the interval, unchecked."""
         if self.kind == "cosh":
             h, h1, h2 = np.cosh(t), np.sinh(t), np.cosh(t)
         elif self.kind == "exp":
@@ -130,10 +142,6 @@ class WarpingProfile:
             h = self._spline(t)
             h1 = self._spline(t, 1)
             h2 = self._spline(t, 2)
-        if np.any(h <= 0):
-            raise ProfileError("h(t) <= 0 inside the queried interval")
-        if scalar:
-            return float(h), float(h1), float(h2)
         return h, h1, h2
 
     def antiderivative(self, t):

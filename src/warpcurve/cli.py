@@ -131,6 +131,9 @@ class RunConfig:
             raise ConfigError("anchor t0 must lie in (t_minus, t_plus)")
         if self.jacobian not in ("analytic", "fd", "fd-colored"):
             raise ConfigError(f"unknown jacobian mode {self.jacobian!r}")
+        if not np.all(np.isfinite((self.eps,) + self.sweep_eps)):
+            raise ConfigError(f"[prescription] eps = {self.eps} and [sweep] "
+                              f"eps = {self.sweep_eps} must be finite")
 
     def echo(self):
         pairs = {k: (list(v) if isinstance(v, tuple) else v)
@@ -143,10 +146,20 @@ _SCHEMA = {(f.metadata["block"], f.metadata["key"] or f.name): f
            for f in fields(RunConfig)}
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is an error, as in INI."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_blocks(path):
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        blocks = json.loads(text)
+        blocks = json.loads(text, object_pairs_hook=_unique_keys)
         for name, kv in blocks.items():
             if not isinstance(kv, dict):
                 raise ValueError(f"JSON block {name!r} is not an object")
@@ -287,81 +300,81 @@ def _sweep_row(axis, value, status, residual=np.nan, newton=0, zmin=np.nan,
 
 
 def cmd_sweep(cfg, axis):
-    rows = [_SWEEP_HEADER]
-    ok_runs = 0
-    invariant_fired = False
+    """Solve at each axis value; a failed point is a row naming its error.
+    Exits with the first invariant error's code if one fired, else with
+    the first failure's if no point succeeded."""
     scfg = solver_config(cfg)
-
-    def run_solve(r=None, eps=None):
-        _, _, _, presc, hp = build_problem(cfg, r=r, eps=eps)
-        _, report = continuation(hp, scfg)
-        lo, hi = barrier_crossings(presc) if presc.validated else \
-            (hp.t_minus, hp.t_plus)
-        return report, lo, hi
-
-    if axis == "N":
-        if not cfg.unsafe:
-            raise ConfigError("manufactured-solution sweep needs unsafe mode "
-                              "(run.unsafe = true or --unsafe)")
-        values = cfg.sweep_N or ((64, 128, 256) if cfg.n == 1 else (24, 48, 96))
-        if len(values) < 2:
-            raise ConfigError("sweep axis needs at least 2 values")
-        profile, spec = build_profile(cfg), CurvatureSpec(cfg.n, cfg.r)
-        freqs = cfg.mms_freqs or (1,) * cfg.n
-        for N in values:
-            grid = make_grid(cfg.n, N, cfg.L, cfg.order)
-            try:
-                zm, hp = build_manufactured(grid, profile, spec,
-                                            cfg.mms_center, cfg.mms_amplitude,
-                                            freqs)
-                res0 = float(np.abs(residual(zm, 1.0, hp).values).max())
-                z, stats = newton_solve(zm, 1.0, hp, scfg)
-                geom = compute_geometry(z, grid, profile)
-                rows.append(_sweep_row(
-                    "N", N, "ok", res0, stats.iterations,
-                    float(z.values.min()), float(z.values.max()),
-                    hp.t_minus, hp.t_plus,
-                    float(geom.lam[..., 0].max()), geom.grad_sup))
-                ok_runs += 1
-            except WarpcurveError as exc:
-                invariant_fired |= isinstance(exc, (BarrierViolation, ConeError))
-                rows.append(_sweep_row("N", N, type(exc).__name__))
-    elif axis in ("eps", "r"):
-        values = cfg.sweep_eps if axis == "eps" else \
-            cfg.sweep_r or tuple(range(1, cfg.n + 1))
-        if len(values) < 2:
-            raise ConfigError("sweep axis needs at least 2 values")
-        for value in values:
-            try:
-                report, lo, hi = run_solve(**{axis: value})
-                fin = report.final
-                rows.append(_sweep_row(
-                    axis, value, "ok", fin.residual,
-                    sum(s.newton_iters for s in report.steps),
-                    fin.z_min, fin.z_max, lo, hi, fin.lam1_max, fin.grad_max))
-                ok_runs += 1
-            except WarpcurveError as exc:
-                invariant_fired |= isinstance(exc, (BarrierViolation, ConeError))
-                rows.append(_sweep_row(axis, value, type(exc).__name__))
-    elif axis == "s-trace":
-        report, lo, hi = run_solve()
-        for st in report.steps:
-            rows.append(_sweep_row("s", st.s, "ok", st.residual,
-                                   st.newton_iters, st.z_min, st.z_max, lo, hi,
-                                   st.lam1_max, st.grad_max))
-        ok_runs += 1
-    else:
+    if axis == "N" and not cfg.unsafe:
+        raise ConfigError("manufactured-solution sweep needs unsafe mode "
+                          "(run.unsafe = true or --unsafe)")
+    values = {"N": cfg.sweep_N or ((64, 128, 256) if cfg.n == 1
+                                   else (24, 48, 96)),
+              "eps": cfg.sweep_eps,
+              "r": cfg.sweep_r or tuple(range(1, cfg.n + 1)),
+              "s-trace": (None,)}.get(axis)
+    if values is None:
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    if axis != "s-trace" and len(values) < 2:
+        raise ConfigError("sweep axis needs at least 2 values")
+    run = _sweep_runner(cfg, scfg, axis)
+    # an s-trace is one run: its error is the command's
+    caught = () if axis == "s-trace" else WarpcurveError
+    rows, ok_runs, failures = [_SWEEP_HEADER], 0, []
+    for value in values:
+        try:
+            rows += run(value)
+            ok_runs += 1
+        except caught as exc:
+            failures.append(exc)
+            rows.append(_sweep_row(axis, value, type(exc).__name__))
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"sweep_{axis.replace('-', '_')}.csv"
     path.write_text("\n".join(rows) + "\n")
     print(f"sweep {axis}: {ok_runs} run(s) ok, wrote {path}")
-    if ok_runs == 0 or invariant_fired:
-        return EXIT_CODES[BarrierViolation] if invariant_fired else \
-            EXIT_CODES[NewtonStall]
+    fired = [e for e in failures if isinstance(e, (BarrierViolation,
+                                                   ConeError))]
+    if fired or not ok_runs:
+        return EXIT_CODES.get(type((fired or failures)[0]), 70)
     return EXIT_OK
+
+
+def _sweep_runner(cfg, scfg, axis):
+    """The function solving one point of a sweep axis into its CSV rows."""
+    if axis == "N":
+        profile, spec = build_profile(cfg), CurvatureSpec(cfg.n, cfg.r)
+        freqs = cfg.mms_freqs or (1,) * cfg.n
+
+        def run_manufactured(N):
+            grid = make_grid(cfg.n, N, cfg.L, cfg.order)
+            zm, hp = build_manufactured(grid, profile, spec, cfg.mms_center,
+                                        cfg.mms_amplitude, freqs)
+            res0 = float(np.abs(residual(zm, 1.0, hp).values).max())
+            z, stats = newton_solve(zm, 1.0, hp, scfg)
+            geom = compute_geometry(z, grid, profile)
+            return [_sweep_row("N", N, "ok", res0, stats.iterations,
+                               float(z.values.min()), float(z.values.max()),
+                               hp.t_minus, hp.t_plus,
+                               float(geom.lam[..., 0].max()), geom.grad_sup)]
+        return run_manufactured
+
+    def run_continuation(value):
+        _, _, _, presc, hp = build_problem(
+            cfg, **({axis: value} if axis in ("eps", "r") else {}))
+        _, report = continuation(hp, scfg)
+        lo, hi = barrier_crossings(presc) if presc.validated else \
+            (hp.t_minus, hp.t_plus)
+        if axis == "s-trace":
+            return [_sweep_row("s", st.s, "ok", st.residual, st.newton_iters,
+                               st.z_min, st.z_max, lo, hi, st.lam1_max,
+                               st.grad_max) for st in report.steps]
+        fin = report.final
+        return [_sweep_row(axis, value, "ok", fin.residual,
+                           sum(s.newton_iters for s in report.steps),
+                           fin.z_min, fin.z_max, lo, hi, fin.lam1_max,
+                           fin.grad_max)]
+    return run_continuation
 
 
 # -- entry point ----------------------------------------------------------------

@@ -25,14 +25,18 @@ d/dt (phi k) + kappa (phi k) = -eps_phi * phi k < 0.
 psi is evaluated in one place, Prescription.psi / psi_pair, at heights t
 over a flat node index, from profile values the caller already holds (the
 solver passes the geometry's h, h').  Each hypothesis margin is computed
-once, as a CheckRow with its witness: hypothesis_rows for positivity and
-(a)-(c), which validation raises from and verify tabulates, and
-HomotopyProblem.homotopy_report for (ii)-(v).
+once, here, as a CheckRow with the first witness of its value, by one
+reducer, _reduce (the point np.argmin or np.argmax picks on the full
+lattice, stacked over s for the homotopy, NaN first): hypothesis_rows
+for positivity and (a)-(c), which validation raises from;
+HomotopyProblem.gauge_report for the gauge's (a)-(d) and phi(t0) = 1,
+and homotopy_report for (ii)-(v).  verify only tabulates them.
 
 For the radial-decay form these margins cost T + M work on a T x M
 lattice, not T * M.  At a fixed (s, t) every lattice entry is a rounded
 monotone function of the node's h psi = c0 + eps g(u): psi = (h psi)/h,
-psi - k, k - psi and s psi + (1 - s) psi0.  This needs two
+psi - k, k - psi, Psi = s psi + (1 - s) psi0, Psi - k and k - Psi
+(homotopy (iii), (iv) at t_minus, t_plus).  This needs two
 preconditions: h > 0, which profile.eval enforces, and s >= 0, which
 holds on S_LATTICE.  Rounded division by h > 0, subtraction of or from
 a t-constant and multiplication by s >= 0 never reverse an order.  So
@@ -83,7 +87,8 @@ class CheckRow:
 
     witness is the first lattice point attaining the value -- (t, node)
     for the prescription hypotheses, (s, t, node) for the homotopy
-    conditions -- and None for checks without one.
+    conditions, (t,) for the gauge and profile scans -- and None for
+    checks without one.
     """
 
     name: str
@@ -91,7 +96,6 @@ class CheckRow:
     requirement: str
     passed: bool
     witness: tuple = None
-    note: str = ""
 
     def format(self, width=46):
         mark = "pass" if self.passed else "FAIL"
@@ -213,14 +217,25 @@ def _rows(lattice, key):
     return it, lattice(slice(it, it + 1), slice(None))
 
 
-def _worst(rows, tarr, pick=np.argmin):
-    """Value at the first worst lattice point and its (t, node) witness.
+def _reduce(slices, tarr, pick=np.argmin, svals=None):
+    """Value at the first point pick selects on a row's lattice, and where.
 
-    rows is the pair (first row index, rows) that _rows returns.
+    slices are the pairs (first row index, rows) that _rows returns, the
+    rows running over the heights tarr: one pair per s in svals, or a
+    single one without svals.  The value and its witness -- (t, node) on
+    a (t, node) lattice, (t,) on a t-lattice, s prepended with svals --
+    are those pick (np.argmin or np.argmax) gives over the stacked full
+    lattices, NaN first, but only one slice is held at a time.
     """
-    it0, a = rows
-    it, node = np.unravel_index(int(pick(a)), a.shape)
-    return float(a[it, node]), (float(tarr[it0 + it]), int(node))
+    values, where = [], []
+    for it0, a in slices:
+        pos = np.unravel_index(int(pick(a)), a.shape)
+        values.append(a[pos])
+        where.append((float(tarr[it0 + pos[0]]),)
+                     + tuple(int(i) for i in pos[1:]))
+    k = int(pick(values))       # the first slice holding the pick
+    return float(values[k]), \
+        where[k] if svals is None else (svals[k],) + where[k]
 
 
 def build_prescription(profile, spec, grid, form="radial-decay", c0=1.0,
@@ -239,7 +254,7 @@ def build_prescription(profile, spec, grid, form="radial-decay", c0=1.0,
         raise ConfigError(
             f"need t_lo < t_minus < t_plus < t_hi, got "
             f"({profile.t_lo}, {t_minus}, {t_plus}, {profile.t_hi})")
-    if form == "radial-decay" and c0 <= 0:
+    if form == "radial-decay" and not c0 > 0:     # NaN too
         raise ConfigError("radial-decay prescription needs c0 > 0")
     p = Prescription(form=form, profile=profile, spec=spec, grid=grid,
                      t_minus=float(t_minus), t_plus=float(t_plus),
@@ -273,23 +288,23 @@ def hypothesis_rows(p):
     below, slab, above = validation_lattices(p)
     key = p.separable_key()
     t, h, _ = _column(p.profile, slab)
-    value, w = _worst(_rows(lambda r, node: p.psi(t[r], h[r], node), key),
-                      slab)
+    value, w = _reduce(
+        [_rows(lambda r, node: p.psi(t[r], h[r], node), key)], slab)
     yield CheckRow("prescription: min psi on slab", value, "> 0", value > 0, w)
     t, h, h1 = _column(p.profile, below)
     k = ambient.k_level(p.spec, h, h1)
-    value, w = _worst(
-        _rows(lambda r, node: p.psi(t[r], h[r], node) - k[r], key), below)
+    value, w = _reduce(
+        [_rows(lambda r, node: p.psi(t[r], h[r], node) - k[r], key)], below)
     yield CheckRow("hypothesis (a): min psi - k, t <= t_minus", value, "> 0",
                    value > 0, w)
     t, h, h1 = _column(p.profile, above)
     k = ambient.k_level(p.spec, h, h1)
-    value, w = _worst(
-        _rows(lambda r, node: k[r] - p.psi(t[r], h[r], node), key), above)
+    value, w = _reduce(
+        [_rows(lambda r, node: k[r] - p.psi(t[r], h[r], node), key)], above)
     yield CheckRow("hypothesis (b): min k - psi, t >= t_plus", value, "> 0",
                    value > 0, w)
     slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
-    value, w = _worst((0, p.dt_h_psi_lattice(slab)), slab, np.argmax)
+    value, w = _reduce([(0, p.dt_h_psi_lattice(slab))], slab, np.argmax)
     yield CheckRow("hypothesis (c): max d/dt(h psi) on slab", value,
                    f"<= {slack:g}", value <= slack, w)
 
@@ -417,12 +432,10 @@ def build_phi(profile, spec, t_minus, t_plus, t0=None, eps_phi=0.1):
     lo, hi = profile.t_lo, profile.t_hi
     inset = 1e-9 * (hi - lo)
     t = np.linspace(lo + inset, hi - inset, T_LATTICE)
-    dphi = g.phi_prime(t)
-    if np.max(dphi) >= 0:
-        bad = float(t[int(np.argmax(dphi))])
+    dphi, (bad,) = _reduce([(0, g.phi_prime(t))], t, np.argmax)
+    if dphi >= 0:
         raise GaugeError(
-            f"phi' = {float(np.max(dphi)):.6g} >= 0 near t = {bad:.6g}; "
-            "raise eps_phi")
+            f"phi' = {dphi:.6g} >= 0 near t = {bad:.6g}; raise eps_phi")
     return g
 
 
@@ -474,13 +487,9 @@ class HomotopyProblem:
         """
         f, u = self.grid.flatten, self.grid.unflatten
         t, h, h1 = f(zvals), f(h), f(h1)
-        psi, psi_t = _homotopy_pair(s, self.prescription.psi_pair(t, h, h1),
-                                    self.gauge.psi0_pair(t, h, h1))
-        return u(psi), u(psi_t)
-
-    def psi_lattice(self, s, tarr):
-        t, h, _ = _column(self.profile, tarr)
-        return _blend(s, self.prescription.psi(t, h), self.gauge.psi0(t, h))
+        (psi, psi_t), (psi0, psi0_t) = (self.prescription.psi_pair(t, h, h1),
+                                        self.gauge.psi0_pair(t, h, h1))
+        return u(_blend(s, psi, psi0)), u(_blend(s, psi_t, psi0_t))
 
     def drift_lattice(self, s, tarr):
         """d_t Psi + kappa Psi on (t-lattice) x nodes (homotopy condition (v)).
@@ -505,82 +514,66 @@ class HomotopyProblem:
         """
         p = self.prescription
         _, slab, _ = validation_lattices(p)
-        rows = []
-
-        t, h, _ = _column(self.profile, slab)
-        psi0 = self.gauge.psi0(t, h)
         key = p.separable_key()
 
-        def psi_rows(s):
+        def psi_margin(tarr, margin):
+            t, h, _ = _column(self.profile, tarr)
+            psi0 = self.gauge.psi0(t, h)
             # s >= 0 keeps each row monotone in the key
-            return _rows(lambda r, node: _blend(
-                s, p.psi(t[r], h[r], node), psi0[r]), key)
-
-        m2, idx = _first_min(psi_rows(s) for s in S_LATTICE)
-        rows.append(CheckRow(
-            "homotopy (ii): Psi > 0", m2, _STRICT, m2 > 0,
-            (S_LATTICE[idx[0]], float(slab[idx[1]]), int(idx[2]))))
+            return _reduce((_rows(lambda r, node: margin(_blend(
+                s, p.psi(t[r], h[r], node), psi0[r])), key)
+                for s in S_LATTICE), tarr, svals=S_LATTICE)
 
         k_lo = float(np.asarray(p.k_of(p.t_minus)))
         k_hi = float(np.asarray(p.k_of(p.t_plus)))
-        lo_vals = np.stack([self.psi_lattice(s, np.array([p.t_minus]))[0]
-                            for s in S_LATTICE])
-        m3 = float((lo_vals - k_lo).min())
-        i3 = np.unravel_index(int(np.argmin(lo_vals - k_lo)), lo_vals.shape)
-        rows.append(CheckRow(
-            "homotopy (iii): Psi(s, t_minus) > k", m3, _STRICT, m3 > 0,
-            (S_LATTICE[i3[0]], p.t_minus, int(i3[1]))))
-
-        hi_vals = np.stack([self.psi_lattice(s, np.array([p.t_plus]))[0]
-                            for s in S_LATTICE])
-        m4 = float((k_hi - hi_vals).min())
-        i4 = np.unravel_index(int(np.argmax(hi_vals)), hi_vals.shape)
-        rows.append(CheckRow(
-            "homotopy (iv): Psi(s, t_plus) < k", m4, _STRICT, m4 > 0,
-            (S_LATTICE[i4[0]], p.t_plus, int(i4[1]))))
+        rows = []
+        for name, tarr, margin in (
+                ("homotopy (ii): Psi > 0", slab, lambda v: v),
+                ("homotopy (iii): Psi(s, t_minus) > k", np.array([p.t_minus]),
+                 lambda v: v - k_lo),
+                ("homotopy (iv): Psi(s, t_plus) < k", np.array([p.t_plus]),
+                 lambda v: k_hi - v)):
+            value, w = psi_margin(tarr, margin)
+            rows.append(CheckRow(name, value, _STRICT, value > 0, w))
 
         strict_s = [s for s in S_LATTICE if s < 1.0]
-        # the witness of min(-drift) is the first argmax of the drift
-        m5, i5 = _first_min((0, -self.drift_lattice(s, slab))
-                            for s in strict_s)
-        end = self.drift_lattice(1.0, slab)
+        m5, w5 = _reduce(((0, -self.drift_lattice(s, slab)) for s in strict_s),
+                         slab, svals=strict_s)
+        end, _ = _reduce([(0, self.drift_lattice(1.0, slab))], slab, np.argmax)
         slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
-        end_ok = float(end.max()) <= slack
-        rows.append(CheckRow(
-            "homotopy (v): d_t Psi + kappa Psi < 0", m5, _STRICT,
-            (m5 > 0) and end_ok,
-            (strict_s[i5[0]], float(slab[i5[1]]), int(i5[2])),
-            note="strict for s < 1; s = 1 slice checked non-strictly "
-                 "(reduces to hypothesis (c))"))
+        rows.append(CheckRow("homotopy (v): d_t Psi + kappa Psi < 0", m5,
+                             _STRICT, m5 > 0 and end <= slack, w5))
         return rows
 
+    def gauge_report(self):
+        """CheckRows of the gauge properties (a)-(d) and phi(t0) = 1.
 
-def _first_min(slices):
-    """min over a sequence of (t, node) lattices and its first position.
-
-    Each slice is the pair (first row index, rows) that _rows returns.
-    The position is (slice index, t index, node), the one np.argmin of
-    the stacked full lattices would give, but only one slice is held at
-    a time.
-    """
-    mins, args = [], []
-    for it0, a in slices:
-        mins.append(a.min())
-        it, node = np.unravel_index(int(np.argmin(a)), a.shape)
-        args.append((it0 + it, node))
-    k = int(np.argmin(mins))      # first slice holding the min (or a NaN)
-    return float(np.min(mins)), (k,) + args[k]
+        (a) phi > 0 on the slab, (b) phi > 1 below it, (c) phi < 1 above
+        it, (d) phi' < 0 on all three validation lattices; each row's
+        witness is the first (t,) attaining its value.
+        """
+        g = self.gauge
+        below, slab, above = validation_lattices(self.prescription)
+        full = np.concatenate([below, slab, above])
+        t0 = np.array([g.t0])
+        a, wa = _reduce([(0, g.phi(slab))], slab)
+        b, wb = _reduce([(0, g.phi(below) - 1.0)], below)
+        c, wc = _reduce([(0, 1.0 - g.phi(above))], above)
+        d, wd = _reduce([(0, g.phi_prime(full))], full, np.argmax)
+        e, we = _reduce([(0, np.abs(g.phi(t0) - 1.0))], t0, np.argmax)
+        return [CheckRow("gauge (a): min phi", a, "> 0", a > 0, wa),
+                CheckRow("gauge (b): min phi - 1, t <= t_minus", b, "> 0",
+                         b > 0, wb),
+                CheckRow("gauge (c): min 1 - phi, t >= t_plus", c, "> 0",
+                         c > 0, wc),
+                CheckRow("gauge (d): max phi'", d, "< 0", d < 0, wd),
+                CheckRow("gauge: |phi(t0) - 1|", e, "<= 1e-14", e <= 1e-14,
+                         we)]
 
 
 def _blend(s, a, a0):
     """s a + (1 - s) a0: the homotopy's mix of a psi and a psi0 term."""
     return s * a + (1.0 - s) * a0
-
-
-def _homotopy_pair(s, pair, pair0):
-    """(Psi, d_t Psi) = s (psi, psi_t) + (1 - s) (psi0, psi0_t)."""
-    (psi, psi_t), (psi0, psi0_t) = pair, pair0
-    return _blend(s, psi, psi0), _blend(s, psi_t, psi0_t)
 
 
 def build_homotopy(prescription, t0=None, eps_phi=0.1):

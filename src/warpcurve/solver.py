@@ -207,7 +207,6 @@ class NewtonStats:
     iterations: int
     residual_norms: list
     halvings: int
-    converged: bool
     # first contraction |Delta_1| / |Delta_0| of the undamped corrections;
     # 0 when Newton took at most one iteration
     theta0: float = 0.0
@@ -382,7 +381,7 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
         norms.append(rnorm)
     return (NodeField(zvals, hp.grid),
             NewtonStats(iterations=iters, residual_norms=norms,
-                        halvings=halvings, converged=True, theta0=theta0,
+                        halvings=halvings, theta0=theta0,
                         state=state))
 
 
@@ -491,8 +490,6 @@ class ManufacturedProblem:
     generally violates the decay hypothesis, which is the point: it gives
     exact nonconstant solutions for convergence-order studies.
     """
-
-    unsafe = True
 
     def __init__(self, grid, profile, spec, psi_values, t_minus, t_plus):
         self.grid = grid

@@ -4,7 +4,10 @@ Every structural claim the construction rests on is checked numerically
 at desk scale: profile mean convexity, prescription hypotheses, gauge
 properties, homotopy family conditions, curvature-function structure, geometry
 identities, and oracle agreement of the analytic derivative paths.  Each
-check yields one row (name, worst-case value, verdict).
+check yields one row (name, worst-case value, verdict).  The profile,
+prescription, gauge and homotopy rows are computed where the checks they
+share with construction live (WarpingProfile.scan, warpcurve.problem);
+this module only tabulates them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from . import curvature, oracle
 from .geometry import (compute_geometry, special_frame_deviations,
                        support_identity_check)
 from .grid import NodeField, make_grid, random_smooth
-from .problem import CheckRow, hypothesis_rows, validation_lattices
+from .problem import CheckRow, hypothesis_rows
 from .solver import assemble_jacobian
 
 
@@ -24,13 +27,11 @@ def _row(name, value, requirement, passed):
 
 
 def profile_rows(profile):
-    t = np.linspace(profile.t_lo, profile.t_hi, 1026)[1:-1]
-    h, h1, _ = profile.eval(t)
-    kap = h1 / h
+    (h, t_h), (kap, t_kap) = profile.scan()
     return [
-        _row("profile: min h on domain scan", h.min(), "> 0", h.min() > 0),
-        _row("profile: min kappa on domain scan", kap.min(), "> 0",
-             kap.min() > 0),
+        CheckRow("profile: min h on domain scan", h, "> 0", h > 0, (t_h,)),
+        CheckRow("profile: min kappa on domain scan", kap, "> 0", kap > 0,
+                 (t_kap,)),
     ]
 
 
@@ -39,25 +40,7 @@ def prescription_rows(p):
 
 
 def gauge_rows(hp):
-    p = hp.prescription
-    below, slab, above = validation_lattices(p)
-    g = hp.gauge
-    rows = []
-    phi_slab = np.asarray(g.phi(slab))
-    rows.append(_row("gauge (a): min phi", phi_slab.min(), "> 0",
-                     phi_slab.min() > 0))
-    phi_below = np.asarray(g.phi(below))
-    rows.append(_row("gauge (b): min phi - 1, t <= t_minus",
-                     phi_below.min() - 1.0, "> 0", phi_below.min() > 1.0))
-    phi_above = np.asarray(g.phi(above))
-    rows.append(_row("gauge (c): min 1 - phi, t >= t_plus",
-                     1.0 - phi_above.max(), "> 0", phi_above.max() < 1.0))
-    full = np.concatenate([below, slab, above])
-    dphi = np.asarray(g.phi_prime(full))
-    rows.append(_row("gauge (d): max phi'", dphi.max(), "< 0", dphi.max() < 0))
-    rows.append(_row("gauge: |phi(t0) - 1|", abs(float(g.phi(g.t0)) - 1.0),
-                     "<= 1e-14", abs(float(g.phi(g.t0)) - 1.0) <= 1e-14))
-    return rows
+    return hp.gauge_report()
 
 
 def homotopy_rows(hp):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import warpcurve as wc
+from warpcurve import verify
 from warpcurve.ambient import ambient_curvature, k_radial, kappa
 
 from conftest import COSH1, SINH1, TANH1
@@ -151,3 +152,25 @@ def test_profile_construction_errors():
         wc.WarpingProfile.cosh(2.0, 1.0)
     with pytest.raises(wc.ConfigError):
         wc.WarpingProfile.power(-1.0, 0.1, 1.0)
+    # NaN used to pass p <= 0 and fail later as hypothesis (positivity)
+    with pytest.raises(wc.ConfigError, match="p > 0"):
+        wc.WarpingProfile.power(np.nan, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("prof", [
+    wc.WarpingProfile.cosh(0.2, 3.0),
+    wc.WarpingProfile.exp(-2.0, 2.0),
+    wc.WarpingProfile.power(0.5, 0.3, 4.0),
+    wc.WarpingProfile.from_table(np.linspace(0.1, 3.2, 40),
+                                 np.cosh(np.linspace(0.1, 3.2, 40))),
+])
+def test_scan_is_the_first_minimum_on_the_interior_lattice(prof):
+    # one scan vets tables at construction and gives verify's profile rows
+    t = np.linspace(prof.t_lo, prof.t_hi, 1026)[1:-1]
+    h, h1, _ = prof.eval(t)
+    kap = h1 / h
+    lowest = [(a.min(), t[np.argmin(a)]) for a in (h, kap)]
+    assert prof.scan() == tuple(lowest)
+    rows = verify.profile_rows(prof)
+    assert [(r.value, r.witness, r.passed) for r in rows] == \
+        [(m, (at,), m > 0) for m, at in lowest]

@@ -224,3 +224,58 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys,
     monkeypatch.setattr(cli, "cmd_verify", frame_failure)
     assert main(["verify", "--config", str(write_cfg(tmp_path))]) == 14
     assert "error[FrameError]" in capsys.readouterr().err
+
+
+def test_deterministic_verify_and_sweep_reports(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, eps=0.1, t_plus=1.5,
+                    extra="\n[sweep]\neps = 0.0, 0.05\n")
+    tables, csvs = [], []
+    for k in range(2):
+        assert main(["verify", "--config", str(cfg)]) == 0
+        tables.append(capsys.readouterr().out)
+        out = tmp_path / f"o{k}"
+        assert main(["sweep", "--config", str(cfg), "--axis", "eps",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        csvs.append((out / "sweep_eps.csv").read_bytes())
+    assert tables[0] == tables[1] and csvs[0] == csvs[1]
+
+
+def _sweep_statuses(path):
+    return [l.split(",")[2] for l in path.read_text().strip().split("\n")[1:]]
+
+
+def test_sweep_with_no_successful_point_exits_with_the_first_failure(
+        tmp_path, capsys):
+    # both points fail validation: the exit is ValidationError's, not the
+    # NewtonStall code a sweep used to exit with whatever failed
+    cfg = write_cfg(tmp_path, t_plus=1.5, extra="\n[sweep]\neps = 5, 6\n")
+    assert main(["sweep", "--config", str(cfg), "--axis", "eps"]) == 4
+    assert _sweep_statuses(tmp_path / "out" / "sweep_eps.csv") == \
+        ["ValidationError"] * 2
+
+
+def test_sweep_exit_names_the_first_invariant_error(tmp_path, capsys,
+                                                    monkeypatch):
+    import warpcurve.cli as cli
+
+    solve = cli.continuation
+
+    def failing(hp, scfg):
+        eps = hp.prescription.eps
+        if eps == 0.05:
+            raise wc.ConeError("left the cone")
+        if eps == 0.1:
+            raise wc.BarrierViolation("left the slab")
+        return solve(hp, scfg)
+
+    monkeypatch.setattr(cli, "continuation", failing)
+    # a validation failure first, then a success, then two invariants: the
+    # first invariant's class names the exit, ConeError's code, not
+    # BarrierViolation's
+    cfg = write_cfg(tmp_path, t_plus=1.5,
+                    extra="\n[sweep]\neps = 5, 0.0, 0.05, 0.1\n")
+    assert main(["sweep", "--config", str(cfg), "--axis", "eps"]) == \
+        cli.EXIT_CODES[wc.ConeError]
+    assert _sweep_statuses(tmp_path / "out" / "sweep_eps.csv") == \
+        ["ValidationError", "ok", "ConeError", "BarrierViolation"]

@@ -152,6 +152,38 @@ def test_non_finite_settings_exit_3(tmp_path, capsys, block, key, value,
     assert "finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, name", [
+    ('{"grid": {"N": 64, "N": 128}}', "'N'"),
+    ('{"grid": {"N": 64}, "grid": {"n": 1}}', "'grid'"),
+])
+def test_duplicate_json_keys_are_parse_errors(tmp_path, capsys, text, name):
+    # the INI loader refuses a repeated option or section; JSON used to
+    # keep the last value without a word
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse config") and \
+        f"duplicate JSON key {name}" in err
+
+
+@pytest.mark.parametrize("blocks", [
+    {"profile": {"kind": "power", "p": "nan", "t_lo": 0.3, "t_hi": 4.0},
+     "prescription": {"c0": 2.0, "t_minus": 0.6, "t_plus": 2.0}},
+    {"prescription": {"c0": "nan"}},
+    {"prescription": {"eps": "nan"}},
+    {"prescription": {"eps": "inf"}},
+    {"sweep": {"eps": "0.0, nan"}},
+])
+def test_non_finite_inputs_exit_3(tmp_path, capsys, blocks):
+    # these used to reach validation and fail as ValidationError
+    # "hypothesis (positivity) violated ... psi = nan" (exit 4)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(blocks))
+    assert main(["verify", "--config", str(path)]) == 3
+    assert "error[ConfigError]" in capsys.readouterr().err
+
+
 def all_keys():
     cp = configparser.ConfigParser()
     cp.optionxform = str

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
 from warpcurve import verify
-from warpcurve.problem import (CUSTOM_C_SLACK, S_LATTICE, barrier_crossings,
-                               build_phi, build_prescription, hypothesis_rows,
+from warpcurve.problem import (CUSTOM_C_SLACK, S_LATTICE, Gauge,
+                               HomotopyProblem, barrier_crossings, build_phi,
+                               build_prescription, hypothesis_rows,
                                validation_lattices)
 
 from conftest import SINH1, TANH1, make_problem
@@ -66,6 +67,12 @@ def test_config_errors(cosh, spec1):
         build_prescription(cosh, spec1, g, c0=1.0, t_minus=1.6, t_plus=0.5)
     with pytest.raises(wc.ConfigError):
         build_prescription(cosh, spec1, g, c0=-1.0, t_minus=0.5, t_plus=1.6)
+    # a NaN c0 is an input error too, validated or not; it used to fail
+    # validation as hypothesis (positivity)
+    for validate in (True, False):
+        with pytest.raises(wc.ConfigError, match="c0 > 0"):
+            build_prescription(cosh, spec1, g, c0=np.nan, t_minus=0.5,
+                               t_plus=1.6, validate=validate)
     with pytest.raises(wc.ConfigError):
         build_prescription(cosh, spec1, g, c0=1.0, t_minus=0.1, t_plus=1.6)
 
@@ -107,6 +114,49 @@ def test_gauge_rejects_a_non_finite_decay(cosh, spec1, eps_phi):
     # a NaN rate used to pass both the sign test and the phi' < 0 scan
     with pytest.raises(wc.GaugeError, match="finite"):
         build_phi(cosh, spec1, 0.5, 1.5, eps_phi=eps_phi)
+
+
+def test_gauge_rows_witness_the_first_pick_of_their_lattices(cosh, spec1):
+    hp = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
+    p = hp.prescription
+    power = wc.WarpingProfile.power(0.5, 0.5, 4.0)
+    pp = build_prescription(power, spec1, wc.make_grid(1, 16), c0=1.0,
+                            t_minus=1.0, t_plus=2.0, validate=False)
+    hps = [hp, wc.build_homotopy(p, t0=hp.t0, eps_phi=0.0),
+           wc.build_homotopy(p, t0=0.6, eps_phi=2.0),
+           # gauges build_phi refuses: the anchor above t_plus fails (c),
+           # phi ~ sqrt(t) increases and fails (b)-(d)
+           HomotopyProblem(p, Gauge(cosh, spec1, t0=1.55)),
+           HomotopyProblem(pp, Gauge(power, spec1, t0=1.5, eps_phi=0.0))]
+    failed = []
+    for hp in hps:
+        g = hp.gauge
+        below, slab, above = validation_lattices(hp.prescription)
+        full = np.concatenate([below, slab, above])
+        t0 = np.array([g.t0])
+        lattices = [(g.phi(slab), slab, np.argmin),
+                    (g.phi(below) - 1.0, below, np.argmin),
+                    (1.0 - g.phi(above), above, np.argmin),
+                    (g.phi_prime(full), full, np.argmax),
+                    (np.abs(g.phi(t0) - 1.0), t0, np.argmax)]
+        rows = verify.gauge_rows(hp)
+        for row, (a, tarr, pick) in zip(rows, lattices, strict=True):
+            i = int(pick(a))
+            assert (row.value, row.witness) == (a[i], (tarr[i],))
+        # the margins and verdicts as the verify table computed them when
+        # it reduced the gauge lattices itself
+        phi_slab, phi_below = g.phi(slab), g.phi(below)
+        phi_above = g.phi(above)
+        dphi, at_t0 = g.phi_prime(full).max(), abs(float(g.phi(g.t0)) - 1.0)
+        assert [r.value for r in rows] == [
+            phi_slab.min(), phi_below.min() - 1.0, 1.0 - phi_above.max(),
+            dphi, at_t0]
+        assert [r.passed for r in rows] == [
+            phi_slab.min() > 0, phi_below.min() > 1.0, phi_above.max() < 1.0,
+            dphi < 0, at_t0 <= 1e-14]
+        failed.append([r.name[:9] for r in rows if not r.passed])
+    assert failed == [[], [], [], ["gauge (c)"],
+                      ["gauge (b)", "gauge (c)", "gauge (d)"]]
 
 
 def test_homotopy_stores_each_input_once(cosh, spec1):
@@ -353,7 +403,7 @@ def test_fused_psi_pairs_match_per_term_formulas(cosh, spec1):
         a = np.zeros((1, grid.size)) if ang is None else p.angular[None, :]
         val, dt, psi, psi_t, _, _ = _per_term(hp, 1.0, t, a, flat[:, None, :])
         assert np.array_equal(_psi_lattice(p, slab), psi)
-        assert np.array_equal(hp.psi_lattice(1.0, slab), val)
+        assert np.array_equal(_Psi_lattice(hp, 1.0, slab), val)
         h, h1, _ = cosh.eval(t)
         assert np.array_equal(_drift_raw_lattice(hp, 1.0, slab),
                               dt + (h1 / h) * val)
@@ -367,20 +417,31 @@ def test_fused_psi_pairs_match_per_term_formulas(cosh, spec1):
 
 
 def _stacked_homotopy_report(hp):
-    """homotopy_report's (ii) and (v) rows from the full (s, t, node) stacks."""
+    """homotopy_report's (value, witness) pairs from the full stacks.
+
+    Each row's margin lattice is stacked over s and reduced by one
+    np.argmin: Psi for (ii), Psi - k at t_minus for (iii), k - Psi at
+    t_plus for (iv) and minus the drift for s < 1 for (v).
+    """
     p = hp.prescription
     _, slab, _ = validation_lattices(p)
-    vals = np.stack([hp.psi_lattice(s, slab) for s in S_LATTICE])
-    m2 = float(vals.min())
-    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    k_lo, k_hi = (float(np.asarray(p.k_of(t))) for t in (p.t_minus, p.t_plus))
+
+    def psi(tarr):
+        return np.stack([_Psi_lattice(hp, s, tarr) for s in S_LATTICE])
+
     strict_s = [s for s in S_LATTICE if s < 1.0]
     full = (slab.size, hp.grid.size)   # radial-decay drifts are one column
     drifts = np.stack([np.broadcast_to(hp.drift_lattice(s, slab), full)
                        for s in strict_s])
-    m5 = float((-drifts).min())
-    i5 = np.unravel_index(int(np.argmax(drifts)), drifts.shape)
-    return [(m2, (S_LATTICE[idx[0]], float(slab[idx[1]]), int(idx[2]))),
-            (m5, (strict_s[i5[0]], float(slab[i5[1]]), int(i5[2])))]
+    out = []
+    for a, svals, tarr in ((psi(slab), S_LATTICE, slab),
+                           (psi([p.t_minus]) - k_lo, S_LATTICE, [p.t_minus]),
+                           (k_hi - psi([p.t_plus]), S_LATTICE, [p.t_plus]),
+                           (-drifts, strict_s, slab)):
+        i = np.unravel_index(int(np.argmin(a)), a.shape)
+        out.append((float(a[i]), (svals[i[0]], float(tarr[i[1]]), int(i[2]))))
+    return out
 
 
 def test_homotopy_report_matches_stacked_lattices(cosh, spec1):
@@ -389,8 +450,22 @@ def test_homotopy_report_matches_stacked_lattices(cosh, spec1):
     hps.append(wc.build_homotopy(hp.prescription, t0=hp.t0, eps_phi=0.0))
     for hp in hps:
         rows = hp.homotopy_report()
-        got = [(r.value, r.witness) for r in (rows[0], rows[3])]
-        assert got == _stacked_homotopy_report(hp)
+        assert [(r.value, r.witness) for r in rows] == \
+            _stacked_homotopy_report(hp)
+
+
+def test_homotopy_iv_witness_is_the_first_argmin_of_its_margin(cosh):
+    # at s = 1, nodes 3 and 16 hold Psi values one rounding apart that tie
+    # in k - Psi: the witness is the first node attaining the margin, not
+    # the first argmax of Psi
+    p = build_prescription(cosh, wc.CurvatureSpec(1, 1), wc.make_grid(1, 19),
+                           c0=0.1, eps=-0.09, mode=3, t_minus=0.5,
+                           t_plus=1.5, validate=False)
+    hp = wc.build_homotopy(p, eps_phi=4.0)
+    row = hp.homotopy_report()[2]
+    assert (row.value, row.witness) == _stacked_homotopy_report(hp)[2]
+    assert row.witness == (1.0, 1.5, 3)
+    assert np.argmax(_Psi_lattice(hp, 1.0, [p.t_plus])[0]) == 16
 
 
 # -- the hypothesis margins: one engine for validation and verify ------------
@@ -463,6 +538,13 @@ def _psi_lattice(p, tarr):
     return p.psi(t, p.profile.eval(t)[0])
 
 
+def _Psi_lattice(hp, s, tarr):
+    """Psi = s psi + (1 - s) psi0 on (t-lattice) x (all nodes)."""
+    t = np.asarray(tarr)[:, None]
+    psi0 = hp.gauge.psi0(t, hp.profile.eval(t)[0])
+    return s * _psi_lattice(hp.prescription, tarr) + (1.0 - s) * psi0
+
+
 def _lattice_margins(p):
     """positivity and (a)-(c) reduced over the full validation lattices.
 
@@ -487,7 +569,7 @@ def _lattice_margins(p):
 
 
 def _assert_engine_rows(p):
-    """hypothesis_rows and homotopy (ii), (v) equal the full-lattice ones."""
+    """hypothesis_rows and homotopy (ii)-(v) equal the full-lattice ones."""
     rows = verify.prescription_rows(p)
     ref, witnesses = _lattice_margins(p)
     slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
@@ -495,9 +577,9 @@ def _assert_engine_rows(p):
     assert [r.witness for r in rows] == witnesses
     assert [r.passed for r in rows] == [m > 0 for m in ref[:3]] \
         + [ref[3] <= slack]
-    hrows = wc.build_homotopy(p).homotopy_report()
-    got = [(r.value, r.witness) for r in (hrows[0], hrows[3])]
-    assert got == _stacked_homotopy_report(wc.build_homotopy(p))
+    hp = wc.build_homotopy(p)
+    assert [(r.value, r.witness) for r in hp.homotopy_report()] == \
+        _stacked_homotopy_report(hp)
     return rows
 
 
@@ -584,10 +666,13 @@ def test_nan_prescription_fails_at_the_full_lattice_witness(cosh, spec1):
         "hypothesis (positivity) violated at t=0.5, node=0: psi = nan <= 0"
     hp = wc.build_homotopy(p)
     rows = hp.homotopy_report()
-    (m2, w2), (m5, w5) = _stacked_homotopy_report(hp)
-    assert np.isnan(rows[0].value) and np.isnan(m2)
-    assert rows[0].witness == w2 == (0.0, 0.5, 0)
-    assert (rows[3].value, rows[3].witness) == (m5, w5)
+    ref = _stacked_homotopy_report(hp)
+    assert [r.witness for r in rows] == [w for _, w in ref]
+    assert rows[0].witness == (0.0, 0.5, 0)
+    # Psi is NaN at every s, s = 0 included (0 * nan = nan)
+    assert [np.isnan(r.value) for r in rows] == [True] * 3 + [False]
+    assert [np.isnan(m) for m, _ in ref] == [True] * 3 + [False]
+    assert (rows[3].value, rows[3].witness) == ref[3]
 
 
 def test_separable_margins_allocate_no_full_lattice(cosh):
