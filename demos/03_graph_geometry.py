@@ -9,7 +9,7 @@ hold for any graph.
 import numpy as np
 
 from warpcurve import WarpingProfile, compute_geometry, make_grid
-from warpcurve.geometry import special_frame_check, support_identity_check
+from warpcurve.geometry import special_frame_deviations, support_identity_check
 
 prof = WarpingProfile.cosh(0.2, 3.0)
 g = make_grid(2, 48)
@@ -35,8 +35,8 @@ print(f"  umbilic slice: max |lam - tanh(1)| = "
 
 # the gradient-aligned special frame reproduces the shape operator
 node = (7, 31)
-rep = special_frame_check(geom, node)
-print(f"  special frame at node {node}: deviation {rep.deviation:.2e}")
+dev = special_frame_deviations(geom, tuple(np.array([i]) for i in node))[0]
+print(f"  special frame at node {node}: deviation {dev:.2e}")
 
 # support-function gradient identities hold up to stencil truncation
 err_eta, err_tau = support_identity_check(geom)

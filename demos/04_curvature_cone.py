@@ -8,7 +8,8 @@ homogeneous, normalized so f(kappa, ..., kappa) = kappa, elliptic
 import numpy as np
 
 from warpcurve import CurvatureSpec, check_structural, f_eval, f_grad, in_cone
-from warpcurve.curvature import matrix_derivative, sample_cone
+from warpcurve.curvature import sample_cone
+from warpcurve.geometry import matrix_derivative
 
 spec = CurvatureSpec(n=2, r=2)
 print("cone membership (Gamma_2 in dimension 2 is the positive quadrant):")
@@ -19,9 +20,14 @@ lam = np.array([1.0, 4.0])
 print(f"\nf(1, 4) = {f_eval(spec, lam)}   (sqrt(S_2) = 2)")
 print(f"f_grad(1, 4) = {f_grad(spec, lam)}   (chain rule: 1, 0.25)")
 
-# derivative with respect to the full symmetric matrix: spectral form
+# derivative with respect to the full symmetric matrix: the frame sum
+# sum_k f_k q_k q_k^T over its eigenpairs, the sum Newton's Jacobian uses;
+# smooth through the umbilic diag(0.8, 0.8), where it is f_1 I
 m = np.array([[2.0, 1.0], [1.0, 2.0]])
 print(f"\nmatrix derivative at [[2,1],[1,2]]:\n{matrix_derivative(spec, m)}")
+for gap in (1e-3, 1e-9, 0.0):
+    F = matrix_derivative(spec, np.diag([0.8 + gap, 0.8]))
+    print(f"  at diag(0.8 + {gap:g}, 0.8): {np.diag(F)}")
 
 # sampled structural report on a curvature slab
 rep = check_structural(spec, mu1=0.5, mu2=2.0, samples=5000)

@@ -9,13 +9,13 @@ leaves, barrier levels, cone admissibility, gauge decay).
 """
 
 from .ambient import WarpingProfile, ambient_curvature, k_radial, kappa
-from .curvature import (CurvatureSpec, F_matrix_derivative, check_structural,
-                        f_eval, f_grad, in_cone)
+from .curvature import (CurvatureSpec, check_structural, f_eval, f_grad,
+                        in_cone)
 from .errors import (BarrierViolation, BisectError, ConeError, ConfigError,
                      ContinuationStall, DomainError, FrameError, GaugeError,
                      NewtonStall, ProfileError, ShapeError, ValidationError,
                      WarpcurveError)
-from .geometry import (compute_geometry, special_frame_check,
+from .geometry import (compute_geometry, special_frame_deviations,
                        support_identity_check)
 from .grid import NodeField, make_grid, random_smooth, reduce
 from .oracle import OracleReport, fd_gradcheck

@@ -42,11 +42,18 @@ class WarpingProfile:
         self.params = tuple(float(p) for p in params)
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
+        # an infinite end or exponent passes the order and sign checks and
+        # fails later under another name (t^inf underflows h to 0)
+        for name, value in (("t_lo", self.t_lo), ("t_hi", self.t_hi)):
+            if not np.isfinite(value):
+                raise ConfigError(f"profile {name} must be finite, "
+                                  f"got {value!r}")
         self.require_mean_convex = bool(require_mean_convex)
         self._spline = _spline
         if kind == "power":
-            if not self.params or not self.params[0] > 0:   # NaN too
-                raise ConfigError("power profile needs exponent p > 0")
+            if not self.params or not 0 < self.params[0] < np.inf:  # NaN too
+                raise ConfigError(f"power profile needs a finite exponent "
+                                  f"p > 0, got {self.params}")
             if self.t_lo < 0:
                 raise ProfileError("power profile lives on (0, inf)")
         if kind == "custom-table":

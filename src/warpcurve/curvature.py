@@ -15,9 +15,10 @@ Python-float or NumPy-scalar `**`, which call libm pow, while on an array
 NumPy turns `** 0.5` into sqrt and otherwise runs its SIMD power loop.
 On an AVX-512 machine, over 200k values uniform in [0.5, 3), the two
 differed on 149 values at exponent 0.5 and on 10,392 at exponent -0.5.
-The solver evaluates whole grids, so the verify oracles
-(oracle.fd_gradcheck, matrix_derivative) run on batches too and certify
-the array path.
+The solver evaluates whole grids, so oracle.fd_gradcheck runs on
+batches too and certifies the array path; geometry.matrix_derivative,
+the frame sum that verify checks for Newton's M, flattens even a single
+matrix into a batch for the same reason.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeError, ConfigError
-
-# below this eigenvalue gap the spectral divided differences are replaced
-# by their repeated-eigenvalue limits
-EIG_PAIR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,49 +131,6 @@ def f_grad(spec, lam):
     red = _sym_poly_reduced(lam, r - 1)
     out = (1.0 / r) * (Sr / C) ** (1.0 / r - 1.0)
     return out[..., None] * red / C
-
-
-def _cluster_average(lam, vals, tol=EIG_PAIR_TOL):
-    """Average vals over clusters of nearly equal (sorted) lam entries.
-
-    Implements the repeated-eigenvalue limit: inside a cluster the
-    divided differences of the spectral calculus degenerate and the
-    derivative values must coincide.  lam and vals are (..., n); a
-    cluster is a run of neighbours at most tol apart.
-    """
-    lam = np.asarray(lam, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    label = np.zeros(lam.shape, dtype=int)
-    label[..., 1:] = np.cumsum(np.abs(np.diff(lam, axis=-1)) > tol, axis=-1)
-    out = np.empty_like(vals)
-    for k in range(lam.shape[-1]):
-        members = label == label[..., k:k + 1]
-        out[..., k] = (vals * members).sum(axis=-1) / members.sum(axis=-1)
-    return out
-
-
-def F_matrix_derivative(spec, geom, node):
-    """Derivative of f with respect to the symmetrized shape form at a node.
-
-    Returns the symmetric matrix Q diag(f_i) Q^T where Q diagonalizes the
-    symmetrized form g^{-1/2} a g^{-1/2}; nearly equal eigenvalues are
-    merged per the limit rule before the frame is applied.
-    """
-    lam = geom.lam[node]
-    Q = geom.eigvec[node]
-    return _matrix_derivative_from_spectrum(spec, lam, Q)
-
-
-def matrix_derivative(spec, sym_matrix):
-    """F_matrix_derivative for raw symmetric matrices, shape (..., n, n)."""
-    m = np.asarray(sym_matrix, dtype=float)
-    w, Q = np.linalg.eigh(m)
-    return _matrix_derivative_from_spectrum(spec, w[..., ::-1], Q[..., ::-1])
-
-
-def _matrix_derivative_from_spectrum(spec, lam, Q):
-    fi = _cluster_average(lam, f_grad(spec, lam))
-    return (Q * fi[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
 @dataclass

@@ -28,19 +28,24 @@ is (p + r)/2 +- rad with the sign of p + r, the other is det / that one
 (no cancellation), and the eigenvector of the larger eigenvalue is
 (p - r + 2 rad, 2q) or (2q, 2 rad - p + r), whichever avoids
 cancellation.  The matrices g, g^{-1}, g^{-1/2}, a, A, the symmetrized
-form, the eigenvector matrix, nu0, tau and eta are not read on the Newton
-path, so they are built on first access.
+form, nu0, tau and eta are not read on the Newton path, so they are built
+on first access.
+
+The derivative of f(lam) in the form is one frame sum, sum_k f_k v_k v_k^T:
+over the g-orthonormal eigenvectors for Newton (GraphGeometry.frame_sum),
+over the eig2_sym eigenvectors of a raw symmetric matrix for verification
+(matrix_derivative).
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import FrameError
+from . import curvature
+from .errors import ConfigError, FrameError
 from .grid import NodeField
 
 _FRAME_TOL = 1e-10
@@ -84,12 +89,11 @@ class GraphGeometry:
     """Per-node extrinsic data of a graph (grid axes first, matrix axes last).
 
     grad is (*shape, n), hess (*shape, n, n), lam (*shape, n) descending;
-    g, g_inv, g_inv_sqrt, a, A, atilde, eigvec are (*shape, n, n) and the
-    eigvec columns match lam.
+    g, g_inv, g_inv_sqrt, a, A, atilde are (*shape, n, n).
     """
 
     def __init__(self, grid, profile, z, grad, hess, h, h1, h2, W, lam,
-                 frame, eta_anchor=None):
+                 frame):
         self.grid = grid
         self.profile = profile
         self.z = z
@@ -101,7 +105,6 @@ class GraphGeometry:
         self.W = W
         self.lam = lam
         self._frame = frame            # (c, s) of lam_max at n = 2
-        self._eta_anchor = eta_anchor
 
     @property
     def grad(self):
@@ -118,18 +121,9 @@ class GraphGeometry:
     def frame_sum(self, w):
         """sum_k w_k v_k v_k^T over the g-orthonormal eigenvectors v_k.
 
-        w is (*shape, n), matched to lam.  Returns the symmetric result as
-        an n x n nested list of per-node arrays (the off-diagonal entries
-        are one shared array).
+        w is (*shape, n), matched to lam; the result is _frame_sum's.
         """
-        V = self._eigvec_g
-        rng = range(self.grid.n)
-        M = [[None for _ in rng] for _ in rng]
-        for i in rng:
-            for j in range(i, self.grid.n):
-                M[i][j] = M[j][i] = sum(w[..., k] * V[i][k] * V[j][k]
-                                        for k in rng)
-        return M
+        return _frame_sum(w, self._eigvec_g)
 
     @cached_property
     def _eigvec_g(self):
@@ -180,14 +174,6 @@ class GraphGeometry:
                                       self._hess))
 
     @cached_property
-    def eigvec(self):
-        if self.grid.n == 1:
-            return np.ones(self.lam.shape + (1,))
-        c, s = self._frame
-        return np.stack([np.stack([c, -s], axis=-1),
-                         np.stack([s, c], axis=-1)], axis=-2)
-
-    @cached_property
     def nu0(self):
         return -self.h / self.W
 
@@ -197,10 +183,51 @@ class GraphGeometry:
 
     @cached_property
     def eta(self):
-        eta = -self.profile.antiderivative(self.z)
-        if self._eta_anchor is not None:
-            eta = eta + self.profile.antiderivative(self._eta_anchor)
-        return np.asarray(eta, dtype=float)
+        return np.asarray(-self.profile.antiderivative(self.z), dtype=float)
+
+
+def _frame_sum(w, V):
+    """sum_k w_k v_k v_k^T from the components V[i][k] of the vectors v_k.
+
+    w is (..., n), matched to the v_k.  Returns the symmetric result as an
+    n x n nested list of arrays (the off-diagonal entries are one shared
+    array).  Newton's M (GraphGeometry.frame_sum) and matrix_derivative
+    are this one sum over two frames.
+    """
+    rng = range(len(V))
+    M = [[None for _ in rng] for _ in rng]
+    for i in rng:
+        for j in range(i, len(V)):
+            M[i][j] = M[j][i] = sum(w[..., k] * V[i][k] * V[j][k]
+                                    for k in rng)
+    return M
+
+
+def matrix_derivative(spec, m):
+    """Derivative of f(eigenvalues of m) in the symmetric matrices m.
+
+    m is (..., n, n) with n = spec.n in {1, 2}.  Returns the (..., n, n)
+    frame sum of f_grad(lam) over the eig2_sym eigenpairs (lam_k, q_k) of
+    m.  f is symmetric, so f_1 - f_2 = O(lam_1 - lam_2) and the sum stays
+    smooth through repeated eigenvalues with no limit rule.  On the
+    symmetrized form it is Newton's M seen through g^{1/2}:
+    frame_sum(f_grad(lam)) = g^{-1/2} matrix_derivative(atilde) g^{-1/2}.
+    """
+    m = np.asarray(m, dtype=float)
+    n = spec.n
+    if n not in (1, 2) or m.shape[-2:] != (n, n):
+        raise ConfigError(f"matrix_derivative needs (..., n, n) matrices "
+                          f"with n in (1, 2), got shape {m.shape} at n = {n}")
+    # one flat batch, so that a single matrix takes the array path too
+    flat = m.reshape(-1, n, n)
+    if n == 1:
+        lam, Q = flat[:, 0], [[1.0]]
+    else:
+        lam_max, lam_min, c, s = eig2_sym(flat[:, 0, 0], flat[:, 0, 1],
+                                          flat[:, 1, 1])
+        lam, Q = np.stack([lam_max, lam_min], axis=-1), [[c, -s], [s, c]]
+    M = _frame_sum(curvature.f_grad(spec, lam), Q)
+    return np.moveaxis(np.array(M), -1, 0).reshape(m.shape)
 
 
 # Per-node symmetric n x n quantities as lists of their upper-triangle
@@ -253,7 +280,7 @@ def _symmetrized_form(h, h1, W, grad, hess):
     return [t00 * s00 + t01 * s01, m01, t10 * s01 + t11 * s11]
 
 
-def geometry_from_derivatives(zvals, grad, hess, grid, profile, eta_anchor=None):
+def geometry_from_derivatives(zvals, grad, hess, grid, profile):
     """Build the geometry from explicit derivative fields.
 
     grad and hess use the grid layout (n, ...) and (n, n, ...); the solver
@@ -276,10 +303,10 @@ def geometry_from_derivatives(zvals, grad, hess, grid, profile, eta_anchor=None)
         lam = np.stack([lam_max, lam_min], axis=-1)
         frame = (c, s)
     return GraphGeometry(grid, profile, np.asarray(zvals, dtype=float), grad,
-                         hess, h, h1, h2, W, lam, frame, eta_anchor)
+                         hess, h, h1, h2, W, lam, frame)
 
 
-def compute_geometry(z, grid=None, profile=None, eta_anchor=None):
+def compute_geometry(z, grid=None, profile=None):
     """Geometry of a discrete height field (stencil derivatives).
 
     Raises DomainError if any height leaves the profile interval.
@@ -290,43 +317,25 @@ def compute_geometry(z, grid=None, profile=None, eta_anchor=None):
     else:
         zvals = np.asarray(z, dtype=float)
     return geometry_from_derivatives(
-        zvals, grid.gradient(zvals), grid.hessian(zvals), grid, profile,
-        eta_anchor=eta_anchor)
-
-
-@dataclass
-class SpecialFrameReport:
-    node: object
-    deviation: float
-    special: np.ndarray
-    general: np.ndarray
-
-
-def special_frame_check(geom, node):
-    """Recompute the shape operator at one node in the gradient-aligned frame.
-
-    Rotates coordinates so axis 1 follows grad z, evaluates the special
-    frame formulas (diagonal metric), and reports the maximum deviation
-    from the rotated general-formula operator g^{-1} a.
-    """
-    A_sp, A_gen = _special_frame(geom, tuple(np.atleast_1d(i) for i in node))
-    return SpecialFrameReport(node=node,
-                              deviation=float(np.abs(A_sp - A_gen).max()),
-                              special=A_sp[0], general=A_gen[0])
+        zvals, grid.gradient(zvals), grid.hessian(zvals), grid, profile)
 
 
 def special_frame_deviations(geom, idx):
-    """special_frame_check's deviation at each node of the index arrays."""
+    """Recompute the shape operator in the gradient-aligned frame.
+
+    idx holds one index array per grid axis.  At each of its nodes the
+    coordinates are rotated so axis 1 follows grad z, the special frame
+    formulas (diagonal metric) are evaluated, and the maximum deviation
+    from the rotated general-formula operator g^{-1} a is returned.
+    Raises FrameError at the first node where grad z vanishes.
+    """
     A_sp, A_gen = _special_frame(geom, idx)
     return np.abs(A_sp - A_gen).max(axis=(-2, -1))
 
 
 def _special_frame(geom, idx):
-    """Special-frame and rotated general shape operators, each (k, n, n).
-
-    idx holds one index array of length k per grid axis.  Raises
-    FrameError at the first node where grad z vanishes.
-    """
+    """Special-frame and rotated general shape operators, each (k, n, n),
+    at the k nodes of idx."""
     grad = geom.grad[idx]
     norm = np.sqrt((grad ** 2).sum(axis=-1))
     bad = norm < _FRAME_TOL

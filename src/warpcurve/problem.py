@@ -254,8 +254,9 @@ def build_prescription(profile, spec, grid, form="radial-decay", c0=1.0,
         raise ConfigError(
             f"need t_lo < t_minus < t_plus < t_hi, got "
             f"({profile.t_lo}, {t_minus}, {t_plus}, {profile.t_hi})")
-    if form == "radial-decay" and not c0 > 0:     # NaN too
-        raise ConfigError("radial-decay prescription needs c0 > 0")
+    if form == "radial-decay" and not 0 < c0 < np.inf:     # NaN too
+        raise ConfigError(f"radial-decay prescription needs a finite c0 > 0, "
+                          f"got {c0!r}")
     p = Prescription(form=form, profile=profile, spec=spec, grid=grid,
                      t_minus=float(t_minus), t_plus=float(t_plus),
                      c0=float(c0), eps=float(eps), mode=mode,

@@ -66,20 +66,20 @@ from .grid import NodeField
 
 _THETA_MAX = 0.5       # continuation abandons a step once Theta_k > this
 _THETA_GROW = 0.25     # and doubles ds after a step with Theta_1 <= this
+_MAX_HALVINGS = 20     # backtracking budget per Newton step
+_FD_STEP = 1e-6        # colored-FD Jacobian step, scaled by (1 + |z|_inf)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-10     # residual sup-norm target
     max_newton: int = 30
-    max_halvings: int = 20        # backtracking budget per Newton step
     ds0: float = 1.0              # first continuation step: the whole way
     ds_min: float = 1e-4
     jacobian_mode: str = "analytic"   # or "fd-colored"
-    fd_step: float = 1e-6             # scaled by (1 + |z|_inf)
 
     def __post_init__(self):
-        for name in ("newton_tol", "ds0", "ds_min", "fd_step"):
+        for name in ("newton_tol", "ds0", "ds_min"):
             value = getattr(self, name)
             if not 0 < value < np.inf:          # False on NaN too
                 raise ConfigError(f"solver {name} must be finite and "
@@ -184,15 +184,14 @@ def _fd_colored_jacobian(zvals, s, hp, step):
     return grid.pattern_matrix(data)
 
 
-def assemble_jacobian(z, s, hp, mode="analytic", cfg=None):
+def assemble_jacobian(z, s, hp, mode="analytic"):
     """Sparse Jacobian of the residual at z (stencil-footprint sparsity)."""
-    cfg = cfg or SolverConfig()
     zvals = z.values if isinstance(z, NodeField) else np.asarray(z, float)
     if mode == "analytic":
         return _analytic_jacobian(_evaluate(zvals, s, hp), hp)
     if mode != "fd-colored":
         raise ConfigError(f"unknown jacobian mode {mode!r}")
-    step = cfg.fd_step * (1.0 + float(np.abs(zvals).max()))
+    step = _FD_STEP * (1.0 + float(np.abs(zvals).max()))
     for attempt in range(4):
         try:
             return _fd_colored_jacobian(zvals, s, hp, step)
@@ -316,7 +315,7 @@ def _check_barrier(zvals, barrier):
 def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
     """Damped Newton at fixed s; every accepted iterate stays admissible.
 
-    Backtracks (up to cfg.max_halvings) while the trial is inadmissible,
+    Backtracks (up to _MAX_HALVINGS times) while the trial is inadmissible,
     leaves the profile interval, or fails to decrease the residual
     sup-norm.  When barrier levels are supplied, every accepted iterate is
     asserted to stay strictly inside them.  When theta_max is given (the
@@ -341,7 +340,7 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
         if cfg.jacobian_mode == "analytic":
             J = _analytic_jacobian(state, hp)
         else:
-            J = assemble_jacobian(zvals, s, hp, "fd-colored", cfg)
+            J = assemble_jacobian(zvals, s, hp, "fd-colored")
         delta = _linear_step(J, -hp.grid.flatten(state.res), hp.grid)
         if not np.all(np.isfinite(delta)):
             raise NewtonStall(f"non-finite linear step at s={s:.6g} "
@@ -358,7 +357,7 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
         delta = hp.grid.unflatten(delta)
         alpha = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = zvals + alpha * delta
             try:
                 tstate = _evaluate(trial, s, hp)

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import curvature, oracle
-from .geometry import (compute_geometry, special_frame_deviations,
-                       support_identity_check)
+from .geometry import (compute_geometry, matrix_derivative,
+                       special_frame_deviations, support_identity_check)
 from .grid import NodeField, make_grid, random_smooth
 from .problem import CheckRow, hypothesis_rows
 from .solver import assemble_jacobian
@@ -83,7 +83,9 @@ def curvature_property_rows(spec, seed):
                      "<= 1e-6", worst <= 1e-6))
     if spec.n == 2:
         m = np.stack([_random_cone_matrix(spec, rng) for _ in range(100)])
-        F = curvature.matrix_derivative(spec, m)
+        # Newton's M is this frame sum (geometry._frame_sum), seen through
+        # the metric, so the row checks the derivative Newton uses
+        F = matrix_derivative(spec, m)
         fd = _fd_matrix_derivative(spec, m)
         worst = float((np.abs(F - fd).max(axis=(-2, -1))
                        / np.abs(F).max(axis=(-2, -1))).max())

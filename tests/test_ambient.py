@@ -155,6 +155,12 @@ def test_profile_construction_errors():
     # NaN used to pass p <= 0 and fail later as hypothesis (positivity)
     with pytest.raises(wc.ConfigError, match="p > 0"):
         wc.WarpingProfile.power(np.nan, 0.1, 1.0)
+    # infinities passed the order and sign checks and failed later
+    with pytest.raises(wc.ConfigError, match="p > 0, got \\(inf,\\)"):
+        wc.WarpingProfile.power(np.inf, 0.1, 1.0)
+    for lo, hi, name in ((0.2, np.inf, "t_hi"), (-np.inf, 1.0, "t_lo")):
+        with pytest.raises(wc.ConfigError, match=f"{name} must be finite"):
+            wc.WarpingProfile.cosh(lo, hi)
 
 
 @pytest.mark.parametrize("prof", [

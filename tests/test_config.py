@@ -184,6 +184,23 @@ def test_non_finite_inputs_exit_3(tmp_path, capsys, blocks):
     assert "error[ConfigError]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocks, name", [
+    ({"profile": {"kind": "power", "p": "inf"}}, "p"),
+    ({"prescription": {"c0": "inf"}}, "c0"),
+    ({"profile": {"t_hi": "inf"}}, "t_hi"),
+])
+def test_infinite_inputs_exit_3_naming_the_parameter(tmp_path, capsys, blocks,
+                                                     name):
+    # each passed its sign check and failed later under another cause:
+    # ProfileError (exit 10), ValidationError (exit 4), DomainError (exit 11)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(blocks))
+    assert main(["verify", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]") and f" {name} " in err \
+        and "inf" in err
+
+
 def all_keys():
     cp = configparser.ConfigParser()
     cp.optionxform = str

@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
 from warpcurve import verify
-from warpcurve.curvature import (EIG_PAIR_TOL, CurvatureSpec,
-                                 _cluster_average, check_structural, f_eval,
-                                 f_grad, in_cone, matrix_derivative,
-                                 sample_cone, sym_poly)
+from warpcurve.curvature import (CurvatureSpec, check_structural, f_eval,
+                                 f_grad, in_cone, sample_cone, sym_poly)
+from warpcurve.geometry import matrix_derivative
 from warpcurve.oracle import fd_gradcheck
 
 
@@ -79,10 +78,28 @@ def test_matrix_derivative_diagonal_and_umbilic():
     F_umb = matrix_derivative(spec, np.diag([0.8, 0.8]))
     assert np.allclose(F_umb, 0.5 * f_grad(spec, [0.8, 0.8])[0] * 2 * np.eye(2),
                        atol=1e-13)
-    # nearly repeated eigenvalues: the limit rule keeps F well conditioned
+    # nearly repeated eigenvalues with no limit rule: f is symmetric, so
+    # f_1 - f_2 = O(lam_1 - lam_2) and the frame sum stays within O(gap)
+    # of f_1 I however badly the eigenvectors are determined
     m = np.array([[0.8 + 5e-13, 1e-13], [1e-13, 0.8]])
     F_near = matrix_derivative(spec, m)
-    assert np.allclose(F_near, F_umb, atol=1e-10)
+    assert np.allclose(F_near, F_umb, atol=1e-12)
+    th = 0.3
+    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    for k in range(3, 16):
+        gap = 10.0 ** -k
+        F = matrix_derivative(spec, R @ np.diag([0.8 + gap, 0.8]) @ R.T)
+        assert np.abs(F - F_umb).max() <= gap + 1e-12
+
+
+def test_matrix_derivative_n1_and_unsupported_dimensions():
+    spec = CurvatureSpec(1, 1)
+    F = matrix_derivative(spec, np.array([[[0.7]], [[2.5]]]))
+    assert np.array_equal(F, np.ones((2, 1, 1)))       # f = lam, f_1 = 1
+    with pytest.raises(wc.ConfigError):
+        matrix_derivative(CurvatureSpec(3, 2), np.eye(3))
+    with pytest.raises(wc.ConfigError):
+        matrix_derivative(CurvatureSpec(2, 2), np.eye(3))
 
 
 def _fd_matrix_derivative(spec, m, step=1e-6):
@@ -125,7 +142,7 @@ def _random_cone_matrices(spec, rng, count):
 def test_stacked_matrix_derivative_equals_per_matrix_calls():
     spec = CurvatureSpec(2, 2)
     m = _random_cone_matrices(spec, np.random.default_rng(12), 60)
-    # near-umbilic and umbilic matrices take the cluster-average branch
+    # near-umbilic and umbilic matrices, whose eigenvectors are arbitrary
     m = np.concatenate([m, [[[0.8 + 5e-13, 1e-13], [1e-13, 0.8]],
                             np.diag([0.8, 0.8])]])
     F = matrix_derivative(spec, m)
@@ -134,29 +151,6 @@ def test_stacked_matrix_derivative_equals_per_matrix_calls():
         assert np.abs(F[k] - Fk).max() <= 1e-14 * np.abs(Fk).max()
     grid = matrix_derivative(spec, m.reshape(2, 31, 2, 2))
     assert np.array_equal(grid.reshape(F.shape), F)
-
-
-def _cluster_average_loop(lam, vals, tol=EIG_PAIR_TOL):
-    vals = np.array(vals, dtype=float)
-    start = 0
-    for i in range(1, len(lam) + 1):
-        if i == len(lam) or abs(lam[i] - lam[i - 1]) > tol:
-            if i - start > 1:
-                vals[start:i] = vals[start:i].mean()
-            start = i
-    return vals
-
-
-def test_cluster_average_matches_the_per_row_loop():
-    lam = np.array([[3.0, 2.0, 1.0], [2.0, 2.0 - 1e-12, 1.0],
-                    [2.0, 1.0 + 1e-11, 1.0], [1.0, 1.0, 1.0],
-                    [1.0, 1.0 - 6e-10, 1.0 - 1.2e-9]])
-    vals = np.random.default_rng(6).uniform(0.5, 2.0, size=lam.shape)
-    out = _cluster_average(lam, vals)
-    for row in range(len(lam)):
-        assert np.array_equal(out[row],
-                              _cluster_average_loop(lam[row], vals[row]))
-    assert np.array_equal(out[0], vals[0])
 
 
 def test_verify_stacked_fd_matches_the_per_matrix_reference():
@@ -168,27 +162,30 @@ def test_verify_stacked_fd_matches_the_per_matrix_reference():
         assert np.abs(fd[k] - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
-def test_F_matrix_derivative_on_geometry():
+def test_frame_sum_is_the_matrix_derivative_through_the_metric():
+    # Newton's M = frame_sum(f_grad) over the g-orthonormal frame equals
+    # g^{-1/2} F g^{-1/2} with F = matrix_derivative of the symmetrized
+    # form: the verify row on matrix_derivative checks Newton's M
     prof = wc.WarpingProfile.cosh(0.2, 3.0)
     grid = wc.make_grid(2, 16)
     spec = CurvatureSpec(2, 2)
+    z = 1.0 + wc.random_smooth(grid, np.random.default_rng(8), 0.15)
+    geom = wc.compute_geometry(z, grid, prof)
+    fi = f_grad(spec, geom.lam)
+    M = np.array(geom.frame_sum(fi))              # (2, 2, *shape)
+    M = np.moveaxis(M, (0, 1), (-2, -1))
+    F = matrix_derivative(spec, geom.atilde)
+    ref = geom.g_inv_sqrt @ F @ geom.g_inv_sqrt
+    scale = np.abs(ref).max(axis=(-2, -1))
+    assert (np.abs(M - ref).max(axis=(-2, -1)) / scale).max() <= 3e-14
+    # trace identity: F : atilde = sum f_i lam_i = f (Euler)
+    contraction = (F * geom.atilde).sum(axis=(-2, -1))
+    assert np.abs(contraction / f_eval(spec, geom.lam) - 1.0).max() <= 1e-13
     # umbilic slice: every node has lam1 = lam2, so F = f_1 * identity
     geom_c = wc.compute_geometry(np.full(grid.shape, 1.0), grid, prof)
-    F = wc.F_matrix_derivative(spec, geom_c, (3, 5))
-    fi = f_grad(spec, geom_c.lam[3, 5])
-    assert np.allclose(F, fi[0] * np.eye(2), atol=1e-12)
-    # wavy state: agrees with the raw-matrix path on the symmetrized form
-    rng = np.random.default_rng(8)
-    z = 1.0 + wc.random_smooth(grid, rng, 0.15)
-    geom = wc.compute_geometry(z, grid, prof)
-    node = (7, 2)
-    F = wc.F_matrix_derivative(spec, geom, node)
-    assert np.allclose(F, matrix_derivative(spec, geom.atilde[node]),
-                       atol=1e-13)
-    # trace identity: F : atilde = sum f_i lam_i = f (Euler)
-    contraction = float((F * geom.atilde[node]).sum())
-    assert contraction == pytest.approx(f_eval(spec, geom.lam[node]),
-                                        rel=1e-12)
+    F = matrix_derivative(spec, geom_c.atilde)
+    fi = f_grad(spec, geom_c.lam)
+    assert np.abs(F - fi[..., :1, None] * np.eye(2)).max() <= 1e-14
 
 
 def test_permutation_symmetry_and_homogeneity():

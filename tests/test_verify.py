@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 import warpcurve as wc
 from warpcurve import verify
 from warpcurve.grid import NodeField, random_smooth
+
+from conftest import make_problem
 
 
 def test_special_frame_row_with_no_sloped_node_reads_zero(cosh_profile):
@@ -38,3 +42,54 @@ def test_one_node_draw_equals_the_sequential_draws(n, N):
     assert np.array_equal(one.integers(N, size=(50, 2)),
                           [seq.integers(N, size=2) for _ in range(50)])
     assert one.uniform() == seq.uniform()
+
+
+_ROWS_1D = [
+    "profile: min h on domain scan",
+    "profile: min kappa on domain scan",
+    "prescription: min psi on slab",
+    "hypothesis (a): min psi - k, t <= t_minus",
+    "hypothesis (b): min k - psi, t >= t_plus",
+    "hypothesis (c): max d/dt(h psi) on slab",
+    "gauge (a): min phi",
+    "gauge (b): min phi - 1, t <= t_minus",
+    "gauge (c): min 1 - phi, t >= t_plus",
+    "gauge (d): max phi'",
+    "gauge: |phi(t0) - 1|",
+    "homotopy (ii): Psi > 0",
+    "homotopy (iii): Psi(s, t_minus) > k",
+    "homotopy (iv): Psi(s, t_plus) < k",
+    "homotopy (v): d_t Psi + kappa Psi < 0",
+    "curvature: Euler |sum f_i lam_i - f|",
+    "curvature: midpoint concavity violation",
+    "curvature: min sum f_i on slab",
+    "curvature: min sum f_i lam_i on slab",
+    "curvature: min f_i on slab",
+    "curvature: Schur ordering violation",
+    "curvature: homogeneity |f(c lam) - c f|",
+    "oracle: f_grad vs FD, 200 cone points",
+    "geometry: umbilic slice |lam - kappa|",
+    "geometry: det g identity rel err",
+    "geometry: orientation nu0 W = -h",
+    "geometry: special frame dev, <k> nodes",
+    "geometry: support eta error ratio N->2N",
+    "geometry: support tau error ratio N->2N",
+    "oracle: analytic vs colored-FD jacobian, 3 states",
+]
+# n = 2 adds the permutation, matrix-derivative and eig2 rows
+_ROWS_2D = (_ROWS_1D[:22] + ["curvature: permutation symmetry"]
+            + _ROWS_1D[22:23] + ["oracle: matrix derivative vs FD"]
+            + _ROWS_1D[23:27] + ["oracle: eig2 vs eigh eigenvalues"]
+            + _ROWS_1D[27:])
+
+
+@pytest.mark.parametrize("n, N, r, names", [(1, 64, 1, _ROWS_1D),
+                                            (2, 16, 2, _ROWS_2D)])
+def test_condition_table_row_names_are_pinned(n, N, r, names):
+    # the benchmark's verify workload requires these 33 rows at n = 2; a
+    # renamed or dropped row fails here rather than in the benchmark
+    hp = make_problem(n=n, N=N, r=r, eps=0.1, t_plus=1.5)
+    rows = verify.build_condition_table(hp)
+    got = [re.sub(r"\d+ nodes$", "<k> nodes", row.name) for row in rows]
+    assert got == names
+    assert len(_ROWS_2D) == 33 and all(row.passed for row in rows)
