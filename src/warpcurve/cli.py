@@ -77,11 +77,12 @@ def _many(cast):
 _floats, _ints = _many(float), _many(int)
 
 
-def _key(default, block, parse=float, key=None):
+def _key(default, block, parse=float, key=None, kind=None):
     """A RunConfig field set by `[block] key` (key defaults to the field
-    name), parsed from the value's text, or a list key's JSON array."""
-    return field(default=default,
-                 metadata={"block": block, "key": key, "parse": parse})
+    name), parsed from the value's text, or a list key's JSON array; a
+    profile key read only by one profile kind names it."""
+    return field(default=default, metadata={"block": block, "key": key,
+                                            "parse": parse, "kind": kind})
 
 
 @dataclass
@@ -89,9 +90,9 @@ class RunConfig:
     """One run's settings; each field's metadata is the key that sets it."""
 
     profile_kind: str = _key("cosh", "profile", str, key="kind")
-    profile_p: float = _key(2.0, "profile", key="p")
-    table_t: tuple = _key((), "profile", _floats)
-    table_h: tuple = _key((), "profile", _floats)
+    profile_p: float = _key(2.0, "profile", key="p", kind="power")
+    table_t: tuple = _key((), "profile", _floats, kind="custom-table")
+    table_h: tuple = _key((), "profile", _floats, kind="custom-table")
     t_lo: float = _key(0.2, "profile")
     t_hi: float = _key(3.0, "profile")
     n: int = _key(1, "grid", int)
@@ -129,6 +130,8 @@ class RunConfig:
             raise ConfigError("need t_lo < t_minus < t_plus < t_hi")
         if self.t0 is not None and not (self.t_minus < self.t0 < self.t_plus):
             raise ConfigError("anchor t0 must lie in (t_minus, t_plus)")
+        if self.seed < 0:
+            raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
         if self.jacobian not in ("analytic", "fd", "fd-colored"):
             raise ConfigError(f"unknown jacobian mode {self.jacobian!r}")
         if not np.all(np.isfinite((self.eps,) + self.sweep_eps)):
@@ -176,8 +179,9 @@ def _load_blocks(path):
 def load_config(path):
     """Parse a config file (INI blocks or JSON) into a RunConfig.
 
-    Every block and key outside the schema is a ConfigError naming all of
-    them; a value its parser rejects is a ValueError naming its key.
+    Every block and key outside the schema, and every profile key the
+    chosen profile kind ignores, is a ConfigError naming all of them; a
+    value its parser rejects is a ValueError naming its key.
     """
     blocks = _load_blocks(path)
     known = {block for block, _ in _SCHEMA}
@@ -197,6 +201,12 @@ def load_config(path):
         except (TypeError, ValueError) as exc:
             raise ValueError(f"[{block}] {key} = {raw!r}: {exc}") from None
     cfg = RunConfig(**values)
+    ignored = [f"[{block}] {key}" for (block, key), f in _SCHEMA.items()
+               if key in blocks.get(block, {})
+               and f.metadata["kind"] not in (None, cfg.profile_kind)]
+    if ignored:
+        raise ConfigError(f"[profile] kind = {cfg.profile_kind} ignores "
+                          f"{', '.join(ignored)}")
     if len(cfg.mode) == 1 and cfg.n == 2:
         cfg.mode = (cfg.mode[0], 0)
     cfg.validate()
@@ -427,6 +437,7 @@ def main(argv=None):
     if args.jacobian:
         cfg.jacobian = args.jacobian
     try:
+        cfg.validate()
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "verify":

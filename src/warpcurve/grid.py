@@ -2,10 +2,10 @@
 finite-difference stencils of order 2 or 4, their weights derived from
 moment conditions.
 
-The weight tables _W1/_W2 are the one stencil source: the roll path
-(d1, d2, gradient, hessian) applies them, and the fixed CSR layout of
-every sparse matrix (stencil_pattern, pattern_matrix), its footprint and
-per-operator weights are derived from them in closed form.
+The weight tables _W1/_W2 build one operator table per grid (_stencils):
+gradient and hessian apply it by periodic shifted slices, and the fixed
+CSR layout of every sparse matrix (stencil_pattern, pattern_matrix), its
+footprint and per-operator weights are read from it in closed form.
 
 Node ordering is fixed once and for all: axis 0 varies fastest (Fortran
 ravel), so the Jacobian sparsity pattern and all serialized dumps are
@@ -32,8 +32,8 @@ def _centered_weights(m, order):
     The weights w_o, o = -order/2 .. order/2, solve the moment conditions
     sum_o w_o o**k = m! [k == m] for k = 0 .. order exactly in rationals
     (Fornberg, Math. Comp. 51, 1988), so each float is the correctly
-    rounded fraction.  Offsets run in descending order (the summation
-    order of the roll path); zero weights are dropped.
+    rounded fraction.  Offsets run in descending order (gradient and
+    hessian sum in this order); zero weights are dropped.
     """
     q = order // 2
     offs = list(range(q, -q - 1, -1))
@@ -78,6 +78,7 @@ class TorusGrid:
         self.dx = self.L / self.N
         self.shape = (self.N,) * self.n
         self.size = self.N ** self.n
+        self._table = None
         self._coloring = None
         self._pattern = None
 
@@ -85,99 +86,93 @@ class TorusGrid:
         return (f"TorusGrid(n={self.n}, N={self.N}, L={self.L:.6g}, "
                 f"order={self.order})")
 
-    def axis_coords(self):
-        return np.arange(self.N) * self.dx
-
     def coords(self):
         """Node coordinates, shape (n, N) or (n, N, N) (indexing 'ij')."""
-        u = self.axis_coords()
+        u = np.arange(self.N) * self.dx
         if self.n == 1:
             return u[None, :]
         X, Y = np.meshgrid(u, u, indexing="ij")
         return np.stack([X, Y])
 
-    # -- dense (roll-based) derivative application --------------------------
-
-    def _apply(self, weights, values, axis, scale):
-        out = np.zeros_like(values)
-        for off, w in weights.items():
-            if off == 0:
-                out += w * values
-            else:
-                out += w * np.roll(values, -off, axis=axis)
-        return out * scale
-
-    def d1(self, values, axis=0):
-        """Periodic centered first derivative along an axis."""
-        return self._apply(_W1[self.order], values, axis, 1.0 / self.dx)
-
-    def d2(self, values, axis=0):
-        """Periodic centered second derivative along an axis."""
-        return self._apply(_W2[self.order], values, axis, 1.0 / self.dx ** 2)
-
-    def gradient(self, values):
-        return np.stack([self.d1(values, d) for d in range(self.n)])
-
-    def hessian(self, values):
-        """Per-node symmetric Hessian, shape (n, n) + grid shape.
-
-        The cross term is computed once (d1 along axis 0 then axis 1), so
-        the result is exactly symmetric.
-        """
-        H = np.empty((self.n, self.n) + self.shape)
-        for d in range(self.n):
-            H[d, d] = self.d2(values, d)
-        if self.n == 2:
-            cross = self.d1(self.d1(values, 0), 1)
-            H[0, 1] = cross
-            H[1, 0] = cross
-        return H
-
-    # -- sparse operators (same weights as the roll path) --------------------
+    # -- the operator table: applied by shifted slices, read by the layout ----
 
     def _stencils(self):
-        """Stencil (offset tuple -> weight) of each pattern operator.
+        """The operator table, cached: key -> (stencil, scale).
 
-        Identity, d1 per axis, d2 per axis, then d11 at n = 2: _W1/_W2
-        times 1/dx and 1/dx**2 (the roll path's scales), and for d11 the
-        products of the scaled d1 weights.
+        A stencil maps offset tuples to weights.  In table order: ("id",);
+        ("d1", axis) and ("d2", axis) per axis, _W1/_W2 with scales 1/dx
+        and 1/dx**2; at n = 2 ("d11",), the products of the scaled d1
+        weights, with scale 1.
         """
-        n = self.n
-        w1 = {o: w * (1.0 / self.dx) for o, w in _W1[self.order].items()}
-        w2 = {o: w * (1.0 / self.dx ** 2) for o, w in _W2[self.order].items()}
+        if self._table is None:
+            n, s1 = self.n, 1.0 / self.dx
+            w1, w2 = _W1[self.order], _W2[self.order]
+            table = {("id",): ({(0,) * n: 1.0}, 1.0)}
+            for name, weights, scale in (("d1", w1, s1),
+                                         ("d2", w2, 1.0 / self.dx ** 2)):
+                for d in range(n):
+                    table[name, d] = ({(0,) * d + (o,) + (0,) * (n - 1 - d): w
+                                       for o, w in weights.items()}, scale)
+            if n == 2:
+                table[("d11",)] = ({(a, b): (wa * s1) * (wb * s1)
+                                    for a, wa in w1.items()
+                                    for b, wb in w1.items()}, 1.0)
+            self._table = table
+        return self._table
 
-        def along(weights, axis):
-            return {tuple(o if d == axis else 0 for d in range(n)): w
-                    for o, w in weights.items()}
-
-        out = [{(0,) * n: 1.0}]
-        out += [along(w1, d) for d in range(n)]
-        out += [along(w2, d) for d in range(n)]
-        if n == 2:
-            out.append({(a, b): wa * wb for a, wa in w1.items()
-                        for b, wb in w1.items()})
+    def _stencil_sums(self, values, keys):
+        """The table's operators `keys` applied to a field: each weight
+        times the field shifted by its offset (a slice of the field
+        wrap-padded by the stencil radius), summed in table order, and
+        the sum scaled once at the end."""
+        r = self.order // 2
+        padded = values
+        for d in range(self.n):
+            padded = padded.take(np.arange(-r, self.N + r), d, mode="wrap")
+        out = []
+        for stencil, scale in map(self._stencils().get, keys):
+            terms = (w * padded[tuple(slice(r + o, r + o + self.N)
+                                      for o in off)]
+                     for off, w in stencil.items())
+            acc = next(terms)
+            for term in terms:
+                acc += term
+            out.append(acc * scale)
         return out
 
-    def _operator(self, row, axis):
-        if not 0 <= axis < self.n:
-            raise ConfigError(f"axis must be in [0, {self.n}), got {axis}")
+    def gradient(self, values):
+        """Periodic centered gradient, shape (n,) + grid shape."""
+        return np.stack(self._stencil_sums(
+            values, [("d1", d) for d in range(self.n)]))
+
+    def hessian(self, values):
+        """Per-node Hessian, shape (n, n) + grid shape: d2 per axis on the
+        diagonal and, at n = 2, the d11 product stencil applied once for
+        both mixed entries, so the result is exactly symmetric."""
+        if self.n == 1:
+            return self._stencil_sums(values, [("d2", 0)])[0][None, None]
+        a, b, c = self._stencil_sums(values, [("d2", 0), ("d2", 1), ("d11",)])
+        return np.array([[a, c], [c, b]])
+
+    def _operator(self, key):
+        keys = list(self._stencils())
+        if key not in keys:
+            raise ConfigError(f"no operator {key} on the n = {self.n} torus")
         # constant coefficients: every row holds the operator's pattern weights
-        weights = self.stencil_pattern()[2][row + axis]
+        weights = self.stencil_pattern()[2][keys.index(key)]
         return self.pattern_matrix(np.tile(weights, self.size))
 
     def d1_matrix(self, axis=0):
         """Sparse first derivative along an axis, in the fixed layout."""
-        return self._operator(1, axis)
+        return self._operator(("d1", axis))
 
     def d2_matrix(self, axis=0):
         """Sparse second derivative along an axis, in the fixed layout."""
-        return self._operator(1 + self.n, axis)
+        return self._operator(("d2", axis))
 
     def d11_matrix(self):
         """Sparse mixed second derivative (n = 2 only), in the fixed layout."""
-        if self.n != 2:
-            raise ConfigError("mixed derivative needs n = 2")
-        return self._operator(5, 0)
+        return self._operator(("d11",))
 
     # -- flattening, footprint, coloring -------------------------------------
 
@@ -189,7 +184,8 @@ class TorusGrid:
 
     def stencil_footprint(self):
         """Offsets (tuples) the residual at a node depends on, sorted."""
-        return sorted(set().union(*self._stencils()))
+        return sorted(set().union(*(st for st, _ in
+                                    self._stencils().values())))
 
     def stencil_pattern(self):
         """Fixed CSR layout of operators supported on the stencil footprint.
@@ -204,8 +200,8 @@ class TorusGrid:
         """
         if self._pattern is None:
             foot = self.stencil_footprint()
-            weights = np.array([[st.get(o, 0.0) for o in foot]
-                                for st in self._stencils()])
+            weights = np.array([[st.get(o, 0.0) * scale for o in foot]
+                                for st, scale in self._stencils().values()])
             offs = np.array(foot, dtype=np.int32)
             idx = np.arange(self.N, dtype=np.int32)
             # per axis, the wrapped index of i + o for every offset o
@@ -279,11 +275,6 @@ class NodeField:
     @classmethod
     def constant(cls, grid, value):
         return cls(np.full(grid.shape, float(value)), grid)
-
-
-def derivatives(fld: NodeField):
-    """Periodic gradient and exactly-symmetric Hessian of a node field."""
-    return fld.grid.gradient(fld.values), fld.grid.hessian(fld.values)
 
 
 def reduce(fld: NodeField, mode):

@@ -16,10 +16,10 @@ M2 = sum f_i lam_i v_i v_i^T (GraphGeometry.frame_sum, in components),
 the per-node sensitivities to (z, grad z, hess z) are one coefficient per
 stencil operator.  J is assembled straight into the grid's fixed CSR
 layout (TorusGrid.stencil_pattern: row i holds the columns i + o in
-footprint order), its entry at offset o being the sum of coefficient
-times operator weight at o, the weights derived by the grid from its
-stencil tables.  The colored finite-difference Jacobian writes into the
-same layout; TorusGrid.pattern_matrix builds both.
+footprint order) as one product: coefficients (size x operators) times
+the weights (operators x offsets) of the operator table the residual's
+derivatives apply.  The colored finite-difference Jacobian writes into
+the same layout; TorusGrid.pattern_matrix builds both.
 
 Each Newton step solves J delta = -R.  At n = 1 J is a periodic band
 matrix: the band of half-width b (the stencil radius) plus b wrapped
@@ -84,6 +84,10 @@ class SolverConfig:
             if not 0 < value < np.inf:          # False on NaN too
                 raise ConfigError(f"solver {name} must be finite and "
                                   f"positive, got {value!r}")
+        if not isinstance(self.max_newton, (int, np.integer)) \
+                or self.max_newton < 1:
+            raise ConfigError(f"solver max_newton must be an integer >= 1, "
+                              f"got {self.max_newton!r}")
         if self.ds0 > 1.0:
             raise ConfigError("initial continuation step must be <= 1")
         if self.jacobian_mode not in ("analytic", "fd-colored"):
@@ -153,17 +157,9 @@ def _jacobian_coefficients(state, hp):
 def _analytic_jacobian(state, hp):
     grid = hp.grid
     coef = [grid.flatten(c) for c in _jacobian_coefficients(state, hp)]
-    weights = grid.stencil_pattern()[2]
-    data = np.empty((weights.shape[1], grid.size))
-    for k, col in enumerate(weights.T):
-        # entry at offset k = sum of coefficient * weight over the operators
-        # with a stencil there, added one product at a time in operator
-        # order (no fused multiply-add), as summing diag(c) @ operator does
-        terms = [c * w for c, w in zip(coef, col) if w != 0.0]
-        data[k] = terms[0]
-        for t in terms[1:]:
-            data[k] += t
-    return grid.pattern_matrix(data.T)
+    # (size x operators) coefficients times (operators x offsets) weights
+    return grid.pattern_matrix(np.stack(coef, axis=1)
+                               @ grid.stencil_pattern()[2])
 
 
 def _fd_colored_jacobian(zvals, s, hp, step):

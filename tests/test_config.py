@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from warpcurve import cli
+from warpcurve import ConfigError, SolverConfig, cli
 from warpcurve.cli import load_config, main
 
 from test_cli import write_cfg
@@ -201,19 +201,77 @@ def test_infinite_inputs_exit_3_naming_the_parameter(tmp_path, capsys, blocks,
         and "inf" in err
 
 
-def all_keys():
+# every schema key, split by the profile kind that reads [profile] p
+# (power) and table_t, table_h (custom-table)
+ALL_KEYS = ("all_keys_power", "all_keys_table")
+
+
+def all_keys(name):
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    cp.read(DATA / "all_keys.ini")
+    cp.read(DATA / f"{name}.ini")
     return {(block, key) for block in cp.sections() for key in cp[block]}
 
 
 def test_all_keys_ini_sets_every_key_of_the_schema():
-    assert all_keys() == set(cli._SCHEMA)
+    assert set().union(*map(all_keys, ALL_KEYS)) == set(cli._SCHEMA)
 
 
 def test_all_keys_echo_matches_golden():
-    # the golden echo was written by the hand-coded loader this schema replaced
-    assert len(all_keys()) == 33
-    golden = (DATA / "all_keys.echo.json").read_text().rstrip("\n")
-    assert load_config(DATA / "all_keys.ini").echo() == golden
+    # the golden echoes were written by the loader before it refused
+    # profile keys of another kind; it accepted both files
+    assert len(set().union(*map(all_keys, ALL_KEYS))) == 33
+    for name in ALL_KEYS:
+        golden = (DATA / f"{name}.echo.json").read_text().rstrip("\n")
+        assert load_config(DATA / f"{name}.ini").echo() == golden, name
+
+
+@pytest.mark.parametrize("profile, offenders", [
+    ({"p": "inf"}, ["[profile] p"]),
+    ({"p": 1.5, "table_t": "0, 1", "table_h": "1, 2"},
+     ["[profile] p", "[profile] table_t", "[profile] table_h"]),
+    ({"kind": "power", "p": 1.5, "table_h": "1, 2"}, ["[profile] table_h"]),
+    ({"kind": "custom-table", "p": 1.5, "table_t": "0.1, 3.0",
+      "table_h": "1, 2"}, ["[profile] p"]),
+])
+def test_profile_keys_the_kind_ignores_exit_3(tmp_path, capsys, profile,
+                                              offenders):
+    # {"profile": {"p": "inf"}} used to pass verify 30/30 under cosh
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"profile": profile}))
+    assert main(["verify", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]")
+    assert err.count("[profile] ") == len(offenders) + 1
+    for name in offenders:
+        assert name in err, name
+
+
+@pytest.mark.parametrize("extra, argv", [
+    ("\n[run]\nseed = -5\n", []),
+    ("", ["--seed", "-5"]),
+])
+def test_negative_seed_exits_3_naming_the_key(tmp_path, capsys, extra, argv):
+    # it used to reach NumPy's generator and exit 1, the code of a failed
+    # verify row
+    path = write_cfg(tmp_path, extra=extra)
+    assert main(["verify", "--config", str(path)] + argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]") and "seed" in err \
+        and "-5" in err
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, "30"])
+def test_max_newton_must_be_a_positive_integer(value):
+    with pytest.raises(ConfigError, match="max_newton"):
+        SolverConfig(max_newton=value)
+
+
+def test_negative_max_newton_exits_3_naming_the_key(tmp_path, capsys):
+    # it used to run and exit 7: "no convergence in -3 iterations"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"solver": {"max_newton": -3}}))
+    assert main(["solve", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]") and "max_newton" in err \
+        and "-3" in err

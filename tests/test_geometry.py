@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
 from warpcurve.geometry import (compute_geometry, eig2_sym, fields_csv,
@@ -53,6 +54,36 @@ def test_metric_determinant_identity(cosh_profile):
     assert np.abs(geom.g @ geom.g_inv - np.eye(2)).max() <= 1e-10
     assert np.abs(geom.nu0 * geom.W + geom.h).max() <= 1e-14 * geom.h.max()
     assert np.all(geom.nu0 < 0)
+
+
+# profile and barrier slab (t_minus, t_plus) of each drawn state
+_SLABS = {"cosh": (wc.WarpingProfile.cosh(0.2, 3.0), 0.5, 1.5),
+          "exp": (wc.WarpingProfile.exp(-2.0, 2.0), -1.0, 1.0)}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2]), order=st.sampled_from([2, 4]),
+       N=st.integers(16, 48), profile=st.sampled_from(sorted(_SLABS)),
+       at=st.floats(0.05, 0.95), amp=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_geometry_identities_on_random_admissible_states(n, order, N, profile,
+                                                         at, amp, seed):
+    # the states and bounds of verify's geometry rows: z = t0 + a smooth
+    # field of sup-norm at most 0.04 (t_plus - t_minus)
+    prof, t_minus, t_plus = _SLABS[profile]
+    g = wc.make_grid(n, N, order=order)
+    rng = np.random.default_rng(seed)
+    t0 = t_minus + at * (t_plus - t_minus)
+    z = t0 + random_smooth(g, rng, amp * 0.04 * (t_plus - t_minus))
+    geom = compute_geometry(z, g, prof)
+    det = np.linalg.det(geom.g)
+    assert np.abs(det / (geom.h ** (2 * n - 2) * geom.W ** 2) - 1.0).max() \
+        <= 1e-10
+    assert np.abs(geom.nu0 * geom.W + geom.h).max() <= 1e-14 * geom.h.max()
+    idx = tuple(rng.integers(N, size=(100, n)).T)
+    keep = np.sqrt((geom.grad[idx] ** 2).sum(axis=-1)) >= 1e-8
+    dev = special_frame_deviations(geom, tuple(i[keep] for i in idx))
+    assert dev.max(initial=0.0) <= 1e-10
 
 
 def test_symmetrized_form_is_similar_to_shape_operator(cosh_profile):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
-from warpcurve.grid import (_W1, _W2, NodeField, derivatives, load_field,
-                            reduce, save_field)
+from warpcurve.grid import _W1, _W2, NodeField, load_field, reduce, save_field
 
 
 def test_make_grid_spacing():
@@ -33,7 +33,8 @@ def test_make_grid_rejects_a_non_finite_period(L):
 
 def test_constant_field_has_zero_derivatives():
     g = wc.make_grid(2, 24)
-    grad, hess = derivatives(NodeField.constant(g, 3.7))
+    z = NodeField.constant(g, 3.7).values
+    grad, hess = g.gradient(z), g.hessian(z)
     assert np.all(grad == 0.0)
     assert np.all(hess == 0.0)
 
@@ -74,7 +75,7 @@ def test_integration_by_parts_skew_adjoint(order):
     z = wc.random_smooth(g, rng, 1.0, max_freq=3)
     w = [wc.random_smooth(g, rng, 1.0, max_freq=3) for _ in range(g.n)]
     grad = g.gradient(z)
-    div = sum(g.d1(w[d], d) for d in range(g.n))
+    div = sum(g.gradient(w[d])[d] for d in range(g.n))
     total = sum((grad[d] * w[d]).sum() for d in range(g.n)) + (z * div).sum()
     assert abs(total) * g.dx ** g.n <= 1e-10
 
@@ -142,21 +143,80 @@ def test_field_serialization_round_trip(tmp_path):
     assert np.array_equal(back.values, fld.values)
 
 
+def _roll_derivatives(g, z):
+    """Gradient and Hessian by np.roll: per axis, sum w * roll(z, -o) in
+    _W1/_W2 order, then scale; the mixed entry is d1 along axis 0, then
+    along axis 1.  The reference the stencil-table path is held to."""
+    def apply(weights, values, axis, scale):
+        out = np.zeros_like(values)
+        for off, w in weights.items():
+            out += w * np.roll(values, -off, axis=axis)
+        return out * scale
+
+    def d1(values, axis):
+        return apply(_W1[g.order], values, axis, 1.0 / g.dx)
+
+    grad = np.stack([d1(z, d) for d in range(g.n)])
+    hess = np.empty((g.n, g.n) + g.shape)
+    for d in range(g.n):
+        hess[d, d] = apply(_W2[g.order], z, d, 1.0 / g.dx ** 2)
+    if g.n == 2:
+        hess[0, 1] = hess[1, 0] = d1(d1(z, 0), 1)
+    return grad, hess
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 37), (1, 2048), (2, 16),
+                                 (2, 33), (2, 64)])
+def test_table_derivatives_match_the_roll_reference(n, N, order):
+    # the same products summed in the same order, then scaled once: bit
+    # for bit, except the mixed entry, now one product stencil
+    g = wc.make_grid(n, N, order=order)
+    z = wc.random_smooth(g, np.random.default_rng(N + order), 0.3, 4)
+    z += np.random.default_rng(n).normal(scale=1e-3, size=g.shape)
+    grad, hess = g.gradient(z), g.hessian(z)
+    ref_grad, ref_hess = _roll_derivatives(g, z)
+    assert np.array_equal(grad, ref_grad)
+    for d in range(n):
+        assert np.array_equal(hess[d, d], ref_hess[d, d])
+    if n == 2:
+        mixed = np.abs(hess[0, 1] - ref_hess[0, 1]).max()
+        assert mixed <= 1e-12 * np.abs(ref_hess[0, 1]).max()
+        assert np.array_equal(hess[0, 1], hess[1, 0])
+
+
 def test_sparse_operators_match_roll_stencils():
     for n, N, order in ((1, 32, 2), (1, 32, 4), (2, 16, 2), (2, 16, 4)):
         g = wc.make_grid(n, N, order=order)
         rng = np.random.default_rng(n * 10 + order)
         z = rng.normal(size=g.shape)
         flat = g.flatten(z)
+        grad, hess = _roll_derivatives(g, z)
         for d in range(n):
-            assert np.allclose(g.d1_matrix(d) @ flat, g.flatten(g.d1(z, d)),
+            assert np.allclose(g.d1_matrix(d) @ flat, g.flatten(grad[d]),
                                atol=1e-12)
-            assert np.allclose(g.d2_matrix(d) @ flat, g.flatten(g.d2(z, d)),
+            assert np.allclose(g.d2_matrix(d) @ flat, g.flatten(hess[d, d]),
                                atol=1e-12)
         if n == 2:
-            mixed = g.d1(g.d1(z, 0), 1)
-            assert np.allclose(g.d11_matrix() @ flat, g.flatten(mixed),
+            assert np.allclose(g.d11_matrix() @ flat, g.flatten(hess[0, 1]),
                                atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2]), order=st.sampled_from([2, 4]),
+       N=st.integers(16, 69), seed=st.integers(0, 2 ** 32 - 1))
+def test_operator_matrices_apply_the_derivative_entries(n, order, N, seed):
+    g = wc.make_grid(n, N, order=order)
+    z = np.random.default_rng(seed).normal(size=g.shape)
+    flat = g.flatten(z)
+    grad, hess = g.gradient(z), g.hessian(z)
+    pairs = [(g.d1_matrix(d), grad[d]) for d in range(n)]
+    pairs += [(g.d2_matrix(d), hess[d, d]) for d in range(n)]
+    if n == 2:
+        pairs.append((g.d11_matrix(), hess[0, 1]))
+    for op, entry in pairs:
+        ref = g.flatten(entry)
+        assert np.abs(op @ flat - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _ref_circulant(N, weights, scale):

@@ -3,14 +3,21 @@
 perfbench/layers.py looks each wrapped attribute up with getattr when a
 traced run starts, and perfbench/workloads.py's ``setup`` calls the grid's
 operator API; a renamed or broken one would break ``perfbench/run.py``
-without failing any other library test, so both are checked here.
+without failing any other library test, so both are checked here.  A
+layer whose wrapped attribute the library stopped calling would read 0
+without breaking anything, so the grid.stencil layer's calls are checked
+too.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import warpcurve as wc
+from warpcurve.grid import TorusGrid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,6 +38,22 @@ def test_every_traced_attribute_exists():
                for owner, attr, _, _ in layers.targets()
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_geometry_reaches_the_stencil_layer_once_each(n, monkeypatch):
+    # perfbench's grid.stencil layer wraps TorusGrid.gradient and .hessian
+    calls = []
+    for name in ("gradient", "hessian"):
+        def counted(self, values, _name=name, _method=getattr(TorusGrid,
+                                                                name)):
+            calls.append(_name)
+            return _method(self, values)
+        monkeypatch.setattr(TorusGrid, name, counted)
+    g = wc.make_grid(n, 16)
+    wc.compute_geometry(np.full(g.shape, 1.0), g,
+                        wc.WarpingProfile.cosh(0.2, 3.0))
+    assert sorted(calls) == ["gradient", "hessian"]
 
 
 @pytest.mark.parametrize("n,N,r,mode", [(1, 32, 1, (2,)), (2, 16, 2, (1, 2))])

@@ -148,7 +148,8 @@ def test_continuation_wavy_stays_in_crossing_interval(hp1_wavy):
 
 
 def test_continuation_stall_surfaces(hp1_wavy):
-    cfg = SolverConfig(max_newton=0, ds_min=1e-2)
+    # one iteration cannot reach 1e-14 at any ds
+    cfg = SolverConfig(max_newton=1, newton_tol=1e-14, ds_min=1e-2)
     with pytest.raises(wc.ContinuationStall):
         continuation(hp1_wavy, cfg)
 
