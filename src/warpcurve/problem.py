@@ -48,6 +48,16 @@ is the witness np.argmin over the whole lattice gives, rounding ties
 between different h psi values included.  The decay (c) and the drift
 (v) are node-independent for this form and are evaluated as t-columns.
 Custom forms are evaluated on the whole lattice.
+
+The same argument makes barrier_crossings cost two root-finds instead of
+M.  F = psi - k = (h psi - h k)/h is, at every t, a rounded
+nondecreasing function of the node's h psi, so the lowest and highest
+crossings belong to the first argmin and argmax of h psi, and only
+those two nodes are root-found.  F(t_minus) and F(t_plus) are monotone
+in it too, so the bracket's sign check passes at those two nodes
+exactly when it passes at all of them; only when it does not are both
+ends recomputed over every node, so that BisectError names the first
+failing node of the full check.
 """
 
 from __future__ import annotations
@@ -338,22 +348,39 @@ def barrier_crossings(p):
     secant point (the crossing is that point).  Returns the lowest and
     highest crossing heights: the tightest constant-slice barriers
     compatible with the maximum principle.
+
+    For radial-decay only the first argmin and argmax of
+    p.separable_key() are root-found: at every t, F = (h psi - h k)/h is
+    a rounded nondecreasing function of the key h psi, so those nodes
+    cross lowest and highest.  F at the bracket ends is monotone in it
+    too, so the sign check passes at those two nodes exactly when it
+    passes at all of them.  Where it does not (a NaN included), both ends
+    are recomputed over every node, and BisectError names the first
+    failing node of the full check, rounding ties included.  Custom forms
+    root-find every node.
     """
-    nodes = np.arange(p.grid.size)
+    key = p.separable_key()
+    every = np.arange(p.grid.size)
+    nodes = every if key is None else np.array([np.argmin(key),
+                                                np.argmax(key)])
 
     def F(t):
         h, h1, _ = p.profile.eval(t)
         return np.asarray(p.psi(t, h, nodes)) \
             - np.asarray(ambient.k_level(p.spec, h, h1))
 
-    lo = np.full(nodes.size, p.t_minus)
-    hi = np.full(nodes.size, p.t_plus)
-    Flo = F(lo)
-    Fhi = F(hi)
+    def ends():
+        lo, hi = np.full(nodes.size, p.t_minus), np.full(nodes.size, p.t_plus)
+        return lo, hi, F(lo), F(hi)
+
+    lo, hi, Flo, Fhi = ends()
+    if nodes is not every and not (np.all(Flo > 0) and np.all(Fhi < 0)):
+        nodes = every
+        lo, hi, Flo, Fhi = ends()
     if np.any(Flo <= 0) or np.any(Fhi >= 0):
         bad = int(np.argmin(Flo)) if np.any(Flo <= 0) else int(np.argmax(Fhi))
         raise BisectError(f"no sign change for the crossing at node {bad}")
-    cross = np.empty(nodes.size)
+    picked, cross = nodes, np.empty(p.grid.size)
     lo_kept = hi_kept = np.zeros(nodes.size, dtype=bool)
     for _ in range(_ROOT_MAX_ITERS):
         tol = _ROOT_ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
@@ -363,7 +390,7 @@ def barrier_crossings(p):
         nodes, lo, hi, Flo, Fhi, lo_kept, hi_kept, tol = (
             a[keep] for a in (nodes, lo, hi, Flo, Fhi, lo_kept, hi_kept, tol))
         if nodes.size == 0:
-            return float(cross.min()), float(cross.max())
+            break
         c = np.clip((lo * Fhi - hi * Flo) / (Fhi - Flo),
                     lo + 0.5 * tol, hi - 0.5 * tol)
         c = np.where(np.isnan(c), 0.5 * (lo + hi), c)
@@ -377,7 +404,7 @@ def barrier_crossings(p):
         hi, Fhi = np.where(down, c, hi), np.where(down, Fc, Fhi)
         lo_kept, hi_kept = down, up
     cross[nodes] = 0.5 * (lo + hi)
-    return float(cross.min()), float(cross.max())
+    return float(cross[picked].min()), float(cross[picked].max())
 
 
 # -- gauge -------------------------------------------------------------------

@@ -237,16 +237,33 @@ def test_cone_error_carries_node():
     assert exc.value.node == (2, 3)
 
 
+# Rounding floors of the checks below at a point lam, scaled by f(c lam):
+# EPS c max|lam| for f(c lam) - c f(lam), EPS max|lam| / step for the
+# central difference.  Over seeds 0-2999 of the test body the measured
+# ratios to these floors peak at 1.61 and 1.66, at points sample_cone
+# rescales near the (2, 1) cone boundary to |lam| up to 9.4e5.
+_FLOOR_FACTOR = 4.0
+_EPS = np.finfo(float).eps
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        nr=st.sampled_from([(1, 1), (2, 1), (2, 2)]))
 def test_gradient_euler_and_homogeneity_on_random_cone_points(seed, nr):
+    # absolute bounds for |lam| = O(1), each point's rounding floor beyond
     spec = CurvatureSpec(*nr)
     rng = np.random.default_rng(seed)
     lam = sample_cone(spec, rng, 200, 0.5, 2.0)
-    assert fd_gradcheck(spec, lam).max_rel_err <= 1e-6
+    size = np.abs(lam).max(axis=-1)
+    step = 1e-6
+    floor = _FLOOR_FACTOR * _EPS * size / step
+    small = floor <= 1e-6          # one batch; the rare large points singly
+    assert fd_gradcheck(spec, lam[small], step).max_rel_err <= 1e-6
+    for x, bound in zip(lam[~small], floor[~small]):
+        assert fd_gradcheck(spec, x, step).max_rel_err <= bound
     euler = (f_grad(spec, lam) * lam).sum(axis=-1) - f_eval(spec, lam)
     assert np.abs(euler).max() <= 1e-12
     c = rng.uniform(0.5, 2.0, size=200)
     hom = f_eval(spec, lam * c[:, None]) - c * f_eval(spec, lam)
-    assert np.abs(hom).max() <= 1e-12
+    assert np.all(np.abs(hom)
+                  <= np.maximum(1e-12, _FLOOR_FACTOR * _EPS * c * size))

@@ -6,7 +6,9 @@ operator API; a renamed or broken one would break ``perfbench/run.py``
 without failing any other library test, so both are checked here.  A
 layer whose wrapped attribute the library stopped calling would read 0
 without breaking anything, so the grid.stencil layer's calls are checked
-too.
+too.  The benchmark checks its solves against barrier_crossings, so the
+two-node crossings of every reference case are pinned here to the
+all-node ones.
 """
 
 import importlib.util
@@ -75,3 +77,25 @@ def test_verify_workload_passes_every_row(seed, tmp_path):
     rows = workloads.op_verify2d(case, workloads.Rep(), tmp_path)
     assert workloads.check_verify(case, rows, None) == []
     assert len(rows) == 33
+
+
+def test_reference_crossings_equal_the_all_node_path(monkeypatch):
+    # the two-node crossings of every case any seed can draw equal the
+    # all-node ones bit for bit; the prescriptions are built, not solved
+    workloads = _load("workloads")
+    profile = wc.WarpingProfile.cosh(workloads.T_LO, workloads.T_HI)
+    cases, mismatched = workloads.reference_cases(), []
+    for case in cases:
+        p = wc.build_prescription(
+            profile, wc.CurvatureSpec(case.n, case.r),
+            wc.make_grid(case.n, case.N), c0=workloads.C0, eps=case.eps,
+            mode=case.mode, t_minus=workloads.T_MINUS,
+            t_plus=workloads.T_PLUS)
+        two = wc.barrier_crossings(p)
+        with monkeypatch.context() as m:
+            m.setattr(p, "separable_key", lambda: None)
+            every = wc.barrier_crossings(p)
+        if two != every:
+            mismatched.append((case.key, two, every))
+    assert len(cases) == 120
+    assert mismatched == []

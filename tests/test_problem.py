@@ -295,6 +295,88 @@ def test_barrier_crossings_match_bisection(cosh, n, mode, eps, monkeypatch):
         assert abs(got[1] - 1.0) <= 4 * np.spacing(1.0)
 
 
+def _crossings_or_error(p):
+    try:
+        return barrier_crossings(p)
+    except wc.BisectError as exc:
+        return str(exc)
+
+
+def _both_paths(p, monkeypatch):
+    """barrier_crossings (or its BisectError) on the two-node path and on
+    the all-node path, which a prescription without a key takes."""
+    two = _crossings_or_error(p)
+    with monkeypatch.context() as m:
+        m.setattr(p, "separable_key", lambda: None)
+        every = _crossings_or_error(p)
+    return two, every
+
+
+def _psi_node_sizes(p, monkeypatch):
+    """Number of nodes psi is evaluated at, per call of barrier_crossings."""
+    sizes, psi = [], p.psi
+    monkeypatch.setattr(
+        p, "psi", lambda t, h, node=slice(None):
+        sizes.append(np.arange(p.grid.size)[node].size) or psi(t, h, node))
+    barrier_crossings(p)
+    monkeypatch.undo()
+    return sizes
+
+
+def test_separable_crossings_root_find_two_nodes(cosh, monkeypatch):
+    g = wc.make_grid(1, 256)
+    spec = wc.CurvatureSpec(1, 1)
+    p = build_prescription(cosh, spec, g, c0=SINH1, eps=0.13, mode=3,
+                           t_minus=0.5, t_plus=1.5)
+    sizes = _psi_node_sizes(p, monkeypatch)
+    assert sizes[:2] == [2, 2] and max(sizes) == 2
+    custom = build_prescription(cosh, spec, g, form="custom",
+                                psi_fn=_custom_psi, t_minus=0.5, t_plus=1.5)
+    sizes = _psi_node_sizes(custom, monkeypatch)
+    assert sizes[:2] == [g.size, g.size]
+
+
+@pytest.mark.parametrize("profile,n,N,mode,eps", [
+    ("cosh", 1, 256, 3, 0.13), ("cosh", 1, 2048, 4, -0.2),
+    ("cosh", 1, 64, 0, 0.1), ("cosh", 2, 32, (2, 1), 0.1),
+    ("cosh", 2, 32, (0, 0), -0.1), ("exp", 1, 100, 5, 0.27),
+    ("power", 2, 24, (1, 3), 0.2)])
+def test_separable_crossings_equal_the_all_node_path(profile, n, N, mode,
+                                                     eps, monkeypatch):
+    # psi = k where h' = h psi: c0 = h'(t_mid) puts the eps = 0 crossing
+    # mid-slab; a 0 frequency makes every key tie
+    prof = _PROFILES[profile]
+    t_minus, t_plus = prof.t_lo + np.array([0.2, 0.8]) * (prof.t_hi
+                                                          - prof.t_lo)
+    c0 = float(prof.eval(np.array(0.5 * (t_minus + t_plus)))[1])
+    p = build_prescription(prof, wc.CurvatureSpec(n, 1), wc.make_grid(n, N),
+                           c0=c0, eps=eps * c0, mode=mode, t_minus=t_minus,
+                           t_plus=t_plus)
+    two, every = _both_paths(p, monkeypatch)
+    assert isinstance(two, tuple)
+    assert two == every
+
+
+@pytest.mark.parametrize("n,N,mode,c0", [
+    (1, 18, 2, 0.3), (1, 22, 4, 0.5), (2, 19, (1, 3), 0.5), (1, 64, 1, 0.1),
+    (1, 64, 3, 3.0), (2, 16, (0, 2), 2.5)])
+def test_separable_bisect_error_names_the_full_check_node(cosh, n, N, mode,
+                                                          c0, monkeypatch):
+    # c0 0.1-0.5 fail at t_minus, 2.5 and 3 at t_plus; in the first three
+    # two keys one ulp apart round to the same F(t_minus), so the failing
+    # node is not argmin(h psi)
+    p = build_prescription(cosh, wc.CurvatureSpec(n, 1), wc.make_grid(n, N),
+                           c0=c0, eps=0.3, mode=mode, t_minus=0.5,
+                           t_plus=1.5, validate=False)
+    two, every = _both_paths(p, monkeypatch)
+    assert two.startswith("no sign change for the crossing at node ")
+    assert two == every
+    if c0 in (0.3, 0.5):
+        key = p.h_psi()
+        node = int(two.rsplit(" ", 1)[1])
+        assert node != np.argmin(key) and key[node] != key.min()
+
+
 def test_s_lattice_is_the_documented_one():
     assert S_LATTICE == (0.0, 0.25, 0.5, 0.75, 1.0)
 
