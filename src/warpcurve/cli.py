@@ -4,9 +4,7 @@ Configs are INI-style key-value blocks (JSON with the same nesting is
 also accepted); RunConfig's fields declare every key a config may set,
 and the loader refuses any other.  All floating output is printed with
 17 significant digits so reports round-trip exactly; runs are
-deterministic for a fixed config, seed and BLAS/OpenMP thread count (n = 2
-results can move in their last bits between thread counts; perfbench pins
-OPENBLAS_NUM_THREADS=1).
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations

@@ -71,6 +71,14 @@ class TorusGrid:
                 f"period L must be finite and positive, got {L!r}")
         if order not in (2, 4):
             raise ConfigError(f"stencil order must be 2 or 4, got {order}")
+        # the stencils scale by 1/dx and 1/dx**2 (_stencils): dx and both
+        # scales are finite normal floats exactly when dx**2 lies in
+        # [2**-1022, 2**1022] (dx * dx, unlike dx ** 2, cannot raise)
+        dx = L / N
+        if not 2.0 ** -1022 <= dx * dx <= 2.0 ** 1022:
+            raise ConfigError(
+                f"period L = {L!r} is out of range for N = {N}: dx, 1/dx "
+                f"and 1/dx**2 must be finite normal floats")
         self.n = int(n)
         self.N = int(N)
         self.L = float(L)

@@ -377,8 +377,11 @@ def barrier_crossings(p):
     if nodes is not every and not (np.all(Flo > 0) and np.all(Fhi < 0)):
         nodes = every
         lo, hi, Flo, Fhi = ends()
-    if np.any(Flo <= 0) or np.any(Fhi >= 0):
-        bad = int(np.argmin(Flo)) if np.any(Flo <= 0) else int(np.argmax(Fhi))
+    # written so that a NaN F fails it: NaN compares False both ways
+    lo_ok, hi_ok = Flo > 0, Fhi < 0
+    if not (np.all(lo_ok) and np.all(hi_ok)):
+        # argmin/argmax name the first NaN when there is one
+        bad = int(np.argmin(Flo)) if not np.all(lo_ok) else int(np.argmax(Fhi))
         raise BisectError(f"no sign change for the crossing at node {bad}")
     picked, cross = nodes, np.empty(p.grid.size)
     lo_kept = hi_kept = np.zeros(nodes.size, dtype=bool)

@@ -28,12 +28,20 @@ fixed layout go straight into LAPACK band storage, and the corners are a
 rank-2b Woodbury correction (Temperton, J. Comput. Phys. 19, 1975; Hager,
 SIAM Rev. 31, 1989): one band solve with 1 + 2b right-hand sides, then a
 2b x 2b solve.  A singular band part or a non-finite result falls back to
-the sparse direct solve.  At n = 2 the step is GMRES preconditioned by
-the circulant part of J: the periodic stencils are circulant, so the mean
+the sparse direct solve.  At n = 2 the step is restarted GMRES (_gmres),
+right-preconditioned by the circulant part of J (T. Chan, SIAM J. Sci.
+Stat. Comput. 9, 1988): the periodic stencils are circulant, so the mean
 coefficient per stencil offset (the column means of J's data in the fixed
-layout) is inverted exactly by the 2D FFT.  The tolerance is tight (1e-12
-relative) so Newton counts and iterates are those of the direct solve, to
-which the step falls back when GMRES misses it or the symbol is singular.
+layout) is inverted exactly by the 2D FFT.  That kernel is real, so its
+symbol is the real-FFT half spectrum and the preconditioner is rfftn, a
+product with the reciprocal symbol, and irfftn.  Right preconditioning
+leaves the residual GMRES minimizes the true one; a step is accepted
+only when the true residual meets the tight tolerance (1e-12 relative),
+so Newton counts and iterates are those of the direct solve, to which
+the step falls back when GMRES misses it or the symbol is singular.
+Every inner product and norm is a NumPy reduction, not BLAS, whose
+summation order would follow the BLAS thread count (Demmel & Nguyen,
+ARITH 2013), so the step is independent of it.
 
 Continuation starts from the exact constant solution z = t0 at s = 0 and
 tries the whole interval first (ds0 = 1).  Its step control reads
@@ -55,6 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
@@ -220,19 +229,90 @@ class NewtonStats:
 
 
 def _circulant_symbol(J, grid):
-    """Fourier symbol of the circulant part of J (n = 2).
+    """Half Fourier symbol of the circulant part of J (n = 2).
 
     J is in the grid's stencil layout, so column k of its data holds every
     row's entry at offset k; the column means are the stencil of the
     constant-coefficient operator nearest J, which the 2D DFT
-    diagonalizes exactly.
+    diagonalizes exactly.  The kernel is real, so the real-FFT half
+    spectrum (the last axis cut to N // 2 + 1) holds the whole symbol.
     """
     foot = np.array(grid.stencil_footprint()) % grid.N
     kernel = np.zeros(grid.shape)
     kernel[tuple(foot.T)] = J.data.reshape(grid.size, len(foot)).mean(axis=0)
     # (C x)_i = sum_o kernel[o] x_{i+o} is a correlation, so its symbol is
     # the conjugate transform of the (real) kernel
-    return np.conj(np.fft.fftn(kernel))
+    return np.conj(sfft.rfftn(kernel))
+
+
+def _circulant_preconditioner(sym, grid):
+    """r -> C^{-1} r for the circulant C of half symbol sym, by real FFT."""
+    inv_half = 1.0 / sym
+
+    def apply(r):
+        rhat = sfft.rfftn(grid.unflatten(r))
+        rhat *= inv_half
+        return grid.flatten(sfft.irfftn(rhat, s=grid.shape, overwrite_x=True))
+    return apply
+
+
+def _norm(v):
+    # a NumPy reduction, not BLAS: its summation order does not depend on
+    # the BLAS thread count (nor does any other reduction of _gmres)
+    return float(np.sqrt((v * v).sum()))
+
+
+def _gmres(J, rhs, precond, rtol=1e-12, restart=50, maxiter=4):
+    """Right-preconditioned restarted GMRES (Saad & Schultz, 1986).
+
+    Minimizes |rhs - J x| over x = x0 + precond(Krylov space of
+    J precond), with modified Gram-Schmidt and Givens rotations.  Each
+    cycle stops once the rotated residual estimate meets rtol |rhs|;
+    x is accepted only when the true residual does at the end of a
+    cycle.  Returns (x, converged) after at most maxiter cycles.
+    """
+    x = np.zeros_like(rhs)
+    tol = rtol * _norm(rhs)
+    if tol == 0:
+        return x, True
+    m = min(restart, rhs.size)
+    H = np.zeros((m, m))                # the rotated Hessenberg matrix
+    r = rhs
+    for _ in range(maxiter):
+        g = np.zeros(m + 1)
+        g[0] = _norm(r)
+        V = [r / g[0]]                  # the Krylov basis, at most m + 1
+        cs, sn = np.zeros(m), np.zeros(m)
+        for j in range(m):
+            w = J @ precond(V[j])
+            for i in range(j + 1):
+                H[i, j] = (V[i] * w).sum()
+                w -= H[i, j] * V[i]
+            hn = _norm(w)
+            for i in range(j):          # the earlier rotations
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            rho = np.hypot(H[j, j], hn)
+            cs[j], sn[j] = H[j, j] / rho, hn / rho
+            H[j, j] = rho
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            # |g[j + 1]| is the residual norm of this cycle's x; breakdown
+            # (hn = 0) and NaN end the cycle too
+            if not abs(g[j + 1]) > tol:
+                break
+            V.append(w / hn)
+        k = j + 1
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):   # back substitution, H upper
+            y[i] = (g[i] - (H[i, i + 1:k] * y[i + 1:k]).sum()) / H[i, i]
+        u = y[0] * V[0]
+        for i in range(1, k):
+            u += y[i] * V[i]
+        x = x + precond(u)
+        r = rhs - J @ x
+        if _norm(r) <= tol:
+            return x, True
+    return x, False
 
 
 def _cyclic_band_solve(J, rhs):
@@ -283,16 +363,10 @@ def _linear_step(J, rhs, grid):
     else:
         sym = _circulant_symbol(J, grid)
         if np.all(np.isfinite(sym)) and np.all(sym != 0):
-            def apply_inverse(r):
-                rhat = np.fft.fftn(grid.unflatten(r))
-                return grid.flatten(np.fft.ifftn(rhat / sym).real)
-
-            M = spla.LinearOperator(J.shape, matvec=apply_inverse,
-                                    dtype=float)
             # tight enough that Newton counts and iterates match spsolve
-            delta, info = spla.gmres(J, rhs, M=M, rtol=1e-12, restart=50,
-                                     maxiter=4)
-            if info == 0:
+            delta, converged = _gmres(J, rhs,
+                                      _circulant_preconditioner(sym, grid))
+            if converged:
                 return delta
     return spla.spsolve(J.tocsc(), rhs)
 

@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 import warpcurve as wc
 from warpcurve.cli import main
@@ -100,6 +101,23 @@ def test_config_rejection_before_any_check(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"grid": {"n": 1}, "curvature": {"r": 2}}))
     assert main(["verify", "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("L", ["1e-300", "1e300"])
+@pytest.mark.parametrize("command", [["verify"], ["solve"],
+                                     ["sweep", "--axis", "eps"]])
+def test_an_unscalable_period_exits_as_a_config_error(tmp_path, capsys, L,
+                                                      command):
+    cfg = write_cfg(tmp_path, extra="\n[sweep]\neps = 0.0, 0.05\n")
+    cfg.write_text(cfg.read_text().replace("order = 2\n",
+                                           f"order = 2\nL = {L}\n"))
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 3
+    if command[0] == "sweep":       # each point's error is a table row
+        table = (tmp_path / "out" / "sweep_eps.csv").read_text()
+        assert table.count(",ConfigError") == 2
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error[ConfigError]: period L = ")
 
 
 def test_json_config_round_trip(tmp_path, capsys):

@@ -31,6 +31,22 @@ def test_make_grid_rejects_a_non_finite_period(L):
         wc.make_grid(1, 64, L)
 
 
+@pytest.mark.parametrize("n,N,L", [
+    (1, 32, 1e-300), (1, 32, 1e300), (2, 16, 1e-300), (1, 32, 5e-307),
+    (1, 32, 1e200)])
+def test_make_grid_rejects_a_period_its_stencils_cannot_scale(n, N, L):
+    # dx**2 underflows to 0 or overflows: 1/dx**2 would be inf or 0
+    with pytest.raises(wc.ConfigError, match=r"period L = .* out of range"):
+        wc.make_grid(n, N, L)
+
+
+@pytest.mark.parametrize("L", [1e-150, 1e150])
+def test_extreme_but_representable_periods_build_their_stencils(L):
+    g = wc.make_grid(1, 32, L)
+    scales = [scale for _, scale in g._stencils().values()]
+    assert all(np.isfinite(scales)) and min(scales) > 0
+
+
 def test_constant_field_has_zero_derivatives():
     g = wc.make_grid(2, 24)
     z = NodeField.constant(g, 3.7).values

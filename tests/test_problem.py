@@ -377,6 +377,16 @@ def test_separable_bisect_error_names_the_full_check_node(cosh, n, N, mode,
         assert node != np.argmin(key) and key[node] != key.min()
 
 
+def test_nan_prescription_has_no_barrier(cosh, spec1, monkeypatch):
+    # NaN compares False both ways: it must fail the bracket's sign check,
+    # not pass it and close every bracket onto t_minus
+    p = build_prescription(cosh, spec1, wc.make_grid(1, 64), c0=SINH1,
+                           eps=float("nan"), mode=1, t_minus=0.5,
+                           t_plus=1.5, validate=False)
+    two, every = _both_paths(p, monkeypatch)
+    assert two == every == "no sign change for the crossing at node 0"
+
+
 def test_s_lattice_is_the_documented_one():
     assert S_LATTICE == (0.0, 0.25, 0.5, 0.75, 1.0)
 
