@@ -8,6 +8,8 @@ Profiles are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.interpolate import CubicSpline
 
@@ -56,10 +58,11 @@ class WarpingProfile:
                                   f"p > 0, got {self.params}")
             if self.t_lo < 0:
                 raise ProfileError("power profile lives on (0, inf)")
+        if kind == "custom-table" and _spline is None:
+            raise ConfigError("custom-table profile requires samples; "
+                              "use WarpingProfile.from_table")
+        self._check_ends()
         if kind == "custom-table":
-            if _spline is None:
-                raise ConfigError("custom-table profile requires samples; "
-                                  "use WarpingProfile.from_table")
             self._antideriv = _spline.antiderivative()
             self._scan_table()
 
@@ -94,6 +97,26 @@ class WarpingProfile:
             raise ConfigError("requested interval exceeds the table range")
         return cls("custom-table", (), t_lo, t_hi,
                    require_mean_convex=require_mean_convex, _spline=spline)
+
+    def _check_ends(self):
+        """Refuse an end where h, h' or h'' overflows.
+
+        The validation lattices come within 1e-9 (t_hi - t_lo) of the ends,
+        so an overflow there reaches them as a NaN that a hypothesis or a
+        verify row would be blamed for.  Evaluated in float arithmetic,
+        where an overflow raises; t = 0 is skipped, as it is the open end
+        of a power profile, where h' or h'' may have a pole.
+        """
+        for name, t in (("t_lo", self.t_lo), ("t_hi", self.t_hi)):
+            try:
+                ok = t == 0 or all(map(math.isfinite, self._values(t, math)))
+            except OverflowError:
+                ok = False
+            if not ok:
+                p = f", p = {self.params[0]!r}" if self.kind == "power" else ""
+                raise ConfigError(f"{self.kind} profile overflows at {name} = "
+                                  f"{t!r}{p}: h, h' or h'' is not a finite "
+                                  f"float there")
 
     def _scan_table(self):
         (h, t_h), (kap, t_kap) = self.scan()
@@ -132,12 +155,13 @@ class WarpingProfile:
             return float(h), float(h1), float(h2)
         return h, h1, h2
 
-    def _values(self, t):
-        """(h, h', h'') at heights t inside the interval, unchecked."""
+    def _values(self, t, xp=np):
+        """(h, h', h'') at heights t inside the interval, unchecked; with
+        xp = math at one float t, where an overflow raises OverflowError."""
         if self.kind == "cosh":
-            h, h1, h2 = np.cosh(t), np.sinh(t), np.cosh(t)
+            h, h1, h2 = xp.cosh(t), xp.sinh(t), xp.cosh(t)
         elif self.kind == "exp":
-            h = np.exp(t)
+            h = xp.exp(t)
             h1 = h
             h2 = h
         elif self.kind == "power":

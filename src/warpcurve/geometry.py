@@ -39,7 +39,6 @@ over the eig2_sym eigenvectors of a raw symmetric matrix for verification
 
 from __future__ import annotations
 
-import io
 from functools import cached_property
 
 import numpy as np
@@ -49,7 +48,6 @@ from .errors import ConfigError, FrameError
 from .grid import NodeField
 
 _FRAME_TOL = 1e-10
-_CSV_BLOCK = 1024       # rows formatted per block by fields_csv
 
 
 def eig2_sym(p, q, r):
@@ -394,17 +392,29 @@ def fields_csv(geom):
 
     One row per node in flat (F) order, axis 0 fastest; every value is
     written with %.17g, so it reads back exactly.
+
+    Each column formats each of its distinct values once, in one %
+    operation, and the rows index those strings by np.unique's inverse:
+    the coordinates repeat N values each, and a cos-mode solve keeps its
+    reflection symmetries bit for bit, so W, lambda and tau repeat too.
+    The keys are the int64 bit patterns, not the floats.  %.17g is a
+    function of the bits, so one string per bit pattern is exact, while
+    float keys would merge -0.0 with 0.0 (printed -0 and 0) and np.unique
+    merges NaNs.  The text is thus a value-by-value dump for any input.
     """
     grid = geom.grid
-    buf = io.StringIO()
     axes = ",".join(f"u{d}" for d in range(grid.n))
-    buf.write(f"{axes},W,lambda_max,lambda_min,tau\n")
     cols = list(grid.coords()) + [geom.W, geom.lam[..., 0], geom.lam[..., -1],
                                   geom.tau]
-    M = np.column_stack([grid.flatten(c) for c in cols])
-    row = ",".join(["%.17g"] * M.shape[1]) + "\n"
-    # a block of rows at a time: tolist holds one Python float per value
-    for start in range(0, len(M), _CSV_BLOCK):
-        buf.writelines(row % tuple(r)
-                       for r in M[start:start + _CSV_BLOCK].tolist())
-    return buf.getvalue()
+    k = len(cols)
+    parts = [f"{axes},W,lambda_max,lambda_min,tau\n"]
+    parts += [None] * (grid.size * k)
+    for j, col in enumerate(cols):
+        bits, inv = np.unique(grid.flatten(col).view(np.int64),
+                              return_inverse=True)
+        # "\0" never occurs in %.17g output, so it splits the one text
+        fmt = "%.17g\n\0" if j == k - 1 else "%.17g,\0"
+        text = (fmt * len(bits)) % tuple(bits.view(np.float64).tolist())
+        strings = np.array(text.split("\0"), dtype=object)
+        parts[1 + j::k] = strings[inv].tolist()
+    return "".join(parts)

@@ -464,7 +464,16 @@ def build_phi(profile, spec, t_minus, t_plus, t0=None, eps_phi=0.1):
     inset = 1e-9 * (hi - lo)
     t = np.linspace(lo + inset, hi - inset, T_LATTICE)
     dphi, (bad,) = _reduce([(0, g.phi_prime(t))], t, np.argmax)
-    if dphi >= 0:
+    if not dphi < 0:        # NaN too
+        # phi' = phi * (-eps_phi - kappa - kappa'/kappa): at phi = 0, or at
+        # a phi that overflowed to inf * 0 or NaN, its sign is lost, and a
+        # larger rate pushes exp(eps_phi (t0 - t)) further out of range
+        phi = float(g.phi(bad))
+        if phi == 0 or (np.isnan(dphi) and not np.isfinite(phi)):
+            flow = "underflows" if phi == 0 else "overflows"
+            raise GaugeError(
+                f"phi = {phi:.6g} {flow} near t = {bad:.6g}, so phi' = "
+                f"{dphi:.6g} is not < 0; lower eps_phi")
         raise GaugeError(
             f"phi' = {dphi:.6g} >= 0 near t = {bad:.6g}; raise eps_phi")
     return g

@@ -28,3 +28,17 @@ def make_problem(n=1, N=256, r=1, eps=0.0, t_minus=0.5, t_plus=1.6,
     p = wc.build_prescription(profile, spec, grid, c0=np.sinh(1.0), eps=eps,
                               mode=mode, t_minus=t_minus, t_plus=t_plus)
     return wc.build_homotopy(p, t0=t0, eps_phi=eps_phi)
+
+
+def fields_csv_by_node(geom):
+    """fields.csv written one node at a time, in flat (F) order."""
+    grid = geom.grid
+    X = grid.coords()
+    out = [",".join(f"u{d}" for d in range(grid.n))
+           + ",W,lambda_max,lambda_min,tau\n"]
+    for i in range(grid.size):
+        node = np.unravel_index(i, grid.shape, order="F")
+        cs = ",".join(format(X[d][node], ".17g") for d in range(grid.n))
+        out.append(f"{cs},{geom.W[node]:.17g},{geom.lam[node][0]:.17g},"
+                   f"{geom.lam[node][-1]:.17g},{geom.tau[node]:.17g}\n")
+    return "".join(out)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,39 @@ def test_profile_construction_errors():
     for lo, hi, name in ((0.2, np.inf, "t_hi"), (-np.inf, 1.0, "t_lo")):
         with pytest.raises(wc.ConfigError, match=f"{name} must be finite"):
             wc.WarpingProfile.cosh(lo, hi)
+
+
+@pytest.mark.parametrize("kind,params,t_lo,t_hi,where", [
+    ("cosh", (), 0.2, 1e300, "t_hi = 1e+300"),
+    ("exp", (), 0.2, 1e300, "t_hi = 1e+300"),
+    ("cosh", (), 0.2, 800.0, "t_hi = 800.0"),
+    ("cosh", (), 0.2, 710.476, "t_hi = 710.476"),
+    ("cosh", (), -800.0, 3.0, "t_lo = -800.0"),
+    ("exp", (), 0.2, 709.8, "t_hi = 709.8"),
+    ("power", (400.0,), 0.3, 10.0, "t_hi = 10.0, p = 400.0"),
+    # h'' = p (p - 1) t^(p - 2) is the one that overflows here
+    ("power", (0.5,), 1e-300, 4.0, "t_lo = 1e-300, p = 0.5"),
+])
+def test_profile_refuses_an_end_where_it_overflows(kind, params, t_lo, t_hi,
+                                                   where):
+    # the validation lattices come within 1e-9 (t_hi - t_lo) of the ends,
+    # where the overflow used to surface as a NaN blamed on a hypothesis
+    message = f"{kind} profile overflows at {where}: "
+    with pytest.raises(wc.ConfigError, match=re.escape(message)):
+        wc.WarpingProfile(kind, params, t_lo, t_hi)
+
+
+def test_profile_admits_the_largest_finite_ends():
+    # cosh(710.47) and exp(709.78) are finite; t = 0 is the open end of a
+    # power profile, where h' and h'' have a pole; the validation lattices'
+    # ends then evaluate to finite values
+    for prof in (wc.WarpingProfile.cosh(0.2, 710.47),
+                 wc.WarpingProfile.exp(-2.0, 709.78),
+                 wc.WarpingProfile.power(0.5, 0.0, 4.0),
+                 wc.WarpingProfile.power(300.0, 0.3, 10.0)):
+        inset = 1e-9 * (prof.t_hi - prof.t_lo)
+        ends = np.array([prof.t_lo + inset, prof.t_hi - inset])
+        assert np.isfinite(prof.eval(ends)).all()
 
 
 @pytest.mark.parametrize("prof", [

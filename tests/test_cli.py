@@ -8,7 +8,7 @@ import warpcurve as wc
 from warpcurve.cli import main
 from warpcurve.grid import load_field
 
-from conftest import make_problem
+from conftest import fields_csv_by_node, make_problem
 
 
 BASE = """\
@@ -120,6 +120,40 @@ def test_an_unscalable_period_exits_as_a_config_error(tmp_path, capsys, L,
         assert err.startswith("error[ConfigError]: period L = ")
 
 
+@pytest.mark.parametrize("profile,where", [
+    ({"kind": "cosh", "t_lo": 0.2, "t_hi": 1e300}, "t_hi = 1e+300"),
+    ({"kind": "cosh", "t_lo": 0.2, "t_hi": 800.0}, "t_hi = 800.0"),
+    ({"kind": "power", "p": 400.0, "t_lo": 0.3, "t_hi": 10.0},
+     "t_hi = 10.0, p = 400.0"),
+])
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_an_overflowing_profile_exits_as_a_config_error(tmp_path, capsys,
+                                                        profile, where,
+                                                        command):
+    # h overflows at t_hi; the NaN it makes used to be blamed on another
+    # cause (a hypothesis, a verify row, a stall), or passed unnoticed
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({
+        "profile": profile, "grid": {"n": 1, "N": 32},
+        "prescription": {"c0": 2.0, "t_minus": 0.6, "t_plus": 2.0},
+        "output": {"dir": str(tmp_path / "out")},
+    }))
+    assert main([command, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[ConfigError]: {profile['kind']} profile "
+                          f"overflows at {where}: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_an_underflowing_gauge_asks_for_a_lower_rate(tmp_path, capsys,
+                                                     command):
+    cfg = write_cfg(tmp_path, eps_phi=1e300)
+    assert main([command, "--config", str(cfg)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[GaugeError]: phi = 0 underflows near t = ")
+    assert err.rstrip().endswith("; lower eps_phi")
+
+
 def test_json_config_round_trip(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -207,6 +241,24 @@ def test_default_solve_follows_the_solver_defaults(tmp_path, capsys):
     _, report = wc.continuation(make_problem(n=1, N=256, eps=0.1, t_plus=1.5),
                                 wc.SolverConfig())
     assert steps == [report.csv_header()] + list(report.csv_rows())
+
+
+def test_solve_writes_the_fields_of_its_saved_field(tmp_path, capsys):
+    # fields.csv is the node-by-node dump of the geometry of z_final.f64
+    cfg = tmp_path / "n2.json"
+    cfg.write_text(json.dumps({
+        "profile": {"kind": "cosh", "t_lo": 0.2, "t_hi": 3.0},
+        "grid": {"n": 2, "N": 32},
+        "prescription": {"c0": 1.1752011936438014, "eps": 0.1,
+                         "mode": [1, 1], "t_minus": 0.5, "t_plus": 1.5},
+        "output": {"dir": str(tmp_path / "out2")},
+    }))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    grid = wc.make_grid(2, 32)
+    z = load_field(tmp_path / "out2" / "z_final.f64", grid)
+    geom = wc.compute_geometry(z, grid, wc.WarpingProfile.cosh(0.2, 3.0))
+    assert (tmp_path / "out2" / "fields.csv").read_text() == \
+        fields_csv_by_node(geom)
 
 
 def test_power_profile_config(tmp_path, capsys):

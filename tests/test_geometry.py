@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,8 @@ from warpcurve.geometry import (compute_geometry, eig2_sym, fields_csv,
                                 special_frame_deviations,
                                 support_identity_check)
 from warpcurve.grid import NodeField, random_smooth
+
+from conftest import fields_csv_by_node
 
 
 def test_umbilic_slice(cosh_profile):
@@ -187,27 +192,73 @@ def test_fields_csv_shape(cosh_profile):
     assert first[2] == pytest.approx(np.cosh(1.0), rel=1e-15)
 
 
-def _fields_csv_by_node(geom):
-    """fields.csv written one node at a time, in flat (F) order."""
-    grid = geom.grid
-    X = grid.coords()
-    out = [",".join(f"u{d}" for d in range(grid.n))
-           + ",W,lambda_max,lambda_min,tau\n"]
-    for i in range(grid.size):
-        node = np.unravel_index(i, grid.shape, order="F")
-        cs = ",".join(format(X[d][node], ".17g") for d in range(grid.n))
-        out.append(f"{cs},{geom.W[node]:.17g},{geom.lam[node][0]:.17g},"
-                   f"{geom.lam[node][-1]:.17g},{geom.tau[node]:.17g}\n")
-    return "".join(out)
-
-
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
 def test_fields_csv_matches_node_loop(cosh_profile, n, N):
     g = wc.make_grid(n, N)
     rng = np.random.default_rng(2)
     z = NodeField(1.0 + random_smooth(g, rng, 0.1), g)
     geom = compute_geometry(z, g, cosh_profile)
-    assert fields_csv(geom) == _fields_csv_by_node(geom)
+    assert fields_csv(geom) == fields_csv_by_node(geom)
+
+
+# the bit patterns a float-keyed writer would merge or mislabel: both zeros,
+# NaNs of both signs and with a payload, both infinities, subnormals
+_SPECIAL = np.concatenate([
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+     2.2250738585072014e-308 / 3, 1.0],
+    np.array([0x7FF8000000000001, -0x0007FFFFFFFFFFFF], np.int64)
+    .view(np.float64)])
+_FILLS = {
+    "signed zeros": lambda rng, shape: rng.choice([0.0, -0.0, 0.5], shape),
+    "nan inf subnormal": lambda rng, shape: rng.choice(_SPECIAL, shape),
+    "repeated": lambda rng, shape: rng.choice([0.1, 1 / 3, -2.5], shape),
+    "distinct": lambda rng, shape: rng.standard_normal(shape),
+}
+
+
+def _filled_geometry(g, fill, seed=3):
+    """The columns fields_csv reads, every one drawn from one fill."""
+    rng = np.random.default_rng(seed)
+    draw = _FILLS[fill]
+    return SimpleNamespace(grid=g, W=draw(rng, g.shape),
+                           lam=draw(rng, g.shape + (g.n,)),
+                           tau=draw(rng, g.shape))
+
+
+@pytest.mark.parametrize("fill", list(_FILLS))
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_fields_csv_keeps_every_bit_pattern(n, N, order, fill):
+    geom = _filled_geometry(wc.make_grid(n, N, order=order), fill)
+    text = fields_csv(geom)
+    assert text == fields_csv_by_node(geom)
+    cells = set(text.replace("\n", ",").split(","))
+    values = np.concatenate([geom.W.ravel(), geom.lam.ravel(),
+                             geom.tau.ravel()])
+    distinct = len(np.unique(values.view(np.int64)))
+    if fill == "signed zeros":
+        assert {"-0", "0"} <= cells
+    elif fill == "nan inf subnormal":
+        assert {"nan", "inf", "-inf", "4.9406564584124654e-324",
+                "-4.9406564584124654e-324"} <= cells
+    elif fill == "repeated":
+        assert distinct == 3
+    else:
+        assert distinct == values.size
+
+
+def test_fields_csv_memory_on_distinct_values():
+    # every value of the four data columns distinct: one string per value
+    # is held until the join; 8.1 MB measured at n = 2, N = 128
+    geom = _filled_geometry(wc.make_grid(2, 128), "distinct")
+    tracemalloc.start()
+    try:
+        text = fields_csv(geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + 128 * 128
+    assert peak < 10e6
 
 
 def _check_eigenpairs(m00, m01, m11):

@@ -8,7 +8,7 @@ layer whose wrapped attribute the library stopped calling would read 0
 without breaking anything, so the grid.stencil layer's calls are checked
 too.  The benchmark checks its solves against barrier_crossings, so the
 two-node crossings of every reference case are pinned here to the
-all-node ones.
+all-node ones, and one solve2d operation runs through its checks.
 """
 
 import importlib.util
@@ -77,6 +77,17 @@ def test_verify_workload_passes_every_row(seed, tmp_path):
     rows = workloads.op_verify2d(case, workloads.Rep(), tmp_path)
     assert workloads.check_verify(case, rows, None) == []
     assert len(rows) == 33
+
+
+def test_solve_workload_passes_every_check(tmp_path):
+    # the seed-7 solve2d pass: its checks count fields.csv's lines and read
+    # the saved field back; a failed check counts as a failed operation
+    workloads = _load("workloads")
+    case, = workloads.draw_cases("solve2d", 7)
+    result = workloads.op_solve2d(case, workloads.Rep(), tmp_path)
+    assert workloads.check_solve(case, result,
+                                 workloads.load_reference()) == []
+    assert (tmp_path / "fields.csv").read_text().count("\n") == 1 + 128 ** 2
 
 
 def test_reference_crossings_equal_the_all_node_path(monkeypatch):

@@ -116,6 +116,35 @@ def test_gauge_rejects_a_non_finite_decay(cosh, spec1, eps_phi):
         build_phi(cosh, spec1, 0.5, 1.5, eps_phi=eps_phi)
 
 
+def test_gauge_underflow_asks_for_a_lower_rate(cosh, spec1):
+    # exp(eps_phi (t0 - t)) underflows phi to 0 above t0, so phi' = -0:
+    # a larger rate cannot make it negative
+    with pytest.raises(wc.GaugeError, match="phi = 0 underflows near t = "
+                       ".*, so phi' = -0 is not < 0; lower eps_phi$"):
+        build_phi(cosh, spec1, 0.5, 1.5, eps_phi=1e300)
+
+
+@pytest.mark.parametrize("eps_phi", [0.01, 1000.0])
+def test_increasing_gauge_asks_for_a_higher_rate(eps_phi):
+    # kappa = 1/(2t): phi' has the sign of 1/(2t) - eps_phi, positive near
+    # t_lo = 0 for any rate; at 1000, phi = inf there and phi' = +inf
+    prof = wc.WarpingProfile.power(0.5, 0.0, 4.0)
+    with pytest.raises(wc.GaugeError,
+                       match="^phi' = .* >= 0 near t = 4e-09; raise eps_phi$"):
+        build_phi(prof, wc.CurvatureSpec(1, 1), 1.0, 3.0, eps_phi=eps_phi)
+
+
+def test_gauge_overflow_to_nan_asks_for_a_lower_rate(cosh, spec1,
+                                                     monkeypatch):
+    # an overflowed phi = inf times a vanishing bracket gives phi' = NaN
+    monkeypatch.setattr(Gauge, "phi",
+                        lambda self, t: np.full(np.shape(t), np.inf))
+    monkeypatch.setattr(Gauge, "phi_prime", lambda self, t: self.phi(t) * 0)
+    with pytest.raises(wc.GaugeError, match="phi = inf overflows near t = "
+                       ".*, so phi' = nan is not < 0; lower eps_phi$"):
+        build_phi(cosh, spec1, 0.5, 1.5)
+
+
 def test_gauge_rows_witness_the_first_pick_of_their_lattices(cosh, spec1):
     hp = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
     p = hp.prescription
