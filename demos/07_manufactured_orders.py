@@ -5,7 +5,8 @@ through analytic derivatives, and prescribe psi := f(lam(z_m)).  The
 discrete residual at z_m is then pure stencil truncation error, so its
 decay under grid doubling measures the discretization order directly.
 Such prescriptions generally violate the decay hypothesis (c), which is
-why this mode bypasses validation (unsafe).
+why build_manufactured skips validation, as build_prescription does
+with validate=False.
 """
 
 import numpy as np

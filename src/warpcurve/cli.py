@@ -28,8 +28,7 @@ from .errors import (BarrierViolation, BisectError, ConeError, ConfigError,
 from .geometry import compute_geometry, fields_csv
 from .grid import make_grid, save_field
 from .problem import barrier_crossings, build_homotopy, build_prescription
-from .solver import (SolverConfig, build_manufactured, continuation,
-                     newton_solve, residual)
+from .solver import SolverConfig, continuation
 from .verify import build_condition_table
 
 EXIT_OK = 0
@@ -56,13 +55,6 @@ def _fmt(x):
 # -- configuration ------------------------------------------------------------
 
 _SOLVER_DEFAULTS = SolverConfig()
-
-
-def _bool(text):
-    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
-    if value is None:
-        raise ValueError(f"not a boolean: {text!r}")
-    return value
 
 
 def _many(cast):
@@ -100,7 +92,6 @@ class RunConfig:
     L: float = _key(2.0 * np.pi, "grid")
     order: int = _key(2, "grid", int)
     r: int = _key(1, "curvature", int)
-    form: str = _key("radial-decay", "prescription", str)
     c0: float = _key(float(np.sinh(1.0)), "prescription")
     eps: float = _key(0.0, "prescription")
     mode: tuple = _key((1,), "prescription", _ints)
@@ -114,14 +105,10 @@ class RunConfig:
     ds_min: float = _key(_SOLVER_DEFAULTS.ds_min, "solver")
     jacobian: str = _key("analytic", "solver", str)
     out_dir: str = _key("out", "output", str, key="dir")
-    unsafe: bool = _key(False, "run", _bool)
     seed: int = _key(12345, "run", int)
     sweep_N: tuple = _key((), "sweep", _ints, key="N")
     sweep_eps: tuple = _key((0.0, 0.05, 0.1), "sweep", _floats, key="eps")
     sweep_r: tuple = _key((), "sweep", _ints, key="r")
-    mms_center: float = _key(1.0, "manufactured", key="center")
-    mms_amplitude: float = _key(0.01, "manufactured", key="amplitude")
-    mms_freqs: tuple = _key((), "manufactured", _ints, key="freqs")
 
     def validate(self):
         if self.r > self.n:
@@ -137,6 +124,10 @@ class RunConfig:
         if not np.all(np.isfinite((self.eps,) + self.sweep_eps)):
             raise ConfigError(f"[prescription] eps = {self.eps} and [sweep] "
                               f"eps = {self.sweep_eps} must be finite")
+        # the N/2 grid's nodes are every other node of the N grid
+        if any(b != 2 * a for a, b in zip(self.sweep_N, self.sweep_N[1:])):
+            raise ConfigError(f"[sweep] N = {list(self.sweep_N)} must double "
+                              f"from each value to the next")
 
     def echo(self):
         pairs = {k: (list(v) if isinstance(v, tuple) else v)
@@ -192,9 +183,11 @@ def load_config(path):
         raise ConfigError(f"unknown config block/key: {', '.join(unknown)}")
     values = {}
     for (block, key), f in _SCHEMA.items():
-        raw = blocks.get(block, {}).get(key)
-        if raw is None:
+        if key not in blocks.get(block, {}):
             continue
+        raw = blocks[block][key]
+        if raw is None:                 # JSON null: not a missing key
+            raise ValueError(f"[{block}] {key} = null: a key needs a value")
         try:
             values[f.name] = f.metadata["parse"](
                 raw if isinstance(raw, list) else str(raw))
@@ -222,15 +215,14 @@ def build_profile(cfg):
     return WarpingProfile(cfg.profile_kind, params, cfg.t_lo, cfg.t_hi)
 
 
-def build_problem(cfg, r=None, eps=None):
+def build_problem(cfg, r=None, eps=None, N=None):
     """Instantiate profile, grid, spec, prescription, and homotopy."""
     profile = build_profile(cfg)
-    grid = make_grid(cfg.n, cfg.N, cfg.L, cfg.order)
+    grid = make_grid(cfg.n, cfg.N if N is None else N, cfg.L, cfg.order)
     spec = CurvatureSpec(n=cfg.n, r=cfg.r if r is None else r)
     presc = build_prescription(
-        profile, spec, grid, form=cfg.form, c0=cfg.c0,
-        eps=cfg.eps if eps is None else eps, mode=cfg.mode,
-        t_minus=cfg.t_minus, t_plus=cfg.t_plus, validate=not cfg.unsafe)
+        profile, spec, grid, c0=cfg.c0, eps=cfg.eps if eps is None else eps,
+        mode=cfg.mode, t_minus=cfg.t_minus, t_plus=cfg.t_plus)
     hp = build_homotopy(presc, t0=cfg.t0, eps_phi=cfg.eps_phi)
     return profile, grid, spec, presc, hp
 
@@ -302,11 +294,11 @@ _SWEEP_HEADER = ("axis,value,status,residual,newton_total,z_min,z_max,"
                  "barrier_lo,barrier_hi,lam1_max,grad_max")
 
 
-def _sweep_row(axis, value, status, residual=np.nan, newton=0, zmin=np.nan,
-               zmax=np.nan, blo=np.nan, bhi=np.nan, lam1=np.nan, gmax=np.nan):
-    return (f"{axis},{_fmt(value)},{status},{_fmt(residual)},{newton},"
-            f"{_fmt(zmin)},{_fmt(zmax)},{_fmt(blo)},{_fmt(bhi)},"
-            f"{_fmt(lam1)},{_fmt(gmax)}")
+def _sweep_row(axis, value, status, residual=np.nan, newton=0, *floats):
+    """One CSV row; the float columns left out at its end are NaN."""
+    floats += (np.nan,) * ((8 if axis == "N" else 6) - len(floats))
+    return ",".join([axis, _fmt(value), status, _fmt(residual), str(newton),
+                     *map(_fmt, floats)])
 
 
 def cmd_sweep(cfg, axis):
@@ -314,9 +306,6 @@ def cmd_sweep(cfg, axis):
     Exits with the first invariant error's code if one fired, else with
     the first failure's if no point succeeded."""
     scfg = solver_config(cfg)
-    if axis == "N" and not cfg.unsafe:
-        raise ConfigError("manufactured-solution sweep needs unsafe mode "
-                          "(run.unsafe = true or --unsafe)")
     values = {"N": cfg.sweep_N or ((64, 128, 256) if cfg.n == 1
                                    else (24, 48, 96)),
               "eps": cfg.sweep_eps,
@@ -329,7 +318,8 @@ def cmd_sweep(cfg, axis):
     run = _sweep_runner(cfg, scfg, axis)
     # an s-trace is one run: its error is the command's
     caught = () if axis == "s-trace" else WarpcurveError
-    rows, ok_runs, failures = [_SWEEP_HEADER], 0, []
+    rows = [_SWEEP_HEADER + (",dz_coarse,order" if axis == "N" else "")]
+    ok_runs, failures = 0, []
     for value in values:
         try:
             rows += run(value)
@@ -351,40 +341,38 @@ def cmd_sweep(cfg, axis):
 
 
 def _sweep_runner(cfg, scfg, axis):
-    """The function solving one point of a sweep axis into its CSV rows."""
-    if axis == "N":
-        profile, spec = build_profile(cfg), CurvatureSpec(cfg.n, cfg.r)
-        freqs = cfg.mms_freqs or (1,) * cfg.n
+    """The function solving one point of a sweep axis into its CSV rows.
 
-        def run_manufactured(N):
-            grid = make_grid(cfg.n, N, cfg.L, cfg.order)
-            zm, hp = build_manufactured(grid, profile, spec, cfg.mms_center,
-                                        cfg.mms_amplitude, freqs)
-            res0 = float(np.abs(residual(zm, 1.0, hp).values).max())
-            z, stats = newton_solve(zm, 1.0, hp, scfg)
-            geom = compute_geometry(z, grid, profile)
-            return [_sweep_row("N", N, "ok", res0, stats.iterations,
-                               float(z.values.min()), float(z.values.max()),
-                               hp.t_minus, hp.t_plus,
-                               float(geom.lam[..., 0].max()), geom.grad_sup)]
-        return run_manufactured
+    An N row adds the refinement columns: dz_coarse, the largest change
+    of z on the previous N's nodes (every other node of each axis), and
+    order, log2 of the ratio of successive dz_coarse.  Each is NaN where
+    its previous points are missing or failed."""
+    last = {"z": None, "dz": np.nan}
 
-    def run_continuation(value):
+    def run(value):
+        z_prev, dz_prev = last["z"], last["dz"]
+        last.update(z=None, dz=np.nan)      # a failed point breaks the chain
         _, _, _, presc, hp = build_problem(
-            cfg, **({axis: value} if axis in ("eps", "r") else {}))
-        _, report = continuation(hp, scfg)
-        lo, hi = barrier_crossings(presc) if presc.validated else \
-            (hp.t_minus, hp.t_plus)
+            cfg, **({} if axis == "s-trace" else {axis: value}))
+        z, report = continuation(hp, scfg)
+        lo, hi = barrier_crossings(presc)
         if axis == "s-trace":
             return [_sweep_row("s", st.s, "ok", st.residual, st.newton_iters,
                                st.z_min, st.z_max, lo, hi, st.lam1_max,
                                st.grad_max) for st in report.steps]
+        refine = ()
+        if axis == "N":
+            coarse = z.values[(slice(None, None, 2),) * z.grid.n]
+            dz = np.nan if z_prev is None else np.abs(coarse - z_prev).max()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                refine = (dz, np.log2(dz_prev / dz))
+            last.update(z=z.values, dz=dz)
         fin = report.final
         return [_sweep_row(axis, value, "ok", fin.residual,
                            sum(s.newton_iters for s in report.steps),
                            fin.z_min, fin.z_max, lo, hi, fin.lam1_max,
-                           fin.grad_max)]
-    return run_continuation
+                           fin.grad_max, *refine)]
+    return run
 
 
 # -- entry point ----------------------------------------------------------------
@@ -406,8 +394,6 @@ def _parser():
         p.add_argument("--config", required=True, help="config file (INI or JSON)")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--unsafe", action="store_true",
-                       help="skip prescription validation (manufactured runs)")
         p.add_argument("--jacobian", choices=("analytic", "fd"),
                        help="Jacobian mode (overrides config)")
         if name == "sweep":
@@ -432,8 +418,6 @@ def main(argv=None):
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.unsafe:
-        cfg.unsafe = True
     if args.jacobian:
         cfg.jacobian = args.jacobian
     try:

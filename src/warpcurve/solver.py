@@ -553,7 +553,8 @@ def continuation(hp, cfg=None):
 # -- manufactured solutions ---------------------------------------------------
 
 class ManufacturedProblem:
-    """Prescription tabulated from an exact height field (unsafe mode).
+    """Prescription tabulated from an exact height field, never validated
+    (as build_prescription with validate=False).
 
     psi is a function of u alone (t-independent), so d_t Psi = 0; it
     generally violates the decay hypothesis, which is the point: it gives

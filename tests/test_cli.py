@@ -26,7 +26,6 @@ order = 2
 r = 1
 
 [prescription]
-form = radial-decay
 c0 = 1.1752011936438014
 eps = {eps}
 mode = 1
@@ -172,16 +171,82 @@ def test_fd_jacobian_flag(tmp_path, capsys):
                  "--out", str(tmp_path / "out_fd")]) == 0
 
 
-def test_sweep_manufactured_order(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, extra="\n[sweep]\nN = 64, 128, 256\n")
-    assert main(["sweep", "--config", str(cfg), "--axis", "N"]) == 3  # needs unsafe
-    assert main(["sweep", "--config", str(cfg), "--axis", "N",
-                 "--unsafe"]) == 0
-    rows = [l.split(",") for l in
-            (tmp_path / "out" / "sweep_N.csv").read_text().strip().split("\n")[1:]]
-    res = [float(r[3]) for r in rows]
-    orders = [np.log2(a / b) for a, b in zip(res, res[1:])]
-    assert all(o >= 1.9 for o in orders)
+def refine_cfg(tmp_path, n, order, Ns, mode):
+    """The configured problem (cosh, c0 = sinh 1, eps 0.13, r = n) refined
+    over the N values Ns."""
+    cfg = tmp_path / "refine.json"
+    cfg.write_text(json.dumps({
+        "grid": {"n": n, "order": order}, "curvature": {"r": n},
+        "prescription": {"eps": 0.13, "mode": mode, "t_minus": 0.5,
+                         "t_plus": 1.5},
+        "sweep": {"N": Ns}, "output": {"dir": str(tmp_path / "out")},
+    }))
+    return cfg
+
+
+def _sweep_table(path):
+    lines = path.read_text().strip().split("\n")
+    return lines[0].split(","), [l.split(",") for l in lines[1:]]
+
+
+@pytest.mark.parametrize("n, mode, Ns, tol", [
+    (1, [3], [32, 64, 128, 256], 0.1),
+    (2, [1, 2], [16, 32, 64], 0.15),
+], ids=["n1", "n2"])
+@pytest.mark.parametrize("order", [2, 4], ids=["order2", "order4"])
+def test_sweep_N_observes_the_stencil_order(tmp_path, capsys, n, mode, Ns,
+                                            tol, order):
+    # the validated problem's solutions: the change of z on the coarse
+    # nodes falls like dx**order as N doubles
+    cfg = refine_cfg(tmp_path, n, order, Ns, mode)
+    assert main(["sweep", "--config", str(cfg), "--axis", "N"]) == 0
+    header, rows = _sweep_table(tmp_path / "out" / "sweep_N.csv")
+    assert header[-3:] == ["grad_max", "dz_coarse", "order"]
+    assert [r[2] for r in rows] == ["ok"] * len(Ns)
+    assert rows[0][-2:] == ["nan", "nan"] and rows[1][-1] == "nan"
+    orders = [float(r[-1]) for r in rows[2:]]
+    assert len(orders) == len(Ns) - 2
+    assert all(abs(o - order) <= tol for o in orders), orders
+
+
+def test_sweep_N_restarts_the_refinement_after_a_failed_point(
+        tmp_path, capsys, monkeypatch):
+    import warpcurve.cli as cli
+
+    solve = cli.continuation
+
+    def failing(hp, scfg):
+        if hp.prescription.grid.N == 32:
+            raise wc.NewtonStall("no convergence")
+        return solve(hp, scfg)
+
+    monkeypatch.setattr(cli, "continuation", failing)
+    cfg = refine_cfg(tmp_path, 1, 2, [16, 32, 64, 128, 256], [3])
+    assert main(["sweep", "--config", str(cfg), "--axis", "N"]) == 0
+    header, rows = _sweep_table(tmp_path / "out" / "sweep_N.csv")
+    assert all(len(r) == len(header) == 13 for r in rows)
+    assert [r[2] for r in rows] == ["ok", "NewtonStall", "ok", "ok", "ok"]
+    # dz_coarse needs the previous point, order the two before it
+    assert [r[-2] == "nan" for r in rows] == [True, True, True, False, False]
+    assert [r[-1] == "nan" for r in rows] == [True, True, True, True, False]
+
+
+@pytest.mark.parametrize("command", [["verify"], ["solve"],
+                                     ["sweep", "--axis", "N"]])
+def test_sweep_N_that_does_not_double_exits_3(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, extra="\n[sweep]\nN = 32, 64, 96\n")
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]: [sweep] N = [32, 64, 96] "
+                          "must double")
+
+
+def test_unsafe_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(write_cfg(tmp_path)), "--axis", "N",
+              "--unsafe"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --unsafe" in capsys.readouterr().err
 
 
 def test_sweep_eps_barrier_widths_nondecreasing(tmp_path, capsys):
@@ -298,16 +363,18 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys,
 
 def test_deterministic_verify_and_sweep_reports(tmp_path, capsys):
     cfg = write_cfg(tmp_path, eps=0.1, t_plus=1.5,
-                    extra="\n[sweep]\neps = 0.0, 0.05\n")
+                    extra="\n[sweep]\neps = 0.0, 0.05\nN = 32, 64, 128\n")
     tables, csvs = [], []
     for k in range(2):
         assert main(["verify", "--config", str(cfg)]) == 0
         tables.append(capsys.readouterr().out)
         out = tmp_path / f"o{k}"
-        assert main(["sweep", "--config", str(cfg), "--axis", "eps",
-                     "--out", str(out)]) == 0
+        for axis in ("eps", "N"):
+            assert main(["sweep", "--config", str(cfg), "--axis", axis,
+                         "--out", str(out)]) == 0
         capsys.readouterr()
-        csvs.append((out / "sweep_eps.csv").read_bytes())
+        csvs.append([(out / f"sweep_{axis}.csv").read_bytes()
+                     for axis in ("eps", "N")])
     assert tables[0] == tables[1] and csvs[0] == csvs[1]
 
 
