@@ -177,16 +177,15 @@ def _fd_colored_jacobian(zvals, s, hp, step):
     indices = grid.stencil_pattern()[0]
     # color of the column at each (row, offset) slot of the layout
     slot_colors = colors[indices].reshape(grid.size, -1)
-    data = np.empty(slot_colors.shape)
+    dr = np.empty((ncol, grid.size))
     for c in range(ncol):
         pert = grid.unflatten(step * (colors == c))
         rp = grid.flatten(_evaluate(zvals + pert, s, hp).res)
         rm = grid.flatten(_evaluate(zvals - pert, s, hp).res)
-        # each row meets at most one column of a color: its difference
-        # quotient is the entry at that column's slot
-        dr = (rp - rm) / (2.0 * step)
-        np.copyto(data, dr[:, None], where=slot_colors == c)
-    return grid.pattern_matrix(data)
+        dr[c] = (rp - rm) / (2.0 * step)
+    # each row meets at most one column of a color: the entry at a slot is
+    # its row's difference quotient for the color of the slot's column
+    return grid.pattern_matrix(dr[slot_colors, np.arange(grid.size)[:, None]])
 
 
 def assemble_jacobian(z, s, hp, mode="analytic"):

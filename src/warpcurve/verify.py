@@ -196,8 +196,11 @@ def jacobian_rows(hp, seed, states=3):
         s = float(rng.uniform(0.0, 1.0))
         Ja = assemble_jacobian(z, s, hp, "analytic")
         Jf = assemble_jacobian(z, s, hp, "fd-colored")
+        # both are in the grid's fixed layout: compare entry by entry
+        assert np.array_equal(Ja.indices, Jf.indices)
+        assert np.array_equal(Ja.indptr, Jf.indptr)
         scale = float(np.abs(Ja.data).max())
-        diff = float(abs(Ja - Jf).max())
+        diff = float(np.abs(Ja.data - Jf.data).max())
         worst = max(worst, diff / scale)
     return [_row(f"oracle: analytic vs colored-FD jacobian, {states} states",
                  worst, "<= 1e-6", worst <= 1e-6)]

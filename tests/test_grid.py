@@ -343,7 +343,10 @@ def test_coloring_is_a_valid_jacobian_coloring(n, N, order):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("n", [1, 2])
 def test_coloring_is_valid_for_every_small_grid(n, order):
-    for N in range(16, 70):
+    # the four larger N at n = 2: the product form is kept at N = 96
+    # (order 2) and N = 100 (order 4), where order + 1 divides N, and the
+    # diagonal form is used at the other six
+    for N in [*range(16, 70), 96, 100, 101, 128]:
         g = wc.make_grid(n, N, order=order)
         colors, ncol = g.coloring()
         C = g.unflatten(colors)
@@ -354,7 +357,14 @@ def test_coloring_is_valid_for_every_small_grid(n, order):
         assert ncol == colors.max() + 1
 
 
-@pytest.mark.parametrize("n,N,order,count", [(1, 2048, 2, 4), (2, 64, 2, 16),
-                                             (2, 128, 2, 16), (2, 64, 4, 36)])
+# The counts at n = 2, order 2 are optimal: nodes of one color within a
+# strip of 3 adjacent columns (|d1| <= 2) are more than 2 apart along
+# axis 0, so a color holds at most N // 3 nodes per strip.  Each node lies
+# in 3 of the N strips, so a color holds at most N (N // 3) / 3 nodes:
+# 448 at N = 64, and 4096 / 448 > 9 forces 10 colors (likewise at 128).
+@pytest.mark.parametrize("n,N,order,count", [(1, 2048, 2, 4), (2, 64, 2, 10),
+                                             (2, 128, 2, 10), (2, 64, 4, 32),
+                                             (2, 128, 4, 26), (2, 48, 2, 9),
+                                             (2, 32, 2, 11)])
 def test_coloring_counts(n, N, order, count):
     assert wc.make_grid(n, N, order=order).coloring()[1] == count

@@ -530,9 +530,9 @@ def _reference_symbol(J, grid):
     return np.conj(np.fft.fftn(grid.unflatten(kernel / grid.size)))
 
 
-def _wavy_state(n, order, seed=11):
-    hp = make_problem(n=n, N=64 if n == 1 else 24, r=n, eps=0.1, t_plus=1.5,
-                      order=order)
+def _wavy_state(n, order, seed=11, N=None):
+    N = N or (64 if n == 1 else 24)
+    hp = make_problem(n=n, N=N, r=n, eps=0.1, t_plus=1.5, order=order)
     rng = np.random.default_rng(seed)
     z = hp.t0 + random_smooth(hp.grid, rng, 0.05)
     return hp, z, solver._evaluate(z, 0.6, hp)
@@ -591,19 +591,31 @@ def test_f_grad_is_computed_only_for_the_analytic_jacobian(n, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("n", [1, 2])
-def test_fd_colored_jacobian_equals_one_color_per_column(n, order,
+# N = 32 at order 2 takes the diagonal coloring (11 colors, not 16)
+@pytest.mark.parametrize("n,order,N", [(1, 2, 64), (1, 4, 64), (2, 2, 24),
+                                       (2, 4, 24), (2, 2, 32)],
+                         ids=["1-2", "1-4", "2-2", "2-4", "2-2-N32"])
+def test_fd_colored_jacobian_equals_one_color_per_column(n, order, N,
                                                          monkeypatch):
     # row i of the residual reads only its footprint, so any valid coloring
     # gives the difference quotients of single columns, bit for bit
-    hp, z, _ = _wavy_state(n, order)
+    hp, z, _ = _wavy_state(n, order, N=N)
     J = assemble_jacobian(z, 0.6, hp, "fd-colored")
     size = hp.grid.size
     monkeypatch.setattr(hp.grid, "coloring", lambda: (np.arange(size), size))
     J1 = assemble_jacobian(z, 0.6, hp, "fd-colored")
     assert np.array_equal(J.data, J1.data)
     assert np.array_equal(J.indices, J1.indices)
+
+
+def test_fd_colored_jacobian_evaluates_twice_per_color(monkeypatch):
+    hp, z, _ = _wavy_state(2, 2, N=64)
+    calls = []
+    evaluate = solver._evaluate
+    monkeypatch.setattr(solver, "_evaluate",
+                        lambda *a: calls.append(1) or evaluate(*a))
+    assemble_jacobian(z, 0.6, hp, "fd-colored")
+    assert len(calls) == 2 * 10
 
 
 @pytest.mark.parametrize("order", [2, 4])
