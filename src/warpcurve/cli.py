@@ -103,7 +103,6 @@ class RunConfig:
     max_newton: int = _key(_SOLVER_DEFAULTS.max_newton, "solver", int)
     ds0: float = _key(_SOLVER_DEFAULTS.ds0, "solver")
     ds_min: float = _key(_SOLVER_DEFAULTS.ds_min, "solver")
-    jacobian: str = _key("analytic", "solver", str)
     out_dir: str = _key("out", "output", str, key="dir")
     seed: int = _key(12345, "run", int)
     sweep_N: tuple = _key((), "sweep", _ints, key="N")
@@ -119,8 +118,6 @@ class RunConfig:
             raise ConfigError("anchor t0 must lie in (t_minus, t_plus)")
         if self.seed < 0:
             raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
-        if self.jacobian not in ("analytic", "fd", "fd-colored"):
-            raise ConfigError(f"unknown jacobian mode {self.jacobian!r}")
         if not np.all(np.isfinite((self.eps,) + self.sweep_eps)):
             raise ConfigError(f"[prescription] eps = {self.eps} and [sweep] "
                               f"eps = {self.sweep_eps} must be finite")
@@ -128,6 +125,9 @@ class RunConfig:
         if any(b != 2 * a for a, b in zip(self.sweep_N, self.sweep_N[1:])):
             raise ConfigError(f"[sweep] N = {list(self.sweep_N)} must double "
                               f"from each value to the next")
+        if not all(1 <= r <= self.n for r in self.sweep_r):
+            raise ConfigError(f"[sweep] r = {list(self.sweep_r)} must lie in "
+                              f"1 <= r <= n = {self.n}")
 
     def echo(self):
         pairs = {k: (list(v) if isinstance(v, tuple) else v)
@@ -228,9 +228,8 @@ def build_problem(cfg, r=None, eps=None, N=None):
 
 
 def solver_config(cfg):
-    mode = "fd-colored" if cfg.jacobian in ("fd", "fd-colored") else "analytic"
     return SolverConfig(newton_tol=cfg.newton_tol, max_newton=cfg.max_newton,
-                        ds0=cfg.ds0, ds_min=cfg.ds_min, jacobian_mode=mode)
+                        ds0=cfg.ds0, ds_min=cfg.ds_min)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -309,28 +308,26 @@ def cmd_sweep(cfg, axis):
     values = {"N": cfg.sweep_N or ((64, 128, 256) if cfg.n == 1
                                    else (24, 48, 96)),
               "eps": cfg.sweep_eps,
-              "r": cfg.sweep_r or tuple(range(1, cfg.n + 1)),
-              "s-trace": (None,)}.get(axis)
+              "r": cfg.sweep_r or tuple(range(1, cfg.n + 1))}.get(axis)
     if values is None:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    if axis != "s-trace" and len(values) < 2:
-        raise ConfigError("sweep axis needs at least 2 values")
+    if len(values) < 2:
+        raise ConfigError(f"sweep axis {axis} needs at least 2 values, "
+                          f"got {list(values)}")
     run = _sweep_runner(cfg, scfg, axis)
-    # an s-trace is one run: its error is the command's
-    caught = () if axis == "s-trace" else WarpcurveError
     rows = [_SWEEP_HEADER + (",dz_coarse,order" if axis == "N" else "")]
     ok_runs, failures = 0, []
     for value in values:
         try:
             rows += run(value)
             ok_runs += 1
-        except caught as exc:
+        except WarpcurveError as exc:
             failures.append(exc)
             rows.append(_sweep_row(axis, value, type(exc).__name__))
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"sweep_{axis.replace('-', '_')}.csv"
+    path = out / f"sweep_{axis}.csv"
     path.write_text("\n".join(rows) + "\n")
     print(f"sweep {axis}: {ok_runs} run(s) ok, wrote {path}")
     fired = [e for e in failures if isinstance(e, (BarrierViolation,
@@ -352,14 +349,9 @@ def _sweep_runner(cfg, scfg, axis):
     def run(value):
         z_prev, dz_prev = last["z"], last["dz"]
         last.update(z=None, dz=np.nan)      # a failed point breaks the chain
-        _, _, _, presc, hp = build_problem(
-            cfg, **({} if axis == "s-trace" else {axis: value}))
+        _, _, _, presc, hp = build_problem(cfg, **{axis: value})
         z, report = continuation(hp, scfg)
         lo, hi = barrier_crossings(presc)
-        if axis == "s-trace":
-            return [_sweep_row("s", st.s, "ok", st.residual, st.newton_iters,
-                               st.z_min, st.z_max, lo, hi, st.lam1_max,
-                               st.grad_max) for st in report.steps]
         refine = ()
         if axis == "N":
             coarse = z.values[(slice(None, None, 2),) * z.grid.n]
@@ -394,11 +386,9 @@ def _parser():
         p.add_argument("--config", required=True, help="config file (INI or JSON)")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--jacobian", choices=("analytic", "fd"),
-                       help="Jacobian mode (overrides config)")
         if name == "sweep":
             p.add_argument("--axis", required=True,
-                           choices=("N", "eps", "r", "s-trace"))
+                           choices=("N", "eps", "r"))
     return ap
 
 
@@ -418,8 +408,6 @@ def main(argv=None):
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.jacobian:
-        cfg.jacobian = args.jacobian
     try:
         cfg.validate()
         if args.command == "solve":

@@ -54,7 +54,11 @@ class ValidationError(WarpcurveError):
 
 
 class GaugeError(WarpcurveError):
-    """The decaying gauge failed to be strictly decreasing; raise eps_phi."""
+    """The decaying gauge is not strictly decreasing, or eps_phi is invalid.
+
+    Raise eps_phi when phi' >= 0 at a finite phi; lower it when phi
+    underflows to 0 or overflows, so the sign of phi' is lost
+    (problem.build_phi names which)."""
 
 
 class BisectError(WarpcurveError):
@@ -62,7 +66,9 @@ class BisectError(WarpcurveError):
 
 
 class NewtonStall(WarpcurveError):
-    """Newton ran out of iterations or backtracking halvings."""
+    """Newton at fixed s failed: it ran out of iterations or backtracking
+    halvings, its corrections contracted by a ratio Theta above theta_max,
+    or the linear step was non-finite (solver.newton_solve)."""
 
 
 class ContinuationStall(WarpcurveError):

@@ -18,8 +18,10 @@ stencil operator.  J is assembled straight into the grid's fixed CSR
 layout (TorusGrid.stencil_pattern: row i holds the columns i + o in
 footprint order) as one product: coefficients (size x operators) times
 the weights (operators x offsets) of the operator table the residual's
-derivatives apply.  The colored finite-difference Jacobian writes into
-the same layout; TorusGrid.pattern_matrix builds both.
+derivatives apply.  Newton uses this analytic J only.  The colored
+finite-difference Jacobian (assemble_jacobian's "fd-colored" mode) is the
+reference verify checks it against; it writes into the same layout, and
+TorusGrid.pattern_matrix builds both.
 
 Each Newton step solves J delta = -R.  At n = 1 J is a periodic band
 matrix: the band of half-width b (the stencil radius) plus b wrapped
@@ -85,7 +87,6 @@ class SolverConfig:
     max_newton: int = 30
     ds0: float = 1.0              # first continuation step: the whole way
     ds_min: float = 1e-4
-    jacobian_mode: str = "analytic"   # or "fd-colored"
 
     def __post_init__(self):
         for name in ("newton_tol", "ds0", "ds_min"):
@@ -99,8 +100,6 @@ class SolverConfig:
                               f"got {self.max_newton!r}")
         if self.ds0 > 1.0:
             raise ConfigError("initial continuation step must be <= 1")
-        if self.jacobian_mode not in ("analytic", "fd-colored"):
-            raise ConfigError(f"unknown jacobian mode {self.jacobian_mode!r}")
 
 
 @dataclass
@@ -406,10 +405,7 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
             raise NewtonStall(
                 f"no convergence in {cfg.max_newton} iterations at s={s:.6g} "
                 f"(residual {rnorm:.3e})")
-        if cfg.jacobian_mode == "analytic":
-            J = _analytic_jacobian(state, hp)
-        else:
-            J = assemble_jacobian(zvals, s, hp, "fd-colored")
+        J = _analytic_jacobian(state, hp)
         delta = _linear_step(J, -hp.grid.flatten(state.res), hp.grid)
         if not np.all(np.isfinite(delta)):
             raise NewtonStall(f"non-finite linear step at s={s:.6g} "

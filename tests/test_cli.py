@@ -165,12 +165,6 @@ def test_json_config_round_trip(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg)]) == 0
 
 
-def test_fd_jacobian_flag(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, eps=0.1, t_plus=1.5)
-    assert main(["solve", "--config", str(cfg), "--jacobian", "fd",
-                 "--out", str(tmp_path / "out_fd")]) == 0
-
-
 def refine_cfg(tmp_path, n, order, Ns, mode):
     """The configured problem (cosh, c0 = sinh 1, eps 0.13, r = n) refined
     over the N values Ns."""
@@ -231,14 +225,34 @@ def test_sweep_N_restarts_the_refinement_after_a_failed_point(
     assert [r[-1] == "nan" for r in rows] == [True, True, True, True, False]
 
 
-@pytest.mark.parametrize("command", [["verify"], ["solve"],
-                                     ["sweep", "--axis", "N"]])
-def test_sweep_N_that_does_not_double_exits_3(tmp_path, capsys, command):
-    cfg = write_cfg(tmp_path, extra="\n[sweep]\nN = 32, 64, 96\n")
+_N_BAD = "\n[sweep]\nN = 32, 64, 96\n"
+
+
+@pytest.mark.parametrize("extra, command, message", [
+    (_N_BAD, ["verify"], "[sweep] N = [32, 64, 96] must double"),
+    (_N_BAD, ["solve"], "[sweep] N = [32, 64, 96] must double"),
+    (_N_BAD, ["sweep", "--axis", "N"], "[sweep] N = [32, 64, 96] must double"),
+    # r = 2 > n = 1 used to run into a ConfigError row and exit 0, and an
+    # eps sweep used to load r = 3 without a word
+    ("\n[sweep]\nr = 1, 2\n", ["sweep", "--axis", "r"],
+     "[sweep] r = [1, 2] must lie in 1 <= r <= n = 1"),
+    ("\n[sweep]\nr = 3\n", ["sweep", "--axis", "eps"],
+     "[sweep] r = [3] must lie in 1 <= r <= n = 1"),
+    ("\n[sweep]\nr = 0\n", ["verify"],
+     "[sweep] r = [0] must lie in 1 <= r <= n = 1"),
+    # at n = 1 the default r axis is [1]
+    ("", ["sweep", "--axis", "r"], "sweep axis r needs at least 2 values, "
+                                   "got [1]"),
+    ("\n[sweep]\neps = 0.1\n", ["sweep", "--axis", "eps"],
+     "sweep axis eps needs at least 2 values, got [0.1]"),
+], ids=["N-verify", "N-solve", "N-sweep", "r-above-n", "r-above-n-eps-axis",
+        "r-below-1", "one-r", "one-eps"])
+def test_bad_sweep_values_exit_3_naming_them(tmp_path, capsys, extra,
+                                             command, message):
+    cfg = write_cfg(tmp_path, extra=extra)
     assert main([command[0], "--config", str(cfg), *command[1:]]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error[ConfigError]: [sweep] N = [32, 64, 96] "
-                          "must double")
+    assert err.startswith(f"error[ConfigError]: {message}")
 
 
 def test_unsafe_flag_is_a_usage_error(tmp_path, capsys):
@@ -247,6 +261,21 @@ def test_unsafe_flag_is_a_usage_error(tmp_path, capsys):
               "--unsafe"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --unsafe" in capsys.readouterr().err
+
+
+def test_jacobian_flag_and_s_trace_axis_are_usage_errors(tmp_path, capsys):
+    # Newton builds only the analytic J, and solve's steps.csv is the
+    # trajectory the s-trace axis rewrote
+    cfg = str(write_cfg(tmp_path))
+    for argv, message in (
+            (["solve", "--jacobian", "fd"],
+             "unrecognized arguments: --jacobian"),
+            (["sweep", "--axis", "s-trace"],
+             "argument --axis: invalid choice: 's-trace'")):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", cfg, *argv[1:]])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_sweep_eps_barrier_widths_nondecreasing(tmp_path, capsys):
@@ -275,15 +304,6 @@ def test_sweep_r_both_orders_reach_one(tmp_path, capsys):
     assert all(",ok," in l for l in lines[1:])
 
 
-def test_sweep_s_trace(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, eps=0.1, t_plus=1.5)
-    assert main(["sweep", "--config", str(cfg), "--axis", "s-trace"]) == 0
-    lines = (tmp_path / "out" / "sweep_s_trace.csv").read_text().strip().split("\n")
-    svals = [float(l.split(",")[1]) for l in lines[1:]]
-    assert svals[0] == 0.0 and svals[-1] == 1.0
-    assert all(b > a for a, b in zip(svals, svals[1:]))
-
-
 def test_deterministic_reports(tmp_path, capsys):
     cfg1 = write_cfg(tmp_path, "a.ini", eps=0.1, t_plus=1.5,
                      out=str(tmp_path / "o1"))
@@ -294,6 +314,11 @@ def test_deterministic_reports(tmp_path, capsys):
     a = (tmp_path / "o1" / "steps.csv").read_bytes()
     b = (tmp_path / "o2" / "steps.csv").read_bytes()
     assert a == b
+    # the continuation's trajectory: s runs from 0 to 1, strictly increasing
+    svals = [float(l.split(",")[0])
+             for l in a.decode().strip().split("\n")[1:]]
+    assert svals[0] == 0.0 and svals[-1] == 1.0
+    assert all(b > a for a, b in zip(svals, svals[1:]))
     za = (tmp_path / "o1" / "z_final.f64").read_bytes()
     zb = (tmp_path / "o2" / "z_final.f64").read_bytes()
     assert za == zb

@@ -244,8 +244,6 @@ def test_solver_config_validation():
         SolverConfig(newton_tol=-1.0)
     with pytest.raises(wc.ConfigError):
         SolverConfig(ds0=2.0)
-    with pytest.raises(wc.ConfigError):
-        SolverConfig(jacobian_mode="magic")
 
 
 @pytest.mark.parametrize("name", ["newton_tol", "ds0", "ds_min"])
