@@ -9,7 +9,7 @@ what the whole construction rests on.
 import numpy as np
 
 from warpcurve import (CurvatureSpec, WarpingProfile, ambient_curvature,
-                       k_radial, kappa)
+                       f_eval, kappa)
 
 profiles = {
     "cosh  (increasing kappa)": WarpingProfile.cosh(0.2, 3.0),
@@ -25,14 +25,13 @@ for name, prof in profiles.items():
         print(f"{name}  {t:4.2f}  {h:8.4f}  {kappa(prof, t):7.4f}  "
               f"{cr:7.4f}  {ct:7.4f}")
 
-# the normalized curvature functions make the radial level k = f(kappa,...)
-# independent of the order r
-prof = profiles["cosh  (increasing kappa)"]
-print("\nk(t) = f(kappa, ..., kappa) is the same for every order r:")
+# the normalized curvature functions make the radial level
+# k = f(kappa, ..., kappa) equal to kappa itself, to the bit, for every r
+kap = kappa(profiles["cosh  (increasing kappa)"], 1.0)
+print(f"\nk(t) = f(kappa, kappa) is kappa = {kap:.17g} at t = 1:")
 for r in (1, 2):
-    spec = CurvatureSpec(n=2, r=r)
-    print(f"  r={r}:  k(1.0) = {k_radial(prof, spec, 1.0):.15f}"
-          f"   (tanh(1) = {np.tanh(1.0):.15f})")
+    k = f_eval(CurvatureSpec(n=2, r=r), (kap, kap))
+    print(f"  r={r}:  f(kappa, kappa) = {k:.17g}   equal: {k == kap}")
 
 # a tabulated profile: same numbers through a not-a-knot cubic spline
 ts = np.linspace(0.1, 3.2, 300)

@@ -8,7 +8,7 @@ every structural hypothesis the construction rests on (mean-convex
 leaves, barrier levels, cone admissibility, gauge decay).
 """
 
-from .ambient import WarpingProfile, ambient_curvature, k_radial, kappa
+from .ambient import WarpingProfile, ambient_curvature, kappa
 from .curvature import (CurvatureSpec, check_structural, f_eval, f_grad,
                         in_cone)
 from .errors import (BarrierViolation, BisectError, ConeError, ConfigError,

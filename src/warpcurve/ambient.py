@@ -1,7 +1,9 @@
 """Warping profiles h(t) on an open interval and the ambient quantities
 derived pointwise from them: the fiber principal curvature kappa = h'/h,
-the radial curvature level k(t) = f(kappa,...,kappa), and the sectional
-curvature coefficients of the warped metric dt^2 + h^2(t) dsigma^2.
+which is also the radial curvature level k(t) = f(kappa, ..., kappa) of
+every normalized curvature function (warpcurve.curvature), and the
+sectional curvature coefficients of the warped metric
+dt^2 + h^2(t) dsigma^2.
 
 Profiles are immutable after construction and safe for concurrent reads.
 """
@@ -196,36 +198,21 @@ class WarpingProfile:
 def kappa(profile, t):
     """Principal curvature h'/h of the slice {t} x M (must be positive)."""
     h, h1, _ = profile.eval(t)
-    return _kappa(h, h1)
+    return k_level(h, h1)
 
 
-def _kappa(h, h1):
+def k_level(h, h1):
+    """kappa = h'/h from h and h' at the heights, for callers that already
+    hold the profile values; ProfileError where it is not positive.
+
+    It is the slices' curvature level f(kappa, ..., kappa) for every order
+    r: f is homogeneous of degree one with f(1, ..., 1) = 1.
+    """
     kap = h1 / h
     if np.any(np.asarray(kap) <= 0):
         raise ProfileError(
             "kappa = h'/h <= 0: profile violates mean convexity of the leaves")
     return kap
-
-
-def k_level(spec, h, h1):
-    """Curvature level f(kappa, ..., kappa) from h and h' at the heights.
-
-    For callers that already hold the profile values: k_radial without
-    a second profile evaluation.
-    """
-    from .curvature import f_eval
-    kap = np.asarray(_kappa(h, h1), dtype=float)
-    return f_eval(spec, np.stack([kap] * spec.n, axis=-1))
-
-
-def k_radial(profile, spec, t):
-    """Curvature level of the slice: f(kappa, ..., kappa).
-
-    With the normalized symmetric functions of warpcurve.curvature this
-    equals kappa(t) for every order r.
-    """
-    h, h1, _ = profile.eval(t)
-    return k_level(spec, h, h1)
 
 
 def ambient_curvature(profile, t):

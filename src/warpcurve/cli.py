@@ -384,8 +384,12 @@ def _parser():
         p = sub.add_parser(name, help=descr, epilog=_EXIT_DOC,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", required=True, help="config file (INI or JSON)")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+        # verify writes no files, and only its random rows read the seed
+        if name == "verify":
+            p.add_argument("--seed", type=int,
+                           help="seed of the random rows (overrides config)")
+        else:
+            p.add_argument("--out", help="output directory (overrides config)")
         if name == "sweep":
             p.add_argument("--axis", required=True,
                            choices=("N", "eps", "r"))
@@ -404,9 +408,9 @@ def main(argv=None):
         return EXIT_USAGE
     except WarpcurveError as exc:
         return _report_error(exc)
-    if args.out:
+    if getattr(args, "out", None):
         cfg.out_dir = args.out
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     try:
         cfg.validate()

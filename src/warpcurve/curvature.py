@@ -8,6 +8,12 @@ defined on the cone Gamma_r = {S_1 > 0, ..., S_r > 0}.  The normalization
 makes f homogeneous of degree one with f(1, ..., 1) = 1, so the radial
 level k(t) = f(kappa, ..., kappa) equals kappa(t) for every r, Euler's
 relation gives sum_i f_i lam_i = f exactly, and f is concave on Gamma_r.
+The problem layer therefore takes kappa itself as the level
+(ambient.k_level).  For n <= 2 f_eval(kappa, ..., kappa) is kappa bit for
+bit: S_1 / 1 and (kappa + kappa) / 2 are exact in binary64, and so is
+the correctly rounded square root of fl(kappa^2) while kappa^2 neither
+under- nor overflows (about 1e-154 < kappa < 1e154); the tests pin it on
+the batch path (sqrt) and on the single-point path (libm pow) alike.
 
 Every function takes one point (n,) or a batch (..., n).  A single point
 and a batch can differ in the last bit: on a single point the powers are

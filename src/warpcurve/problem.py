@@ -5,8 +5,10 @@ The target equation prescribes f(lam) = psi(z, u).  The homotopy
     Psi(s, t, u) = s psi(t, u) + (1 - s) phi(t) k(t)
 
 connects it (s = 1) to a problem with the exact constant solution t0
-(s = 0), where k(t) = f(kappa, ..., kappa) is the radial curvature level
-and phi is a positive decreasing gauge with phi(t0) = 1.
+(s = 0), where k(t) = kappa(t) = h'/h is the radial curvature level (the
+normalized f takes the value kappa at (kappa, ..., kappa), see
+warpcurve.curvature) and phi is a positive decreasing gauge with
+phi(t0) = 1.
 
 The built-in prescription family is
 
@@ -197,9 +199,6 @@ class Prescription:
         """
         return self.h_psi() if self.form == "radial-decay" else None
 
-    def k_of(self, t):
-        return ambient.k_radial(self.profile, self.spec, t)
-
 
 def _column(profile, tarr):
     """A t-lattice as a column, with h and h' there."""
@@ -303,13 +302,13 @@ def hypothesis_rows(p):
         [_rows(lambda r, node: p.psi(t[r], h[r], node), key)], slab)
     yield CheckRow("prescription: min psi on slab", value, "> 0", value > 0, w)
     t, h, h1 = _column(p.profile, below)
-    k = ambient.k_level(p.spec, h, h1)
+    k = ambient.k_level(h, h1)
     value, w = _reduce(
         [_rows(lambda r, node: p.psi(t[r], h[r], node) - k[r], key)], below)
     yield CheckRow("hypothesis (a): min psi - k, t <= t_minus", value, "> 0",
                    value > 0, w)
     t, h, h1 = _column(p.profile, above)
-    k = ambient.k_level(p.spec, h, h1)
+    k = ambient.k_level(h, h1)
     value, w = _reduce(
         [_rows(lambda r, node: k[r] - p.psi(t[r], h[r], node), key)], above)
     yield CheckRow("hypothesis (b): min k - psi, t >= t_plus", value, "> 0",
@@ -366,8 +365,7 @@ def barrier_crossings(p):
 
     def F(t):
         h, h1, _ = p.profile.eval(t)
-        return np.asarray(p.psi(t, h, nodes)) \
-            - np.asarray(ambient.k_level(p.spec, h, h1))
+        return np.asarray(p.psi(t, h, nodes)) - ambient.k_level(h, h1)
 
     def ends():
         lo, hi = np.full(nodes.size, p.t_minus), np.full(nodes.size, p.t_plus)
@@ -417,19 +415,18 @@ class Gauge:
     """Explicit decreasing gauge phi with phi(t0) = 1."""
 
     profile: object = field(repr=False)
-    spec: object = field(repr=False)
     t0: float = 0.0
     eps_phi: float = 0.1
     k0h0: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
         h0, _, _ = self.profile.eval(self.t0)
-        k0 = ambient.k_radial(self.profile, self.spec, self.t0)
+        k0 = ambient.kappa(self.profile, self.t0)
         self.k0h0 = k0 * h0
 
     def phi(self, t):
         h, h1, _ = self.profile.eval(t)
-        k = ambient.k_level(self.spec, h, h1)
+        k = ambient.k_level(h, h1)
         return self.k0h0 * np.exp(self.eps_phi * (self.t0 - t)) / (k * h)
 
     def phi_prime(self, t):
@@ -448,7 +445,7 @@ class Gauge:
         return psi0, -(self.eps_phi + h1 / h) * psi0
 
 
-def build_phi(profile, spec, t_minus, t_plus, t0=None, eps_phi=0.1):
+def build_phi(profile, t_minus, t_plus, t0=None, eps_phi=0.1):
     """Construct the gauge; GaugeError if it fails to decrease strictly."""
     if t0 is None:
         t0 = 0.5 * (t_minus + t_plus)
@@ -459,7 +456,7 @@ def build_phi(profile, spec, t_minus, t_plus, t0=None, eps_phi=0.1):
                          f"nonnegative, got {eps_phi!r}")
     # eps_phi = 0 is admitted so the verify table can exhibit the homotopy (v)
     # failure as a negative control; a solve does not depend on (v)
-    g = Gauge(profile=profile, spec=spec, t0=float(t0), eps_phi=float(eps_phi))
+    g = Gauge(profile=profile, t0=float(t0), eps_phi=float(eps_phi))
     lo, hi = profile.t_lo, profile.t_hi
     inset = 1e-9 * (hi - lo)
     t = np.linspace(lo + inset, hi - inset, T_LATTICE)
@@ -564,8 +561,8 @@ class HomotopyProblem:
                 s, p.psi(t[r], h[r], node), psi0[r])), key)
                 for s in S_LATTICE), tarr, svals=S_LATTICE)
 
-        k_lo = float(np.asarray(p.k_of(p.t_minus)))
-        k_hi = float(np.asarray(p.k_of(p.t_plus)))
+        k_lo = ambient.kappa(self.profile, p.t_minus)
+        k_hi = ambient.kappa(self.profile, p.t_plus)
         rows = []
         for name, tarr, margin in (
                 ("homotopy (ii): Psi > 0", slab, lambda v: v),
@@ -619,6 +616,5 @@ def _blend(s, a, a0):
 def build_homotopy(prescription, t0=None, eps_phi=0.1):
     """Attach the gauge and anchor to a validated prescription."""
     p = prescription
-    gauge = build_phi(p.profile, p.spec, p.t_minus, p.t_plus, t0=t0,
-                      eps_phi=eps_phi)
+    gauge = build_phi(p.profile, p.t_minus, p.t_plus, t0=t0, eps_phi=eps_phi)
     return HomotopyProblem(prescription=p, gauge=gauge)

@@ -487,13 +487,17 @@ class SolveReport:
                    f"{st.lam1_max:.17g}")
 
 
-def _monitors(state, hp):
-    """Step monitors of an accepted state, from Newton's evaluation of it."""
+def _monitors(stats, hp, s, ds):
+    """The StepRecord of the state Newton accepted at s, a step ds after
+    the last, read from Newton's evaluation of it.  The evaluation is then
+    dropped from stats, so that it is not held through the next solve."""
+    state, stats.state = stats.state, None
     zvals = state.geom.z
     margin = curvature.cone_margin(hp.spec, state.geom.lam)
-    return (float(np.abs(state.res).max()), float(zvals.min()),
-            float(zvals.max()), float(np.min(margin)),
-            state.geom.grad_sup, float(state.geom.lam[..., 0].max()))
+    return StepRecord(s, ds, stats.iterations, float(np.abs(state.res).max()),
+                      float(zvals.min()), float(zvals.max()),
+                      float(np.min(margin)), state.geom.grad_sup,
+                      float(state.geom.lam[..., 0].max()))
 
 
 def continuation(hp, cfg=None):
@@ -512,10 +516,7 @@ def continuation(hp, cfg=None):
     report = SolveReport()
     z = NodeField.constant(hp.grid, hp.t0)
     z, stats = newton_solve(z, 0.0, hp, cfg, barrier=barrier)
-    res, zmin, zmax, margin, gmax, lmax = _monitors(stats.state, hp)
-    stats.state = None              # not held through the next solve
-    report.steps.append(StepRecord(0.0, 0.0, stats.iterations, res, zmin,
-                                   zmax, margin, gmax, lmax))
+    report.steps.append(_monitors(stats, hp, 0.0, 0.0))
     s = 0.0
     ds = cfg.ds0
     while s < 1.0:
@@ -531,14 +532,11 @@ def continuation(hp, cfg=None):
                     f": {exc}") from exc
             continue
         z = z_new
-        step_ds = s_try - s
+        step = _monitors(stats, hp, s_try, s_try - s)
         s = s_try
-        res, zmin, zmax, margin, gmax, lmax = _monitors(stats.state, hp)
-        stats.state = None
-        if margin <= 0:
+        if step.cone_margin <= 0:
             raise ConeError(f"accepted state left the cone at s={s:.6g}")
-        report.steps.append(StepRecord(s, step_ds, stats.iterations, res,
-                                       zmin, zmax, margin, gmax, lmax))
+        report.steps.append(step)
         if stats.theta0 <= _THETA_GROW:
             ds = min(2.0 * ds, 1.0 - s)
     report.verdict = "converged"

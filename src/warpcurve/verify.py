@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import curvature, oracle
+from .ambient import kappa
 from .geometry import (compute_geometry, matrix_derivative,
                        special_frame_deviations, support_identity_check)
 from .grid import NodeField, make_grid, random_smooth
@@ -213,8 +214,7 @@ def build_condition_table(hp, seed=12345):
     rows += prescription_rows(hp.prescription)
     rows += gauge_rows(hp)
     rows += homotopy_rows(hp)
-    k_lo = float(np.asarray(hp.prescription.k_of(hp.t_minus)))
-    k_hi = float(np.asarray(hp.prescription.k_of(hp.t_plus)))
+    k_lo, k_hi = (kappa(hp.profile, t) for t in (hp.t_minus, hp.t_plus))
     mu1, mu2 = min(k_lo, k_hi), max(k_lo, k_hi)
     rows += structural_rows(hp.spec, mu1, mu2, seed)
     rows += curvature_property_rows(hp.spec, seed)

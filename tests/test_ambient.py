@@ -5,7 +5,7 @@ import pytest
 
 import warpcurve as wc
 from warpcurve import verify
-from warpcurve.ambient import ambient_curvature, k_radial, kappa
+from warpcurve.ambient import ambient_curvature, kappa
 
 from conftest import COSH1, SINH1, TANH1
 
@@ -47,20 +47,12 @@ def test_kappa_zero_violates_mean_convexity():
         kappa(prof, 0.0)
 
 
-def test_k_radial_equals_kappa_for_every_order(cosh_profile):
-    vals = [k_radial(cosh_profile, wc.CurvatureSpec(n=2, r=r), 1.0)
-            for r in (1, 2)]
-    for v in vals:
-        assert v == pytest.approx(TANH1, rel=1e-14)
-    assert abs(vals[0] - vals[1]) <= 1e-12
-
-
-def test_k_radial_exp_is_one():
+def test_kappa_exp_is_exactly_one():
+    # h' = h, so the radial level kappa is 1 to the bit, a Python float
     prof = wc.WarpingProfile.exp(-2.0, 2.0)
-    spec = wc.CurvatureSpec(n=1, r=1)
     for t in (-1.0, 0.0, 1.3):
-        assert k_radial(prof, spec, t) == pytest.approx(1.0, rel=1e-15)
-    assert type(k_radial(prof, spec, 1.0)) is float
+        k = kappa(prof, t)
+        assert k == 1.0 and type(k) is float
 
 
 def test_ambient_curvature_coefficients():

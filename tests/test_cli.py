@@ -278,6 +278,20 @@ def test_jacobian_flag_and_s_trace_axis_are_usage_errors(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys):
+    # only verify's random rows read the seed, and verify writes no files
+    cfg = str(write_cfg(tmp_path))
+    for argv in (["solve", "--seed", "1"],
+                 ["sweep", "--axis", "eps", "--seed", "1"],
+                 ["verify", "--out", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", cfg, *argv[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" \
+            in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_sweep_eps_barrier_widths_nondecreasing(tmp_path, capsys):
     cfg = write_cfg(tmp_path, t_plus=1.5,
                     extra="\n[sweep]\neps = 0.0, 0.05, 0.1\n")

@@ -43,10 +43,31 @@ def test_readme_example_config_verifies(tmp_path, capsys):
     assert "30/30 rows passed" in capsys.readouterr().out
 
 
+def readme_key_table():
+    """(block, key) -> default cell of README's key table."""
+    rows = [l.split(" | ") for l in
+            (ROOT / "README.md").read_text().split("\n")
+            if l.startswith("| `[")]
+    return {(block.strip("|`[] "), key.strip("`")): default.removesuffix(" |")
+            for block, key, default in rows}
+
+
 def test_readme_lists_every_key_of_the_schema():
-    readme = (ROOT / "README.md").read_text()
-    for block, key in cli._SCHEMA:
-        assert f"| `[{block}]` | `{key}` |" in readme, (block, key)
+    table = readme_key_table()
+    assert sorted(table) == sorted(cli._SCHEMA)
+    assert len(table) == 27
+
+
+def test_readme_key_table_gives_the_schema_defaults():
+    # a plain number or word default is the first code span of its cell;
+    # lists, None and computed defaults are described in words
+    checked = 0
+    for (block, key), cell in readme_key_table().items():
+        default = cli._SCHEMA[block, key].default
+        if isinstance(default, (int, float, str)):
+            assert cell.split("`")[1] == str(default), (block, key, cell)
+            checked += 1
+    assert checked == 20
 
 
 @pytest.mark.parametrize("text, offenders", [

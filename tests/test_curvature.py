@@ -42,6 +42,21 @@ def test_f_eval_normalization_and_values():
         f_eval(CurvatureSpec(2, 2), [1.0, -1.0])
 
 
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (2, 2)])
+def test_f_at_kappa_times_ones_is_kappa_bit_for_bit(n, r):
+    # the problem layer takes the radial level f(kappa, ..., kappa) to be
+    # kappa itself (ambient.k_level): S_1 / 1, (kappa + kappa) / 2 and the
+    # root of fl(kappa^2) are exact, on the batch path (sqrt) and on the
+    # single-point path (libm pow)
+    spec = CurvatureSpec(n, r)
+    t = np.random.default_rng(11).uniform(0.2, 3.0, 20000)
+    kap = np.concatenate([np.geomspace(1e-150, 1e150, 20001), np.tanh(t),
+                          2.0 / t, 0.5 / t])
+    assert np.array_equal(f_eval(spec, np.stack([kap] * n, axis=-1)), kap)
+    single = kap[::13]
+    assert [f_eval(spec, np.full(n, k)) for k in single] == single.tolist()
+
+
 def test_f_grad_closed_form_and_fd():
     spec = CurvatureSpec(2, 1)
     g = f_grad(spec, np.array([0.4, 2.0]))

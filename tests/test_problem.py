@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
 from warpcurve import verify
+from warpcurve.ambient import kappa
 from warpcurve.problem import (CUSTOM_C_SLACK, S_LATTICE, Gauge,
                                HomotopyProblem, barrier_crossings, build_phi,
                                build_prescription, hypothesis_rows,
@@ -86,8 +87,8 @@ def test_validation_lattice_resolution(cosh, spec1):
     assert slab[0] == 0.5 and slab[-1] == 1.6
 
 
-def test_gauge_normalization_and_decrease(cosh, spec1):
-    gauge = build_phi(cosh, spec1, 0.5, 1.5, t0=1.0, eps_phi=0.1)
+def test_gauge_normalization_and_decrease(cosh):
+    gauge = build_phi(cosh, 0.5, 1.5, t0=1.0, eps_phi=0.1)
     assert abs(gauge.phi(1.0) - 1.0) <= 1e-14
     t = np.linspace(0.5, 1.5, 101)
     phi = gauge.phi(t)
@@ -97,31 +98,30 @@ def test_gauge_normalization_and_decrease(cosh, spec1):
 
 def test_gauge_error_for_fast_decaying_k_and_recovery():
     prof = wc.WarpingProfile.power(0.5, 0.5, 4.0)
-    spec = wc.CurvatureSpec(1, 1)
     with pytest.raises(wc.GaugeError):
-        build_phi(prof, spec, 1.0, 3.0, eps_phi=0.01)
-    gauge = build_phi(prof, spec, 1.0, 3.0, eps_phi=1.5)
+        build_phi(prof, 1.0, 3.0, eps_phi=0.01)
+    gauge = build_phi(prof, 1.0, 3.0, eps_phi=1.5)
     assert gauge.eps_phi == 1.5
 
 
-def test_gauge_rejects_negative_decay(cosh, spec1):
+def test_gauge_rejects_negative_decay(cosh):
     with pytest.raises(wc.GaugeError):
-        build_phi(cosh, spec1, 0.5, 1.5, eps_phi=-0.1)
+        build_phi(cosh, 0.5, 1.5, eps_phi=-0.1)
 
 
 @pytest.mark.parametrize("eps_phi", [np.nan, np.inf])
-def test_gauge_rejects_a_non_finite_decay(cosh, spec1, eps_phi):
+def test_gauge_rejects_a_non_finite_decay(cosh, eps_phi):
     # a NaN rate used to pass both the sign test and the phi' < 0 scan
     with pytest.raises(wc.GaugeError, match="finite"):
-        build_phi(cosh, spec1, 0.5, 1.5, eps_phi=eps_phi)
+        build_phi(cosh, 0.5, 1.5, eps_phi=eps_phi)
 
 
-def test_gauge_underflow_asks_for_a_lower_rate(cosh, spec1):
+def test_gauge_underflow_asks_for_a_lower_rate(cosh):
     # exp(eps_phi (t0 - t)) underflows phi to 0 above t0, so phi' = -0:
     # a larger rate cannot make it negative
     with pytest.raises(wc.GaugeError, match="phi = 0 underflows near t = "
                        ".*, so phi' = -0 is not < 0; lower eps_phi$"):
-        build_phi(cosh, spec1, 0.5, 1.5, eps_phi=1e300)
+        build_phi(cosh, 0.5, 1.5, eps_phi=1e300)
 
 
 @pytest.mark.parametrize("eps_phi", [0.01, 1000.0])
@@ -131,18 +131,17 @@ def test_increasing_gauge_asks_for_a_higher_rate(eps_phi):
     prof = wc.WarpingProfile.power(0.5, 0.0, 4.0)
     with pytest.raises(wc.GaugeError,
                        match="^phi' = .* >= 0 near t = 4e-09; raise eps_phi$"):
-        build_phi(prof, wc.CurvatureSpec(1, 1), 1.0, 3.0, eps_phi=eps_phi)
+        build_phi(prof, 1.0, 3.0, eps_phi=eps_phi)
 
 
-def test_gauge_overflow_to_nan_asks_for_a_lower_rate(cosh, spec1,
-                                                     monkeypatch):
+def test_gauge_overflow_to_nan_asks_for_a_lower_rate(cosh, monkeypatch):
     # an overflowed phi = inf times a vanishing bracket gives phi' = NaN
     monkeypatch.setattr(Gauge, "phi",
                         lambda self, t: np.full(np.shape(t), np.inf))
     monkeypatch.setattr(Gauge, "phi_prime", lambda self, t: self.phi(t) * 0)
     with pytest.raises(wc.GaugeError, match="phi = inf overflows near t = "
                        ".*, so phi' = nan is not < 0; lower eps_phi$"):
-        build_phi(cosh, spec1, 0.5, 1.5)
+        build_phi(cosh, 0.5, 1.5)
 
 
 def test_gauge_rows_witness_the_first_pick_of_their_lattices(cosh, spec1):
@@ -155,8 +154,8 @@ def test_gauge_rows_witness_the_first_pick_of_their_lattices(cosh, spec1):
            wc.build_homotopy(p, t0=0.6, eps_phi=2.0),
            # gauges build_phi refuses: the anchor above t_plus fails (c),
            # phi ~ sqrt(t) increases and fails (b)-(d)
-           HomotopyProblem(p, Gauge(cosh, spec1, t0=1.55)),
-           HomotopyProblem(pp, Gauge(power, spec1, t0=1.5, eps_phi=0.0))]
+           HomotopyProblem(p, Gauge(cosh, t0=1.55)),
+           HomotopyProblem(pp, Gauge(power, t0=1.5, eps_phi=0.0))]
     failed = []
     for hp in hps:
         g = hp.gauge
@@ -284,7 +283,7 @@ def _bisect_crossings(p):
     hi = np.full(p.grid.size, p.t_plus)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        pos = p.psi(mid, p.profile.eval(mid)[0]) - p.k_of(mid) > 0
+        pos = p.psi(mid, p.profile.eval(mid)[0]) - kappa(p.profile, mid) > 0
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
     cross = 0.5 * (lo + hi)
@@ -546,7 +545,7 @@ def _stacked_homotopy_report(hp):
     """
     p = hp.prescription
     _, slab, _ = validation_lattices(p)
-    k_lo, k_hi = (float(np.asarray(p.k_of(t))) for t in (p.t_minus, p.t_plus))
+    k_lo, k_hi = (kappa(p.profile, t) for t in (p.t_minus, p.t_plus))
 
     def psi(tarr):
         return np.stack([_Psi_lattice(hp, s, tarr) for s in S_LATTICE])
@@ -673,8 +672,8 @@ def _lattice_margins(p):
     (c)) picks on each lattice.
     """
     below, slab, above = validation_lattices(p)
-    k_below = np.asarray(p.k_of(below))[:, None]
-    k_above = np.asarray(p.k_of(above))[:, None]
+    k_below = kappa(p.profile, below)[:, None]
+    k_above = kappa(p.profile, above)[:, None]
     # radial-decay d/dt (h psi) is one column; spread it over the nodes
     dth = np.broadcast_to(p.dt_h_psi_lattice(slab), (slab.size, p.grid.size))
     lattices = [(_psi_lattice(p, slab), slab, np.argmin),

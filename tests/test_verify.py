@@ -93,3 +93,33 @@ def test_condition_table_row_names_are_pinned(n, N, r, names):
     got = [re.sub(r"\d+ nodes$", "<k> nodes", row.name) for row in rows]
     assert got == names
     assert len(_ROWS_2D) == 33 and all(row.passed for row in rows)
+
+
+def _flip_first_grad(state, hp, coef):
+    return [coef[0], -coef[1]] + coef[2:]
+
+
+def _halve_cross(state, hp, coef):
+    # c_hess of d11 is -(h / W) (2 M_01): drop the factor 2
+    return coef[:-1] + [0.5 * coef[-1]]
+
+
+def _drop_psi_t(state, hp, coef):
+    # the identity coefficient is c_z - psi_t
+    return [coef[0] + state.psi_t] + coef[1:]
+
+
+@pytest.mark.parametrize("fault", [None, _flip_first_grad, _halve_cross,
+                                   _drop_psi_t])
+def test_jacobian_row_fails_on_each_seeded_fault(monkeypatch, fault):
+    # the row compares the analytic J with colored finite differences of
+    # the residual, which the faults leave alone
+    hp = make_problem(n=2, N=16, r=2, eps=0.1, t_plus=1.5)
+    if fault is not None:
+        exact = wc.solver._jacobian_coefficients
+        monkeypatch.setattr(wc.solver, "_jacobian_coefficients",
+                            lambda state, hp: fault(state, hp,
+                                                    exact(state, hp)))
+    (row,) = verify.jacobian_rows(hp, seed=12345)
+    assert row.name == "oracle: analytic vs colored-FD jacobian, 3 states"
+    assert row.passed == (fault is None), row.value
