@@ -20,8 +20,9 @@ footprint order) as one product: coefficients (size x operators) times
 the weights (operators x offsets) of the operator table the residual's
 derivatives apply.  Newton uses this analytic J only.  The colored
 finite-difference Jacobian (assemble_jacobian's "fd-colored" mode) is the
-reference verify checks it against; it writes into the same layout, and
-TorusGrid.pattern_matrix builds both.
+entrywise reference the tests check it against; it writes into the same
+layout, and TorusGrid.pattern_matrix builds both.  verify checks J by
+directional probes of the residual instead.
 
 Each Newton step solves J delta = -R.  At n = 1 J is a periodic band
 matrix: the band of half-width b (the stencil radius) plus b wrapped

@@ -146,17 +146,9 @@ def test_matrix_derivative_matches_fd_on_random_cone_matrices():
     assert worst <= 1e-6
 
 
-def _random_cone_matrices(spec, rng, count):
-    lam = sample_cone(spec, rng, count, 0.5, 2.0)
-    th = rng.uniform(0, 2 * np.pi, size=count)
-    Q = np.stack([np.stack([np.cos(th), -np.sin(th)], axis=-1),
-                  np.stack([np.sin(th), np.cos(th)], axis=-1)], axis=-2)
-    return (Q * lam[:, None, :]) @ np.swapaxes(Q, -1, -2)
-
-
 def test_stacked_matrix_derivative_equals_per_matrix_calls():
     spec = CurvatureSpec(2, 2)
-    m = _random_cone_matrices(spec, np.random.default_rng(12), 60)
+    m = verify._random_cone_matrices(spec, np.random.default_rng(12), 60)
     # near-umbilic and umbilic matrices, whose eigenvectors are arbitrary
     m = np.concatenate([m, [[[0.8 + 5e-13, 1e-13], [1e-13, 0.8]],
                             np.diag([0.8, 0.8])]])
@@ -170,7 +162,7 @@ def test_stacked_matrix_derivative_equals_per_matrix_calls():
 
 def test_verify_stacked_fd_matches_the_per_matrix_reference():
     spec = CurvatureSpec(2, 2)
-    m = _random_cone_matrices(spec, np.random.default_rng(13), 20)
+    m = verify._random_cone_matrices(spec, np.random.default_rng(13), 20)
     fd = verify._fd_matrix_derivative(spec, m)
     for k in range(len(m)):
         ref = _fd_matrix_derivative(spec, m[k])

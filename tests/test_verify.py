@@ -6,6 +6,7 @@ import pytest
 import warpcurve as wc
 from warpcurve import verify
 from warpcurve.grid import NodeField, random_smooth
+from warpcurve.solver import assemble_jacobian
 
 from conftest import make_problem
 
@@ -74,7 +75,7 @@ _ROWS_1D = [
     "geometry: special frame dev, <k> nodes",
     "geometry: support eta error ratio N->2N",
     "geometry: support tau error ratio N->2N",
-    "oracle: analytic vs colored-FD jacobian, 3 states",
+    "oracle: analytic J v vs FD, 3 states x 2 probes",
 ]
 # n = 2 adds the permutation, matrix-derivative and eig2 rows
 _ROWS_2D = (_ROWS_1D[:22] + ["curvature: permutation symmetry"]
@@ -109,17 +110,61 @@ def _drop_psi_t(state, hp, coef):
     return [coef[0] + state.psi_t] + coef[1:]
 
 
-@pytest.mark.parametrize("fault", [None, _flip_first_grad, _halve_cross,
-                                   _drop_psi_t])
-def test_jacobian_row_fails_on_each_seeded_fault(monkeypatch, fault):
-    # the row compares the analytic J with colored finite differences of
-    # the residual, which the faults leave alone
-    hp = make_problem(n=2, N=16, r=2, eps=0.1, t_plus=1.5)
+def _entrywise_error(hp, seed=12345, states=3):
+    """The analytic J against the colored-FD one, entry by entry.
+
+    assemble_jacobian's "fd-colored" mode at the probe row's seeded
+    states; both Jacobians are in the grid's fixed layout.
+    """
+    rng = np.random.default_rng(seed + 3)
+    amp = 0.04 * (hp.t_plus - hp.t_minus)
+    worst = 0.0
+    for _ in range(states):
+        z = hp.t0 + random_smooth(hp.grid, rng, amp)
+        s = float(rng.uniform(0.0, 1.0))
+        Ja = assemble_jacobian(z, s, hp, "analytic")
+        Jf = assemble_jacobian(z, s, hp, "fd-colored")
+        assert np.array_equal(Ja.indices, Jf.indices)
+        assert np.array_equal(Ja.indptr, Jf.indptr)
+        worst = max(worst, float(np.abs(Ja.data - Jf.data).max()
+                                 / np.abs(Ja.data).max()))
+    return worst
+
+
+_FAULT_CASES = [(2, None), (2, _flip_first_grad), (2, _halve_cross),
+                (2, _drop_psi_t), (1, None), (1, _flip_first_grad),
+                (1, _drop_psi_t)]          # n = 1 has no cross term to halve
+
+
+@pytest.mark.parametrize(
+    "n, fault", _FAULT_CASES,
+    ids=[("n1-" if n == 1 else "") + getattr(f, "__name__", "None")
+         for n, f in _FAULT_CASES])
+def test_jacobian_row_fails_on_each_seeded_fault(monkeypatch, n, fault):
+    # the probe row and the entrywise reference difference the residual,
+    # which the faults leave alone: a fault misses the 1e-6 bound by 10x
+    hp = (make_problem(n=2, N=16, r=2, eps=0.1, t_plus=1.5) if n == 2
+          else make_problem(n=1, N=256, r=1, eps=0.1, t_plus=1.5))
     if fault is not None:
         exact = wc.solver._jacobian_coefficients
         monkeypatch.setattr(wc.solver, "_jacobian_coefficients",
                             lambda state, hp: fault(state, hp,
                                                     exact(state, hp)))
     (row,) = verify.jacobian_rows(hp, seed=12345)
-    assert row.name == "oracle: analytic vs colored-FD jacobian, 3 states"
+    assert row.name == "oracle: analytic J v vs FD, 3 states x 2 probes"
+    entrywise = _entrywise_error(hp)
     assert row.passed == (fault is None), row.value
+    if fault is None:
+        assert row.value <= 1e-7 and entrywise <= 1e-7
+    else:
+        assert row.value >= 1e-5 and entrywise >= 1e-5, (row.value,
+                                                         entrywise)
+
+
+def test_jacobian_row_passes_a_correct_jacobian_at_n512():
+    # the step scales with dx^2, so the probe error does not grow with N;
+    # the entrywise comparison, whose step is a fixed 1e-6 (1 + |z|),
+    # reads 2.2e-6 here
+    hp = make_problem(n=2, N=512, r=2, eps=0.1, t_plus=1.5)
+    (row,) = verify.jacobian_rows(hp, seed=12345, states=1)
+    assert row.passed and row.value <= 1e-7, row.value
