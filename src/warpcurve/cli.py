@@ -216,15 +216,14 @@ def build_profile(cfg):
 
 
 def build_problem(cfg, r=None, eps=None, N=None):
-    """Instantiate profile, grid, spec, prescription, and homotopy."""
+    """The homotopy problem a config names; r, eps and N override it."""
     profile = build_profile(cfg)
     grid = make_grid(cfg.n, cfg.N if N is None else N, cfg.L, cfg.order)
     spec = CurvatureSpec(n=cfg.n, r=cfg.r if r is None else r)
     presc = build_prescription(
         profile, spec, grid, c0=cfg.c0, eps=cfg.eps if eps is None else eps,
         mode=cfg.mode, t_minus=cfg.t_minus, t_plus=cfg.t_plus)
-    hp = build_homotopy(presc, t0=cfg.t0, eps_phi=cfg.eps_phi)
-    return profile, grid, spec, presc, hp
+    return build_homotopy(presc, t0=cfg.t0, eps_phi=cfg.eps_phi)
 
 
 def solver_config(cfg):
@@ -235,7 +234,8 @@ def solver_config(cfg):
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_solve(cfg):
-    profile, grid, spec, presc, hp = build_problem(cfg)
+    hp = build_problem(cfg)
+    grid = hp.grid
     scfg = solver_config(cfg)
     z, report = continuation(hp, scfg)
     out = Path(cfg.out_dir)
@@ -245,7 +245,7 @@ def cmd_solve(cfg):
         for row in report.csv_rows():
             f.write(row + "\n")
     save_field(z, out / "z_final.f64")
-    geom = compute_geometry(z, grid, profile)
+    geom = compute_geometry(z, grid, hp.profile)
     (out / "fields.csv").write_text(fields_csv(geom))
     fin = report.final
     margin_lo = fin.z_min - hp.t_minus
@@ -273,8 +273,7 @@ def cmd_solve(cfg):
 
 
 def cmd_verify(cfg):
-    profile, grid, spec, presc, hp = build_problem(cfg)
-    rows = build_condition_table(hp, seed=cfg.seed)
+    rows = build_condition_table(build_problem(cfg), seed=cfg.seed)
     width = max(len(r.name) for r in rows) + 2
     print(f"warpcurve {__version__} verification table "
           f"(seed {cfg.seed})")
@@ -349,9 +348,9 @@ def _sweep_runner(cfg, scfg, axis):
     def run(value):
         z_prev, dz_prev = last["z"], last["dz"]
         last.update(z=None, dz=np.nan)      # a failed point breaks the chain
-        _, _, _, presc, hp = build_problem(cfg, **{axis: value})
+        hp = build_problem(cfg, **{axis: value})
         z, report = continuation(hp, scfg)
-        lo, hi = barrier_crossings(presc)
+        lo, hi = barrier_crossings(hp.prescription)
         refine = ()
         if axis == "N":
             coarse = z.values[(slice(None, None, 2),) * z.grid.n]

@@ -64,6 +64,10 @@ class TorusGrid:
     def __init__(self, n, N, L=2.0 * np.pi, order=2):
         if n not in (1, 2):
             raise ConfigError(f"dimension n must be 1 or 2, got {n}")
+        for name, value in (("N", N), ("order", order)):
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"grid {name} must be an integer, "
+                                  f"got {value!r}")
         if N < 16:
             raise ConfigError(f"need at least 16 nodes per axis, got {N}")
         if not 0 < L < np.inf:              # False on NaN too
@@ -237,51 +241,24 @@ class TorusGrid:
         """Column coloring for finite-difference Jacobians.
 
         Two columns may share a color only if no residual row depends on
-        both, i.e. their offset difference d (mod N per axis) is outside
-        the footprint difference set, which lies in the box |d| <= D =
-        order on every axis.  Both forms below color by position within
-        blocks: a cyclic index cut into consecutive blocks of near-equal
-        length, each at least B long, puts two indices of one color at
-        least B apart, both ways round.
-
-        Product form: each axis is cut with B = D + 1 and a node takes
-        its position per axis (c0 + K c1 at n = 2, K the longest block),
-        so two nodes of one color are at least D + 1 apart on an axis
-        where they differ.  At n = 1 this is the coloring.
-
-        Diagonal form (n = 2): with m = D + 1 the node (i0, i1) takes its
-        position in a 1D block coloring of l = (i0 + m i1) mod N with
-        B = m**2.  A conflicting offset moves l by d0 + m d1, which is
-        nonzero (|d0| < m) and at most D (D + 2) = m**2 - 1 in absolute
-        value, so it never joins two indices of one color.  It needs
-        N >= m**2, for one block at least.
-
-        The product form is kept unless the diagonal form has fewer
-        colors (16 -> 10 at order 2 and N = 64 or 128, where 3 does not
-        divide N).  Returns (colors flat array, count).
+        both, i.e. their offset difference (mod N per axis) is outside the
+        footprint difference set, which lies in the box |d| <= D = order
+        on every axis.  Each axis is cut into N // (D + 1) consecutive
+        blocks of near-equal length, each at least D + 1 long, and a node
+        takes its position within its block per axis (c0 + K c1 at n = 2,
+        K the longest block): two distinct nodes of one color are then at
+        least D + 1 apart, both ways round, on an axis where they differ.
+        Returns (colors flat array, count).
         """
         if self._coloring is None:
-            m, idx = self.order + 1, np.arange(self.N)
-            c = _block_positions(idx, self.N, m)
+            q = self.N // (self.order + 1)
+            starts = np.arange(q) * self.N // q
+            idx = np.arange(self.N)
+            c = idx - starts[np.searchsorted(starts, idx, side="right") - 1]
             K = int(c.max()) + 1
             colors = c if self.n == 1 else self.flatten(c[:, None] + K * c)
-            count = K ** self.n
-            if self.n == 2 and self.N >= m * m:
-                diag = _block_positions((idx[:, None] + m * idx) % self.N,
-                                        self.N, m * m)
-                if diag.max() + 1 < count:
-                    colors, count = self.flatten(diag), int(diag.max()) + 1
-            self._coloring = (colors, count)
+            self._coloring = (colors, K ** self.n)
         return self._coloring
-
-
-def _block_positions(idx, N, B):
-    """Position of each cyclic index in 0 .. N-1 within its block, the
-    N // B >= 1 consecutive blocks of near-equal length, each at least B
-    long."""
-    q = N // B
-    starts = np.arange(q) * N // q
-    return idx - starts[np.searchsorted(starts, idx, side="right") - 1]
 
 
 def make_grid(n, N, L=2.0 * np.pi, order=2):

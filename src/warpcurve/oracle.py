@@ -1,15 +1,19 @@
 """Independent brute-force cross-checks.
 
-These deliberately avoid the code paths they certify: the dense Jacobian
-differentiates the residual one column at a time (no coloring, no chain
-rule), the gradient check differences f_eval directly, and the 2x2
-eigensolver is the half-angle form (mean +- radius, eigenvectors from
-the arctan2 angle).  The geometry takes its eigenpairs from a different
-closed form (geometry.eig2_sym: the root of larger magnitude, the other
-as det / root, the eigenvector from a cancellation-free null vector), so
-the verify row "oracle: eig2 vs eigh eigenvalues" compares two
-independent computations; it keeps its name so reports stay comparable.
-"""
+These deliberately avoid the code paths they certify.  The two finite-
+difference Jacobians difference the residual without the chain rule:
+fd_jacobian one node at a time into a dense array, fd_colored_jacobian
+one color of TorusGrid.coloring at a time into the fixed sparse layout
+(Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974).  Both take the
+central step 1e-6 (1 + |z|_inf) unless given one, and shrink it by 10x,
+at most three times, on a ConeError.  The gradient check differences
+f_eval directly, and the 2x2 eigensolver is the half-angle form (mean
++- radius, eigenvectors from the arctan2 angle).  The geometry takes its
+eigenpairs from a different closed form (geometry.eig2_sym: the root of
+larger magnitude, the other as det / root, the eigenvector from a
+cancellation-free null vector), so the verify row "oracle: eig2 vs eigh
+eigenvalues" compares two independent computations; it keeps its name so
+reports stay comparable."""
 
 from __future__ import annotations
 
@@ -18,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeError
-from . import curvature
-from .solver import residual
+from . import curvature, solver
 
 
 @dataclass
@@ -35,17 +38,26 @@ class OracleReport:
 
 
 def fd_jacobian(z, s, hp, step=None):
-    """Dense central-difference Jacobian of the residual.
+    """Dense central-difference Jacobian of the residual."""
+    return _shrinking_step(_fd_dense, z, s, hp, step)
 
-    Perturbs one node at a time; on a ConeError the step shrinks by 10x,
-    at most three times.
-    """
+
+def fd_colored_jacobian(z, s, hp, step=None):
+    """Colored central-difference Jacobian of the residual, a CSR matrix
+    in the grid's fixed layout."""
+    # looked up at call time, so a wrapper around the solver's function
+    # sees every call
+    return _shrinking_step(solver._fd_colored_jacobian, z, s, hp, step)
+
+
+def _shrinking_step(fd, z, s, hp, step):
+    """fd(zvals, s, hp, step) with the default step, shrunk on ConeError."""
     zvals = np.asarray(z.values if hasattr(z, "values") else z, dtype=float)
     if step is None:
         step = 1e-6 * (1.0 + float(np.abs(zvals).max()))
     for attempt in range(4):
         try:
-            return _fd_dense(zvals, s, hp, step)
+            return fd(zvals, s, hp, step)
         except ConeError:
             if attempt == 3:
                 raise
@@ -62,8 +74,8 @@ def _fd_dense(zvals, s, hp, step):
         zp[q] += step
         zm = flat.copy()
         zm[q] -= step
-        rp = grid.flatten(residual(grid.unflatten(zp), s, hp).values)
-        rm = grid.flatten(residual(grid.unflatten(zm), s, hp).values)
+        rp = grid.flatten(solver.residual(grid.unflatten(zp), s, hp).values)
+        rm = grid.flatten(solver.residual(grid.unflatten(zm), s, hp).values)
         J[:, q] = (rp - rm) / (2.0 * step)
     return J
 

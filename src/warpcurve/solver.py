@@ -18,11 +18,12 @@ stencil operator.  J is assembled straight into the grid's fixed CSR
 layout (TorusGrid.stencil_pattern: row i holds the columns i + o in
 footprint order) as one product: coefficients (size x operators) times
 the weights (operators x offsets) of the operator table the residual's
-derivatives apply.  Newton uses this analytic J only.  The colored
-finite-difference Jacobian (assemble_jacobian's "fd-colored" mode) is the
-entrywise reference the tests check it against; it writes into the same
-layout, and TorusGrid.pattern_matrix builds both.  verify checks J by
-directional probes of the residual instead.
+derivatives apply.  Newton uses this analytic J only
+(assemble_jacobian).  The colored finite-difference Jacobian built here
+(_fd_colored_jacobian, reached through oracle.fd_colored_jacobian) is
+the entrywise reference the tests check it against; it writes into the
+same layout, and TorusGrid.pattern_matrix builds both.  verify checks J
+by directional probes of the residual instead.
 
 Each Newton step solves J delta = -R.  At n = 1 J is a periodic band
 matrix: the band of half-width b (the stencil radius) plus b wrapped
@@ -79,7 +80,6 @@ from .grid import NodeField
 _THETA_MAX = 0.5       # continuation abandons a step once Theta_k > this
 _THETA_GROW = 0.25     # and doubles ds after a step with Theta_1 <= this
 _MAX_HALVINGS = 20     # backtracking budget per Newton step
-_FD_STEP = 1e-6        # colored-FD Jacobian step, scaled by (1 + |z|_inf)
 
 
 @dataclass(frozen=True)
@@ -188,21 +188,10 @@ def _fd_colored_jacobian(zvals, s, hp, step):
     return grid.pattern_matrix(dr[slot_colors, np.arange(grid.size)[:, None]])
 
 
-def assemble_jacobian(z, s, hp, mode="analytic"):
-    """Sparse Jacobian of the residual at z (stencil-footprint sparsity)."""
+def assemble_jacobian(z, s, hp):
+    """Sparse analytic Jacobian of the residual at z, in the fixed layout."""
     zvals = z.values if isinstance(z, NodeField) else np.asarray(z, float)
-    if mode == "analytic":
-        return _analytic_jacobian(_evaluate(zvals, s, hp), hp)
-    if mode != "fd-colored":
-        raise ConfigError(f"unknown jacobian mode {mode!r}")
-    step = _FD_STEP * (1.0 + float(np.abs(zvals).max()))
-    for attempt in range(4):
-        try:
-            return _fd_colored_jacobian(zvals, s, hp, step)
-        except ConeError:
-            if attempt == 3:
-                raise
-            step /= 10.0
+    return _analytic_jacobian(_evaluate(zvals, s, hp), hp)
 
 
 @dataclass

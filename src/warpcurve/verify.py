@@ -212,7 +212,7 @@ def jacobian_rows(hp, seed, states=3):
               float(rng.uniform(0.0, 1.0))) for _ in range(states)]
     worst = 0.0
     for z, s in drawn:
-        J = assemble_jacobian(z, s, hp, "analytic")
+        J = assemble_jacobian(z, s, hp)
         h = _PROBE_STEP * grid.dx ** 2 * (1.0 + float(np.abs(z).max()))
         for v in rng.choice((-1.0, 1.0), size=(_PROBES,) + grid.shape):
             Jv = J @ grid.flatten(v)

@@ -12,6 +12,7 @@ from warpcurve.curvature import f_eval, f_grad, sample_cone
 from warpcurve.geometry import (compute_geometry, special_frame_deviations,
                                 support_identity_check)
 from warpcurve.grid import NodeField, random_smooth
+from warpcurve.oracle import fd_colored_jacobian
 from warpcurve.solver import (assemble_jacobian, continuation,
                               manufactured_residual_norm, newton_solve)
 
@@ -93,8 +94,8 @@ def test_criterion_5_jacobian_correctness():
         for _ in range(5):
             z = NodeField(hp.t0 + random_smooth(hp.grid, rng, 0.04), hp.grid)
             s = float(rng.uniform(0, 1))
-            Ja = assemble_jacobian(z, s, hp, "analytic")
-            Jf = assemble_jacobian(z, s, hp, "fd-colored")
+            Ja = assemble_jacobian(z, s, hp)
+            Jf = fd_colored_jacobian(z, s, hp)
             err = float(np.abs((Ja - Jf).toarray()).max()
                         / np.abs(Ja.data).max())
             assert err <= 1e-6, f"(n={n}, r={r}): jacobian err {err:.3e}"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ def test_make_grid_spacing():
 def test_make_grid_rejects(bad):
     with pytest.raises(wc.ConfigError):
         wc.make_grid(**bad)
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("N", 16.7), ("N", "32"), ("N", 64.0), ("order", 2.0), ("order", "4")])
+def test_make_grid_rejects_a_non_integer_size_or_order(name, bad):
+    args = {"n": 1, "N": 64, "order": 2, name: bad}
+    with pytest.raises(wc.ConfigError, match=rf"{name} must be an integer, "
+                       rf"got {re.escape(repr(bad))}"):
+        wc.make_grid(**args)
+
+
+def test_make_grid_accepts_numpy_integers():
+    g = wc.make_grid(np.int64(1), np.int64(64), order=np.int32(4))
+    assert (g.N, g.order) == (64, 4) and type(g.N) is int
 
 
 @pytest.mark.parametrize("L", [np.nan, np.inf])
@@ -343,9 +358,6 @@ def test_coloring_is_a_valid_jacobian_coloring(n, N, order):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("n", [1, 2])
 def test_coloring_is_valid_for_every_small_grid(n, order):
-    # the four larger N at n = 2: the product form is kept at N = 96
-    # (order 2) and N = 100 (order 4), where order + 1 divides N, and the
-    # diagonal form is used at the other six
     for N in [*range(16, 70), 96, 100, 101, 128]:
         g = wc.make_grid(n, N, order=order)
         colors, ncol = g.coloring()
@@ -357,14 +369,11 @@ def test_coloring_is_valid_for_every_small_grid(n, order):
         assert ncol == colors.max() + 1
 
 
-# The counts at n = 2, order 2 are optimal: nodes of one color within a
-# strip of 3 adjacent columns (|d1| <= 2) are more than 2 apart along
-# axis 0, so a color holds at most N // 3 nodes per strip.  Each node lies
-# in 3 of the N strips, so a color holds at most N (N // 3) / 3 nodes:
-# 448 at N = 64, and 4096 / 448 > 9 forces 10 colors (likewise at 128).
-@pytest.mark.parametrize("n,N,order,count", [(1, 2048, 2, 4), (2, 64, 2, 10),
-                                             (2, 128, 2, 10), (2, 64, 4, 32),
-                                             (2, 128, 4, 26), (2, 48, 2, 9),
-                                             (2, 32, 2, 11)])
+# (order + 1)**n colors where order + 1 divides N, else (order + 2)**n:
+# the longest blocks are one node longer
+@pytest.mark.parametrize("n,N,order,count", [(1, 2048, 2, 4), (2, 64, 2, 16),
+                                             (2, 128, 2, 16), (2, 64, 4, 36),
+                                             (2, 128, 4, 36), (2, 48, 2, 9),
+                                             (2, 32, 2, 16)])
 def test_coloring_counts(n, N, order, count):
     assert wc.make_grid(n, N, order=order).coloring()[1] == count

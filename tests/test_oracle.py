@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import warpcurve as wc
+from warpcurve import oracle, solver
 from warpcurve.curvature import sample_cone
 from warpcurve.grid import NodeField, random_smooth
-from warpcurve.oracle import eig2_oracle, fd_gradcheck, fd_jacobian
+from warpcurve.oracle import (eig2_oracle, fd_colored_jacobian, fd_gradcheck,
+                              fd_jacobian)
 from warpcurve.solver import assemble_jacobian, residual
 
 from conftest import make_problem
@@ -29,6 +31,49 @@ def test_fd_jacobian_n2(hp_small):
     Ja = assemble_jacobian(z, 0.8, hp).toarray()
     Jf = fd_jacobian(z, 0.8, hp)
     assert np.abs(Ja - Jf).max() / np.abs(Ja).max() <= 1e-6
+
+
+# each FD reference and the builder its ConeError retry wraps
+_FD_BUILDERS = pytest.mark.parametrize(
+    "fd, owner, builder",
+    [(fd_jacobian, oracle, "_fd_dense"),
+     (fd_colored_jacobian, solver, "_fd_colored_jacobian")],
+    ids=["dense", "colored"])
+
+
+@_FD_BUILDERS
+def test_fd_step_shrinks_tenfold_on_a_cone_error(hp_small, monkeypatch, fd,
+                                                 owner, builder):
+    z = NodeField(hp_small.t0 + random_smooth(
+        hp_small.grid, np.random.default_rng(5), 0.05), hp_small.grid)
+    s0 = 1e-6 * (1.0 + np.abs(z.values).max())
+    steps = []
+
+    def fake(zvals, s, hp, step):
+        steps.append(step)
+        if step > s0 / 50:
+            raise wc.ConeError("a probe left the cone")
+        return "J"
+
+    monkeypatch.setattr(owner, builder, fake)
+    assert fd(z, 0.5, hp_small) == "J"
+    assert steps == pytest.approx([s0, s0 / 10, s0 / 100], rel=1e-15)
+
+
+@_FD_BUILDERS
+def test_fd_cone_error_survives_four_steps(hp_small, monkeypatch, fd, owner,
+                                           builder):
+    steps = []
+
+    def fake(zvals, s, hp, step):
+        steps.append(step)
+        raise wc.ConeError("a probe left the cone")
+
+    monkeypatch.setattr(owner, builder, fake)
+    z = NodeField.constant(hp_small.grid, hp_small.t0)
+    with pytest.raises(wc.ConeError):
+        fd(z, 0.5, hp_small, step=1e-3)
+    assert steps == pytest.approx([1e-3, 1e-4, 1e-5, 1e-6], rel=1e-15)
 
 
 def test_linearity_probe(hp_small):

@@ -12,6 +12,7 @@ import warpcurve as wc
 from warpcurve import curvature, solver
 from warpcurve.geometry import eig2_sym
 from warpcurve.grid import NodeField, random_smooth
+from warpcurve.oracle import fd_colored_jacobian, fd_jacobian
 from warpcurve.solver import (SolverConfig, _linear_step, assemble_jacobian,
                               build_manufactured, continuation,
                               manufactured_residual_norm, newton_solve,
@@ -90,17 +91,11 @@ def test_analytic_vs_colored_fd_jacobian(hp1_wavy):
     for _ in range(5):
         z = NodeField(hp1_wavy.t0 + random_smooth(grid, rng, 0.05), grid)
         s = float(rng.uniform(0, 1))
-        Ja = assemble_jacobian(z, s, hp1_wavy, "analytic")
-        Jf = assemble_jacobian(z, s, hp1_wavy, "fd-colored")
+        Ja = assemble_jacobian(z, s, hp1_wavy)
+        Jf = fd_colored_jacobian(z, s, hp1_wavy)
         diff = np.abs((Ja - Jf).toarray()).max() / np.abs(Ja.data).max()
         worst = max(worst, diff)
     assert worst <= 1e-6
-
-
-def test_jacobian_mode_rejected(hp1):
-    z = NodeField.constant(hp1.grid, 1.0)
-    with pytest.raises(wc.ConfigError):
-        assemble_jacobian(z, 0.5, hp1, "spectral")
 
 
 def test_newton_zero_iterations_at_exact_solution(hp1):
@@ -222,19 +217,19 @@ def test_jacobian_modes_give_same_newton_iterates():
     hp = make_problem(n=1, N=256, eps=0.1, t_plus=1.5)
     zprev, _ = newton_solve(NodeField.constant(hp.grid, hp.t0), 0.9, hp)
 
-    def first_iterates(mode, k=3):
+    def first_iterates(jacobian, k=3):
         z = zprev.values.copy()
         out = []
         for _ in range(k):
             r = residual(z, 1.0, hp).values
-            J = assemble_jacobian(z, 1.0, hp, mode)
+            J = jacobian(z, 1.0, hp)
             z = z + hp.grid.unflatten(
                 spla.spsolve(J.tocsc(), -hp.grid.flatten(r)))
             out.append(z.copy())
         return out
 
-    za = first_iterates("analytic")
-    zf = first_iterates("fd-colored")
+    za = first_iterates(assemble_jacobian)
+    zf = first_iterates(fd_colored_jacobian)
     for a, b in zip(za, zf):
         assert np.abs(a - b).max() <= 1e-8
 
@@ -294,10 +289,16 @@ def hp2_wavy():
     return make_problem(n=2, N=32, r=2, eps=0.1, t_plus=1.5)
 
 
-def _wavy_system(hp, mode, seed=5):
+# the analytic J and its colored-FD reference
+_JACOBIANS = pytest.mark.parametrize(
+    "jacobian", [assemble_jacobian, fd_colored_jacobian],
+    ids=["analytic", "colored-fd"])
+
+
+def _wavy_system(hp, jacobian=assemble_jacobian, seed=5):
     rng = np.random.default_rng(seed)
     z = NodeField(hp.t0 + random_smooth(hp.grid, rng, 0.05), hp.grid)
-    J = assemble_jacobian(z, 0.5, hp, mode)
+    J = jacobian(z, 0.5, hp)
     return J, -hp.grid.flatten(residual(z, 0.5, hp).values)
 
 
@@ -310,10 +311,10 @@ def _gmres_misses(J, rhs, precond, **kwargs):
 
 
 @pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("mode", ["analytic", "fd-colored"])
-def test_krylov_step_matches_direct_solve(order, mode, monkeypatch):
+@_JACOBIANS
+def test_krylov_step_matches_direct_solve(order, jacobian, monkeypatch):
     hp = make_problem(n=2, N=32, r=2, eps=0.1, t_plus=1.5, order=order)
-    J, rhs = _wavy_system(hp, mode)
+    J, rhs = _wavy_system(hp, jacobian)
     direct = spla.spsolve(J.tocsc(), rhs)
     monkeypatch.setattr(spla, "spsolve", _forbidden)   # Krylov path only
     delta = _linear_step(J, rhs, hp.grid)
@@ -321,7 +322,7 @@ def test_krylov_step_matches_direct_solve(order, mode, monkeypatch):
 
 
 def test_krylov_failure_falls_back_to_direct_solve(hp2_wavy, monkeypatch):
-    J, rhs = _wavy_system(hp2_wavy, "analytic")
+    J, rhs = _wavy_system(hp2_wavy)
     monkeypatch.setattr(solver, "_gmres", _gmres_misses)
     delta = _linear_step(J, rhs, hp2_wavy.grid)
     assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
@@ -331,8 +332,8 @@ def test_one_dimensional_step_is_a_direct_solve(monkeypatch):
     # the cyclic band solve, with neither GMRES nor the sparse fallback
     for order in (2, 4):
         hp = make_problem(n=1, N=256, eps=0.1, t_plus=1.5, order=order)
-        for mode in ("analytic", "fd-colored"):
-            J, rhs = _wavy_system(hp, mode)
+        for jacobian in (assemble_jacobian, fd_colored_jacobian):
+            J, rhs = _wavy_system(hp, jacobian)
             direct = spla.spsolve(J.tocsc(), rhs)
             with monkeypatch.context() as m:
                 m.setattr(spla, "gmres", _forbidden)
@@ -350,7 +351,7 @@ def _preconditioner(hp, J):
 
 
 def test_gmres_of_a_zero_rhs_is_zero(hp2_wavy):
-    J, rhs = _wavy_system(hp2_wavy, "analytic")
+    J, rhs = _wavy_system(hp2_wavy)
     x, converged = solver._gmres(J, np.zeros_like(rhs),
                                  _preconditioner(hp2_wavy, J))
     assert converged
@@ -358,7 +359,7 @@ def test_gmres_of_a_zero_rhs_is_zero(hp2_wavy):
 
 
 def test_gmres_reports_an_unreachable_tolerance(hp2_wavy):
-    J, rhs = _wavy_system(hp2_wavy, "analytic")
+    J, rhs = _wavy_system(hp2_wavy)
     precond = _preconditioner(hp2_wavy, J)
     applies = []
 
@@ -379,7 +380,7 @@ def test_gmres_reports_an_unreachable_tolerance(hp2_wavy):
 def test_gmres_matches_the_direct_solve(order):
     # an odd N: the half spectrum's inverse needs the grid shape
     hp = make_problem(n=2, N=25, r=2, eps=0.1, t_plus=1.5, order=order)
-    J, rhs = _wavy_system(hp, "analytic")
+    J, rhs = _wavy_system(hp)
     direct = spla.spsolve(J.tocsc(), rhs)
     x, converged = solver._gmres(J, rhs, _preconditioner(hp, J))
     assert converged
@@ -425,7 +426,7 @@ def _band_nan(l_and_u, ab, b, **kwargs):
 @pytest.mark.parametrize("band", [_band_singular, _band_nan])
 def test_band_failure_falls_back_to_direct_solve(hp1_wavy, band,
                                                  monkeypatch):
-    J, rhs = _wavy_system(hp1_wavy, "analytic")
+    J, rhs = _wavy_system(hp1_wavy)
     monkeypatch.setattr(solver.sla, "solve_banded", band)
     delta = _linear_step(J, rhs, hp1_wavy.grid)
     assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
@@ -550,7 +551,7 @@ def test_pattern_jacobian_matches_operator_sum(n, order):
 @pytest.mark.parametrize("n", [1, 2])
 def test_fd_colored_jacobian_shares_the_pattern(n):
     hp, z, _ = _wavy_state(n, 2)
-    J = assemble_jacobian(z, 0.6, hp, "fd-colored")
+    J = fd_colored_jacobian(z, 0.6, hp)
     indices, indptr, _ = hp.grid.stencil_pattern()
     assert np.array_equal(J.indices, indices)
     assert np.array_equal(J.indptr, indptr)
@@ -583,27 +584,28 @@ def test_f_grad_is_computed_only_for_the_analytic_jacobian(n, monkeypatch):
     monkeypatch.setattr(curvature, "f_grad",
                         lambda *a: calls.append(a) or f_grad(*a))
     solver._evaluate(z, 0.6, hp)
-    assemble_jacobian(z, 0.6, hp, "fd-colored")
+    fd_colored_jacobian(z, 0.6, hp)
     assert calls == []
-    assemble_jacobian(z, 0.6, hp, "analytic")
+    assemble_jacobian(z, 0.6, hp)
     assert len(calls) == 1
 
 
-# N = 32 at order 2 takes the diagonal coloring (11 colors, not 16)
+# N = 32 at order 2: blocks of 3 and 4 nodes per axis
 @pytest.mark.parametrize("n,order,N", [(1, 2, 64), (1, 4, 64), (2, 2, 24),
                                        (2, 4, 24), (2, 2, 32)],
                          ids=["1-2", "1-4", "2-2", "2-4", "2-2-N32"])
-def test_fd_colored_jacobian_equals_one_color_per_column(n, order, N,
-                                                         monkeypatch):
-    # row i of the residual reads only its footprint, so any valid coloring
-    # gives the difference quotients of single columns, bit for bit
+def test_fd_colored_jacobian_equals_one_color_per_column(n, order, N):
+    # row i of the residual reads only its footprint, so the colored
+    # difference quotients are the dense one-column ones, bit for bit, and
+    # the dense quotients off the footprint are exactly zero
     hp, z, _ = _wavy_state(n, order, N=N)
-    J = assemble_jacobian(z, 0.6, hp, "fd-colored")
-    size = hp.grid.size
-    monkeypatch.setattr(hp.grid, "coloring", lambda: (np.arange(size), size))
-    J1 = assemble_jacobian(z, 0.6, hp, "fd-colored")
-    assert np.array_equal(J.data, J1.data)
-    assert np.array_equal(J.indices, J1.indices)
+    J = fd_colored_jacobian(z, 0.6, hp).toarray()
+    dense = fd_jacobian(z, 0.6, hp)
+    assert np.array_equal(J, dense)
+    indices, indptr, _ = hp.grid.stencil_pattern()
+    footprint = sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                              shape=dense.shape).toarray() > 0
+    assert np.all(dense[~footprint] == 0.0)
 
 
 def test_fd_colored_jacobian_evaluates_twice_per_color(monkeypatch):
@@ -612,15 +614,15 @@ def test_fd_colored_jacobian_evaluates_twice_per_color(monkeypatch):
     evaluate = solver._evaluate
     monkeypatch.setattr(solver, "_evaluate",
                         lambda *a: calls.append(1) or evaluate(*a))
-    assemble_jacobian(z, 0.6, hp, "fd-colored")
-    assert len(calls) == 2 * 10
+    fd_colored_jacobian(z, 0.6, hp)
+    assert len(calls) == 2 * 16
 
 
 @pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("mode", ["analytic", "fd-colored"])
-def test_pattern_symbol_matches_binned_symbol(order, mode):
+@_JACOBIANS
+def test_pattern_symbol_matches_binned_symbol(order, jacobian):
     hp, z, _ = _wavy_state(2, order)
-    J = assemble_jacobian(z, 0.6, hp, mode)
+    J = jacobian(z, 0.6, hp)
     sym = solver._circulant_symbol(J, hp.grid)
     ref = _reference_symbol(J, hp.grid)[:, :hp.grid.N // 2 + 1]
     assert np.abs(sym - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -6,6 +6,7 @@ import pytest
 import warpcurve as wc
 from warpcurve import verify
 from warpcurve.grid import NodeField, random_smooth
+from warpcurve.oracle import fd_colored_jacobian
 from warpcurve.solver import assemble_jacobian
 
 from conftest import make_problem
@@ -113,8 +114,8 @@ def _drop_psi_t(state, hp, coef):
 def _entrywise_error(hp, seed=12345, states=3):
     """The analytic J against the colored-FD one, entry by entry.
 
-    assemble_jacobian's "fd-colored" mode at the probe row's seeded
-    states; both Jacobians are in the grid's fixed layout.
+    oracle.fd_colored_jacobian at the probe row's seeded states; both
+    Jacobians are in the grid's fixed layout.
     """
     rng = np.random.default_rng(seed + 3)
     amp = 0.04 * (hp.t_plus - hp.t_minus)
@@ -122,8 +123,8 @@ def _entrywise_error(hp, seed=12345, states=3):
     for _ in range(states):
         z = hp.t0 + random_smooth(hp.grid, rng, amp)
         s = float(rng.uniform(0.0, 1.0))
-        Ja = assemble_jacobian(z, s, hp, "analytic")
-        Jf = assemble_jacobian(z, s, hp, "fd-colored")
+        Ja = assemble_jacobian(z, s, hp)
+        Jf = fd_colored_jacobian(z, s, hp)
         assert np.array_equal(Ja.indices, Jf.indices)
         assert np.array_equal(Ja.indptr, Jf.indptr)
         worst = max(worst, float(np.abs(Ja.data - Jf.data).max()
