@@ -142,7 +142,10 @@ class WarpingProfile:
 
     def _check_domain(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(~np.isfinite(t)) or np.any(t <= self.t_lo) or np.any(t >= self.t_hi):
+        # one min and one max: a NaN propagates through both and fails the
+        # comparison, as an infinite end does; an empty t passes
+        if not (self.t_lo < t.min(initial=np.inf)
+                and t.max(initial=-np.inf) < self.t_hi):
             raise DomainError(
                 f"t outside profile interval ({self.t_lo:.6g}, {self.t_hi:.6g})")
         return t
@@ -161,7 +164,9 @@ class WarpingProfile:
         """(h, h', h'') at heights t inside the interval, unchecked; with
         xp = math at one float t, where an overflow raises OverflowError."""
         if self.kind == "cosh":
-            h, h1, h2 = xp.cosh(t), xp.sinh(t), xp.cosh(t)
+            h = xp.cosh(t)
+            h1 = xp.sinh(t)
+            h2 = h
         elif self.kind == "exp":
             h = xp.exp(t)
             h1 = h

@@ -56,11 +56,32 @@ class CurvatureSpec:
 
 
 def sym_poly(lam, q):
-    """Elementary symmetric polynomial S_q over the last axis; S_0 = 1."""
+    """Elementary symmetric polynomial S_q over the last axis; S_0 = 1.
+
+    For n <= 2 the recurrence e_m += lam_i e_{m-1} is unrolled, one
+    operation per step of it, so the result is the recurrence's bit for
+    bit (-0.0, NaN and inf included): S_1 = (0 + l0) + l1 and
+    S_2 = 0 + l1 (0 + l0), l1 * 1 being l1 exactly.
+    """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
     if not 0 <= q <= n:
         raise ConfigError(f"order q must satisfy 0 <= q <= {n}")
+    if q == 0:
+        out = np.ones(lam.shape[:-1])
+    elif n == 1:
+        out = 0.0 + lam[..., 0]
+    elif n == 2:
+        e1 = 0.0 + lam[..., 0]
+        out = e1 + lam[..., 1] if q == 1 else 0.0 + lam[..., 1] * e1
+    else:
+        out = _sym_poly_recurrence(lam, q)
+    return float(out) if out.ndim == 0 else out
+
+
+def _sym_poly_recurrence(lam, q):
+    """S_q of lam (..., n) by the recurrence over the entries."""
+    n = lam.shape[-1]
     batch = lam.shape[:-1]
     e = np.zeros(batch + (q + 1,))
     e[..., 0] = 1.0
@@ -69,8 +90,7 @@ def sym_poly(lam, q):
         top = min(i + 1, q)
         for m in range(top, 0, -1):
             e[..., m] += li * e[..., m - 1]
-    out = e[..., q]
-    return float(out) if out.ndim == 0 else out
+    return e[..., q]
 
 
 def _sym_poly_reduced(lam, q):
@@ -78,21 +98,30 @@ def _sym_poly_reduced(lam, q):
 
     Summed over the other entries directly: the recurrence
     e_q(lam|i) = e_q(lam) - lam_i e_{q-1}(lam|i) cancels when lam_i
-    dominates.
+    dominates.  For n <= 2 it is S_0 = 1 or, at n = 2, S_1 of the other
+    entry, 0 + l_j.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
+    if n <= 2 and 0 <= q < n:
+        return np.ones(lam.shape) if q == 0 else 0.0 + lam[..., ::-1]
     return np.stack([np.asarray(sym_poly(lam[..., np.arange(n) != i], q))
                      for i in range(n)], axis=-1)
 
 
+def _cone_polys(spec, lam):
+    """[S_1, ..., S_r] of lam, as sym_poly returns them, and their
+    minimum, an array (0-d for one point): the cone margin."""
+    polys = [sym_poly(lam, q) for q in range(1, spec.r + 1)]
+    m = np.asarray(polys[0])
+    for p in polys[1:]:
+        m = np.minimum(m, p)
+    return polys, m
+
+
 def cone_margin(spec, lam):
     """min over 1 <= q <= r of S_q(lam); positive iff lam is in Gamma_r."""
-    lam = np.asarray(lam, dtype=float)
-    margins = [np.asarray(sym_poly(lam, q)) for q in range(1, spec.r + 1)]
-    out = margins[0]
-    for m in margins[1:]:
-        out = np.minimum(out, m)
+    _, out = _cone_polys(spec, lam)
     return float(out) if out.ndim == 0 else out
 
 
@@ -105,7 +134,8 @@ def in_cone(spec, lam):
 
 
 def _require_cone(spec, lam):
-    m = np.asarray(cone_margin(spec, lam))
+    """ConeError unless lam lies in Gamma_r; returns [S_1, ..., S_r]."""
+    polys, m = _cone_polys(spec, lam)
     if np.any(m <= 0):
         if m.ndim == 0:
             raise ConeError(f"lambda outside Gamma_{spec.r}: margin {float(m):.3e}")
@@ -114,13 +144,14 @@ def _require_cone(spec, lam):
         raise ConeError(
             f"lambda outside Gamma_{spec.r} at node {node}: "
             f"margin {float(m.ravel()[flat]):.3e}", node=node)
+    return polys
 
 
 def f_eval(spec, lam):
     """Normalized curvature value (S_r / C(n,r)) ** (1/r) on Gamma_r."""
     lam = np.asarray(lam, dtype=float)
-    _require_cone(spec, lam)
-    val = (sym_poly(lam, spec.r) / spec.normalization) ** (1.0 / spec.r)
+    Sr = _require_cone(spec, lam)[-1]
+    val = (Sr / spec.normalization) ** (1.0 / spec.r)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -130,10 +161,9 @@ def f_grad(spec, lam):
     f_i = (1/r) (S_r/C)^(1/r - 1) S_{r-1}(lam|i) / C.
     """
     lam = np.asarray(lam, dtype=float)
-    _require_cone(spec, lam)
     C = spec.normalization
     r = spec.r
-    Sr = np.asarray(sym_poly(lam, r))
+    Sr = np.asarray(_require_cone(spec, lam)[-1])
     red = _sym_poly_reduced(lam, r - 1)
     out = (1.0 / r) * (Sr / C) ** (1.0 / r - 1.0)
     return out[..., None] * red / C

@@ -91,7 +91,7 @@ class GraphGeometry:
     """
 
     def __init__(self, grid, profile, z, grad, hess, h, h1, h2, W, lam,
-                 frame):
+                 frame, inv_sqrt):
         self.grid = grid
         self.profile = profile
         self.z = z
@@ -103,6 +103,7 @@ class GraphGeometry:
         self.W = W
         self.lam = lam
         self._frame = frame            # (c, s) of lam_max at n = 2
+        self._inv_sqrt = inv_sqrt      # _inv_sqrt_metric's components
 
     @property
     def grad(self):
@@ -127,7 +128,7 @@ class GraphGeometry:
     def _eigvec_g(self):
         # components V[i][k] of v_k = g^{-1/2} q_k, with q_0 = (c, s) and
         # q_1 = (-s, c) at n = 2
-        S = _inv_sqrt_metric(self.h, self.W, self._grad)
+        S = self._inv_sqrt
         if self.grid.n == 1:
             return [S]
         s00, s01, s11 = S
@@ -155,7 +156,7 @@ class GraphGeometry:
 
     @cached_property
     def g_inv_sqrt(self):
-        return _sym(_inv_sqrt_metric(self.h, self.W, self._grad))
+        return _sym(self._inv_sqrt)
 
     @cached_property
     def a(self):
@@ -169,7 +170,7 @@ class GraphGeometry:
     @cached_property
     def atilde(self):
         return _sym(_symmetrized_form(self.h, self.h1, self.W, self._grad,
-                                      self._hess))
+                                      self._hess, self._inv_sqrt))
 
     @cached_property
     def nu0(self):
@@ -261,9 +262,9 @@ def _second_form(h, h1, W, grad, hess):
             (-h * hess[1, 1] + 2.0 * h1 * (p1 * p1) + diag) / W]
 
 
-def _symmetrized_form(h, h1, W, grad, hess):
-    """g^{-1/2} a g^{-1/2}, whose eigenvalues are the curvatures."""
-    S = _inv_sqrt_metric(h, W, grad)
+def _symmetrized_form(h, h1, W, grad, hess, S):
+    """g^{-1/2} a g^{-1/2}, whose eigenvalues are the curvatures, from the
+    components S of g^{-1/2} (_inv_sqrt_metric)."""
     a = _second_form(h, h1, W, grad, hess)
     if len(S) == 1:
         return [S[0] * a[0] * S[0]]
@@ -293,7 +294,8 @@ def geometry_from_derivatives(zvals, grad, hess, grid, profile):
     # its rank-one form: at fine 1D grids the residual's rounding floor is
     # near newton_tol, so this evaluation order is kept to keep 1D
     # iterates, and Newton counts, unchanged to the last bit
-    st = _symmetrized_form(h, h1, W, grad, hess)
+    S = _inv_sqrt_metric(h, W, grad)
+    st = _symmetrized_form(h, h1, W, grad, hess, S)
     if grid.n == 1:
         lam, frame = st[0][..., None], None
     else:
@@ -301,7 +303,7 @@ def geometry_from_derivatives(zvals, grad, hess, grid, profile):
         lam = np.stack([lam_max, lam_min], axis=-1)
         frame = (c, s)
     return GraphGeometry(grid, profile, np.asarray(zvals, dtype=float), grad,
-                         hess, h, h1, h2, W, lam, frame)
+                         hess, h, h1, h2, W, lam, frame, S)
 
 
 def compute_geometry(z, grid=None, profile=None):

@@ -91,6 +91,7 @@ class TorusGrid:
         self.shape = (self.N,) * self.n
         self.size = self.N ** self.n
         self._table = None
+        self._sums = None
         self._coloring = None
         self._pattern = None
 
@@ -137,20 +138,30 @@ class TorusGrid:
         times the field shifted by its offset (a slice of the field
         wrap-padded by the stencil radius), summed in table order, and
         the sum scaled once at the end."""
-        r = self.order // 2
+        wrap, ops = self._sums_table()
         padded = values
         for d in range(self.n):
-            padded = padded.take(np.arange(-r, self.N + r), d, mode="wrap")
+            padded = padded.take(wrap, d)
         out = []
-        for stencil, scale in map(self._stencils().get, keys):
-            terms = (w * padded[tuple(slice(r + o, r + o + self.N)
-                                      for o in off)]
-                     for off, w in stencil.items())
-            acc = next(terms)
-            for term in terms:
-                acc += term
+        for key in keys:
+            ((first, w), *rest), scale = ops[key]
+            acc = w * padded[first]
+            for sl, w in rest:
+                acc += w * padded[sl]
             out.append(acc * scale)
         return out
+
+    def _sums_table(self):
+        """What _stencil_sums reads, cached: the wrapped index that pads an
+        axis by the stencil radius r, and per operator its (slice tuple,
+        weight) terms in table order with its scale."""
+        if self._sums is None:
+            r, N = self.order // 2, self.N
+            ops = {key: ([(tuple(slice(r + o, r + o + N) for o in off), w)
+                          for off, w in stencil.items()], scale)
+                   for key, (stencil, scale) in self._stencils().items()}
+            self._sums = (np.arange(-r, N + r) % N, ops)
+        return self._sums
 
     def gradient(self, values):
         """Periodic centered gradient, shape (n,) + grid shape."""

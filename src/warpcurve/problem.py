@@ -142,6 +142,9 @@ class Prescription:
     validated: bool = False
     angular: np.ndarray = field(default=None, repr=False)
     coords: np.ndarray = field(default=None, repr=False)
+    # h_psi over all nodes, read-only: constant per prescription
+    _h_psi: np.ndarray = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.form not in ("radial-decay", "custom"):
@@ -155,8 +158,14 @@ class Prescription:
                                 for c in self.grid.coords()])
 
     def h_psi(self, node=slice(None)):
-        """h psi = c0 + eps g(u) of the radial-decay form, per node."""
-        return self.c0 + self.eps * self.angular[node]
+        """h psi = c0 + eps g(u) of the radial-decay form, per node; over
+        all nodes it is computed once and returned read-only."""
+        if not (isinstance(node, slice) and node == slice(None)):
+            return self.c0 + self.eps * self.angular[node]
+        if self._h_psi is None:
+            self._h_psi = self.c0 + self.eps * self.angular
+            self._h_psi.flags.writeable = False
+        return self._h_psi
 
     def psi(self, t, h, node=slice(None)):
         """psi at heights t over the selected nodes, from h = h(t)."""

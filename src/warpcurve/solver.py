@@ -14,16 +14,18 @@ which needs no matrix square roots and stays smooth through eigenvalue
 crossings because f is symmetric.  Writing M = sum f_i v_i v_i^T and
 M2 = sum f_i lam_i v_i v_i^T (GraphGeometry.frame_sum, in components),
 the per-node sensitivities to (z, grad z, hess z) are one coefficient per
-stencil operator.  J is assembled straight into the grid's fixed CSR
-layout (TorusGrid.stencil_pattern: row i holds the columns i + o in
-footprint order) as one product: coefficients (size x operators) times
-the weights (operators x offsets) of the operator table the residual's
-derivatives apply.  Newton uses this analytic J only
-(assemble_jacobian).  The colored finite-difference Jacobian built here
-(_fd_colored_jacobian, reached through oracle.fd_colored_jacobian) is
-the entrywise reference the tests check it against; it writes into the
-same layout, and TorusGrid.pattern_matrix builds both.  verify checks J
-by directional probes of the residual instead.
+stencil operator.  J is built as its data in the grid's fixed CSR layout
+(TorusGrid.stencil_pattern: row i holds the columns i + o in footprint
+order), (size x offsets), as one product: coefficients (size x
+operators) times the weights (operators x offsets) of the operator table
+the residual's derivatives apply.  It stays layout data until a matrix
+is needed: the n = 1 band solve reads the data directly, and
+TorusGrid.pattern_matrix wraps it for GMRES, the sparse fallback and
+assemble_jacobian.  Newton uses this analytic J only.  The colored
+finite-difference Jacobian built here (_fd_colored_jacobian, reached
+through oracle.fd_colored_jacobian) is the entrywise reference the tests
+check it against, in the same layout.  verify checks J by directional
+probes of the residual instead.
 
 Each Newton step solves J delta = -R.  At n = 1 J is a periodic band
 matrix: the band of half-width b (the stencil radius) plus b wrapped
@@ -31,8 +33,9 @@ entries in the corners of the first and last b rows.  Its data in the
 fixed layout go straight into LAPACK band storage, and the corners are a
 rank-2b Woodbury correction (Temperton, J. Comput. Phys. 19, 1975; Hager,
 SIAM Rev. 31, 1989): one band solve with 1 + 2b right-hand sides, then a
-2b x 2b solve.  A singular band part or a non-finite result falls back to
-the sparse direct solve.  At n = 2 the step is restarted GMRES (_gmres),
+2b x 2b solve; the seam's index structure is cached per (size, b).  A
+singular band part or a non-finite result falls back to the sparse
+direct solve.  At n = 2 the step is restarted GMRES (_gmres),
 right-preconditioned by the circulant part of J (T. Chan, SIAM J. Sci.
 Stat. Comput. 9, 1988): the periodic stencils are circulant, so the mean
 coefficient per stencil offset (the column means of J's data in the fixed
@@ -53,17 +56,22 @@ Newton's contraction rate (Deuflhard, "Newton Methods for Nonlinear
 Problems", 2004): Newton abandons the step as soon as two successive
 undamped corrections give Theta_k = |Delta_k|_inf / |Delta_{k-1}|_inf
 > 1/2, after two linear solves rather than a run to its iteration or
-backtracking budget.  That and any other NewtonStall halve ds; after a
-step whose first contraction Theta_1 is <= 1/4, ds doubles, clamped to
-land on s = 1.  Every accepted state is asserted to lie in the barrier
-slab and the cone; its monitors (residual, cone margin, gradient,
-curvature) are read from the evaluation Newton ended on.  When the step
-falls below ds_min, the ContinuationStall is raised from the last
-NewtonStall and repeats its message, so the cause is named.
+backtracking budget.  That, any other NewtonStall and a Newton iterate
+that leaves the barrier slab (BarrierViolation) halve ds; after a step
+whose first contraction Theta_1 is <= 1/4, ds doubles, clamped to land
+on s = 1.  Every accepted state is asserted to lie in the barrier slab
+and the cone; its monitors (residual, cone margin, gradient, curvature)
+are read from the evaluation Newton ended on.  Each step, at the next s
+or after a halving, starts from that evaluation: the geometry and f of
+a z do not depend on s, so only Psi is computed again, and Newton
+releases the evaluation once it has moved past it.  When the step falls
+below ds_min, the ContinuationStall is raised from the last cause and
+repeats its message, so the cause is named.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,9 +120,15 @@ class _EvalState:
     res: np.ndarray
 
 
-def _evaluate(zvals, s, hp):
-    geom = compute_geometry(zvals, hp.grid, hp.profile)
-    fvals = curvature.f_eval(hp.spec, geom.lam)
+def _evaluate(zvals, s, hp, at=None):
+    """The residual's evaluation at (z, s).  at, an evaluation of the same
+    z at any s, lends its geometry and f, which do not depend on s, so
+    only Psi is computed again."""
+    if at is None:
+        geom = compute_geometry(zvals, hp.grid, hp.profile)
+        fvals = curvature.f_eval(hp.spec, geom.lam)
+    else:
+        geom, fvals = at.geom, at.fvals
     psi, psi_t = hp.psi_of(s, zvals, geom.h, geom.h1)
     return _EvalState(geom=geom, fvals=fvals, psi=psi, psi_t=psi_t,
                       res=fvals - psi)
@@ -138,8 +152,8 @@ def _jacobian_coefficients(state, hp):
     n = hp.grid.n
     h, h1, h2, W = geom.h, geom.h1, geom.h2, geom.W
     rng = range(n)
-    p = [geom.grad[..., d] for d in rng]
-    H = geom.hess
+    p = geom._grad                     # components, grid layout
+    H = geom._hess
     # f_eval has checked the cone at these eigenvalues already
     fi = curvature.f_grad(hp.spec, geom.lam)
     fl = fi * geom.lam
@@ -148,7 +162,7 @@ def _jacobian_coefficients(state, hp):
     sfl = fl.sum(axis=-1)
     Mp = [sum(M[i][j] * p[j] for j in rng) for i in rng]
     M2p = [sum(M2[i][j] * p[j] for j in rng) for i in rng]
-    MH = sum(M[i][j] * H[..., i, j] for i in rng for j in rng)
+    MH = sum(M[i][j] * H[i][j] for i in rng for j in rng)
     pMp = sum(p[i] * M[i][j] * p[j] for i in rng for j in rng)
     trM = sum(M[i][i] for i in rng)
     trM2 = sum(M2[i][i] for i in rng)
@@ -164,11 +178,13 @@ def _jacobian_coefficients(state, hp):
 
 
 def _analytic_jacobian(state, hp):
+    """J's data in the fixed layout, (size x offsets): row i holds the
+    entries at the columns i + o, o over the stencil footprint.
+    grid.pattern_matrix makes it a CSR matrix where one is needed."""
     grid = hp.grid
     coef = [grid.flatten(c) for c in _jacobian_coefficients(state, hp)]
     # (size x operators) coefficients times (operators x offsets) weights
-    return grid.pattern_matrix(np.stack(coef, axis=1)
-                               @ grid.stencil_pattern()[2])
+    return np.stack(coef, axis=1) @ grid.stencil_pattern()[2]
 
 
 def _fd_colored_jacobian(zvals, s, hp, step):
@@ -191,7 +207,8 @@ def _fd_colored_jacobian(zvals, s, hp, step):
 def assemble_jacobian(z, s, hp):
     """Sparse analytic Jacobian of the residual at z, in the fixed layout."""
     zvals = z.values if isinstance(z, NodeField) else np.asarray(z, float)
-    return _analytic_jacobian(_evaluate(zvals, s, hp), hp)
+    return hp.grid.pattern_matrix(_analytic_jacobian(_evaluate(zvals, s, hp),
+                                                     hp))
 
 
 @dataclass
@@ -202,7 +219,8 @@ class NewtonStats:
     # first contraction |Delta_1| / |Delta_0| of the undamped corrections;
     # 0 when Newton took at most one iteration
     theta0: float = 0.0
-    # the evaluation of the returned iterate, read by the step monitors
+    # the evaluation of the returned iterate, read by the step monitors and
+    # lent to the next solve from the same iterate (newton_solve's at)
     state: _EvalState = field(default=None, repr=False, compare=False)
 
     @property
@@ -303,16 +321,33 @@ def _gmres(J, rhs, precond, rtol=1e-12, restart=50, maxiter=4):
     return x, False
 
 
-def _cyclic_band_solve(J, rhs):
-    """Solve J x = rhs for a periodic band J (n = 1) in the fixed layout.
+@functools.lru_cache(maxsize=None)
+def _seam(size, b):
+    """The seam structure of _cyclic_band_solve, per (size, b): the nodes
+    S, the mask of the (2b x 2b) entries of C that cross the seam, and
+    their flat index into J's (size x (2b + 1)) data."""
+    S = np.r_[0:b, size - b:size]
+    # signed offset between the nodes of S; the b first and the b last
+    # meet only across the seam
+    p, q = np.indices((2 * b, 2 * b))
+    o = (S[q] - S[p] + b) % size - b
+    cross = (np.abs(o) <= b) & ((p < b) != (q < b))
+    gather = S[p[cross]] * (2 * b + 1) + o[cross] + b
+    for arr in (S, cross, gather):
+        arr.flags.writeable = False
+    return S, cross, gather
 
-    Column k of J's data holds offset o = k - b.  J = A + P C P^T, with A
-    the band part, P selecting the b first and the b last nodes S and C
-    the entries of J between them that cross the seam, so by Woodbury
+
+def _cyclic_band_solve(D, rhs):
+    """Solve J x = rhs for a periodic band J (n = 1) from its data D.
+
+    D is J's data in the fixed layout, (size x (2b + 1)): column k holds
+    offset o = k - b.  J = A + P C P^T, with A the band part, P selecting
+    the b first and the b last nodes S and C the entries of J between
+    them that cross the seam, so by Woodbury
     x = y - Z (I + C Z_S)^{-1} C y_S with A [y, Z] = [rhs, P].
     """
-    size = J.shape[0]
-    D = J.data.reshape(size, -1)
+    size = D.shape[0]
     b = D.shape[1] // 2
     # LAPACK band storage: ab[b - o, j] = J[j - o, j]
     ab = np.zeros((2 * b + 1, size))
@@ -320,14 +355,9 @@ def _cyclic_band_solve(J, rhs):
         o = k - b
         lo, hi = max(o, 0), size + min(o, 0)
         ab[b - o, lo:hi] = D[lo - o:hi - o, k]
-    S = np.r_[0:b, size - b:size]
-    # signed offset between the nodes of S; the b first and the b last
-    # meet only across the seam
-    p, q = np.indices((2 * b, 2 * b))
-    o = (S[q] - S[p] + b) % size - b
-    cross = (np.abs(o) <= b) & ((p < b) != (q < b))
+    S, cross, gather = _seam(size, b)
     C = np.zeros((2 * b, 2 * b))
-    C[cross] = D[S[p[cross]], o[cross] + b]
+    C[cross] = D.ravel()[gather]
     B = np.zeros((size, 1 + 2 * b))
     B[:, 0] = rhs
     B[S, np.arange(1, 2 * b + 1)] = 1.0
@@ -337,18 +367,21 @@ def _cyclic_band_solve(J, rhs):
     return y - Z @ np.linalg.solve(cap, C @ y[S])
 
 
-def _linear_step(J, rhs, grid):
-    """Solve J delta = rhs: a cyclic band solve at n = 1, FFT-preconditioned
-    GMRES at n = 2, each with a direct fallback (see the module docstring)."""
+def _linear_step(D, rhs, grid):
+    """Solve J delta = rhs, J given by its data D in the fixed layout: a
+    cyclic band solve at n = 1, FFT-preconditioned GMRES at n = 2, each
+    with a direct fallback (see the module docstring).  Only GMRES and
+    the fallback build the CSR matrix."""
     if grid.n == 1:
         try:
-            delta = _cyclic_band_solve(J, rhs)
+            delta = _cyclic_band_solve(D, rhs)
         except np.linalg.LinAlgError:      # singular band or corner system
             pass
         else:
             if np.all(np.isfinite(delta)):
                 return delta
-    else:
+    J = grid.pattern_matrix(D)
+    if grid.n == 2:
         sym = _circulant_symbol(J, grid)
         if np.all(np.isfinite(sym)) and np.all(sym != 0):
             # tight enough that Newton counts and iterates match spsolve
@@ -370,7 +403,8 @@ def _check_barrier(zvals, barrier):
             f"({lo:.6g}, {hi:.6g})")
 
 
-def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
+def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None,
+                 at=None):
     """Damped Newton at fixed s; every accepted iterate stays admissible.
 
     Backtracks (up to _MAX_HALVINGS times) while the trial is inadmissible,
@@ -379,11 +413,18 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
     asserted to stay strictly inside them.  When theta_max is given (the
     continuation does), a NewtonStall is raised as soon as the undamped
     corrections contract by a ratio above it.
+
+    at, the NewtonStats of a solve that returned z0 (the continuation's
+    last accepted step), lends its evaluation at.state to the start, whose
+    geometry and f do not depend on s (see _evaluate).  Once Newton
+    accepts an iterate it has moved past z0, and at.state is released, so
+    that the evaluation is not held through the solve.
     """
     cfg = cfg or SolverConfig()
     zvals = (z0.values if isinstance(z0, NodeField) else np.asarray(z0, float)
              ).copy()
-    state = _evaluate(zvals, s, hp)   # ConeError here = inadmissible start
+    # ConeError here = inadmissible start
+    state = _evaluate(zvals, s, hp, at=None if at is None else at.state)
     _check_barrier(zvals, barrier)
     rnorm = float(np.abs(state.res).max())
     norms = [rnorm]
@@ -395,8 +436,8 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
             raise NewtonStall(
                 f"no convergence in {cfg.max_newton} iterations at s={s:.6g} "
                 f"(residual {rnorm:.3e})")
-        J = _analytic_jacobian(state, hp)
-        delta = _linear_step(J, -hp.grid.flatten(state.res), hp.grid)
+        delta = _linear_step(_analytic_jacobian(state, hp),
+                             -hp.grid.flatten(state.res), hp.grid)
         if not np.all(np.isfinite(delta)):
             raise NewtonStall(f"non-finite linear step at s={s:.6g} "
                               f"(residual {rnorm:.3e})")
@@ -430,6 +471,8 @@ def newton_solve(z0, s, hp, cfg=None, barrier=None, theta_max=None):
         if not accepted:
             raise NewtonStall(
                 f"backtracking exhausted at s={s:.6g} (residual {rnorm:.3e})")
+        if at is not None:                # moved past z0: end the loan
+            at.state = None
         _check_barrier(zvals, barrier)
         iters += 1
         norms.append(rnorm)
@@ -479,9 +522,8 @@ class SolveReport:
 
 def _monitors(stats, hp, s, ds):
     """The StepRecord of the state Newton accepted at s, a step ds after
-    the last, read from Newton's evaluation of it.  The evaluation is then
-    dropped from stats, so that it is not held through the next solve."""
-    state, stats.state = stats.state, None
+    the last, read from Newton's evaluation of it, stats.state."""
+    state = stats.state
     zvals = state.geom.z
     margin = curvature.cone_margin(hp.spec, state.geom.lam)
     return StepRecord(s, ds, stats.iterations, float(np.abs(state.res).max()),
@@ -495,11 +537,13 @@ def continuation(hp, cfg=None):
 
     The first step tries s = cfg.ds0 (by default s = 1 at once).  Newton
     abandons a step as soon as a correction fails to contract by 1/2
-    (Theta > 1/2); that and any other NewtonStall halve ds, and below
-    ds_min a ContinuationStall names the last stall.  After an accepted
-    step whose first contraction Theta_1 is <= 1/4, ds doubles, clamped
-    so that s = 1 is hit exactly.  Accepted states are asserted to stay
-    inside the barrier slab and the admissibility cone.
+    (Theta > 1/2); that, any other NewtonStall and a Newton iterate that
+    leaves the barrier slab halve ds, and below ds_min a
+    ContinuationStall names the last cause.  After an accepted step whose
+    first contraction Theta_1 is <= 1/4, ds doubles, clamped so that
+    s = 1 is hit exactly.  Accepted states are asserted to stay inside
+    the barrier slab and the admissibility cone.  Each step starts from
+    the evaluation Newton accepted last: the same z, so only Psi changes.
     """
     cfg = cfg or SolverConfig()
     barrier = (hp.t_minus, hp.t_plus)
@@ -513,13 +557,15 @@ def continuation(hp, cfg=None):
         s_try = min(s + ds, 1.0)
         try:
             z_new, stats = newton_solve(z, s_try, hp, cfg, barrier=barrier,
-                                        theta_max=_THETA_MAX)
-        except NewtonStall as exc:
+                                        theta_max=_THETA_MAX, at=stats)
+        except (NewtonStall, BarrierViolation) as exc:
             ds *= 0.5
             if ds < cfg.ds_min:
+                cause = exc if isinstance(exc, NewtonStall) \
+                    else f"barrier exit: {exc}"
                 raise ContinuationStall(
                     f"step fell below ds_min = {cfg.ds_min:.3e} at s = {s:.6g}"
-                    f": {exc}") from exc
+                    f": {cause}") from exc
             continue
         z = z_new
         step = _monitors(stats, hp, s_try, s_try - s)

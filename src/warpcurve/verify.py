@@ -16,6 +16,7 @@ import numpy as np
 
 from . import curvature, oracle
 from .ambient import kappa
+from .errors import ConeError
 from .geometry import (compute_geometry, matrix_derivative,
                        special_frame_deviations, support_identity_check)
 from .grid import NodeField, make_grid, random_smooth
@@ -193,6 +194,19 @@ def _support_order_rows(hp):
     return rows
 
 
+def _cone_jacobian(hp, dz, s):
+    """(z, J at z) for z = t0 + dz, dz halved until z lies in the cone,
+    where J is defined (assemble_jacobian raises ConeError outside).  It
+    draws nothing, so a state already inside is unchanged, and it ends:
+    at z = t0 every curvature is kappa > 0."""
+    while True:
+        z = hp.t0 + dz
+        try:
+            return z, assemble_jacobian(z, s, hp)
+        except ConeError:
+            dz = 0.5 * dz
+
+
 def jacobian_rows(hp, seed, states=3):
     """Directional probes of Newton's analytic J at seeded states.
 
@@ -203,16 +217,18 @@ def jacobian_rows(hp, seed, states=3):
     evaluations per state.  The step scales with the stencil: d2
     amplifies a perturbation by 1/dx^2, so h = _PROBE_STEP dx^2
     (1 + |z|_inf) keeps the truncation error independent of N.  The
-    error is relative to max |J v|.
+    error is relative to max |J v|.  Each state is t0 plus a smooth
+    field of amplitude 0.04 (t_plus - t_minus), halved until the state
+    lies in the cone (_cone_jacobian).
     """
     grid = hp.grid
     rng = np.random.default_rng(seed + 3)
     amp = 0.04 * (hp.t_plus - hp.t_minus)
-    drawn = [(hp.t0 + random_smooth(grid, rng, amp),
-              float(rng.uniform(0.0, 1.0))) for _ in range(states)]
+    drawn = [(random_smooth(grid, rng, amp), float(rng.uniform(0.0, 1.0)))
+             for _ in range(states)]
     worst = 0.0
-    for z, s in drawn:
-        J = assemble_jacobian(z, s, hp)
+    for dz, s in drawn:
+        z, J = _cone_jacobian(hp, dz, s)
         h = _PROBE_STEP * grid.dx ** 2 * (1.0 + float(np.abs(z).max()))
         for v in rng.choice((-1.0, 1.0), size=(_PROBES,) + grid.shape):
             Jv = J @ grid.flatten(v)

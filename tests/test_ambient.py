@@ -35,6 +35,27 @@ def test_eval_outside_interval_raises():
         prof.eval(0.2)   # interval is open
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.2, 3.0])
+@pytest.mark.parametrize("shape", ["scalar", "0-d", "array"])
+def test_domain_check_rejects_non_finite_heights_and_the_ends(bad, shape):
+    # one min and one max: a NaN anywhere fails both comparisons
+    prof = wc.WarpingProfile.cosh(0.2, 3.0)
+    t = {"scalar": bad, "0-d": np.array(bad),
+         "array": np.array([1.0, bad, 2.0])}[shape]
+    with pytest.raises(wc.DomainError, match="outside profile interval"):
+        prof.eval(t)
+    with pytest.raises(wc.DomainError):
+        prof.antiderivative(t)
+    inside = np.array([0.2 + 1e-12, 1.0, 3.0 - 1e-12])
+    assert np.array_equal(prof.eval(inside)[0], np.cosh(inside))
+    assert prof.eval(np.empty(0))[0].size == 0
+
+
+def test_cosh_profile_aliases_h_and_h2():
+    h, h1, h2 = wc.WarpingProfile.cosh(0.2, 3.0).eval(np.linspace(0.5, 2, 5))
+    assert h2 is h
+
+
 def test_kappa_values():
     assert kappa(wc.WarpingProfile.exp(-2.0, 2.0), 0.3) == pytest.approx(1.0)
     prof = wc.WarpingProfile.cosh(0.2, 3.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
-from warpcurve import verify
+from warpcurve import curvature, verify
 from warpcurve.curvature import (CurvatureSpec, check_structural, f_eval,
                                  f_grad, in_cone, sample_cone, sym_poly)
 from warpcurve.geometry import matrix_derivative
@@ -24,6 +24,37 @@ def test_sym_poly_values():
     assert sym_poly([1.0, 1.0], 1) == pytest.approx(2.0)
     assert sym_poly([0.3, -0.1], 2) == pytest.approx(-0.03, rel=1e-14)
     assert sym_poly([5.0, -2.0], 0) == 1.0
+
+
+_SPECIAL = [0.0, -0.0, 1.5, -2.25, 1e-300, np.nan, np.inf, -np.inf]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+# inf - inf and 0 * inf are NaN on both paths
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+def test_unrolled_sym_poly_is_the_recurrence_bit_for_bit(n):
+    # every n-tuple of special values, batched and one point at a time
+    grid = np.meshgrid(*[np.array(_SPECIAL)] * n, indexing="ij")
+    lam = np.stack([g.ravel() for g in grid], axis=-1)
+    for q in range(n + 1):
+        ref = curvature._sym_poly_recurrence(lam, q)
+        assert _bits(sym_poly(lam, q)) == _bits(ref)
+        assert _bits(sym_poly(lam.reshape(-1, 4, n), q)) \
+            == _bits(ref.reshape(-1, 4))
+        for point, value in zip(lam, ref):
+            got = sym_poly(point, q)
+            assert type(got) is float and _bits(got) == _bits(value)
+    for q in range(n):
+        ref = np.stack([curvature._sym_poly_recurrence(
+            lam[:, np.arange(n) != i], q) for i in range(n)], axis=-1)
+        assert _bits(curvature._sym_poly_reduced(lam, q)) == _bits(ref)
+        assert _bits(curvature._sym_poly_reduced(lam[0], q)) == _bits(ref[0])
+    with pytest.raises(wc.ConfigError):
+        sym_poly(lam, n + 1)
 
 
 def test_in_cone_cases():

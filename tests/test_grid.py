@@ -216,6 +216,21 @@ def test_table_derivatives_match_the_roll_reference(n, N, order):
         assert np.array_equal(hess[0, 1], hess[1, 0])
 
 
+def test_stencil_sums_cache_is_per_grid():
+    # grids of different N and order, called in turn: each reads its own
+    # cached wrap index and slice terms
+    grids = [wc.make_grid(n, N, order=order) for n, N, order in
+             ((2, 16, 2), (2, 24, 4), (1, 40, 4), (1, 16, 2))]
+    for _ in range(2):
+        for g in grids:
+            z = wc.random_smooth(g, np.random.default_rng(g.N), 0.3, 3)
+            ref_grad, ref_hess = _roll_derivatives(g, z)
+            hess = g.hessian(z)
+            assert np.array_equal(g.gradient(z), ref_grad)
+            for d in range(g.n):
+                assert np.array_equal(hess[d, d], ref_hess[d, d])
+
+
 def test_sparse_operators_match_roll_stencils():
     for n, N, order in ((1, 32, 2), (1, 32, 4), (2, 16, 2), (2, 16, 4)):
         g = wc.make_grid(n, N, order=order)

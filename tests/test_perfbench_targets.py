@@ -8,10 +8,14 @@ layer whose wrapped attribute the library stopped calling would read 0
 without breaking anything, so the grid.stencil layer's calls are checked
 too.  The benchmark checks its solves against barrier_crossings, so the
 two-node crossings of every reference case are pinned here to the
-all-node ones, and one solve2d operation runs through its checks.
+all-node ones, and one solve2d operation runs through its checks.  A
+speedup must leave Newton's work unchanged, so every reference case's
+per-step Newton counts are pinned (tests/data) and its z range checked
+against the benchmark's stored reference.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -110,3 +114,25 @@ def test_reference_crossings_equal_the_all_node_path(monkeypatch):
             mismatched.append((case.key, two, every))
     assert len(cases) == 120
     assert mismatched == []
+
+
+def test_reference_cases_keep_their_newton_counts_and_z():
+    # the 120 solves any seed can draw: the per-step Newton counts are
+    # pinned, and each z range is the benchmark's reference within its
+    # tolerance (perfbench/reference.json is read, never written)
+    workloads = _load("workloads")
+    pinned = json.loads((Path(__file__).resolve().parent / "data"
+                         / "reference_newton_counts.json").read_text())
+    reference = workloads.load_reference()
+    cases, moved = workloads.reference_cases(), []
+    assert len(cases) == len(pinned) == 120
+    for case in cases:
+        _, hp = workloads.setup(case)
+        z, report = wc.continuation(hp, workloads.SOLVER_CONFIG)
+        iters = [st.newton_iters for st in report.steps]
+        zr = (float(z.values.min()), float(z.values.max()))
+        ref = reference[case.key]
+        if iters != pinned[case.key] or max(
+                abs(a - b) for a, b in zip(zr, ref)) > workloads.Z_REF_TOL:
+            moved.append((case.key, iters, zr))
+    assert moved == []

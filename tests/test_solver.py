@@ -302,6 +302,11 @@ def _wavy_system(hp, jacobian=assemble_jacobian, seed=5):
     return J, -hp.grid.flatten(residual(z, 0.5, hp).values)
 
 
+def _data(J, grid):
+    """The fixed-layout data _linear_step takes, of a CSR J in that layout."""
+    return J.data.reshape(grid.size, -1)
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("this solver must not be called")
 
@@ -317,14 +322,14 @@ def test_krylov_step_matches_direct_solve(order, jacobian, monkeypatch):
     J, rhs = _wavy_system(hp, jacobian)
     direct = spla.spsolve(J.tocsc(), rhs)
     monkeypatch.setattr(spla, "spsolve", _forbidden)   # Krylov path only
-    delta = _linear_step(J, rhs, hp.grid)
+    delta = _linear_step(_data(J, hp.grid), rhs, hp.grid)
     assert np.abs(delta - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
 def test_krylov_failure_falls_back_to_direct_solve(hp2_wavy, monkeypatch):
     J, rhs = _wavy_system(hp2_wavy)
     monkeypatch.setattr(solver, "_gmres", _gmres_misses)
-    delta = _linear_step(J, rhs, hp2_wavy.grid)
+    delta = _linear_step(_data(J, hp2_wavy.grid), rhs, hp2_wavy.grid)
     assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
 
 
@@ -339,7 +344,7 @@ def test_one_dimensional_step_is_a_direct_solve(monkeypatch):
                 m.setattr(spla, "gmres", _forbidden)
                 m.setattr(solver, "_gmres", _forbidden)
                 m.setattr(spla, "spsolve", _forbidden)
-                delta = _linear_step(J, rhs, hp.grid)
+                delta = _linear_step(_data(J, hp.grid), rhs, hp.grid)
             assert np.abs(delta - direct).max() \
                 <= 1e-10 * np.abs(direct).max()
 
@@ -428,7 +433,7 @@ def test_band_failure_falls_back_to_direct_solve(hp1_wavy, band,
                                                  monkeypatch):
     J, rhs = _wavy_system(hp1_wavy)
     monkeypatch.setattr(solver.sla, "solve_banded", band)
-    delta = _linear_step(J, rhs, hp1_wavy.grid)
+    delta = _linear_step(_data(J, hp1_wavy.grid), rhs, hp1_wavy.grid)
     assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
 
 
@@ -541,7 +546,7 @@ def _wavy_state(n, order, seed=11, N=None):
 @pytest.mark.parametrize("n", [1, 2])
 def test_pattern_jacobian_matches_operator_sum(n, order):
     hp, _, state = _wavy_state(n, order)
-    J = solver._analytic_jacobian(state, hp)
+    J = hp.grid.pattern_matrix(solver._analytic_jacobian(state, hp))
     ref = _reference_jacobian(state, hp)
     assert J.nnz == hp.grid.size * len(hp.grid.stencil_footprint())
     diff = np.abs((J - ref).toarray()).max()
@@ -789,3 +794,85 @@ def test_standalone_newton_has_no_contraction_check(cosh_profile,
     assert stats.residual_norms[-1] <= 1e-10
     with pytest.raises(wc.NewtonStall, match="Newton contraction"):
         newton_solve(z0, 1.0, hp, theta_max=solver._THETA_MAX)
+
+
+# -- reused evaluations, barrier exits and cached structure -------------------
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_evaluation_lent_from_another_s_equals_a_fresh_one(n):
+    hp, z, _ = _wavy_state(n, 2)
+    lent = solver._evaluate(z, 0.3, hp)
+    got = solver._evaluate(z, 0.6, hp, at=lent)
+    fresh = solver._evaluate(z, 0.6, hp)
+    assert got.geom is lent.geom
+    for name in ("fvals", "psi", "psi_t", "res"):
+        assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
+    assert got.geom.lam.tobytes() == fresh.geom.lam.tobytes()
+    J, Jf = (solver._analytic_jacobian(st, hp) for st in (got, fresh))
+    assert J.tobytes() == Jf.tobytes()
+
+
+def test_the_loan_ends_once_newton_moves_past_it(hp1_wavy):
+    z0 = NodeField.constant(hp1_wavy.grid, hp1_wavy.t0)
+    z, stats = newton_solve(z0, 0.0, hp1_wavy)
+    assert stats.iterations == 0
+    z1, stats1 = newton_solve(z, 1.0, hp1_wavy, at=stats)
+    assert stats1.iterations > 0 and stats.state is None
+    z2, _ = newton_solve(z, 1.0, hp1_wavy)
+    assert np.array_equal(z1.values, z2.values)
+
+
+def _barrier_exit_problem():
+    # a Newton iterate of the full step dips below t_minus = 1.1741
+    prof = wc.WarpingProfile.exp(-0.038, 2.994)
+    p = wc.build_prescription(prof, wc.CurvatureSpec(1, 1),
+                              wc.make_grid(1, 256), c0=3.8176, eps=0.5486,
+                              mode=1, t_minus=1.1741, t_plus=1.6241)
+    return p, wc.build_homotopy(p)
+
+
+def test_a_barrier_exit_inside_a_step_halves_ds():
+    p, hp = _barrier_exit_problem()
+    z, report = continuation(hp)
+    assert [st.newton_iters for st in report.steps] == [0, 4, 4]
+    assert [st.s for st in report.steps] == [0.0, 0.5, 1.0]
+    assert report.final.residual <= SolverConfig().newton_tol
+    lo, hi = wc.barrier_crossings(p)
+    for st in report.steps:
+        assert hp.t_minus < st.z_min and st.z_max < hp.t_plus
+    assert lo <= z.values.min() and z.values.max() <= hi
+    # the same run from ds0 = 0.5 has no barrier exit to recover from
+    zh, _ = continuation(hp, SolverConfig(ds0=0.5))
+    assert np.array_equal(z.values, zh.values)
+
+
+def test_a_continuation_stall_names_a_barrier_exit():
+    _, hp = _barrier_exit_problem()
+    with pytest.raises(wc.ContinuationStall) as exc:
+        continuation(hp, SolverConfig(ds_min=0.6))
+    assert isinstance(exc.value.__cause__, wc.BarrierViolation)
+    assert "barrier exit: iterate range" in str(exc.value)
+    assert str(exc.value.__cause__) in str(exc.value)
+
+
+def test_seam_and_stencil_caches_hold_per_grid():
+    # grids of different N and order, interleaved in one process
+    hps = [make_problem(n=1, N=N, eps=0.1, t_plus=1.5, order=order)
+           for N, order in ((64, 2), (96, 4), (64, 4))]
+    first = []
+    for rep in range(2):
+        for hp in hps:
+            J, rhs = _wavy_system(hp)
+            delta = solver._cyclic_band_solve(_data(J, hp.grid), rhs)
+            direct = spla.spsolve(J.tocsc(), rhs)
+            assert np.abs(delta - direct).max() \
+                <= 1e-10 * np.abs(direct).max()
+            z = hp.t0 + random_smooth(hp.grid, np.random.default_rng(3), 0.05)
+            grad = hp.grid.gradient(z)[0]
+            ref = hp.grid.d1_matrix() @ hp.grid.flatten(z)
+            assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+            if rep == 0:
+                first.append((delta, grad))
+            else:
+                a, b = first.pop(0)
+                assert np.array_equal(a, delta) and np.array_equal(b, grad)

@@ -169,3 +169,25 @@ def test_jacobian_row_passes_a_correct_jacobian_at_n512():
     hp = make_problem(n=2, N=512, r=2, eps=0.1, t_plus=1.5)
     (row,) = verify.jacobian_rows(hp, seed=12345, states=1)
     assert row.passed and row.value <= 1e-7, row.value
+
+
+def test_jacobian_probe_states_are_halved_into_the_cone():
+    # on this wide slab the second drawn state, t0 + a field of amplitude
+    # 0.04 (t_plus - t_minus), leaves Gamma_1; verify used to exit with
+    # that ConeError while the solve on the same problem succeeds
+    prof = wc.WarpingProfile.exp(-1.936, 0.566)
+    p = wc.build_prescription(prof, wc.CurvatureSpec(1, 1),
+                              wc.make_grid(1, 32), c0=0.5, eps=0.05, mode=1,
+                              t_minus=-1.7255, t_plus=0.2389)
+    hp = wc.build_homotopy(p)
+    rng = np.random.default_rng(12345 + 3)      # jacobian_rows' draws
+    amp = 0.04 * (hp.t_plus - hp.t_minus)
+    (dz0, s0), (dz1, s1) = [(random_smooth(hp.grid, rng, amp),
+                             rng.uniform(0.0, 1.0)) for _ in range(2)]
+    assemble_jacobian(hp.t0 + dz0, s0, hp)
+    with pytest.raises(wc.ConeError):
+        assemble_jacobian(hp.t0 + dz1, s1, hp)
+    rows = verify.build_condition_table(hp, seed=12345)
+    assert len(rows) == 30 and all(r.passed for r in rows)
+    probe, = [r for r in rows if r.name.startswith("oracle: analytic J v")]
+    assert probe.value <= 1e-7
