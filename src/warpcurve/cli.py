@@ -307,9 +307,7 @@ def cmd_sweep(cfg, axis):
     values = {"N": cfg.sweep_N or ((64, 128, 256) if cfg.n == 1
                                    else (24, 48, 96)),
               "eps": cfg.sweep_eps,
-              "r": cfg.sweep_r or tuple(range(1, cfg.n + 1))}.get(axis)
-    if values is None:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+              "r": cfg.sweep_r or tuple(range(1, cfg.n + 1))}[axis]
     if len(values) < 2:
         raise ConfigError(f"sweep axis {axis} needs at least 2 values, "
                           f"got {list(values)}")

@@ -4,13 +4,14 @@ The admissible symmetric function of order r in dimension n is
 
     f(lam) = (S_r(lam) / C(n, r)) ** (1/r),
 
-defined on the cone Gamma_r = {S_1 > 0, ..., S_r > 0}.  The normalization
-makes f homogeneous of degree one with f(1, ..., 1) = 1, so the radial
-level k(t) = f(kappa, ..., kappa) equals kappa(t) for every r, Euler's
-relation gives sum_i f_i lam_i = f exactly, and f is concave on Gamma_r.
-The problem layer therefore takes kappa itself as the level
-(ambient.k_level).  For n <= 2 f_eval(kappa, ..., kappa) is kappa bit for
-bit: S_1 / 1 and (kappa + kappa) / 2 are exact in binary64, and so is
+defined on the cone Gamma_r = {S_1 > 0, ..., S_r > 0}, in the dimensions
+n = 1, 2 of the torus base (CurvatureSpec takes no other).  The
+normalization makes f homogeneous of degree one with f(1, ..., 1) = 1, so
+the radial level k(t) = f(kappa, ..., kappa) equals kappa(t) for every r,
+Euler's relation gives sum_i f_i lam_i = f exactly, and f is concave on
+Gamma_r.  The problem layer therefore takes kappa itself as the level
+(ambient.k_level).  f_eval(kappa, ..., kappa) is kappa bit for bit:
+S_1 / 1 and (kappa + kappa) / 2 are exact in binary64, and so is
 the correctly rounded square root of fl(kappa^2) while kappa^2 neither
 under- nor overflows (about 1e-154 < kappa < 1e154); the tests pin it on
 the batch path (sqrt) and on the single-point path (libm pow) alike.
@@ -39,14 +40,15 @@ from .errors import ConeError, ConfigError
 
 @dataclass(frozen=True)
 class CurvatureSpec:
-    """Order r and dimension n of the curvature function, 1 <= r <= n."""
+    """Order r and dimension n of the curvature function: n in {1, 2},
+    as on the torus grid, and 1 <= r <= n."""
 
     n: int
     r: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"dimension n must be >= 1, got {self.n}")
+        if self.n not in (1, 2):
+            raise ConfigError(f"dimension n must be 1 or 2, got {self.n}")
         if not 1 <= self.r <= self.n:
             raise ConfigError(f"order r must satisfy 1 <= r <= n={self.n}")
 
@@ -56,31 +58,31 @@ class CurvatureSpec:
 
 
 def sym_poly(lam, q):
-    """Elementary symmetric polynomial S_q over the last axis; S_0 = 1.
+    """Elementary symmetric polynomial S_q over the last axis (n = 1, 2).
 
-    For n <= 2 the recurrence e_m += lam_i e_{m-1} is unrolled, one
+    S_0 = 1.  The recurrence e_m += lam_i e_{m-1} is unrolled, one
     operation per step of it, so the result is the recurrence's bit for
     bit (-0.0, NaN and inf included): S_1 = (0 + l0) + l1 and
     S_2 = 0 + l1 (0 + l0), l1 * 1 being l1 exactly.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
-    if not 0 <= q <= n:
-        raise ConfigError(f"order q must satisfy 0 <= q <= {n}")
+    if n not in (1, 2) or not 0 <= q <= n:
+        raise ConfigError(f"need n in (1, 2) and 0 <= q <= n, got n = {n}, "
+                          f"q = {q}")
     if q == 0:
         out = np.ones(lam.shape[:-1])
     elif n == 1:
         out = 0.0 + lam[..., 0]
-    elif n == 2:
+    else:
         e1 = 0.0 + lam[..., 0]
         out = e1 + lam[..., 1] if q == 1 else 0.0 + lam[..., 1] * e1
-    else:
-        out = _sym_poly_recurrence(lam, q)
     return float(out) if out.ndim == 0 else out
 
 
 def _sym_poly_recurrence(lam, q):
-    """S_q of lam (..., n) by the recurrence over the entries."""
+    """S_q of lam (..., n) by the recurrence over the entries: the tests'
+    reference for the unrolled sym_poly."""
     n = lam.shape[-1]
     batch = lam.shape[:-1]
     e = np.zeros(batch + (q + 1,))
@@ -94,19 +96,15 @@ def _sym_poly_recurrence(lam, q):
 
 
 def _sym_poly_reduced(lam, q):
-    """S_q(lam | i) with entry i omitted, shape batch + (n,).
+    """S_q(lam | i) with entry i omitted, shape batch + (n,), 0 <= q < n.
 
     Summed over the other entries directly: the recurrence
     e_q(lam|i) = e_q(lam) - lam_i e_{q-1}(lam|i) cancels when lam_i
-    dominates.  For n <= 2 it is S_0 = 1 or, at n = 2, S_1 of the other
+    dominates.  At n = 1, 2 it is S_0 = 1 or, at n = 2, S_1 of the other
     entry, 0 + l_j.
     """
     lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if n <= 2 and 0 <= q < n:
-        return np.ones(lam.shape) if q == 0 else 0.0 + lam[..., ::-1]
-    return np.stack([np.asarray(sym_poly(lam[..., np.arange(n) != i], q))
-                     for i in range(n)], axis=-1)
+    return np.ones(lam.shape) if q == 0 else 0.0 + lam[..., ::-1]
 
 
 def _cone_polys(spec, lam):

@@ -214,9 +214,9 @@ def matrix_derivative(spec, m):
     """
     m = np.asarray(m, dtype=float)
     n = spec.n
-    if n not in (1, 2) or m.shape[-2:] != (n, n):
-        raise ConfigError(f"matrix_derivative needs (..., n, n) matrices "
-                          f"with n in (1, 2), got shape {m.shape} at n = {n}")
+    if m.shape[-2:] != (n, n):
+        raise ConfigError(f"matrix_derivative needs (..., n, n) matrices, "
+                          f"got shape {m.shape} at n = {n}")
     # one flat batch, so that a single matrix takes the array path too
     flat = m.reshape(-1, n, n)
     if n == 1:
@@ -306,16 +306,12 @@ def geometry_from_derivatives(zvals, grad, hess, grid, profile):
                          hess, h, h1, h2, W, lam, frame, S)
 
 
-def compute_geometry(z, grid=None, profile=None):
+def compute_geometry(z, grid, profile):
     """Geometry of a discrete height field (stencil derivatives).
 
     Raises DomainError if any height leaves the profile interval.
     """
-    if isinstance(z, NodeField):
-        zvals = z.values
-        grid = z.grid if grid is None else grid
-    else:
-        zvals = np.asarray(z, dtype=float)
+    zvals = z.values if isinstance(z, NodeField) else np.asarray(z, float)
     return geometry_from_derivatives(
         zvals, grid.gradient(zvals), grid.hessian(zvals), grid, profile)
 

@@ -16,8 +16,8 @@ The built-in prescription family is
 
 with g a product of integer-frequency cosines.  For it h * psi is
 t-independent, so the decay hypothesis d/dt (h psi) <= 0 holds with
-equality; custom prescriptions are checked by finite differences with a
-small slack.  The gauge is the explicit closed form
+equality.  A psi_fn selects the custom form instead, checked by finite
+differences with a small slack.  The gauge is the explicit closed form
 
     phi(t) = k(t0) h(t0) exp(eps_phi (t0 - t)) / (k(t) h(t)),
 
@@ -117,18 +117,19 @@ class CheckRow:
 
 @dataclass
 class Prescription:
-    """A validated prescription psi together with its barrier levels.
+    """A prescription psi together with its barrier levels.
 
+    A psi_fn(t, x) selects the custom form (psi_t_fn, optional, is its t
+    derivative); without one c0, eps and mode set the radial-decay form.
     The per-node data is stored once, in flat node order (axis 0
     fastest): the angular factor g(u) of the radial-decay form, or the
-    node coordinates x, shape (n, size), that a custom psi_fn(t, x)
-    receives.  psi and psi_pair evaluate at heights t over the nodes a
-    flat index selects (all by default), t broadcasting against them,
-    from the caller's profile values h = h(t) and h1 = h'(t); the custom
-    form sees x[:, node], so x[d] broadcasts against t.
+    node coordinates x, shape (n, size), that a custom psi_fn receives.
+    psi and psi_pair evaluate at heights t over the nodes a flat index
+    selects (all by default), t broadcasting against them, from the
+    caller's profile values h = h(t) and h1 = h'(t); the custom form sees
+    x[:, node], so x[d] broadcasts against t.
     """
 
-    form: str
     profile: object = field(repr=False)
     spec: object = field(repr=False)
     grid: object = field(repr=False)
@@ -139,23 +140,25 @@ class Prescription:
     mode: tuple = (1,)
     psi_fn: object = field(default=None, repr=False)
     psi_t_fn: object = field(default=None, repr=False)
-    validated: bool = False
-    angular: np.ndarray = field(default=None, repr=False)
-    coords: np.ndarray = field(default=None, repr=False)
+    angular: np.ndarray = field(default=None, init=False, repr=False)
+    coords: np.ndarray = field(default=None, init=False, repr=False)
     # h_psi over all nodes, read-only: constant per prescription
     _h_psi: np.ndarray = field(default=None, init=False, repr=False,
                                compare=False)
 
     def __post_init__(self):
-        if self.form not in ("radial-decay", "custom"):
-            raise ConfigError(f"unknown prescription form {self.form!r}")
-        if self.form == "radial-decay":
+        if self.psi_fn is not None:
+            self.coords = np.stack([self.grid.flatten(c)
+                                    for c in self.grid.coords()])
+        elif self.psi_t_fn is not None:
+            raise ConfigError("psi_t_fn given, but no psi_fn to differentiate")
+        else:
             self.angular = _angular_field(self.grid, self.mode)
-            return
-        if self.psi_fn is None:
-            raise ConfigError("custom prescription needs psi_fn(t, coords)")
-        self.coords = np.stack([self.grid.flatten(c)
-                                for c in self.grid.coords()])
+
+    @property
+    def form(self):
+        """'custom' when a psi_fn is given, else 'radial-decay'."""
+        return "radial-decay" if self.psi_fn is None else "custom"
 
     def h_psi(self, node=slice(None)):
         """h psi = c0 + eps g(u) of the radial-decay form, per node; over
@@ -256,32 +259,30 @@ def _reduce(slices, tarr, pick=np.argmin, svals=None):
         where[k] if svals is None else (svals[k],) + where[k]
 
 
-def build_prescription(profile, spec, grid, form="radial-decay", c0=1.0,
-                       eps=0.0, mode=1, t_minus=None, t_plus=None,
-                       psi_fn=None, psi_t_fn=None, validate=True):
-    """Construct a prescription and verify the existence hypotheses.
+def build_prescription(profile, spec, grid, c0=1.0, eps=0.0, mode=1, *,
+                       t_minus, t_plus, psi_fn=None, psi_t_fn=None,
+                       validate=True):
+    """Construct a prescription (its form as in Prescription) and verify
+    the existence hypotheses.
 
     Checks, in order: positivity of psi on the slab, (a) psi > k at and
     below t_minus, (b) psi < k at and above t_plus, (c) d/dt (h psi) <= 0
     on [t_minus, t_plus].  Raises ValidationError naming the first failed
     hypothesis with a witnessing (t, node).
     """
-    if t_minus is None or t_plus is None:
-        raise ConfigError("prescription needs barrier levels t_minus < t_plus")
     if not (profile.t_lo < t_minus < t_plus < profile.t_hi):
         raise ConfigError(
             f"need t_lo < t_minus < t_plus < t_hi, got "
             f"({profile.t_lo}, {t_minus}, {t_plus}, {profile.t_hi})")
-    if form == "radial-decay" and not 0 < c0 < np.inf:     # NaN too
+    if psi_fn is None and not 0 < c0 < np.inf:     # NaN too
         raise ConfigError(f"radial-decay prescription needs a finite c0 > 0, "
                           f"got {c0!r}")
-    p = Prescription(form=form, profile=profile, spec=spec, grid=grid,
+    p = Prescription(profile=profile, spec=spec, grid=grid,
                      t_minus=float(t_minus), t_plus=float(t_plus),
                      c0=float(c0), eps=float(eps), mode=mode,
                      psi_fn=psi_fn, psi_t_fn=psi_t_fn)
     if validate:
         _validate_prescription(p)
-        p.validated = True
     return p
 
 
@@ -426,7 +427,7 @@ class Gauge:
     profile: object = field(repr=False)
     t0: float = 0.0
     eps_phi: float = 0.1
-    k0h0: float = field(default=0.0, repr=False)
+    k0h0: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         h0, _, _ = self.profile.eval(self.t0)
@@ -469,20 +470,22 @@ def build_phi(profile, t_minus, t_plus, t0=None, eps_phi=0.1):
     lo, hi = profile.t_lo, profile.t_hi
     inset = 1e-9 * (hi - lo)
     t = np.linspace(lo + inset, hi - inset, T_LATTICE)
-    dphi, (bad,) = _reduce([(0, g.phi_prime(t))], t, np.argmax)
-    if not dphi < 0:        # NaN too
-        # phi' = phi * (-eps_phi - kappa - kappa'/kappa): at phi = 0, or at
-        # a phi that overflowed to inf * 0 or NaN, its sign is lost, and a
-        # larger rate pushes exp(eps_phi (t0 - t)) further out of range
+    # an exp(eps_phi (t0 - t)) out of the float range is named, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        dphi, (bad,) = _reduce([(0, g.phi_prime(t))], t, np.argmax)
+        if dphi < 0:        # False on NaN too
+            return g
         phi = float(g.phi(bad))
-        if phi == 0 or (np.isnan(dphi) and not np.isfinite(phi)):
-            flow = "underflows" if phi == 0 else "overflows"
-            raise GaugeError(
-                f"phi = {phi:.6g} {flow} near t = {bad:.6g}, so phi' = "
-                f"{dphi:.6g} is not < 0; lower eps_phi")
+    # phi' = phi * (-eps_phi - kappa - kappa'/kappa): at phi = 0, or at a
+    # phi that overflowed to inf * 0 or NaN, its sign is lost, and a larger
+    # rate pushes exp(eps_phi (t0 - t)) further out of range
+    if phi == 0 or (np.isnan(dphi) and not np.isfinite(phi)):
+        flow = "underflows" if phi == 0 else "overflows"
         raise GaugeError(
-            f"phi' = {dphi:.6g} >= 0 near t = {bad:.6g}; raise eps_phi")
-    return g
+            f"phi = {phi:.6g} {flow} near t = {bad:.6g}, so phi' = "
+            f"{dphi:.6g} is not < 0; lower eps_phi")
+    raise GaugeError(
+        f"phi' = {dphi:.6g} >= 0 near t = {bad:.6g}; raise eps_phi")
 
 
 # -- homotopy ----------------------------------------------------------------

@@ -115,7 +115,6 @@ class SolverConfig:
 class _EvalState:
     geom: object
     fvals: np.ndarray
-    psi: np.ndarray
     psi_t: np.ndarray
     res: np.ndarray
 
@@ -130,8 +129,7 @@ def _evaluate(zvals, s, hp, at=None):
     else:
         geom, fvals = at.geom, at.fvals
     psi, psi_t = hp.psi_of(s, zvals, geom.h, geom.h1)
-    return _EvalState(geom=geom, fvals=fvals, psi=psi, psi_t=psi_t,
-                      res=fvals - psi)
+    return _EvalState(geom=geom, fvals=fvals, psi_t=psi_t, res=fvals - psi)
 
 
 def residual(z, s, hp):
@@ -234,18 +232,18 @@ class NewtonStats:
         return max(rb / ra ** 2 for ra, rb in tail)
 
 
-def _circulant_symbol(J, grid):
+def _circulant_symbol(D, grid):
     """Half Fourier symbol of the circulant part of J (n = 2).
 
-    J is in the grid's stencil layout, so column k of its data holds every
-    row's entry at offset k; the column means are the stencil of the
+    D is J's data in the grid's stencil layout, so its column k holds
+    every row's entry at offset k; the column means are the stencil of the
     constant-coefficient operator nearest J, which the 2D DFT
     diagonalizes exactly.  The kernel is real, so the real-FFT half
     spectrum (the last axis cut to N // 2 + 1) holds the whole symbol.
     """
     foot = np.array(grid.stencil_footprint()) % grid.N
     kernel = np.zeros(grid.shape)
-    kernel[tuple(foot.T)] = J.data.reshape(grid.size, len(foot)).mean(axis=0)
+    kernel[tuple(foot.T)] = D.mean(axis=0)
     # (C x)_i = sum_o kernel[o] x_{i+o} is a correlation, so its symbol is
     # the conjugate transform of the (real) kernel
     return np.conj(sfft.rfftn(kernel))
@@ -382,7 +380,7 @@ def _linear_step(D, rhs, grid):
                 return delta
     J = grid.pattern_matrix(D)
     if grid.n == 2:
-        sym = _circulant_symbol(J, grid)
+        sym = _circulant_symbol(D, grid)
         if np.all(np.isfinite(sym)) and np.all(sym != 0):
             # tight enough that Newton counts and iterates match spsolve
             delta, converged = _gmres(J, rhs,

@@ -149,6 +149,34 @@ def test_custom_table_rejects_nonpositive_h():
         wc.WarpingProfile.from_table(ts, ts - 1.0, require_mean_convex=False)
 
 
+def test_table_and_power_inputs_are_refused_by_name():
+    with pytest.raises(wc.ProfileError,
+                       match=r"^power profile lives on \(0, inf\)$"):
+        wc.WarpingProfile.power(2.0, -1.0, 1.0)
+    with pytest.raises(wc.ConfigError,
+                       match="^custom-table profile requires samples; use "
+                             "WarpingProfile.from_table$"):
+        wc.WarpingProfile("custom-table", (), 0.5, 1.5)
+    ts = np.linspace(0.5, 2.0, 8)
+    with pytest.raises(wc.ConfigError, match="^table abscissae must be "
+                                             "strictly increasing$"):
+        wc.WarpingProfile.from_table(np.r_[ts[:4], ts[3:7]], np.cosh(ts))
+    for lo, hi in ((0.4, 2.0), (0.5, 2.1)):
+        with pytest.raises(wc.ConfigError, match="^requested interval "
+                                                 "exceeds the table range$"):
+            wc.WarpingProfile.from_table(ts, np.cosh(ts), t_lo=lo, t_hi=hi)
+
+
+def test_eval_refuses_an_underflowed_h():
+    # t^400 underflows to 0 near the open end t = 0 of a power profile
+    prof = wc.WarpingProfile.power(400.0, 0.0, 2.0)
+    assert prof.eval(1.5)[0] > 0
+    for t in (1e-3, np.array([1.5, 1e-3])):
+        with pytest.raises(wc.ProfileError, match="^h\\(t\\) <= 0 inside "
+                                                  "the queried interval$"):
+            prof.eval(t)
+
+
 def test_antiderivative_closed_forms():
     cosh = wc.WarpingProfile.cosh(0.2, 3.0)
     assert cosh.antiderivative(1.0) == pytest.approx(SINH1, rel=1e-15)

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,25 @@ def test_an_underflowing_gauge_asks_for_a_lower_rate(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error[GaugeError]: phi = 0 underflows near t = ")
     assert err.rstrip().endswith("; lower eps_phi")
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_an_underflowing_gauge_prints_its_error_and_nothing_else(tmp_path,
+                                                                 command):
+    # a fresh interpreter, as pytest captures warnings raised in-process:
+    # the overflow of exp(eps_phi (t0 - t)) is the error's, not a warning
+    cfg = write_cfg(tmp_path, eps_phi=1e300)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from warpcurve.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", command, "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert proc.stderr == ("error[GaugeError]: phi = 0 underflows near "
+                           "t = 1.05313, so phi' = -0 is not < 0; lower "
+                           "eps_phi\n")
 
 
 def test_json_config_round_trip(tmp_path, capsys):

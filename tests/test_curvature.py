@@ -17,6 +17,12 @@ def test_spec_validation():
         CurvatureSpec(n=0, r=0)
     assert CurvatureSpec(n=2, r=2).normalization == 1.0
     assert CurvatureSpec(n=2, r=1).normalization == 2.0
+    # the torus base has n = 1 or 2, and so has every curvature function
+    with pytest.raises(wc.ConfigError, match="^dimension n must be 1 or 2, "
+                                             "got 3$"):
+        CurvatureSpec(n=3, r=1)
+    with pytest.raises(wc.ConfigError, match="need n in \\(1, 2\\)"):
+        sym_poly(np.ones(3), 1)
 
 
 def test_sym_poly_values():

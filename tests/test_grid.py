@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
-from warpcurve.grid import _W1, _W2, NodeField, load_field, reduce, save_field
+from warpcurve.grid import (_W1, _W2, NodeField, load_field, random_smooth,
+                            reduce, save_field)
 
 
 def test_make_grid_spacing():
@@ -15,6 +16,7 @@ def test_make_grid_spacing():
     assert g.dx == pytest.approx(2 * np.pi / 256, rel=1e-15)
     g2 = wc.make_grid(2, 48, order=4)
     assert g2.size == 2304
+    assert repr(g2) == "TorusGrid(n=2, N=48, L=6.28319, order=4)"
 
 
 @pytest.mark.parametrize("bad", [
@@ -97,6 +99,7 @@ def test_reduce_modes():
     assert reduce(sin, "l2") == pytest.approx(1.7724538509055160, abs=1e-3)
     with pytest.raises(wc.ConfigError):
         reduce(sin, "median")
+    assert reduce(sin, "min") == float(np.sin(g.coords()[0]).min())
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -172,6 +175,17 @@ def test_field_serialization_round_trip(tmp_path):
     assert raw == fld.values.ravel(order="F").astype("<f8").tobytes()
     back = load_field(path, g)
     assert np.array_equal(back.values, fld.values)
+    with pytest.raises(wc.ShapeError,
+                       match="^file holds 256 values, grid has 1024$"):
+        load_field(path, wc.make_grid(2, 32))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_smooth_without_modes_is_zero(n):
+    # max_freq = 0 leaves only the constant mode, which is skipped
+    g = wc.make_grid(n, 16)
+    out = random_smooth(g, np.random.default_rng(0), 0.5, max_freq=0)
+    assert out.shape == g.shape and not out.any()
 
 
 def _roll_derivatives(g, z):

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,8 @@ import warpcurve as wc
 from warpcurve import verify
 from warpcurve.ambient import kappa
 from warpcurve.problem import (CUSTOM_C_SLACK, S_LATTICE, Gauge,
-                               HomotopyProblem, barrier_crossings, build_phi,
+                               HomotopyProblem, Prescription,
+                               barrier_crossings, build_phi,
                                build_prescription, hypothesis_rows,
                                validation_lattices)
 
@@ -30,7 +33,6 @@ def test_crossing_prescription_validates(cosh, spec1):
     # psi = sinh(1)/cosh(t) crosses k = tanh(t) exactly at t = 1
     p = build_prescription(cosh, spec1, g, c0=np.sinh(1.0), eps=0.0, mode=1,
                            t_minus=0.5, t_plus=1.6)
-    assert p.validated
     lo, hi = barrier_crossings(p)
     assert lo == pytest.approx(1.0, abs=1e-12)
     assert hi == pytest.approx(1.0, abs=1e-12)
@@ -48,7 +50,7 @@ def test_hypothesis_a_failure_names_letter(cosh, spec1):
 def test_hypothesis_c_fails_for_t_constant_custom_psi(cosh, spec1):
     g = wc.make_grid(1, 64)
     with pytest.raises(wc.ValidationError) as exc:
-        build_prescription(cosh, spec1, g, form="custom",
+        build_prescription(cosh, spec1, g,
                            psi_fn=lambda t, coords: 0.7 + 0.0 * np.asarray(t),
                            t_minus=0.5, t_plus=1.2)
     assert exc.value.hypothesis == "c"   # d/dt (h psi) = h' psi > 0
@@ -78,6 +80,46 @@ def test_config_errors(cosh, spec1):
         build_prescription(cosh, spec1, g, c0=1.0, t_minus=0.1, t_plus=1.6)
 
 
+def test_psi_fn_selects_the_custom_form(cosh, spec1):
+    g = wc.make_grid(1, 64)
+    radial = build_prescription(cosh, spec1, g, c0=SINH1, t_minus=0.5,
+                                t_plus=1.5)
+    custom = build_prescription(cosh, spec1, g, psi_fn=_custom_psi,
+                                t_minus=0.5, t_plus=1.5)
+    assert (radial.form, custom.form) == ("radial-decay", "custom")
+    assert radial.coords is None and custom.angular is None
+    h = cosh.eval(1.1)[0]
+    assert np.array_equal(custom.psi(1.1, h), _custom_psi(1.1, custom.coords))
+    with pytest.raises(AttributeError):
+        custom.form = "radial-decay"            # derived, not settable
+    # a psi_t_fn differentiates a psi_fn; alone it would set nothing
+    with pytest.raises(wc.ConfigError, match="no psi_fn to differentiate"):
+        build_prescription(cosh, spec1, g, c0=SINH1, psi_t_fn=_custom_psi_t,
+                           t_minus=0.5, t_plus=1.5)
+
+
+def test_settable_surface_has_no_overwritten_or_raising_inputs():
+    def params(fn):
+        return [(q.name, q.kind.name, q.default is q.empty)
+                for q in inspect.signature(fn).parameters.values()]
+
+    def init_fields(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    pos, kw = "POSITIONAL_OR_KEYWORD", "KEYWORD_ONLY"
+    assert params(build_prescription) == [
+        ("profile", pos, True), ("spec", pos, True), ("grid", pos, True),
+        ("c0", pos, False), ("eps", pos, False), ("mode", pos, False),
+        ("t_minus", kw, True), ("t_plus", kw, True), ("psi_fn", kw, False),
+        ("psi_t_fn", kw, False), ("validate", kw, False)]
+    assert init_fields(Prescription) == [
+        "profile", "spec", "grid", "t_minus", "t_plus", "c0", "eps", "mode",
+        "psi_fn", "psi_t_fn"]
+    assert init_fields(Gauge) == ["profile", "t0", "eps_phi"]
+    assert params(wc.compute_geometry) == [
+        ("z", pos, True), ("grid", pos, True), ("profile", pos, True)]
+
+
 def test_validation_lattice_resolution(cosh, spec1):
     g = wc.make_grid(1, 64)
     p = build_prescription(cosh, spec1, g, c0=np.sinh(1.0), t_minus=0.5,
@@ -102,6 +144,13 @@ def test_gauge_error_for_fast_decaying_k_and_recovery():
         build_phi(prof, 1.0, 3.0, eps_phi=0.01)
     gauge = build_phi(prof, 1.0, 3.0, eps_phi=1.5)
     assert gauge.eps_phi == 1.5
+
+
+def test_gauge_anchor_outside_the_slab_is_a_config_error(cosh):
+    for t0 in (0.5, 2.0):
+        with pytest.raises(wc.ConfigError, match=f"^anchor t0 = {t0} must "
+                           r"lie in \(0.5, 1.5\)$"):
+            build_phi(cosh, 0.5, 1.5, t0=t0)
 
 
 def test_gauge_rejects_negative_decay(cosh):
@@ -297,8 +346,8 @@ def test_barrier_crossings_match_bisection(cosh, n, mode, eps, monkeypatch):
     g = wc.make_grid(n, 256 if n == 1 else 32)
     spec = wc.CurvatureSpec(n, 1)
     if mode is None:
-        p = build_prescription(cosh, spec, g, form="custom",
-                               psi_fn=_custom_psi, t_minus=0.5, t_plus=1.5)
+        p = build_prescription(cosh, spec, g, psi_fn=_custom_psi,
+                               t_minus=0.5, t_plus=1.5)
     else:
         p = build_prescription(cosh, spec, g, c0=np.sinh(1.0), eps=eps,
                                mode=mode, t_minus=0.5, t_plus=1.5)
@@ -358,8 +407,8 @@ def test_separable_crossings_root_find_two_nodes(cosh, monkeypatch):
                            t_minus=0.5, t_plus=1.5)
     sizes = _psi_node_sizes(p, monkeypatch)
     assert sizes[:2] == [2, 2] and max(sizes) == 2
-    custom = build_prescription(cosh, spec, g, form="custom",
-                                psi_fn=_custom_psi, t_minus=0.5, t_plus=1.5)
+    custom = build_prescription(cosh, spec, g, psi_fn=_custom_psi,
+                                t_minus=0.5, t_plus=1.5)
     sizes = _psi_node_sizes(custom, monkeypatch)
     assert sizes[:2] == [g.size, g.size]
 
@@ -450,9 +499,8 @@ def _problems(cosh, spec1):
     radial = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
     out = [radial]
     for psi_t_fn in (None, _custom_psi_t):
-        p = build_prescription(cosh, spec1, g, form="custom",
-                               psi_fn=_custom_psi, psi_t_fn=psi_t_fn,
-                               t_minus=0.5, t_plus=1.5)
+        p = build_prescription(cosh, spec1, g, psi_fn=_custom_psi,
+                               psi_t_fn=psi_t_fn, t_minus=0.5, t_plus=1.5)
         out.append(wc.build_homotopy(p))
     return out
 
@@ -492,7 +540,7 @@ def _drift_raw_lattice(hp, s, tarr):
 
 def _problems_2d(cosh):
     g = wc.make_grid(2, 16)
-    p = build_prescription(cosh, wc.CurvatureSpec(2, 1), g, form="custom",
+    p = build_prescription(cosh, wc.CurvatureSpec(2, 1), g,
                            psi_fn=_custom_psi, t_minus=0.5, t_plus=1.5)
     return [make_problem(n=2, N=16, eps=0.1, t_plus=1.5), wc.build_homotopy(p)]
 
@@ -592,8 +640,7 @@ def test_homotopy_iv_witness_is_the_first_argmin_of_its_margin(cosh):
 
 def _custom_form(c0, eps):
     # depends on the last coordinate, so a witness at n = 2 pins the flat order
-    return dict(form="custom",
-                psi_fn=lambda t, x: (c0 + eps * np.cos(x[-1])) / np.cosh(t))
+    return dict(psi_fn=lambda t, x: (c0 + eps * np.cos(x[-1])) / np.cosh(t))
 
 
 _FAILING = {
@@ -606,7 +653,7 @@ _FAILING = {
     "b-radial": dict(c0=SINH1, eps=0.05, mode=2, t_minus=0.5, t_plus=0.9),
     "b-custom": dict(_custom_form(SINH1, -0.05), t_minus=0.5, t_plus=0.9),
     # h psi = 0.7 - 0.05 cos u grows with h: d/dt (h psi) = h' psi > 0
-    "c-custom": dict(form="custom", t_minus=0.5, t_plus=1.2,
+    "c-custom": dict(t_minus=0.5, t_plus=1.2,
                      psi_fn=lambda t, x: 0.7 - 0.05 * np.cos(x[-1]) + 0.0 * t),
 }
 

@@ -115,6 +115,14 @@ def test_newton_uniqueness_at_s0(hp1):
     assert stats.quadratic_constant < 100.0
 
 
+def test_quadratic_constant_without_a_tail_is_zero():
+    # one residual, or only residuals at the rounding floor: no pair
+    for norms in ([1e-3], [1e-15, 1e-16]):
+        stats = solver.NewtonStats(iterations=len(norms) - 1,
+                                   residual_norms=norms, halvings=0)
+        assert stats.quadratic_constant == 0.0
+
+
 def test_newton_stall_on_iteration_budget(hp1_wavy):
     z0 = NodeField.constant(hp1_wavy.grid, hp1_wavy.t0)
     cfg = SolverConfig(max_newton=1, newton_tol=1e-14)
@@ -352,7 +360,7 @@ def test_one_dimensional_step_is_a_direct_solve(monkeypatch):
 def _preconditioner(hp, J):
     """The preconditioner _linear_step hands to _gmres."""
     return solver._circulant_preconditioner(
-        solver._circulant_symbol(J, hp.grid), hp.grid)
+        solver._circulant_symbol(_data(J, hp.grid), hp.grid), hp.grid)
 
 
 def test_gmres_of_a_zero_rhs_is_zero(hp2_wavy):
@@ -628,7 +636,7 @@ def test_fd_colored_jacobian_evaluates_twice_per_color(monkeypatch):
 def test_pattern_symbol_matches_binned_symbol(order, jacobian):
     hp, z, _ = _wavy_state(2, order)
     J = jacobian(z, 0.6, hp)
-    sym = solver._circulant_symbol(J, hp.grid)
+    sym = solver._circulant_symbol(_data(J, hp.grid), hp.grid)
     ref = _reference_symbol(J, hp.grid)[:, :hp.grid.N // 2 + 1]
     assert np.abs(sym - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -805,7 +813,7 @@ def test_an_evaluation_lent_from_another_s_equals_a_fresh_one(n):
     got = solver._evaluate(z, 0.6, hp, at=lent)
     fresh = solver._evaluate(z, 0.6, hp)
     assert got.geom is lent.geom
-    for name in ("fvals", "psi", "psi_t", "res"):
+    for name in ("fvals", "psi_t", "res"):
         assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
     assert got.geom.lam.tobytes() == fresh.geom.lam.tobytes()
     J, Jf = (solver._analytic_jacobian(st, hp) for st in (got, fresh))
