@@ -30,8 +30,9 @@ for gap in (1e-3, 1e-9, 0.0):
     print(f"  at diag(0.8 + {gap:g}, 0.8): {np.diag(F)}")
 
 # sampled structural report on a curvature slab
-rep = check_structural(spec, mu1=0.5, mu2=2.0, samples=5000)
-print(f"\nstructural report on the slab 0.5 <= f <= 2 (5000 samples):")
+rep = check_structural(spec, mu1=0.5, mu2=2.0)
+print(f"\nstructural report on the slab 0.5 <= f <= 2 "
+      f"({rep.samples} samples):")
 print(f"  min sum f_i           = {rep.min_sum_fi:.6f}")
 print(f"  min sum f_i lam_i     = {rep.min_sum_fi_lambda:.6f}")
 print(f"  Euler violation       = {rep.euler_violation:.2e}")

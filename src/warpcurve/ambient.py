@@ -31,16 +31,13 @@ class WarpingProfile:
     ``exp`` (h = e^t, constant kappa = 1), ``power`` (h = t^p, p > 0,
     decreasing kappa = p/t).  ``custom-table`` interpolates samples with a
     not-a-knot cubic spline; its derivatives come from the spline, and
-    h > 0 and kappa > 0 are vetted on the 1024-point scan (kappa unless
-    the mean-convexity check is explicitly suppressed, for degenerate
-    test profiles only).
+    h > 0 and kappa > 0 are vetted on the 1024-point scan.
     """
 
-    def __init__(self, kind, params=(), t_lo=None, t_hi=None,
-                 require_mean_convex=True, _spline=None):
+    def __init__(self, kind, params, t_lo, t_hi, _spline=None):
         if kind not in KINDS:
             raise ConfigError(f"unknown profile kind {kind!r}")
-        if t_lo is None or t_hi is None or not (t_lo < t_hi):
+        if not (t_lo < t_hi):
             raise ConfigError("profile needs an explicit interval t_lo < t_hi")
         self.kind = kind
         self.params = tuple(float(p) for p in params)
@@ -52,7 +49,6 @@ class WarpingProfile:
             if not np.isfinite(value):
                 raise ConfigError(f"profile {name} must be finite, "
                                   f"got {value!r}")
-        self.require_mean_convex = bool(require_mean_convex)
         self._spline = _spline
         if kind == "power":
             if not self.params or not 0 < self.params[0] < np.inf:  # NaN too
@@ -83,7 +79,7 @@ class WarpingProfile:
         return cls("power", (p,), t_lo, t_hi)
 
     @classmethod
-    def from_table(cls, ts, hs, t_lo=None, t_hi=None, require_mean_convex=True):
+    def from_table(cls, ts, hs, t_lo=None, t_hi=None):
         ts = np.asarray(ts, dtype=float)
         hs = np.asarray(hs, dtype=float)
         if ts.ndim != 1 or ts.shape != hs.shape or ts.size < 4:
@@ -97,8 +93,7 @@ class WarpingProfile:
             t_hi = ts[-1]
         if t_lo < ts[0] or t_hi > ts[-1]:
             raise ConfigError("requested interval exceeds the table range")
-        return cls("custom-table", (), t_lo, t_hi,
-                   require_mean_convex=require_mean_convex, _spline=spline)
+        return cls("custom-table", (), t_lo, t_hi, _spline=spline)
 
     def _check_ends(self):
         """Refuse an end where h, h' or h'' overflows.
@@ -124,7 +119,7 @@ class WarpingProfile:
         (h, t_h), (kap, t_kap) = self.scan()
         if not h > 0:
             raise ProfileError(f"tabulated h <= 0 near t={t_h:.6g}")
-        if self.require_mean_convex and not kap > 0:    # unless suppressed
+        if not kap > 0:
             raise ProfileError(
                 f"tabulated profile has kappa <= 0 near t={t_kap:.6g}")
 

@@ -37,6 +37,8 @@ import numpy as np
 
 from .errors import ConeError, ConfigError
 
+_SAMPLES = 2000        # cone points check_structural samples on a slab
+
 
 @dataclass(frozen=True)
 class CurvatureSpec:
@@ -201,8 +203,9 @@ def sample_cone(spec, rng, count, fmin=1.0, fmax=1.0):
     return out * (targets / vals)[:, None]
 
 
-def check_structural(spec, mu1, mu2, samples=2000, seed=20240901):
-    """Sample the slab {mu1 <= f <= mu2} and report structural extrema.
+def check_structural(spec, mu1, mu2, seed=20240901):
+    """Sample the slab {mu1 <= f <= mu2} at _SAMPLES cone points and
+    report structural extrema.
 
     Reported quantities: the sampled minima of sum f_i and sum f_i lam_i,
     the worst violation of the Euler saturation sum f_i lam_i = f, and the
@@ -210,16 +213,14 @@ def check_structural(spec, mu1, mu2, samples=2000, seed=20240901):
     """
     if not 0 < mu1 <= mu2:
         raise ConfigError("need 0 < mu1 <= mu2")
-    if samples < 1000:
-        raise ConfigError("need at least 1000 samples")
     rng = np.random.default_rng(seed)
-    lam = sample_cone(spec, rng, samples, mu1, mu2)
+    lam = sample_cone(spec, rng, _SAMPLES, mu1, mu2)
     fv = f_eval(spec, lam)
     fg = f_grad(spec, lam)
     sum_fi = fg.sum(axis=-1)
     sum_fi_lam = (fg * lam).sum(axis=-1)
     euler = np.abs(sum_fi_lam - fv).max()
-    half = samples // 2
+    half = _SAMPLES // 2
     a, b = lam[:half], lam[half:2 * half]
     conc = (f_eval(spec, a) + f_eval(spec, b)) / 2.0 - f_eval(spec, (a + b) / 2.0)
     concavity = max(0.0, float(conc.max()))
@@ -228,7 +229,8 @@ def check_structural(spec, mu1, mu2, samples=2000, seed=20240901):
     schur = float(np.maximum(0.0, fg_desc[..., :-1] - fg_desc[..., 1:]).max()) \
         if spec.n > 1 else 0.0
     return StructuralReport(
-        spec=spec, mu1=float(mu1), mu2=float(mu2), samples=samples, seed=seed,
+        spec=spec, mu1=float(mu1), mu2=float(mu2), samples=_SAMPLES,
+        seed=seed,
         min_sum_fi=float(sum_fi.min()),
         min_sum_fi_lambda=float(sum_fi_lam.min()),
         euler_violation=float(euler),

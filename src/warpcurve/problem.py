@@ -16,8 +16,9 @@ The built-in prescription family is
 
 with g a product of integer-frequency cosines.  For it h * psi is
 t-independent, so the decay hypothesis d/dt (h psi) <= 0 holds with
-equality.  A psi_fn selects the custom form instead, checked by finite
-differences with a small slack.  The gauge is the explicit closed form
+equality.  A psi_fn with its exact t-derivative psi_t_fn selects the
+custom form instead, whose decay is checked up to a rounding slack.  The
+gauge is the explicit closed form
 
     phi(t) = k(t0) h(t0) exp(eps_phi (t0 - t)) / (k(t) h(t)),
 
@@ -73,7 +74,7 @@ from .errors import (BisectError, ConfigError, GaugeError, ValidationError)
 
 T_LATTICE = 257            # t-points of the validation lattice
 S_LATTICE = (0.0, 0.25, 0.5, 0.75, 1.0)
-CUSTOM_C_SLACK = 1e-10     # FD slack for d/dt (h psi) <= 0 on custom forms
+CUSTOM_C_SLACK = 1e-10     # rounding slack of h' psi + h psi_t on custom forms
 _ROOT_ULPS = 4             # crossing brackets end at most this many ulps wide
 _ROOT_MAX_ITERS = 100      # cap on the root-finding passes over the nodes
 _MARGIN_FACTOR = 0.5       # how far beyond the barriers (a)/(b) are sampled
@@ -119,8 +120,9 @@ class CheckRow:
 class Prescription:
     """A prescription psi together with its barrier levels.
 
-    A psi_fn(t, x) selects the custom form (psi_t_fn, optional, is its t
-    derivative); without one c0, eps and mode set the radial-decay form.
+    A psi_fn(t, x) and its exact t derivative psi_t_fn(t, x), given
+    together, select the custom form; without them c0, eps and mode set
+    the radial-decay form.  spec and grid must have the same n.
     The per-node data is stored once, in flat node order (axis 0
     fastest): the angular factor g(u) of the radial-decay form, or the
     node coordinates x, shape (n, size), that a custom psi_fn receives.
@@ -147,13 +149,17 @@ class Prescription:
                                compare=False)
 
     def __post_init__(self):
-        if self.psi_fn is not None:
+        if self.spec.n != self.grid.n:
+            raise ConfigError(f"curvature spec n = {self.spec.n} does not "
+                              f"match the grid's n = {self.grid.n}")
+        if (self.psi_fn is None) != (self.psi_t_fn is None):
+            raise ConfigError("a custom prescription takes psi_fn and its "
+                              "exact t derivative psi_t_fn together")
+        if self.psi_fn is None:
+            self.angular = _angular_field(self.grid, self.mode)
+        else:
             self.coords = np.stack([self.grid.flatten(c)
                                     for c in self.grid.coords()])
-        elif self.psi_t_fn is not None:
-            raise ConfigError("psi_t_fn given, but no psi_fn to differentiate")
-        else:
-            self.angular = _angular_field(self.grid, self.mode)
 
     @property
     def form(self):
@@ -182,12 +188,7 @@ class Prescription:
             num = self.h_psi(node)
             return num / h, -(h1 / h) * num / h
         x = self.coords[:, node]
-        psi = self.psi_fn(t, x)
-        if self.psi_t_fn is not None:
-            return psi, self.psi_t_fn(t, x)
-        dt = 1e-6 * (1.0 + np.abs(t))
-        return psi, (self.psi_fn(t + dt, x)
-                     - self.psi_fn(t - dt, x)) / (2.0 * dt)
+        return self.psi_fn(t, x), self.psi_t_fn(t, x)
 
     # -- (t-lattice) x (all nodes) evaluation --------------------------------
 
@@ -263,7 +264,8 @@ def build_prescription(profile, spec, grid, c0=1.0, eps=0.0, mode=1, *,
                        t_minus, t_plus, psi_fn=None, psi_t_fn=None,
                        validate=True):
     """Construct a prescription (its form as in Prescription) and verify
-    the existence hypotheses.
+    the existence hypotheses.  A custom psi_fn reads none of c0, eps and
+    mode, so one set away from its default is a ConfigError.
 
     Checks, in order: positivity of psi on the slab, (a) psi > k at and
     below t_minus, (b) psi < k at and above t_plus, (c) d/dt (h psi) <= 0
@@ -274,7 +276,14 @@ def build_prescription(profile, spec, grid, c0=1.0, eps=0.0, mode=1, *,
         raise ConfigError(
             f"need t_lo < t_minus < t_plus < t_hi, got "
             f"({profile.t_lo}, {t_minus}, {t_plus}, {profile.t_hi})")
-    if psi_fn is None and not 0 < c0 < np.inf:     # NaN too
+    if psi_fn is not None:
+        # a custom psi reads none of them: a set one would change nothing
+        for name, value, default in (("c0", c0, 1.0), ("eps", eps, 0.0),
+                                     ("mode", mode, 1)):
+            if not np.array_equal(value, default):
+                raise ConfigError(f"a custom psi_fn takes no radial-decay "
+                                  f"{name}, got {name} = {value!r}")
+    elif not 0 < c0 < np.inf:                       # NaN too
         raise ConfigError(f"radial-decay prescription needs a finite c0 > 0, "
                           f"got {c0!r}")
     p = Prescription(profile=profile, spec=spec, grid=grid,

@@ -35,17 +35,18 @@ rank-2b Woodbury correction (Temperton, J. Comput. Phys. 19, 1975; Hager,
 SIAM Rev. 31, 1989): one band solve with 1 + 2b right-hand sides, then a
 2b x 2b solve; the seam's index structure is cached per (size, b).  A
 singular band part or a non-finite result falls back to the sparse
-direct solve.  At n = 2 the step is restarted GMRES (_gmres),
-right-preconditioned by the circulant part of J (T. Chan, SIAM J. Sci.
-Stat. Comput. 9, 1988): the periodic stencils are circulant, so the mean
-coefficient per stencil offset (the column means of J's data in the fixed
-layout) is inverted exactly by the 2D FFT.  That kernel is real, so its
-symbol is the real-FFT half spectrum and the preconditioner is rfftn, a
-product with the reciprocal symbol, and irfftn.  Right preconditioning
-leaves the residual GMRES minimizes the true one; a step is accepted
-only when the true residual meets the tight tolerance (1e-12 relative),
-so Newton counts and iterates are those of the direct solve, to which
-the step falls back when GMRES misses it or the symbol is singular.
+direct solve.  At n = 2 the step is one GMRES cycle of at most 50 steps
+(_gmres), right-preconditioned by the circulant part of J (T. Chan, SIAM
+J. Sci. Stat. Comput. 9, 1988): the periodic stencils are circulant, so
+the mean coefficient per stencil offset (the column means of J's data in
+the fixed layout) is inverted exactly by the 2D FFT.  That kernel is
+real, so its symbol is the real-FFT half spectrum and the preconditioner
+is rfftn, a product with the reciprocal symbol, and irfftn.  Right
+preconditioning leaves the residual GMRES minimizes the true one; a step
+is accepted only when the true residual meets the tight tolerance (1e-12
+relative), so Newton counts and iterates are those of the direct solve,
+to which the step falls back when GMRES misses it or the symbol is
+singular.
 Every inner product and norm is a NumPy reduction, not BLAS, whose
 summation order would follow the BLAS thread count (Demmel & Nguyen,
 ARITH 2013), so the step is independent of it.
@@ -88,6 +89,8 @@ from .grid import NodeField
 _THETA_MAX = 0.5       # continuation abandons a step once Theta_k > this
 _THETA_GROW = 0.25     # and doubles ds after a step with Theta_1 <= this
 _MAX_HALVINGS = 20     # backtracking budget per Newton step
+_GMRES_STEPS = 50      # Arnoldi steps of the one GMRES cycle
+_GMRES_RTOL = 1e-12    # its relative residual target
 
 
 @dataclass(frozen=True)
@@ -266,57 +269,54 @@ def _norm(v):
     return float(np.sqrt((v * v).sum()))
 
 
-def _gmres(J, rhs, precond, rtol=1e-12, restart=50, maxiter=4):
-    """Right-preconditioned restarted GMRES (Saad & Schultz, 1986).
+def _gmres(J, rhs, precond):
+    """Right-preconditioned GMRES (Saad & Schultz, 1986), one cycle.
 
-    Minimizes |rhs - J x| over x = x0 + precond(Krylov space of
-    J precond), with modified Gram-Schmidt and Givens rotations.  Each
-    cycle stops once the rotated residual estimate meets rtol |rhs|;
-    x is accepted only when the true residual does at the end of a
-    cycle.  Returns (x, converged) after at most maxiter cycles.
+    Minimizes |rhs - J x| over x = precond(Krylov space of J precond),
+    with modified Gram-Schmidt and Givens rotations, for at most
+    _GMRES_STEPS steps, stopping once the rotated residual estimate meets
+    _GMRES_RTOL |rhs|.  x is accepted only when the true residual does.
+    Returns (x, converged).  A miss is not restarted; _linear_step falls
+    back to the direct solve.  Measured Newton steps take at most 10 of
+    the 50 steps.
     """
-    x = np.zeros_like(rhs)
-    tol = rtol * _norm(rhs)
+    beta = _norm(rhs)
+    tol = _GMRES_RTOL * beta
     if tol == 0:
-        return x, True
-    m = min(restart, rhs.size)
+        return np.zeros_like(rhs), True
+    m = min(_GMRES_STEPS, rhs.size)
     H = np.zeros((m, m))                # the rotated Hessenberg matrix
-    r = rhs
-    for _ in range(maxiter):
-        g = np.zeros(m + 1)
-        g[0] = _norm(r)
-        V = [r / g[0]]                  # the Krylov basis, at most m + 1
-        cs, sn = np.zeros(m), np.zeros(m)
-        for j in range(m):
-            w = J @ precond(V[j])
-            for i in range(j + 1):
-                H[i, j] = (V[i] * w).sum()
-                w -= H[i, j] * V[i]
-            hn = _norm(w)
-            for i in range(j):          # the earlier rotations
-                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-            rho = np.hypot(H[j, j], hn)
-            cs[j], sn[j] = H[j, j] / rho, hn / rho
-            H[j, j] = rho
-            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
-            # |g[j + 1]| is the residual norm of this cycle's x; breakdown
-            # (hn = 0) and NaN end the cycle too
-            if not abs(g[j + 1]) > tol:
-                break
-            V.append(w / hn)
-        k = j + 1
-        y = np.zeros(k)
-        for i in range(k - 1, -1, -1):   # back substitution, H upper
-            y[i] = (g[i] - (H[i, i + 1:k] * y[i + 1:k]).sum()) / H[i, i]
-        u = y[0] * V[0]
-        for i in range(1, k):
-            u += y[i] * V[i]
-        x = x + precond(u)
-        r = rhs - J @ x
-        if _norm(r) <= tol:
-            return x, True
-    return x, False
+    g = np.zeros(m + 1)
+    g[0] = beta
+    V = [rhs / beta]                    # the Krylov basis, at most m + 1
+    cs, sn = np.zeros(m), np.zeros(m)
+    for j in range(m):
+        w = J @ precond(V[j])
+        for i in range(j + 1):
+            H[i, j] = (V[i] * w).sum()
+            w -= H[i, j] * V[i]
+        hn = _norm(w)
+        for i in range(j):              # the earlier rotations
+            H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                    cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+        rho = np.hypot(H[j, j], hn)
+        cs[j], sn[j] = H[j, j] / rho, hn / rho
+        H[j, j] = rho
+        g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+        # |g[j + 1]| is the residual norm of the current x; breakdown
+        # (hn = 0) and NaN end the cycle too
+        if not abs(g[j + 1]) > tol:
+            break
+        V.append(w / hn)
+    k = j + 1
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):       # back substitution, H upper
+        y[i] = (g[i] - (H[i, i + 1:k] * y[i + 1:k]).sum()) / H[i, i]
+    u = y[0] * V[0]
+    for i in range(1, k):
+        u += y[i] * V[i]
+    x = precond(u)
+    return x, _norm(rhs - J @ x) <= tol
 
 
 @functools.lru_cache(maxsize=None)

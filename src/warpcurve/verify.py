@@ -21,10 +21,12 @@ from .geometry import (compute_geometry, matrix_derivative,
                        special_frame_deviations, support_identity_check)
 from .grid import NodeField, make_grid, random_smooth
 from .problem import CheckRow, hypothesis_rows
-from .solver import assemble_jacobian, residual
+from .solver import assemble_jacobian, manufactured_field, residual
 
+_STATES = 3            # seeded states of the Jacobian probe row
 _PROBES = 2            # seeded +-1 directions per Jacobian state
 _PROBE_STEP = 1e-4     # probe step per dx^2, scaled by (1 + |z|_inf)
+_MATRIX_FD_STEP = 1e-6  # central-difference step of the matrix derivative
 
 
 def _row(name, value, requirement, passed):
@@ -53,7 +55,7 @@ def homotopy_rows(hp):
 
 
 def structural_rows(spec, mu1, mu2, seed):
-    rep = curvature.check_structural(spec, mu1, mu2, samples=2000, seed=seed)
+    rep = curvature.check_structural(spec, mu1, mu2, seed=seed)
     return [
         _row("curvature: Euler |sum f_i lam_i - f|", rep.euler_violation,
              "<= 1e-12", rep.euler_violation <= 1e-12),
@@ -109,7 +111,7 @@ def _random_cone_matrices(spec, rng, count):
     return (Q * lam[:, None, :]) @ np.swapaxes(Q, -1, -2)
 
 
-def _fd_matrix_derivative(spec, m, step=1e-6):
+def _fd_matrix_derivative(spec, m):
     """Central differences of f(eigenvalues) for matrices m (..., n, n)."""
     n = m.shape[-1]
     out = np.empty(m.shape)
@@ -118,9 +120,9 @@ def _fd_matrix_derivative(spec, m, step=1e-6):
             E = np.zeros((n, n))
             E[k, l] = 1.0
             E[l, k] = 1.0
-            fp = curvature.f_eval(spec, _eigvals_desc(m + step * E))
-            fm = curvature.f_eval(spec, _eigvals_desc(m - step * E))
-            d = (fp - fm) / (2.0 * step)
+            fp = curvature.f_eval(spec, _eigvals_desc(m + _MATRIX_FD_STEP * E))
+            fm = curvature.f_eval(spec, _eigvals_desc(m - _MATRIX_FD_STEP * E))
+            d = (fp - fm) / (2.0 * _MATRIX_FD_STEP)
             out[..., k, l] = out[..., l, k] = d / (2.0 if k != l else 1.0)
     return out
 
@@ -176,9 +178,7 @@ def _support_order_rows(hp):
     amp = 0.04 * (hp.t_plus - hp.t_minus)
 
     def errs(g):
-        X = g.coords()
-        w = 2.0 * np.pi / g.L
-        z = hp.t0 + amp * np.sin(w * X[0]) * (np.cos(w * X[1]) if g.n == 2 else 1.0)
+        z = manufactured_field(g, hp.t0, amp)[0]
         return support_identity_check(compute_geometry(z, g, profile))
 
     e1 = errs(grid)
@@ -207,8 +207,8 @@ def _cone_jacobian(hp, dz, s):
             dz = 0.5 * dz
 
 
-def jacobian_rows(hp, seed, states=3):
-    """Directional probes of Newton's analytic J at seeded states.
+def jacobian_rows(hp, seed):
+    """Directional probes of Newton's analytic J at _STATES seeded states.
 
     Newton uses J only through products J x, so each of the _PROBES probes
     per state compares J v, for a seeded +-1 vector v, with the central
@@ -225,7 +225,7 @@ def jacobian_rows(hp, seed, states=3):
     rng = np.random.default_rng(seed + 3)
     amp = 0.04 * (hp.t_plus - hp.t_minus)
     drawn = [(random_smooth(grid, rng, amp), float(rng.uniform(0.0, 1.0)))
-             for _ in range(states)]
+             for _ in range(_STATES)]
     worst = 0.0
     for dz, s in drawn:
         z, J = _cone_jacobian(hp, dz, s)
@@ -236,7 +236,7 @@ def jacobian_rows(hp, seed, states=3):
                   - residual(z - h * v, s, hp).values) / (2.0 * h)
             err = np.abs(Jv - grid.flatten(fd)).max() / np.abs(Jv).max()
             worst = max(worst, float(err))
-    return [_row(f"oracle: analytic J v vs FD, {states} states x {_PROBES} "
+    return [_row(f"oracle: analytic J v vs FD, {_STATES} states x {_PROBES} "
                  "probes", worst, "<= 1e-6", worst <= 1e-6)]
 
 

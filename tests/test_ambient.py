@@ -134,19 +134,10 @@ def test_custom_table_kappa_scan_rejects_decreasing_h():
         wc.WarpingProfile.from_table(ts, 2.0 - 0.5 * ts)
 
 
-def test_custom_table_scan_can_be_suppressed():
-    ts = np.linspace(-0.5, 7.0, 100)
-    prof = wc.WarpingProfile.from_table(ts, np.ones_like(ts),
-                                        require_mean_convex=False)
-    h, h1, _ = prof.eval(1.0)
-    assert h == pytest.approx(1.0, abs=1e-12)
-    assert abs(h1) < 1e-10
-
-
 def test_custom_table_rejects_nonpositive_h():
     ts = np.linspace(0.0, 2.0, 50)
     with pytest.raises(wc.ProfileError):
-        wc.WarpingProfile.from_table(ts, ts - 1.0, require_mean_convex=False)
+        wc.WarpingProfile.from_table(ts, ts - 1.0)
 
 
 def test_table_and_power_inputs_are_refused_by_name():

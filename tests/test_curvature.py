@@ -250,10 +250,10 @@ def test_monotonicity_at_many_cone_points():
 
 
 def test_check_structural_reports():
-    rep1 = check_structural(CurvatureSpec(2, 1), 1.0, 1.0, samples=2000)
+    rep1 = check_structural(CurvatureSpec(2, 1), 1.0, 1.0)
     assert rep1.min_sum_fi == pytest.approx(1.0, abs=1e-14)   # f linear
     assert rep1.euler_violation <= 1e-12
-    rep2 = check_structural(CurvatureSpec(2, 2), 1.0, 1.0, samples=2000)
+    rep2 = check_structural(CurvatureSpec(2, 2), 1.0, 1.0)
     assert rep2.min_sum_fi >= 1.0 - 1e-12
     assert rep2.euler_violation <= 1e-12
     assert rep2.concavity_violation <= 1e-12
@@ -261,13 +261,11 @@ def test_check_structural_reports():
     assert rep2.min_fi > 0
     with pytest.raises(wc.ConfigError):
         check_structural(CurvatureSpec(2, 2), 2.0, 1.0)
-    with pytest.raises(wc.ConfigError):
-        check_structural(CurvatureSpec(2, 2), 1.0, 1.0, samples=10)
 
 
 def test_structural_report_is_deterministic():
-    a = check_structural(CurvatureSpec(2, 2), 0.5, 2.0, samples=1500, seed=42)
-    b = check_structural(CurvatureSpec(2, 2), 0.5, 2.0, samples=1500, seed=42)
+    a = check_structural(CurvatureSpec(2, 2), 0.5, 2.0, seed=42)
+    b = check_structural(CurvatureSpec(2, 2), 0.5, 2.0, seed=42)
     assert a.min_sum_fi == b.min_sum_fi
     assert a.min_sum_fi_lambda == b.min_sum_fi_lambda
 

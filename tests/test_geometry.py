@@ -30,13 +30,21 @@ def test_umbilic_slice(cosh_profile):
             assert np.abs(geom.a[..., 0, 1]).max() <= 1e-14
 
 
+class _FlatProfile:
+    """h = 1: the flat ambient, which no WarpingProfile admits (kappa = 0).
+    compute_geometry reads a profile through eval alone."""
+
+    @staticmethod
+    def eval(t):
+        t = np.asarray(t, dtype=float)
+        return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
+
+
 def test_plane_curve_curvature_with_flat_table_profile():
-    # h = 1 via a kappa-suppressed table: classical graph curvature with
-    # downward normal; z = 1 - cos u has the 2-jet u^2/2 at u = 0
+    # h = 1: classical graph curvature with downward normal; z = 1 - cos u
+    # has the 2-jet u^2/2 at u = 0
     g = wc.make_grid(1, 1024)
-    ts = np.linspace(-0.5, 7.0, 400)
-    flat = wc.WarpingProfile.from_table(ts, np.ones_like(ts),
-                                        require_mean_convex=False)
+    flat = _FlatProfile()
     z = 1.0 - np.cos(g.coords()[0])
     geom = compute_geometry(z, g, flat)
     assert geom.lam[0, 0] == pytest.approx(-1.0, abs=g.dx ** 2)

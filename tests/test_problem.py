@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -52,6 +54,7 @@ def test_hypothesis_c_fails_for_t_constant_custom_psi(cosh, spec1):
     with pytest.raises(wc.ValidationError) as exc:
         build_prescription(cosh, spec1, g,
                            psi_fn=lambda t, coords: 0.7 + 0.0 * np.asarray(t),
+                           psi_t_fn=lambda t, coords: 0.0 * np.asarray(t),
                            t_minus=0.5, t_plus=1.2)
     assert exc.value.hypothesis == "c"   # d/dt (h psi) = h' psi > 0
 
@@ -85,7 +88,8 @@ def test_psi_fn_selects_the_custom_form(cosh, spec1):
     radial = build_prescription(cosh, spec1, g, c0=SINH1, t_minus=0.5,
                                 t_plus=1.5)
     custom = build_prescription(cosh, spec1, g, psi_fn=_custom_psi,
-                                t_minus=0.5, t_plus=1.5)
+                                psi_t_fn=_custom_psi_t, t_minus=0.5,
+                                t_plus=1.5)
     assert (radial.form, custom.form) == ("radial-decay", "custom")
     assert radial.coords is None and custom.angular is None
     h = cosh.eval(1.1)[0]
@@ -93,8 +97,65 @@ def test_psi_fn_selects_the_custom_form(cosh, spec1):
     with pytest.raises(AttributeError):
         custom.form = "radial-decay"            # derived, not settable
     # a psi_t_fn differentiates a psi_fn; alone it would set nothing
-    with pytest.raises(wc.ConfigError, match="no psi_fn to differentiate"):
+    with pytest.raises(wc.ConfigError, match="psi_fn and its exact t "
+                                             "derivative psi_t_fn together"):
         build_prescription(cosh, spec1, g, c0=SINH1, psi_t_fn=_custom_psi_t,
+                           t_minus=0.5, t_plus=1.5)
+
+
+def test_custom_form_needs_its_exact_t_derivative(cosh, spec1):
+    g = wc.make_grid(1, 64)
+    with pytest.raises(wc.ConfigError, match="psi_fn and its exact t "
+                                             "derivative psi_t_fn together"):
+        build_prescription(cosh, spec1, g, psi_fn=_custom_psi, t_minus=0.5,
+                           t_plus=1.5)
+
+    # h psi = sinh 1 + 0.05 cos u is t-independent: (c) holds with
+    # equality, and the exact psi_t leaves only rounding where a central
+    # difference used to read 1.42e-10 against the 1e-10 slack
+    def psi(t, x):
+        return (SINH1 + 0.05 * np.cos(x[-1])) / np.cosh(t)
+
+    p = build_prescription(cosh, spec1, g, psi_fn=psi,
+                           psi_t_fn=lambda t, x: -np.tanh(t) * psi(t, x),
+                           t_minus=0.5, t_plus=1.5)
+    c = list(hypothesis_rows(p))[3]
+    assert c.name == "hypothesis (c): max d/dt(h psi) on slab"
+    assert c.passed and abs(c.value) <= 1e-15
+
+
+@pytest.mark.parametrize("name,value", [("c0", np.nan), ("c0", 2.0),
+                                        ("eps", 7.0), ("mode", 3),
+                                        ("mode", (1,))],
+                         ids=["c0-nan", "c0-2", "eps-7", "mode-3",
+                              "mode-tuple"])
+def test_custom_form_refuses_radial_decay_parameters(cosh, spec1, name,
+                                                     value):
+    g = wc.make_grid(1, 64)
+    kw = dict(psi_fn=_custom_psi, psi_t_fn=_custom_psi_t, t_minus=0.5,
+              t_plus=1.5)
+    with pytest.raises(wc.ConfigError,
+                       match=f"custom psi_fn takes no radial-decay {name}"):
+        build_prescription(cosh, spec1, g, **{name: value}, **kw)
+    # the defaults, given explicitly, are accepted: they are read by nothing
+    p = build_prescription(cosh, spec1, g, c0=1.0, eps=0.0, mode=1, **kw)
+    assert p.form == "custom"
+
+
+@pytest.mark.parametrize("spec_nr,grid_n", [((2, 1), 1), ((1, 1), 2),
+                                            ((2, 2), 1)],
+                         ids=["spec21-grid1", "spec11-grid2",
+                              "spec22-grid1"])
+def test_spec_and_grid_must_agree_on_n(cosh, spec_nr, grid_n):
+    # f's normalization reads spec.n: with another n than the grid's,
+    # z = t0 no longer solves s = 0, and the solve leaves the slab
+    spec = wc.CurvatureSpec(*spec_nr)
+    g = wc.make_grid(grid_n, 32)
+    mode = 1 if grid_n == 1 else (1, 1)
+    with pytest.raises(wc.ConfigError,
+                       match=f"^curvature spec n = {spec.n} does not match "
+                             f"the grid's n = {grid_n}$"):
+        build_prescription(cosh, spec, g, c0=SINH1, eps=0.05, mode=mode,
                            t_minus=0.5, t_plus=1.5)
 
 
@@ -118,6 +179,114 @@ def test_settable_surface_has_no_overwritten_or_raising_inputs():
     assert init_fields(Gauge) == ["profile", "t0", "eps_phi"]
     assert params(wc.compute_geometry) == [
         ("z", pos, True), ("grid", pos, True), ("profile", pos, True)]
+
+
+# every defaulted parameter of the functions and methods warpcurve defines,
+# dataclass fields included: a knob added or removed fails here until this
+# pin and CHANGES.md record it
+_SETTABLE_SURFACE = {
+    "ambient.WarpingProfile.__init__": ('_spline=None',),
+    "ambient.WarpingProfile._values": ('xp=numpy',),
+    "ambient.WarpingProfile.from_table": ('t_lo=None', 't_hi=None'),
+    "cli.RunConfig.__init__": (
+        "profile_kind='cosh'", 'profile_p=2.0', 'table_t=()', 'table_h=()',
+        't_lo=0.2', 't_hi=3.0', 'n=1', 'N=256', 'L=6.283185307179586',
+        'order=2', 'r=1', 'c0=1.1752011936438014', 'eps=0.0', 'mode=(1,)',
+        't_minus=0.5', 't_plus=1.6', 't0=None', 'eps_phi=0.1',
+        'newton_tol=1e-10', 'max_newton=30', 'ds0=1.0', 'ds_min=0.0001',
+        "out_dir='out'", 'seed=12345', 'sweep_N=()',
+        'sweep_eps=(0.0, 0.05, 0.1)', 'sweep_r=()',
+    ),
+    "cli._key": ('parse=float', 'key=None', 'kind=None'),
+    "cli._sweep_row": ('residual=nan', 'newton=0'),
+    "cli.build_problem": ('r=None', 'eps=None', 'N=None'),
+    "cli.main": ('argv=None',),
+    "curvature.StructuralReport.__init__": (
+        "note='on the cone boundary the normalized f tends to 0, so the "
+        "limsup condition holds whenever inf psi > 0'",
+    ),
+    "curvature.check_structural": ('seed=20240901',),
+    "curvature.sample_cone": ('fmin=1.0', 'fmax=1.0'),
+    "errors.ConeError.__init__": ('node=None',),
+    "errors.ValidationError.__init__": ('t=None', 'node=None', "detail=''"),
+    "grid.TorusGrid.__init__": ('L=6.283185307179586', 'order=2'),
+    "grid.TorusGrid.d1_matrix": ('axis=0',),
+    "grid.TorusGrid.d2_matrix": ('axis=0',),
+    "grid.make_grid": ('L=6.283185307179586', 'order=2'),
+    "grid.random_smooth": ('amplitude=1.0', 'max_freq=2'),
+    "oracle.fd_colored_jacobian": ('step=None',),
+    "oracle.fd_gradcheck": ('step=1e-06',),
+    "oracle.fd_jacobian": ('step=None',),
+    "problem.CheckRow.__init__": ('witness=None',),
+    "problem.CheckRow.format": ('width=46',),
+    "problem.Gauge.__init__": ('t0=0.0', 'eps_phi=0.1'),
+    "problem.Prescription.__init__": (
+        't_minus=0.0', 't_plus=0.0', 'c0=0.0', 'eps=0.0', 'mode=(1,)',
+        'psi_fn=None', 'psi_t_fn=None',
+    ),
+    "problem.Prescription.h_psi": ('node=slice(None, None, None)',),
+    "problem.Prescription.psi": ('node=slice(None, None, None)',),
+    "problem.Prescription.psi_pair": ('node=slice(None, None, None)',),
+    "problem._reduce": ('pick=argmin', 'svals=None'),
+    "problem.build_homotopy": ('t0=None', 'eps_phi=0.1'),
+    "problem.build_phi": ('t0=None', 'eps_phi=0.1'),
+    "problem.build_prescription": (
+        'c0=1.0', 'eps=0.0', 'mode=1', 'psi_fn=None', 'psi_t_fn=None',
+        'validate=True',
+    ),
+    "solver.NewtonStats.__init__": ('theta0=0.0', 'state=None'),
+    "solver.SolveReport.__init__": ('steps=<factory>', "verdict='incomplete'"),
+    "solver.SolverConfig.__init__": (
+        'newton_tol=1e-10', 'max_newton=30', 'ds0=1.0', 'ds_min=0.0001',
+    ),
+    "solver._evaluate": ('at=None',),
+    "solver.build_manufactured": (
+        'center=1.0', 'amplitude=0.01', 'freqs=None',
+    ),
+    "solver.continuation": ('cfg=None',),
+    "solver.manufactured_field": (
+        'center=1.0', 'amplitude=0.01', 'freqs=None',
+    ),
+    "solver.manufactured_residual_norm": (
+        'center=1.0', 'amplitude=0.01', 'freqs=None',
+    ),
+    "solver.newton_solve": (
+        'cfg=None', 'barrier=None', 'theta_max=None', 'at=None',
+    ),
+    "verify.build_condition_table": ('seed=12345',),
+}
+
+
+def _defaulted_parameters():
+    """The _SETTABLE_SURFACE of the installed package; a module or a
+    callable default shows as its name."""
+    def shown(value):
+        if inspect.ismodule(value) or callable(value):
+            return value.__name__
+        return repr(value)
+
+    out = {}
+    for info in pkgutil.iter_modules(wc.__path__):
+        module = importlib.import_module(f"warpcurve.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj] if inspect.isfunction(obj) else \
+                list(vars(obj).values()) if inspect.isclass(obj) else []
+            for fn in members:
+                fn = getattr(fn, "__func__", fn)     # class/static methods
+                if not inspect.isfunction(fn):
+                    continue
+                params = inspect.signature(fn).parameters.values()
+                defaults = tuple(f"{q.name}={shown(q.default)}"
+                                 for q in params if q.default is not q.empty)
+                if defaults:
+                    out[f"{info.name}.{fn.__qualname__}"] = defaults
+    return out
+
+
+def test_settable_surface_pins_every_default():
+    assert _defaulted_parameters() == _SETTABLE_SURFACE
 
 
 def test_validation_lattice_resolution(cosh, spec1):
@@ -347,7 +516,8 @@ def test_barrier_crossings_match_bisection(cosh, n, mode, eps, monkeypatch):
     spec = wc.CurvatureSpec(n, 1)
     if mode is None:
         p = build_prescription(cosh, spec, g, psi_fn=_custom_psi,
-                               t_minus=0.5, t_plus=1.5)
+                               psi_t_fn=_custom_psi_t, t_minus=0.5,
+                               t_plus=1.5)
     else:
         p = build_prescription(cosh, spec, g, c0=np.sinh(1.0), eps=eps,
                                mode=mode, t_minus=0.5, t_plus=1.5)
@@ -408,7 +578,8 @@ def test_separable_crossings_root_find_two_nodes(cosh, monkeypatch):
     sizes = _psi_node_sizes(p, monkeypatch)
     assert sizes[:2] == [2, 2] and max(sizes) == 2
     custom = build_prescription(cosh, spec, g, psi_fn=_custom_psi,
-                                t_minus=0.5, t_plus=1.5)
+                                psi_t_fn=_custom_psi_t, t_minus=0.5,
+                                t_plus=1.5)
     sizes = _psi_node_sizes(custom, monkeypatch)
     assert sizes[:2] == [g.size, g.size]
 
@@ -497,12 +668,9 @@ def _custom_psi_t(t, coords):
 def _problems(cosh, spec1):
     g = wc.make_grid(1, 64)
     radial = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
-    out = [radial]
-    for psi_t_fn in (None, _custom_psi_t):
-        p = build_prescription(cosh, spec1, g, psi_fn=_custom_psi,
-                               psi_t_fn=psi_t_fn, t_minus=0.5, t_plus=1.5)
-        out.append(wc.build_homotopy(p))
-    return out
+    p = build_prescription(cosh, spec1, g, psi_fn=_custom_psi,
+                           psi_t_fn=_custom_psi_t, t_minus=0.5, t_plus=1.5)
+    return [radial, wc.build_homotopy(p)]
 
 
 def _per_term(hp, s, t, ang, coords):
@@ -515,12 +683,7 @@ def _per_term(hp, s, t, ang, coords):
         psi_t = -(h1 / h) * (p.c0 + p.eps * ang) / h
     else:
         psi = p.psi_fn(t, coords)
-        if p.psi_t_fn is not None:
-            psi_t = p.psi_t_fn(t, coords)
-        else:
-            dt = 1e-6 * (1.0 + np.abs(t))
-            psi_t = (p.psi_fn(t + dt, coords) - p.psi_fn(t - dt, coords)) \
-                / (2.0 * dt)
+        psi_t = p.psi_t_fn(t, coords)
     h, h1, _ = gauge.profile.eval(t)
     psi0 = gauge.k0h0 * np.exp(gauge.eps_phi * (gauge.t0 - t)) / h
     psi0_t = -(gauge.eps_phi + h1 / h) * psi0
@@ -541,7 +704,8 @@ def _drift_raw_lattice(hp, s, tarr):
 def _problems_2d(cosh):
     g = wc.make_grid(2, 16)
     p = build_prescription(cosh, wc.CurvatureSpec(2, 1), g,
-                           psi_fn=_custom_psi, t_minus=0.5, t_plus=1.5)
+                           psi_fn=_custom_psi, psi_t_fn=_custom_psi_t,
+                           t_minus=0.5, t_plus=1.5)
     return [make_problem(n=2, N=16, eps=0.1, t_plus=1.5), wc.build_homotopy(p)]
 
 
@@ -640,7 +804,9 @@ def test_homotopy_iv_witness_is_the_first_argmin_of_its_margin(cosh):
 
 def _custom_form(c0, eps):
     # depends on the last coordinate, so a witness at n = 2 pins the flat order
-    return dict(psi_fn=lambda t, x: (c0 + eps * np.cos(x[-1])) / np.cosh(t))
+    def psi(t, x):
+        return (c0 + eps * np.cos(x[-1])) / np.cosh(t)
+    return dict(psi_fn=psi, psi_t_fn=lambda t, x: -np.tanh(t) * psi(t, x))
 
 
 _FAILING = {
@@ -654,7 +820,8 @@ _FAILING = {
     "b-custom": dict(_custom_form(SINH1, -0.05), t_minus=0.5, t_plus=0.9),
     # h psi = 0.7 - 0.05 cos u grows with h: d/dt (h psi) = h' psi > 0
     "c-custom": dict(t_minus=0.5, t_plus=1.2,
-                     psi_fn=lambda t, x: 0.7 - 0.05 * np.cos(x[-1]) + 0.0 * t),
+                     psi_fn=lambda t, x: 0.7 - 0.05 * np.cos(x[-1]) + 0.0 * t,
+                     psi_t_fn=lambda t, x: 0.0 * t),
 }
 
 _MESSAGES = {

@@ -19,7 +19,7 @@ from warpcurve.solver import (SolverConfig, _linear_step, assemble_jacobian,
                               residual)
 from warpcurve.verify import build_condition_table
 
-from conftest import make_problem
+from conftest import SINH1, make_problem
 
 
 @pytest.fixture(scope="module")
@@ -373,20 +373,46 @@ def test_gmres_of_a_zero_rhs_is_zero(hp2_wavy):
 
 def test_gmres_reports_an_unreachable_tolerance(hp2_wavy):
     J, rhs = _wavy_system(hp2_wavy)
-    precond = _preconditioner(hp2_wavy, J)
     applies = []
 
-    def counting(r):
+    def unpreconditioned(r):
         applies.append(1)
-        return precond(r)
+        return r
 
-    # no floating-point residual meets 1e-30 relative; each of the 2
-    # cycles of 3 columns applies the preconditioner 3 + 1 times
-    x, converged = solver._gmres(J, rhs, counting, rtol=1e-30, restart=3,
-                                 maxiter=2)
+    # without the circulant preconditioner the cycle's 50 steps leave a
+    # relative residual of about 5e-9, far above 1e-12; the cycle applies
+    # the preconditioner once per step and once to form x, and is not
+    # restarted
+    x, converged = solver._gmres(J, rhs, unpreconditioned)
     assert not converged
-    assert len(applies) == 2 * (3 + 1)
+    assert len(applies) == solver._GMRES_STEPS + 1
     assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("mode", [(1, 1), (1, 2), (2, 1), (2, 2)],
+                         ids=["1x1", "1x2", "2x1", "2x2"])
+def test_gmres_converges_within_half_its_cycle(mode, monkeypatch):
+    # the benchmark's solve2d problems (n = 2, r = 2, N = 128, slab
+    # (0.5, 1.5)) at eps 0.15, one per mode: every Krylov step converges
+    # in at most half of the one cycle, which is why _gmres is not restarted
+    g = wc.make_grid(2, 128)
+    p = wc.build_prescription(wc.WarpingProfile.cosh(0.2, 3.0),
+                              wc.CurvatureSpec(2, 2), g, c0=SINH1, eps=0.15,
+                              mode=mode, t_minus=0.5, t_plus=1.5)
+    gmres, solves = solver._gmres, []
+
+    def counted(J, rhs, precond):
+        applies = []
+        x, converged = gmres(J, rhs,
+                             lambda r: applies.append(1) or precond(r))
+        # one apply per Arnoldi step, and one to form x
+        solves.append((len(applies) - 1, converged))
+        return x, converged
+
+    monkeypatch.setattr(solver, "_gmres", counted)
+    continuation(wc.build_homotopy(p, eps_phi=0.1))
+    assert solves and all(converged for _, converged in solves)
+    assert max(steps for steps, _ in solves) <= solver._GMRES_STEPS // 2
 
 
 @pytest.mark.parametrize("order", [2, 4])

@@ -167,7 +167,7 @@ def test_jacobian_row_passes_a_correct_jacobian_at_n512():
     # the entrywise comparison, whose step is a fixed 1e-6 (1 + |z|),
     # reads 2.2e-6 here
     hp = make_problem(n=2, N=512, r=2, eps=0.1, t_plus=1.5)
-    (row,) = verify.jacobian_rows(hp, seed=12345, states=1)
+    (row,) = verify.jacobian_rows(hp, seed=12345)
     assert row.passed and row.value <= 1e-7, row.value
 
 
