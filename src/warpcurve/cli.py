@@ -112,6 +112,7 @@ class RunConfig:
     def validate(self):
         if self.r > self.n:
             raise ConfigError(f"curvature order r={self.r} exceeds n={self.n}")
+        CurvatureSpec(n=self.n, r=self.r)       # n in {1, 2} and r >= 1
         if not (self.t_lo < self.t_minus < self.t_plus < self.t_hi):
             raise ConfigError("need t_lo < t_minus < t_plus < t_hi")
         if self.t0 is not None and not (self.t_minus < self.t0 < self.t_plus):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -184,8 +185,9 @@ class StructuralReport:
     concavity_violation: float
     min_fi: float
     schur_violation: float
-    note: str = ("on the cone boundary the normalized f tends to 0, so the "
-                 "limsup condition holds whenever inf psi > 0")
+    note: ClassVar[str] = (
+        "on the cone boundary the normalized f tends to 0, so the limsup "
+        "condition holds whenever inf psi > 0")
 
 
 def sample_cone(spec, rng, count, fmin=1.0, fmax=1.0):

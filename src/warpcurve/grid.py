@@ -292,9 +292,6 @@ class NodeField:
         if not np.all(np.isfinite(self.values)):
             raise ShapeError("field contains non-finite values")
 
-    def copy(self):
-        return NodeField(self.values.copy(), self.grid)
-
     @classmethod
     def constant(cls, grid, value):
         return cls(np.full(grid.shape, float(value)), grid)
@@ -314,21 +311,19 @@ def reduce(fld: NodeField, mode):
     raise ConfigError(f"unknown reduction mode {mode!r}")
 
 
-def random_smooth(grid, rng, amplitude=1.0, max_freq=2):
-    """Random trigonometric field, normalized to sup-norm = amplitude."""
+def random_smooth(grid, rng, amplitude=1.0):
+    """Random trigonometric field of per-axis frequencies 0, 1, 2, the
+    constant mode left out, normalized to sup-norm = amplitude."""
     X = grid.coords() * (2.0 * np.pi / grid.L)
     out = np.zeros(grid.shape)
-    for k in itertools.product(range(max_freq + 1), repeat=grid.n):
+    for k in itertools.product(range(3), repeat=grid.n):
         if all(ki == 0 for ki in k):
             continue
         phase = rng.uniform(0.0, 2.0 * np.pi)
         coef = rng.normal()
         arg = sum(ki * X[d] for d, ki in enumerate(k)) + phase
         out += coef * np.cos(arg)
-    peak = np.abs(out).max()
-    if peak == 0.0:
-        return out
-    return out * (amplitude / peak)
+    return out * (amplitude / np.abs(out).max())
 
 
 def save_field(fld: NodeField, path):

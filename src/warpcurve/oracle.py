@@ -5,10 +5,10 @@ difference Jacobians difference the residual without the chain rule:
 fd_jacobian one node at a time into a dense array, fd_colored_jacobian
 one color of TorusGrid.coloring at a time into the fixed sparse layout
 (Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974).  Both take the
-central step 1e-6 (1 + |z|_inf) unless given one, and shrink it by 10x,
-at most three times, on a ConeError.  The gradient check differences
-f_eval directly, and the 2x2 eigensolver is the half-angle form (mean
-+- radius, eigenvectors from the arctan2 angle).  The geometry takes its
+central step 1e-6 (1 + |z|_inf) and shrink it by 10x, at most three
+times, on a ConeError.  The gradient check differences f_eval directly,
+at the step GRAD_STEP, and the 2x2 eigensolver is the half-angle form
+(mean +- radius, eigenvectors from the arctan2 angle).  The geometry takes its
 eigenpairs from a different closed form (geometry.eig2_sym: the root of
 larger magnitude, the other as det / root, the eigenvector from a
 cancellation-free null vector), so the verify row "oracle: eig2 vs eigh
@@ -24,10 +24,11 @@ import numpy as np
 from .errors import ConeError
 from . import curvature, solver
 
+GRAD_STEP = 1e-6           # central step of fd_gradcheck
+
 
 @dataclass
 class OracleReport:
-    quantity: str
     max_abs_err: float
     max_rel_err: float
     location: object
@@ -37,24 +38,24 @@ class OracleReport:
             raise ValueError("oracle errors must be finite and nonnegative")
 
 
-def fd_jacobian(z, s, hp, step=None):
+def fd_jacobian(z, s, hp):
     """Dense central-difference Jacobian of the residual."""
-    return _shrinking_step(_fd_dense, z, s, hp, step)
+    return _shrinking_step(_fd_dense, z, s, hp)
 
 
-def fd_colored_jacobian(z, s, hp, step=None):
+def fd_colored_jacobian(z, s, hp):
     """Colored central-difference Jacobian of the residual, a CSR matrix
     in the grid's fixed layout."""
     # looked up at call time, so a wrapper around the solver's function
     # sees every call
-    return _shrinking_step(solver._fd_colored_jacobian, z, s, hp, step)
+    return _shrinking_step(solver._fd_colored_jacobian, z, s, hp)
 
 
-def _shrinking_step(fd, z, s, hp, step):
-    """fd(zvals, s, hp, step) with the default step, shrunk on ConeError."""
+def _shrinking_step(fd, z, s, hp):
+    """fd(zvals, s, hp, step) at step 1e-6 (1 + |z|_inf), shrunk on
+    ConeError."""
     zvals = np.asarray(z.values if hasattr(z, "values") else z, dtype=float)
-    if step is None:
-        step = 1e-6 * (1.0 + float(np.abs(zvals).max()))
+    step = 1e-6 * (1.0 + float(np.abs(zvals).max()))
     for attempt in range(4):
         try:
             return fd(zvals, s, hp, step)
@@ -80,8 +81,8 @@ def _fd_dense(zvals, s, hp, step):
     return J
 
 
-def fd_gradcheck(spec, lam, step=1e-6):
-    """Central finite differences of f_eval against f_grad.
+def fd_gradcheck(spec, lam):
+    """Central finite differences of f_eval against f_grad, at GRAD_STEP.
 
     lam is one point (n,) or a batch (..., n).  Every probe at +-10 step
     along each axis must stay in the cone, else ConeError names the first
@@ -90,6 +91,7 @@ def fd_gradcheck(spec, lam, step=1e-6):
     coordinate) for a batch.
     """
     lam = np.asarray(lam, dtype=float)
+    step = GRAD_STEP
     eye = np.eye(spec.n)
     guard = lam[..., None, None, :] \
         + np.array([1.0, -1.0])[:, None, None] * (10.0 * step) * eye
@@ -107,8 +109,7 @@ def fd_gradcheck(spec, lam, step=1e-6):
     abs_err = np.abs(fd - grad)
     rel_err = abs_err / np.maximum(np.abs(grad), 1e-300)
     worst = _index(np.argmax(rel_err), rel_err.shape)
-    return OracleReport(quantity="f_grad vs central FD",
-                        max_abs_err=float(abs_err.max()),
+    return OracleReport(max_abs_err=float(abs_err.max()),
                         max_rel_err=float(rel_err[worst]),
                         location=worst[0] if lam.ndim == 1 else worst)
 

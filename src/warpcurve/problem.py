@@ -130,6 +130,9 @@ class Prescription:
     selects (all by default), t broadcasting against them, from the
     caller's profile values h = h(t) and h1 = h'(t); the custom form sees
     x[:, node], so x[d] broadcasts against t.
+
+    Constructed directly, a Prescription checks only the spec's n and the
+    psi pair; build_prescription also verifies the existence hypotheses.
     """
 
     profile: object = field(repr=False)
@@ -165,6 +168,12 @@ class Prescription:
     def form(self):
         """'custom' when a psi_fn is given, else 'radial-decay'."""
         return "radial-decay" if self.psi_fn is None else "custom"
+
+    @property
+    def c_slack(self):
+        """The bound hypothesis (c) allows max d/dt (h psi): 0 where h psi
+        is exactly t-independent, CUSTOM_C_SLACK of rounding otherwise."""
+        return 0.0 if self.form == "radial-decay" else CUSTOM_C_SLACK
 
     def h_psi(self, node=slice(None)):
         """h psi = c0 + eps g(u) of the radial-decay form, per node; over
@@ -261,8 +270,7 @@ def _reduce(slices, tarr, pick=np.argmin, svals=None):
 
 
 def build_prescription(profile, spec, grid, c0=1.0, eps=0.0, mode=1, *,
-                       t_minus, t_plus, psi_fn=None, psi_t_fn=None,
-                       validate=True):
+                       t_minus, t_plus, psi_fn=None, psi_t_fn=None):
     """Construct a prescription (its form as in Prescription) and verify
     the existence hypotheses.  A custom psi_fn reads none of c0, eps and
     mode, so one set away from its default is a ConfigError.
@@ -290,8 +298,7 @@ def build_prescription(profile, spec, grid, c0=1.0, eps=0.0, mode=1, *,
                      t_minus=float(t_minus), t_plus=float(t_plus),
                      c0=float(c0), eps=float(eps), mode=mode,
                      psi_fn=psi_fn, psi_t_fn=psi_t_fn)
-    if validate:
-        _validate_prescription(p)
+    _validate_prescription(p)
     return p
 
 
@@ -332,10 +339,9 @@ def hypothesis_rows(p):
         [_rows(lambda r, node: k[r] - p.psi(t[r], h[r], node), key)], above)
     yield CheckRow("hypothesis (b): min k - psi, t >= t_plus", value, "> 0",
                    value > 0, w)
-    slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
     value, w = _reduce([(0, p.dt_h_psi_lattice(slab))], slab, np.argmax)
     yield CheckRow("hypothesis (c): max d/dt(h psi) on slab", value,
-                   f"<= {slack:g}", value <= slack, w)
+                   f"<= {p.c_slack:g}", value <= p.c_slack, w)
 
 
 # ValidationError letter and detail of each hypothesis_rows row, in order
@@ -439,9 +445,8 @@ class Gauge:
     k0h0: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
-        h0, _, _ = self.profile.eval(self.t0)
-        k0 = ambient.kappa(self.profile, self.t0)
-        self.k0h0 = k0 * h0
+        h0, h1, _ = self.profile.eval(self.t0)
+        self.k0h0 = ambient.k_level(h0, h1) * h0
 
     def phi(self, t):
         h, h1, _ = self.profile.eval(t)
@@ -598,9 +603,8 @@ class HomotopyProblem:
         m5, w5 = _reduce(((0, -self.drift_lattice(s, slab)) for s in strict_s),
                          slab, svals=strict_s)
         end, _ = _reduce([(0, self.drift_lattice(1.0, slab))], slab, np.argmax)
-        slack = 0.0 if p.form == "radial-decay" else CUSTOM_C_SLACK
         rows.append(CheckRow("homotopy (v): d_t Psi + kappa Psi < 0", m5,
-                             _STRICT, m5 > 0 and end <= slack, w5))
+                             _STRICT, m5 > 0 and end <= p.c_slack, w5))
         return rows
 
     def gauge_report(self):

@@ -49,7 +49,7 @@ def test_criterion_2_uniqueness_at_s0():
     rng = np.random.default_rng(20240901)
     worst = 0.0
     for trial in range(10):
-        z0 = NodeField(hp.t0 + random_smooth(hp.grid, rng, 0.05, max_freq=3),
+        z0 = NodeField(hp.t0 + random_smooth(hp.grid, rng, 0.05),
                        hp.grid)
         z, stats = newton_solve(z0, 0.0, hp)
         dev = float(np.abs(z.values - hp.t0).max())

@@ -268,14 +268,25 @@ _N_BAD = "\n[sweep]\nN = 32, 64, 96\n"
                                    "got [1]"),
     ("\n[sweep]\neps = 0.1\n", ["sweep", "--axis", "eps"],
      "sweep axis eps needs at least 2 values, got [0.1]"),
+    # an (old, new) pair edits the base config: these used to load, and
+    # the eps sweep wrote a table of identical ConfigError rows
+    (("r = 1\n", "r = 0\n"), ["sweep", "--axis", "eps"],
+     "order r must satisfy 1 <= r <= n=1"),
+    (("n = 1\n", "n = 3\n"), ["sweep", "--axis", "eps"],
+     "dimension n must be 1 or 2, got 3"),
 ], ids=["N-verify", "N-solve", "N-sweep", "r-above-n", "r-above-n-eps-axis",
-        "r-below-1", "one-r", "one-eps"])
+        "r-below-1", "one-r", "one-eps", "curvature-r-0", "grid-n-3"])
 def test_bad_sweep_values_exit_3_naming_them(tmp_path, capsys, extra,
                                              command, message):
-    cfg = write_cfg(tmp_path, extra=extra)
+    if isinstance(extra, tuple):
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace(*extra))
+    else:
+        cfg = write_cfg(tmp_path, extra=extra)
     assert main([command[0], "--config", str(cfg), *command[1:]]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error[ConfigError]: {message}")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_unsafe_flag_is_a_usage_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ from warpcurve import curvature, verify
 from warpcurve.curvature import (CurvatureSpec, check_structural, f_eval,
                                  f_grad, in_cone, sample_cone, sym_poly)
 from warpcurve.geometry import matrix_derivative
-from warpcurve.oracle import fd_gradcheck
+from warpcurve.oracle import GRAD_STEP, fd_gradcheck
 
 
 def test_spec_validation():
@@ -297,12 +297,11 @@ def test_gradient_euler_and_homogeneity_on_random_cone_points(seed, nr):
     rng = np.random.default_rng(seed)
     lam = sample_cone(spec, rng, 200, 0.5, 2.0)
     size = np.abs(lam).max(axis=-1)
-    step = 1e-6
-    floor = _FLOOR_FACTOR * _EPS * size / step
+    floor = _FLOOR_FACTOR * _EPS * size / GRAD_STEP
     small = floor <= 1e-6          # one batch; the rare large points singly
-    assert fd_gradcheck(spec, lam[small], step).max_rel_err <= 1e-6
+    assert fd_gradcheck(spec, lam[small]).max_rel_err <= 1e-6
     for x, bound in zip(lam[~small], floor[~small]):
-        assert fd_gradcheck(spec, x, step).max_rel_err <= bound
+        assert fd_gradcheck(spec, x).max_rel_err <= bound
     euler = (f_grad(spec, lam) * lam).sum(axis=-1) - f_eval(spec, lam)
     assert np.abs(euler).max() <= 1e-12
     c = rng.uniform(0.5, 2.0, size=200)

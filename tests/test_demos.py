@@ -19,6 +19,8 @@ def test_demo_runs(demo):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] \
         if env.get("PYTHONPATH") else src
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    # pyproject's filterwarnings reaches only this process, not the demo's
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -106,8 +106,8 @@ def test_reduce_modes():
 def test_integration_by_parts_skew_adjoint(order):
     g = wc.make_grid(2, 24, order=order)
     rng = np.random.default_rng(7)
-    z = wc.random_smooth(g, rng, 1.0, max_freq=3)
-    w = [wc.random_smooth(g, rng, 1.0, max_freq=3) for _ in range(g.n)]
+    z = wc.random_smooth(g, rng, 1.0)
+    w = [wc.random_smooth(g, rng, 1.0) for _ in range(g.n)]
     grad = g.gradient(z)
     div = sum(g.gradient(w[d])[d] for d in range(g.n))
     total = sum((grad[d] * w[d]).sum() for d in range(g.n)) + (z * div).sum()
@@ -180,14 +180,6 @@ def test_field_serialization_round_trip(tmp_path):
         load_field(path, wc.make_grid(2, 32))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_random_smooth_without_modes_is_zero(n):
-    # max_freq = 0 leaves only the constant mode, which is skipped
-    g = wc.make_grid(n, 16)
-    out = random_smooth(g, np.random.default_rng(0), 0.5, max_freq=0)
-    assert out.shape == g.shape and not out.any()
-
-
 def _roll_derivatives(g, z):
     """Gradient and Hessian by np.roll: per axis, sum w * roll(z, -o) in
     _W1/_W2 order, then scale; the mixed entry is d1 along axis 0, then
@@ -217,7 +209,7 @@ def test_table_derivatives_match_the_roll_reference(n, N, order):
     # the same products summed in the same order, then scaled once: bit
     # for bit, except the mixed entry, now one product stencil
     g = wc.make_grid(n, N, order=order)
-    z = wc.random_smooth(g, np.random.default_rng(N + order), 0.3, 4)
+    z = wc.random_smooth(g, np.random.default_rng(N + order), 0.3)
     z += np.random.default_rng(n).normal(scale=1e-3, size=g.shape)
     grad, hess = g.gradient(z), g.hessian(z)
     ref_grad, ref_hess = _roll_derivatives(g, z)
@@ -237,7 +229,7 @@ def test_stencil_sums_cache_is_per_grid():
              ((2, 16, 2), (2, 24, 4), (1, 40, 4), (1, 16, 2))]
     for _ in range(2):
         for g in grids:
-            z = wc.random_smooth(g, np.random.default_rng(g.N), 0.3, 3)
+            z = wc.random_smooth(g, np.random.default_rng(g.N), 0.3)
             ref_grad, ref_hess = _roll_derivatives(g, z)
             hess = g.hessian(z)
             assert np.array_equal(g.gradient(z), ref_grad)

@@ -71,9 +71,11 @@ def test_fd_cone_error_survives_four_steps(hp_small, monkeypatch, fd, owner,
 
     monkeypatch.setattr(owner, builder, fake)
     z = NodeField.constant(hp_small.grid, hp_small.t0)
+    s0 = 1e-6 * (1.0 + hp_small.t0)
     with pytest.raises(wc.ConeError):
-        fd(z, 0.5, hp_small, step=1e-3)
-    assert steps == pytest.approx([1e-3, 1e-4, 1e-5, 1e-6], rel=1e-15)
+        fd(z, 0.5, hp_small)
+    assert steps == pytest.approx([s0, s0 / 10, s0 / 100, s0 / 1000],
+                                  rel=1e-15)
 
 
 def test_linearity_probe(hp_small):
@@ -96,15 +98,17 @@ def test_linearity_probe(hp_small):
 def test_zero_perturbation_gives_zero_difference(hp_small):
     z = NodeField.constant(hp_small.grid, 1.0)
     r1 = residual(z, 0.5, hp_small).values
-    r2 = residual(z.copy(), 0.5, hp_small).values
+    r2 = residual(NodeField(z.values.copy(), z.grid), 0.5, hp_small).values
     assert np.array_equal(r1, r2)
 
 
-def test_gradcheck_linear_f_is_exact():
-    # f is linear for r = 1, so the central difference has no truncation
-    # term at all; a large step keeps subtraction noise below 1e-12
-    rep = fd_gradcheck(wc.CurvatureSpec(2, 1), np.array([3.0, 2.0]), step=0.25)
-    assert rep.max_abs_err <= 1e-12
+def test_f_grad_at_r1_is_one_over_n():
+    # f = (lam_1 + ... + lam_n) / n is linear for r = 1: every f_i is 1/n
+    for n in (1, 2):
+        lam = sample_cone(wc.CurvatureSpec(n, 1), np.random.default_rng(n),
+                          50, 0.5, 2.0)
+        grad = wc.f_grad(wc.CurvatureSpec(n, 1), lam)
+        assert grad.shape == lam.shape and np.all(grad == 1.0 / n)
 
 
 def test_gradcheck_example_point():
@@ -124,7 +128,7 @@ def test_gradcheck_random_sweep_is_reproducible():
 def test_gradcheck_cone_margin():
     spec = wc.CurvatureSpec(2, 2)
     with pytest.raises(wc.ConeError):
-        fd_gradcheck(spec, np.array([1.0, 1e-7]), step=1e-6)
+        fd_gradcheck(spec, np.array([1.0, 1e-7]))
 
 
 def test_gradcheck_batch_rejects_a_boundary_point_before_evaluating(
@@ -139,7 +143,7 @@ def test_gradcheck_batch_rejects_a_boundary_point_before_evaluating(
     monkeypatch.setattr(wc.curvature, "f_grad", evaluated)
     monkeypatch.setattr(wc.curvature, "f_eval", evaluated)
     with pytest.raises(wc.ConeError) as exc:
-        fd_gradcheck(spec, lam, step=1e-6)
+        fd_gradcheck(spec, lam)
     assert exc.value.node == (3,)
     assert "at point (3,)" in str(exc.value)
 
@@ -206,4 +210,4 @@ def test_eig2_random_reconstruction():
 
 def test_oracle_report_rejects_bad_errors():
     with pytest.raises(ValueError):
-        wc.OracleReport("x", -1.0, 0.0, None)
+        wc.OracleReport(-1.0, 0.0, None)

@@ -73,12 +73,11 @@ def test_config_errors(cosh, spec1):
         build_prescription(cosh, spec1, g, c0=1.0, t_minus=1.6, t_plus=0.5)
     with pytest.raises(wc.ConfigError):
         build_prescription(cosh, spec1, g, c0=-1.0, t_minus=0.5, t_plus=1.6)
-    # a NaN c0 is an input error too, validated or not; it used to fail
-    # validation as hypothesis (positivity)
-    for validate in (True, False):
-        with pytest.raises(wc.ConfigError, match="c0 > 0"):
-            build_prescription(cosh, spec1, g, c0=np.nan, t_minus=0.5,
-                               t_plus=1.6, validate=validate)
+    # a NaN c0 is an input error too; it used to fail validation as
+    # hypothesis (positivity)
+    with pytest.raises(wc.ConfigError, match="c0 > 0"):
+        build_prescription(cosh, spec1, g, c0=np.nan, t_minus=0.5,
+                           t_plus=1.6)
     with pytest.raises(wc.ConfigError):
         build_prescription(cosh, spec1, g, c0=1.0, t_minus=0.1, t_plus=1.6)
 
@@ -172,7 +171,7 @@ def test_settable_surface_has_no_overwritten_or_raising_inputs():
         ("profile", pos, True), ("spec", pos, True), ("grid", pos, True),
         ("c0", pos, False), ("eps", pos, False), ("mode", pos, False),
         ("t_minus", kw, True), ("t_plus", kw, True), ("psi_fn", kw, False),
-        ("psi_t_fn", kw, False), ("validate", kw, False)]
+        ("psi_t_fn", kw, False)]
     assert init_fields(Prescription) == [
         "profile", "spec", "grid", "t_minus", "t_plus", "c0", "eps", "mode",
         "psi_fn", "psi_t_fn"]
@@ -201,10 +200,6 @@ _SETTABLE_SURFACE = {
     "cli._sweep_row": ('residual=nan', 'newton=0'),
     "cli.build_problem": ('r=None', 'eps=None', 'N=None'),
     "cli.main": ('argv=None',),
-    "curvature.StructuralReport.__init__": (
-        "note='on the cone boundary the normalized f tends to 0, so the "
-        "limsup condition holds whenever inf psi > 0'",
-    ),
     "curvature.check_structural": ('seed=20240901',),
     "curvature.sample_cone": ('fmin=1.0', 'fmax=1.0'),
     "errors.ConeError.__init__": ('node=None',),
@@ -213,10 +208,7 @@ _SETTABLE_SURFACE = {
     "grid.TorusGrid.d1_matrix": ('axis=0',),
     "grid.TorusGrid.d2_matrix": ('axis=0',),
     "grid.make_grid": ('L=6.283185307179586', 'order=2'),
-    "grid.random_smooth": ('amplitude=1.0', 'max_freq=2'),
-    "oracle.fd_colored_jacobian": ('step=None',),
-    "oracle.fd_gradcheck": ('step=1e-06',),
-    "oracle.fd_jacobian": ('step=None',),
+    "grid.random_smooth": ('amplitude=1.0',),
     "problem.CheckRow.__init__": ('witness=None',),
     "problem.CheckRow.format": ('width=46',),
     "problem.Gauge.__init__": ('t0=0.0', 'eps_phi=0.1'),
@@ -232,10 +224,9 @@ _SETTABLE_SURFACE = {
     "problem.build_phi": ('t0=None', 'eps_phi=0.1'),
     "problem.build_prescription": (
         'c0=1.0', 'eps=0.0', 'mode=1', 'psi_fn=None', 'psi_t_fn=None',
-        'validate=True',
     ),
     "solver.NewtonStats.__init__": ('theta0=0.0', 'state=None'),
-    "solver.SolveReport.__init__": ('steps=<factory>', "verdict='incomplete'"),
+    "solver.SolveReport.__init__": ('steps=<factory>',),
     "solver.SolverConfig.__init__": (
         'newton_tol=1e-10', 'max_newton=30', 'ds0=1.0', 'ds_min=0.0001',
     ),
@@ -251,7 +242,7 @@ _SETTABLE_SURFACE = {
         'center=1.0', 'amplitude=0.01', 'freqs=None',
     ),
     "solver.newton_solve": (
-        'cfg=None', 'barrier=None', 'theta_max=None', 'at=None',
+        'cfg=None', 'theta_max=None', 'at=None',
     ),
     "verify.build_condition_table": ('seed=12345',),
 }
@@ -366,8 +357,8 @@ def test_gauge_rows_witness_the_first_pick_of_their_lattices(cosh, spec1):
     hp = make_problem(n=1, N=64, eps=0.1, t_plus=1.5)
     p = hp.prescription
     power = wc.WarpingProfile.power(0.5, 0.5, 4.0)
-    pp = build_prescription(power, spec1, wc.make_grid(1, 16), c0=1.0,
-                            t_minus=1.0, t_plus=2.0, validate=False)
+    pp = Prescription(power, spec1, wc.make_grid(1, 16), c0=1.0,
+                      t_minus=1.0, t_plus=2.0)
     hps = [hp, wc.build_homotopy(p, t0=hp.t0, eps_phi=0.0),
            wc.build_homotopy(p, t0=0.6, eps_phi=2.0),
            # gauges build_phi refuses: the anchor above t_plus fails (c),
@@ -489,8 +480,8 @@ def test_barrier_crossing_interval_and_monotonicity(cosh, spec1):
 
 def test_bisect_error_without_sign_change(cosh, spec1):
     g = wc.make_grid(1, 64)
-    p = build_prescription(cosh, spec1, g, c0=0.1, eps=0.0, mode=1,
-                           t_minus=0.5, t_plus=1.5, validate=False)
+    p = Prescription(cosh, spec1, g, c0=0.1, eps=0.0, mode=1,
+                     t_minus=0.5, t_plus=1.5)
     with pytest.raises(wc.BisectError):
         barrier_crossings(p)
 
@@ -613,9 +604,9 @@ def test_separable_bisect_error_names_the_full_check_node(cosh, n, N, mode,
     # c0 0.1-0.5 fail at t_minus, 2.5 and 3 at t_plus; in the first three
     # two keys one ulp apart round to the same F(t_minus), so the failing
     # node is not argmin(h psi)
-    p = build_prescription(cosh, wc.CurvatureSpec(n, 1), wc.make_grid(n, N),
-                           c0=c0, eps=0.3, mode=mode, t_minus=0.5,
-                           t_plus=1.5, validate=False)
+    p = Prescription(cosh, wc.CurvatureSpec(n, 1), wc.make_grid(n, N),
+                     c0=c0, eps=0.3, mode=mode, t_minus=0.5,
+                     t_plus=1.5)
     two, every = _both_paths(p, monkeypatch)
     assert two.startswith("no sign change for the crossing at node ")
     assert two == every
@@ -628,9 +619,9 @@ def test_separable_bisect_error_names_the_full_check_node(cosh, n, N, mode,
 def test_nan_prescription_has_no_barrier(cosh, spec1, monkeypatch):
     # NaN compares False both ways: it must fail the bracket's sign check,
     # not pass it and close every bracket onto t_minus
-    p = build_prescription(cosh, spec1, wc.make_grid(1, 64), c0=SINH1,
-                           eps=float("nan"), mode=1, t_minus=0.5,
-                           t_plus=1.5, validate=False)
+    p = Prescription(cosh, spec1, wc.make_grid(1, 64), c0=SINH1,
+                     eps=float("nan"), mode=1, t_minus=0.5,
+                     t_plus=1.5)
     two, every = _both_paths(p, monkeypatch)
     assert two == every == "no sign change for the crossing at node 0"
 
@@ -790,9 +781,9 @@ def test_homotopy_iv_witness_is_the_first_argmin_of_its_margin(cosh):
     # at s = 1, nodes 3 and 16 hold Psi values one rounding apart that tie
     # in k - Psi: the witness is the first node attaining the margin, not
     # the first argmax of Psi
-    p = build_prescription(cosh, wc.CurvatureSpec(1, 1), wc.make_grid(1, 19),
-                           c0=0.1, eps=-0.09, mode=3, t_minus=0.5,
-                           t_plus=1.5, validate=False)
+    p = Prescription(cosh, wc.CurvatureSpec(1, 1), wc.make_grid(1, 19),
+                     c0=0.1, eps=-0.09, mode=3, t_minus=0.5,
+                     t_plus=1.5)
     hp = wc.build_homotopy(p, eps_phi=4.0)
     row = hp.homotopy_report()[2]
     assert (row.value, row.witness) == _stacked_homotopy_report(hp)[2]
@@ -847,13 +838,12 @@ _NODES = {"positivity-radial": (32, 8), "positivity-custom": (32, 128),
           "b-custom": (32, 128), "c-custom": (32, 128)}
 
 
-def _failing_prescription(cosh, n, case, validate=True):
+def _failing_prescription(cosh, n, case, build=build_prescription):
     g = wc.make_grid(n, 64 if n == 1 else 16)
     kw = dict(_FAILING[case])
     if n == 2 and "mode" in kw:
         kw["mode"] = (kw["mode"], 1)
-    return build_prescription(cosh, wc.CurvatureSpec(n, 1), g,
-                              validate=validate, **kw)
+    return build(cosh, wc.CurvatureSpec(n, 1), g, **kw)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -924,7 +914,7 @@ def _check_prescription_rows(cosh, n, case):
                                eps=0.1, mode=1 if n == 1 else (1, 1),
                                t_minus=0.5, t_plus=1.5)
     else:
-        p = _failing_prescription(cosh, n, case, validate=False)
+        p = _failing_prescription(cosh, n, case, build=Prescription)
     rows = _assert_engine_rows(p)
     assert rows == list(hypothesis_rows(p))
     if case is not None:
@@ -961,15 +951,15 @@ _PROFILES = {"cosh": wc.WarpingProfile.cosh(0.2, 3.0),
        lo=st.floats(0.05, 0.6), width=st.floats(0.1, 0.9))
 def test_separable_margins_equal_the_full_lattice(n, N, modes, eps, c0,
                                                   profile, lo, width):
-    # validate=False: failing hypotheses must keep their witnesses too; a
+    # built directly: failing hypotheses must keep their witnesses too; a
     # 0 frequency makes g constant, so every node ties (TorusGrid needs
     # N >= 16)
     prof = _PROFILES[profile]
     t_minus = prof.t_lo + lo * (prof.t_hi - prof.t_lo)
     t_plus = t_minus + width * (prof.t_hi - t_minus)
-    p = build_prescription(prof, wc.CurvatureSpec(n, 1), wc.make_grid(n, N),
-                           c0=c0, eps=eps, mode=modes[:n], t_minus=t_minus,
-                           t_plus=t_plus, validate=False)
+    p = Prescription(prof, wc.CurvatureSpec(n, 1), wc.make_grid(n, N),
+                     c0=c0, eps=eps, mode=modes[:n], t_minus=t_minus,
+                     t_plus=t_plus)
     _assert_engine_rows(p)
 
 
@@ -987,8 +977,8 @@ def test_separable_witness_keeps_rounding_ties(cosh, n, N, mode):
 
 def test_nan_prescription_fails_at_the_full_lattice_witness(cosh, spec1):
     g = wc.make_grid(1, 64)
-    p = build_prescription(cosh, spec1, g, c0=SINH1, eps=float("nan"),
-                           mode=1, t_minus=0.5, t_plus=1.5, validate=False)
+    p = Prescription(cosh, spec1, g, c0=SINH1, eps=float("nan"),
+                     mode=1, t_minus=0.5, t_plus=1.5)
     rows = list(hypothesis_rows(p))
     _, witnesses = _lattice_margins(p)
     assert [r.witness for r in rows] == witnesses

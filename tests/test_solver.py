@@ -131,9 +131,12 @@ def test_newton_stall_on_iteration_budget(hp1_wavy):
 
 
 def test_newton_barrier_assertion(hp1):
-    z0 = NodeField.constant(hp1.grid, hp1.t0)
-    with pytest.raises(wc.BarrierViolation):
-        newton_solve(z0, 0.0, hp1, barrier=(1.1, 1.6))
+    # every Newton solve asserts hp's own open slab (t_minus, t_plus)
+    for level in (hp1.t_minus, hp1.t_plus + 0.1):
+        z0 = NodeField.constant(hp1.grid, level)
+        with pytest.raises(wc.BarrierViolation, match="leaves the open slab "
+                           r"\(0\.5, 1\.6\)"):
+            newton_solve(z0, 0.0, hp1)
 
 
 def test_continuation_reaches_one_with_strictly_increasing_s(hp1):
@@ -269,11 +272,12 @@ def test_nan_tolerance_cannot_fake_convergence():
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_nan_residual_never_counts_as_converged():
     # an unvalidated NaN prescription used to end in "converged", residual
-    # nan (a NaN c0 is refused as input, so the NaN comes in through eps)
+    # nan (a NaN c0 is refused as input, so the NaN comes in through eps;
+    # build_prescription refuses it, so it is built directly)
     grid = wc.make_grid(1, 64)
-    p = wc.build_prescription(wc.WarpingProfile.cosh(0.2, 3.0),
-                              wc.CurvatureSpec(1, 1), grid, eps=np.nan,
-                              t_minus=0.5, t_plus=1.5, validate=False)
+    p = wc.problem.Prescription(wc.WarpingProfile.cosh(0.2, 3.0),
+                                wc.CurvatureSpec(1, 1), grid, c0=1.0,
+                                eps=np.nan, t_minus=0.5, t_plus=1.5)
     hp = wc.build_homotopy(p)
     with pytest.raises(wc.NewtonStall, match="residual nan"):
         newton_solve(NodeField.constant(grid, hp.t0), 1.0, hp)
@@ -487,8 +491,8 @@ def test_step_records_match_a_fresh_evaluation(hp1_wavy, monkeypatch):
     accepted = []
     newton = solver.newton_solve
 
-    def recording(z0, s, hp, cfg=None, barrier=None, **kwargs):
-        z, stats = newton(z0, s, hp, cfg, barrier, **kwargs)
+    def recording(z0, s, hp, cfg=None, **kwargs):
+        z, stats = newton(z0, s, hp, cfg, **kwargs)
         accepted.append((s, z.values.copy(), stats.iterations))
         return z, stats
 
@@ -746,10 +750,10 @@ def test_a_step_that_does_not_contract_is_subdivided(hp1_wavy, monkeypatch):
     stalls = []
     newton = solver.newton_solve
 
-    def recording(z0, s, hp, cfg=None, barrier=None, **kwargs):
+    def recording(z0, s, hp, cfg=None, **kwargs):
         solves = len(deltas)
         try:
-            return newton(z0, s, hp, cfg, barrier, **kwargs)
+            return newton(z0, s, hp, cfg, **kwargs)
         except wc.NewtonStall as exc:
             stalls.append((s, len(deltas) - solves, str(exc)))
             raise
