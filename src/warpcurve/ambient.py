@@ -10,8 +10,6 @@ Profiles are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.interpolate import CubicSpline
 
@@ -100,20 +98,23 @@ class WarpingProfile:
 
         The validation lattices come within 1e-9 (t_hi - t_lo) of the ends,
         so an overflow there reaches them as a NaN that a hypothesis or a
-        verify row would be blamed for.  Evaluated in float arithmetic,
-        where an overflow raises; t = 0 is skipped, as it is the open end
-        of a power profile, where h' or h'' may have a pole.
+        verify row would be blamed for.  Evaluated with overflow raised;
+        t = 0 is skipped, as it is the open end of a power profile, where
+        h' or h'' may have a pole.
         """
-        for name, t in (("t_lo", self.t_lo), ("t_hi", self.t_hi)):
-            try:
-                ok = t == 0 or all(map(math.isfinite, self._values(t, math)))
-            except OverflowError:
-                ok = False
-            if not ok:
-                p = f", p = {self.params[0]!r}" if self.kind == "power" else ""
-                raise ConfigError(f"{self.kind} profile overflows at {name} = "
-                                  f"{t!r}{p}: h, h' or h'' is not a finite "
-                                  f"float there")
+        with np.errstate(over="raise"):
+            for name, t in (("t_lo", self.t_lo), ("t_hi", self.t_hi)):
+                try:
+                    ok = t == 0 or np.isfinite(
+                        self._values(np.float64(t))).all()
+                except FloatingPointError:
+                    ok = False
+                if not ok:
+                    p = (f", p = {self.params[0]!r}"
+                         if self.kind == "power" else "")
+                    raise ConfigError(
+                        f"{self.kind} profile overflows at {name} = {t!r}"
+                        f"{p}: h, h' or h'' is not a finite float there")
 
     def _scan_table(self):
         (h, t_h), (kap, t_kap) = self.scan()
@@ -155,15 +156,14 @@ class WarpingProfile:
             return float(h), float(h1), float(h2)
         return h, h1, h2
 
-    def _values(self, t, xp=np):
-        """(h, h', h'') at heights t inside the interval, unchecked; with
-        xp = math at one float t, where an overflow raises OverflowError."""
+    def _values(self, t):
+        """(h, h', h'') at heights t inside the interval, unchecked."""
         if self.kind == "cosh":
-            h = xp.cosh(t)
-            h1 = xp.sinh(t)
+            h = np.cosh(t)
+            h1 = np.sinh(t)
             h2 = h
         elif self.kind == "exp":
-            h = xp.exp(t)
+            h = np.exp(t)
             h1 = h
             h2 = h
         elif self.kind == "power":

@@ -27,7 +27,8 @@ from .errors import (BarrierViolation, BisectError, ConeError, ConfigError,
                      WarpcurveError)
 from .geometry import compute_geometry, fields_csv
 from .grid import make_grid, save_field
-from .problem import barrier_crossings, build_homotopy, build_prescription
+from .problem import (angular_mode, barrier_crossings, build_homotopy,
+                      build_phi, build_prescription)
 from .solver import SolverConfig, continuation
 from .verify import build_condition_table
 
@@ -110,13 +111,12 @@ class RunConfig:
     sweep_r: tuple = _key((), "sweep", _ints, key="r")
 
     def validate(self):
-        if self.r > self.n:
-            raise ConfigError(f"curvature order r={self.r} exceeds n={self.n}")
-        CurvatureSpec(n=self.n, r=self.r)       # n in {1, 2} and r >= 1
+        """Refuse a bad key before any command runs.  The library checks
+        the keys no sweep axis varies, by building the objects they set;
+        c0 and the hypotheses stay per sweep point (build_prescription)."""
+        CurvatureSpec(n=self.n, r=self.r)
         if not (self.t_lo < self.t_minus < self.t_plus < self.t_hi):
             raise ConfigError("need t_lo < t_minus < t_plus < t_hi")
-        if self.t0 is not None and not (self.t_minus < self.t0 < self.t_plus):
-            raise ConfigError("anchor t0 must lie in (t_minus, t_plus)")
         if self.seed < 0:
             raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
         if not np.all(np.isfinite((self.eps,) + self.sweep_eps)):
@@ -129,6 +129,9 @@ class RunConfig:
         if not all(1 <= r <= self.n for r in self.sweep_r):
             raise ConfigError(f"[sweep] r = {list(self.sweep_r)} must lie in "
                               f"1 <= r <= n = {self.n}")
+        profile = build_profile(self)
+        make_grid(self.n, self.N, self.L, self.order)
+        build_phi(profile, self.t_minus, self.t_plus, self.t0, self.eps_phi)
 
     def echo(self):
         pairs = {k: (list(v) if isinstance(v, tuple) else v)
@@ -201,9 +204,8 @@ def load_config(path):
     if ignored:
         raise ConfigError(f"[profile] kind = {cfg.profile_kind} ignores "
                           f"{', '.join(ignored)}")
-    if len(cfg.mode) == 1 and cfg.n == 2:
-        cfg.mode = (cfg.mode[0], 0)
     cfg.validate()
+    cfg.mode = angular_mode(cfg.mode, cfg.n)
     return cfg
 
 

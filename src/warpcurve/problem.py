@@ -81,14 +81,22 @@ _MARGIN_FACTOR = 0.5       # how far beyond the barriers (a)/(b) are sampled
 _STRICT = "> 0 (strict lattice)"   # requirement of the homotopy rows
 
 
+def angular_mode(mode, n):
+    """The n integer frequencies of an angular mode; one value at n = 2
+    means (m, 0)."""
+    mode = tuple(int(m) for m in np.atleast_1d(mode))
+    if len(mode) == 1 and n == 2:
+        mode += (0,)
+    if len(mode) != n:
+        raise ConfigError(f"angular mode needs {n} frequencies, got {mode}")
+    return mode
+
+
 def _angular_field(grid, mode):
     """Product of per-axis cosines with integer frequencies, flat order."""
-    mode = tuple(int(m) for m in np.atleast_1d(mode))
-    if len(mode) != grid.n:
-        raise ConfigError(f"angular mode needs {grid.n} frequencies, got {mode}")
     X = grid.coords() * (2.0 * np.pi / grid.L)
     out = np.ones(grid.shape)
-    for d, m in enumerate(mode):
+    for d, m in enumerate(angular_mode(mode, grid.n)):
         if m != 0:
             out = out * np.cos(m * X[d])
     return grid.flatten(out)
@@ -109,6 +117,17 @@ class CheckRow:
     requirement: str
     passed: bool
     witness: tuple = None
+
+    @classmethod
+    def against(cls, name, value, requirement, witness=None):
+        """The row whose verdict is its requirement: the leading ">", "<"
+        or "<=" applied to the number after it ("> 0 (strict lattice)"
+        reads > 0).  A NaN value fails every requirement."""
+        op, bound = requirement.split()[:2]
+        value, bound = float(value), float(bound)
+        passed = {">": value > bound, "<": value < bound,
+                  "<=": value <= bound}[op]
+        return cls(name, value, requirement, passed, witness)
 
     def format(self, width=46):
         mark = "pass" if self.passed else "FAIL"
@@ -326,22 +345,22 @@ def hypothesis_rows(p):
     t, h, _ = _column(p.profile, slab)
     value, w = _reduce(
         [_rows(lambda r, node: p.psi(t[r], h[r], node), key)], slab)
-    yield CheckRow("prescription: min psi on slab", value, "> 0", value > 0, w)
+    yield CheckRow.against("prescription: min psi on slab", value, "> 0", w)
     t, h, h1 = _column(p.profile, below)
     k = ambient.k_level(h, h1)
     value, w = _reduce(
         [_rows(lambda r, node: p.psi(t[r], h[r], node) - k[r], key)], below)
-    yield CheckRow("hypothesis (a): min psi - k, t <= t_minus", value, "> 0",
-                   value > 0, w)
+    yield CheckRow.against("hypothesis (a): min psi - k, t <= t_minus", value,
+                           "> 0", w)
     t, h, h1 = _column(p.profile, above)
     k = ambient.k_level(h, h1)
     value, w = _reduce(
         [_rows(lambda r, node: k[r] - p.psi(t[r], h[r], node), key)], above)
-    yield CheckRow("hypothesis (b): min k - psi, t >= t_plus", value, "> 0",
-                   value > 0, w)
+    yield CheckRow.against("hypothesis (b): min k - psi, t >= t_plus", value,
+                           "> 0", w)
     value, w = _reduce([(0, p.dt_h_psi_lattice(slab))], slab, np.argmax)
-    yield CheckRow("hypothesis (c): max d/dt(h psi) on slab", value,
-                   f"<= {p.c_slack:g}", value <= p.c_slack, w)
+    yield CheckRow.against("hypothesis (c): max d/dt(h psi) on slab", value,
+                           f"<= {p.c_slack:g}", w)
 
 
 # ValidationError letter and detail of each hypothesis_rows row, in order
@@ -597,12 +616,14 @@ class HomotopyProblem:
                 ("homotopy (iv): Psi(s, t_plus) < k", np.array([p.t_plus]),
                  lambda v: k_hi - v)):
             value, w = psi_margin(tarr, margin)
-            rows.append(CheckRow(name, value, _STRICT, value > 0, w))
+            rows.append(CheckRow.against(name, value, _STRICT, w))
 
         strict_s = [s for s in S_LATTICE if s < 1.0]
         m5, w5 = _reduce(((0, -self.drift_lattice(s, slab)) for s in strict_s),
                          slab, svals=strict_s)
         end, _ = _reduce([(0, self.drift_lattice(1.0, slab))], slab, np.argmax)
+        # an explicit verdict: the printed requirement states the strict
+        # slices s < 1, and the s = 1 slice must also meet the (c) slack
         rows.append(CheckRow("homotopy (v): d_t Psi + kappa Psi < 0", m5,
                              _STRICT, m5 > 0 and end <= p.c_slack, w5))
         return rows
@@ -623,14 +644,13 @@ class HomotopyProblem:
         c, wc = _reduce([(0, 1.0 - g.phi(above))], above)
         d, wd = _reduce([(0, g.phi_prime(full))], full, np.argmax)
         e, we = _reduce([(0, np.abs(g.phi(t0) - 1.0))], t0, np.argmax)
-        return [CheckRow("gauge (a): min phi", a, "> 0", a > 0, wa),
-                CheckRow("gauge (b): min phi - 1, t <= t_minus", b, "> 0",
-                         b > 0, wb),
-                CheckRow("gauge (c): min 1 - phi, t >= t_plus", c, "> 0",
-                         c > 0, wc),
-                CheckRow("gauge (d): max phi'", d, "< 0", d < 0, wd),
-                CheckRow("gauge: |phi(t0) - 1|", e, "<= 1e-14", e <= 1e-14,
-                         we)]
+        return [CheckRow.against("gauge (a): min phi", a, "> 0", wa),
+                CheckRow.against("gauge (b): min phi - 1, t <= t_minus", b,
+                                 "> 0", wb),
+                CheckRow.against("gauge (c): min 1 - phi, t >= t_plus", c,
+                                 "> 0", wc),
+                CheckRow.against("gauge (d): max phi'", d, "< 0", wd),
+                CheckRow.against("gauge: |phi(t0) - 1|", e, "<= 1e-14", we)]
 
 
 def _blend(s, a, a0):

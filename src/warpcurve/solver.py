@@ -35,8 +35,8 @@ rank-2b Woodbury correction (Temperton, J. Comput. Phys. 19, 1975; Hager,
 SIAM Rev. 31, 1989): one band solve with 1 + 2b right-hand sides, then a
 2b x 2b solve; the seam's index structure is cached per (size, b).  A
 singular band part or a non-finite result falls back to the sparse
-direct solve.  At n = 2 the step is one GMRES cycle of at most 50 steps
-(_gmres), right-preconditioned by the circulant part of J (T. Chan, SIAM
+direct solve.  At n = 2 the step is GMRES (_gmres), cycles of at most 50
+steps right-preconditioned by the circulant part of J (T. Chan, SIAM
 J. Sci. Stat. Comput. 9, 1988): the periodic stencils are circulant, so
 the mean coefficient per stencil offset (the column means of J's data in
 the fixed layout) is inverted exactly by the 2D FFT.  That kernel is
@@ -44,9 +44,10 @@ real, so its symbol is the real-FFT half spectrum and the preconditioner
 is rfftn, a product with the reciprocal symbol, and irfftn.  Right
 preconditioning leaves the residual GMRES minimizes the true one; a step
 is accepted only when the true residual meets the tight tolerance (1e-12
-relative), so Newton counts and iterates are those of the direct solve,
-to which the step falls back when GMRES misses it or the symbol is
-singular.
+relative), so Newton counts and iterates are those of the direct solve.
+A first cycle that misses it is followed by one refinement cycle from
+the true residual; the step falls back to the direct solve when that
+misses too or the symbol is singular.
 Every inner product and norm is a NumPy reduction, not BLAS, whose
 summation order would follow the BLAS thread count (Demmel & Nguyen,
 ARITH 2013), so the step is independent of it.
@@ -89,8 +90,9 @@ from .grid import NodeField
 _THETA_MAX = 0.5       # continuation abandons a step once Theta_k > this
 _THETA_GROW = 0.25     # and doubles ds after a step with Theta_1 <= this
 _MAX_HALVINGS = 20     # backtracking budget per Newton step
-_GMRES_STEPS = 50      # Arnoldi steps of the one GMRES cycle
-_GMRES_RTOL = 1e-12    # its relative residual target
+_GMRES_STEPS = 50      # Arnoldi steps per GMRES cycle
+_GMRES_CYCLES = 2      # the first cycle and one refinement cycle
+_GMRES_RTOL = 1e-12    # the relative residual target
 
 
 @dataclass(frozen=True)
@@ -270,25 +272,45 @@ def _norm(v):
 
 
 def _gmres(J, rhs, precond):
-    """Right-preconditioned GMRES (Saad & Schultz, 1986), one cycle.
+    """Right-preconditioned GMRES (Saad & Schultz, 1986), at most
+    _GMRES_CYCLES cycles.
 
-    Minimizes |rhs - J x| over x = precond(Krylov space of J precond),
-    with modified Gram-Schmidt and Givens rotations, for at most
-    _GMRES_STEPS steps, stopping once the rotated residual estimate meets
-    _GMRES_RTOL |rhs|.  x is accepted only when the true residual does.
-    Returns (x, converged).  A miss is not restarted; _linear_step falls
-    back to the direct solve.  Measured Newton steps take at most 10 of
-    the 50 steps.
+    Each cycle minimizes |r - J x| over x = precond(Krylov space of
+    J precond) for the current residual r, with modified Gram-Schmidt and
+    Givens rotations, for at most _GMRES_STEPS steps, stopping once the
+    rotated residual estimate meets _GMRES_RTOL |rhs|.  x is accepted
+    only when the true residual rhs - J x does.  A cycle that misses is
+    followed by one more from the true residual: one step of iterative
+    refinement (Higham, "Accuracy and Stability of Numerical
+    Algorithms", SIAM 2002, ch. 12), which reaches the target where
+    rounding in J x, about eps |J| |x| with J's entries growing like
+    1/dx^2, leaves the first cycle's x just short of it (N >= 256).
+    Returns (x, converged); a miss after both cycles falls back to the
+    direct solve in _linear_step.  Measured Newton steps take at most 10
+    of the 50 steps per cycle.
     """
-    beta = _norm(rhs)
-    tol = _GMRES_RTOL * beta
+    tol = _GMRES_RTOL * _norm(rhs)
     if tol == 0:
         return np.zeros_like(rhs), True
-    m = min(_GMRES_STEPS, rhs.size)
+    x, r = None, rhs
+    for _ in range(_GMRES_CYCLES):
+        dx = precond(_gmres_cycle(J, r, precond, tol))
+        x = dx if x is None else x + dx
+        r = rhs - J @ x
+        if _norm(r) <= tol:
+            return x, True
+    return x, False
+
+
+def _gmres_cycle(J, r, precond, tol):
+    """One GMRES cycle for J precond u = r, stopped at the estimate tol;
+    returns u.  |r| > tol on entry."""
+    beta = _norm(r)
+    m = min(_GMRES_STEPS, r.size)
     H = np.zeros((m, m))                # the rotated Hessenberg matrix
     g = np.zeros(m + 1)
     g[0] = beta
-    V = [rhs / beta]                    # the Krylov basis, at most m + 1
+    V = [r / beta]                      # the Krylov basis, at most m + 1
     cs, sn = np.zeros(m), np.zeros(m)
     for j in range(m):
         w = J @ precond(V[j])
@@ -315,8 +337,7 @@ def _gmres(J, rhs, precond):
     u = y[0] * V[0]
     for i in range(1, k):
         u += y[i] * V[i]
-    x = precond(u)
-    return x, _norm(rhs - J @ x) <= tol
+    return u
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,10 +4,13 @@ Every structural claim the construction rests on is checked numerically
 at desk scale: profile mean convexity, prescription hypotheses, gauge
 properties, homotopy family conditions, curvature-function structure, geometry
 identities, and oracle agreement of the analytic derivative paths.  Each
-check yields one row (name, worst-case value, verdict).  The profile,
-prescription, gauge and homotopy rows are computed where the checks they
-share with construction live (WarpingProfile.scan, warpcurve.problem);
-this module only tabulates them.
+check yields one row (name, worst-case value, requirement, verdict), the
+verdict being the printed requirement applied to the value
+(CheckRow.against) but for the two support-order rows, whose requirement
+is a band.  The profile, prescription, gauge and homotopy rows are
+computed where the checks they share with construction live
+(WarpingProfile.scan, warpcurve.problem); this module only tabulates
+them.
 """
 
 from __future__ import annotations
@@ -29,17 +32,12 @@ _PROBE_STEP = 1e-4     # probe step per dx^2, scaled by (1 + |z|_inf)
 _MATRIX_FD_STEP = 1e-6  # central-difference step of the matrix derivative
 
 
-def _row(name, value, requirement, passed):
-    return CheckRow(name, float(value), requirement, bool(passed))
-
-
 def profile_rows(profile):
     (h, t_h), (kap, t_kap) = profile.scan()
-    return [
-        CheckRow("profile: min h on domain scan", h, "> 0", h > 0, (t_h,)),
-        CheckRow("profile: min kappa on domain scan", kap, "> 0", kap > 0,
-                 (t_kap,)),
-    ]
+    return [CheckRow.against("profile: min h on domain scan", h, "> 0",
+                             (t_h,)),
+            CheckRow.against("profile: min kappa on domain scan", kap, "> 0",
+                             (t_kap,))]
 
 
 def prescription_rows(p):
@@ -56,20 +54,14 @@ def homotopy_rows(hp):
 
 def structural_rows(spec, mu1, mu2, seed):
     rep = curvature.check_structural(spec, mu1, mu2, seed=seed)
-    return [
-        _row("curvature: Euler |sum f_i lam_i - f|", rep.euler_violation,
-             "<= 1e-12", rep.euler_violation <= 1e-12),
-        _row("curvature: midpoint concavity violation",
-             rep.concavity_violation, "<= 1e-12",
-             rep.concavity_violation <= 1e-12),
-        _row("curvature: min sum f_i on slab", rep.min_sum_fi, "> 0",
-             rep.min_sum_fi > 0),
-        _row("curvature: min sum f_i lam_i on slab", rep.min_sum_fi_lambda,
-             "> 0", rep.min_sum_fi_lambda > 0),
-        _row("curvature: min f_i on slab", rep.min_fi, "> 0", rep.min_fi > 0),
-        _row("curvature: Schur ordering violation", rep.schur_violation,
-             "<= 1e-12", rep.schur_violation <= 1e-12),
-    ]
+    return [CheckRow.against(f"curvature: {name}", value, requirement)
+            for name, value, requirement in (
+        ("Euler |sum f_i lam_i - f|", rep.euler_violation, "<= 1e-12"),
+        ("midpoint concavity violation", rep.concavity_violation, "<= 1e-12"),
+        ("min sum f_i on slab", rep.min_sum_fi, "> 0"),
+        ("min sum f_i lam_i on slab", rep.min_sum_fi_lambda, "> 0"),
+        ("min f_i on slab", rep.min_fi, "> 0"),
+        ("Schur ordering violation", rep.schur_violation, "<= 1e-12"))]
 
 
 def curvature_property_rows(spec, seed):
@@ -78,16 +70,16 @@ def curvature_property_rows(spec, seed):
     c = rng.uniform(0.5, 2.0, size=1000)
     hom = np.abs(curvature.f_eval(spec, lam * c[:, None])
                  - c * curvature.f_eval(spec, lam)).max()
-    rows = [_row("curvature: homogeneity |f(c lam) - c f|", hom, "<= 1e-12",
-                 hom <= 1e-12)]
+    rows = [CheckRow.against("curvature: homogeneity |f(c lam) - c f|", hom,
+                             "<= 1e-12")]
     if spec.n > 1:
         perm = np.abs(curvature.f_eval(spec, lam[..., ::-1])
                       - curvature.f_eval(spec, lam)).max()
-        rows.append(_row("curvature: permutation symmetry", perm, "<= 1e-14",
-                         perm <= 1e-14))
+        rows.append(CheckRow.against("curvature: permutation symmetry", perm,
+                                     "<= 1e-14"))
     worst = oracle.fd_gradcheck(spec, lam[:200]).max_rel_err
-    rows.append(_row("oracle: f_grad vs FD, 200 cone points", worst,
-                     "<= 1e-6", worst <= 1e-6))
+    rows.append(CheckRow.against("oracle: f_grad vs FD, 200 cone points",
+                                 worst, "<= 1e-6"))
     if spec.n == 2:
         m = _random_cone_matrices(spec, rng, 100)
         # Newton's M is this frame sum (geometry._frame_sum), seen through
@@ -96,8 +88,8 @@ def curvature_property_rows(spec, seed):
         fd = _fd_matrix_derivative(spec, m)
         worst = float((np.abs(F - fd).max(axis=(-2, -1))
                        / np.abs(F).max(axis=(-2, -1))).max())
-        rows.append(_row("oracle: matrix derivative vs FD", worst, "<= 1e-6",
-                         worst <= 1e-6))
+        rows.append(CheckRow.against("oracle: matrix derivative vs FD", worst,
+                                     "<= 1e-6"))
     return rows
 
 
@@ -139,25 +131,25 @@ def geometry_rows(hp, seed):
     geom_c = compute_geometry(zc, grid, profile)
     kap0 = float(geom_c.h1[(0,) * grid.n] / geom_c.h[(0,) * grid.n])
     umb = float(np.abs(geom_c.lam - kap0).max())
-    rows.append(_row("geometry: umbilic slice |lam - kappa|", umb, "<= 1e-12",
-                     umb <= 1e-12))
+    rows.append(CheckRow.against("geometry: umbilic slice |lam - kappa|", umb,
+                                 "<= 1e-12"))
     amp = 0.04 * (hp.t_plus - hp.t_minus)
     z = hp.t0 + random_smooth(grid, rng, amp)
     geom = compute_geometry(z, grid, profile)
     det_err = np.abs(np.linalg.det(geom.g)
                      / (geom.h ** (2 * grid.n - 2) * geom.W ** 2) - 1.0).max()
-    rows.append(_row("geometry: det g identity rel err", det_err, "<= 1e-10",
-                     det_err <= 1e-10))
+    rows.append(CheckRow.against("geometry: det g identity rel err", det_err,
+                                 "<= 1e-10"))
     orient = np.abs(geom.nu0 * geom.W + geom.h).max() / geom.h.max()
-    rows.append(_row("geometry: orientation nu0 W = -h", orient, "<= 1e-14",
-                     orient <= 1e-14))
+    rows.append(CheckRow.against("geometry: orientation nu0 W = -h", orient,
+                                 "<= 1e-14"))
     rows.append(_special_frame_row(geom, rng))
     if grid.n == 2:
         idx = tuple(rng.integers(grid.N, size=(50, 2)).T)
         lam, _ = oracle.eig2_oracle(geom.atilde[idx])
         worst = float(np.abs(lam - geom.lam[idx]).max())
-        rows.append(_row("oracle: eig2 vs eigh eigenvalues", worst,
-                         "<= 1e-10", worst <= 1e-10))
+        rows.append(CheckRow.against("oracle: eig2 vs eigh eigenvalues",
+                                     worst, "<= 1e-10"))
     rows.extend(_support_order_rows(hp))
     return rows
 
@@ -169,8 +161,9 @@ def _special_frame_row(geom, rng):
     keep = gn >= 1e-8
     dev = float(special_frame_deviations(
         geom, tuple(i[keep] for i in idx)).max(initial=0.0))
-    return _row(f"geometry: special frame dev, {int(keep.sum())} nodes", dev,
-                "<= 1e-10", dev <= 1e-10)
+    return CheckRow.against(
+        f"geometry: special frame dev, {int(keep.sum())} nodes", dev,
+        "<= 1e-10")
 
 
 def _support_order_rows(hp):
@@ -187,10 +180,11 @@ def _support_order_rows(hp):
     expect = 2.0 ** grid.order
     rows = []
     for label, a, b in (("eta", e1[0], e2[0]), ("tau", e1[1], e2[1])):
-        ratio = a / b
-        ok = abs(ratio - expect) <= 0.15 * expect
-        rows.append(_row(f"geometry: support {label} error ratio N->2N",
-                         ratio, f"{expect:g} +- 15%", ok))
+        ratio = float(a / b)
+        # an explicit verdict: the requirement is a band, not one bound
+        rows.append(CheckRow(f"geometry: support {label} error ratio N->2N",
+                             ratio, f"{expect:g} +- 15%",
+                             abs(ratio - expect) <= 0.15 * expect))
     return rows
 
 
@@ -236,8 +230,8 @@ def jacobian_rows(hp, seed):
                   - residual(z - h * v, s, hp).values) / (2.0 * h)
             err = np.abs(Jv - grid.flatten(fd)).max() / np.abs(Jv).max()
             worst = max(worst, float(err))
-    return [_row(f"oracle: analytic J v vs FD, {_STATES} states x {_PROBES} "
-                 "probes", worst, "<= 1e-6", worst <= 1e-6)]
+    return [CheckRow.against(f"oracle: analytic J v vs FD, {_STATES} states "
+                             f"x {_PROBES} probes", worst, "<= 1e-6")]
 
 
 def build_condition_table(hp, seed=12345):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import warpcurve as wc
-from warpcurve.cli import main
+from warpcurve.cli import EXIT_CODES, main
 from warpcurve.grid import load_field
 
 from conftest import fields_csv_by_node, make_problem
@@ -115,12 +115,10 @@ def test_an_unscalable_period_exits_as_a_config_error(tmp_path, capsys, L,
     cfg.write_text(cfg.read_text().replace("order = 2\n",
                                            f"order = 2\nL = {L}\n"))
     assert main([command[0], "--config", str(cfg), *command[1:]]) == 3
-    if command[0] == "sweep":       # each point's error is a table row
-        table = (tmp_path / "out" / "sweep_eps.csv").read_text()
-        assert table.count(",ConfigError") == 2
-    else:
-        err = capsys.readouterr().err
-        assert err.startswith("error[ConfigError]: period L = ")
+    # L does not vary along a sweep, so every command refuses it at load
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]: period L = ")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("profile,where", [
@@ -274,18 +272,38 @@ _N_BAD = "\n[sweep]\nN = 32, 64, 96\n"
      "order r must satisfy 1 <= r <= n=1"),
     (("n = 1\n", "n = 3\n"), ["sweep", "--axis", "eps"],
      "dimension n must be 1 or 2, got 3"),
+    # keys no sweep axis varies: load builds what they set, so these stop
+    # there instead of writing a table of identical error rows
+    (("kind = cosh\n", "kind = power\np = -1\n"), ["sweep", "--axis", "eps"],
+     "power profile needs a finite exponent p > 0, got (-1.0,)"),
+    (("order = 2\n", "order = 3\n"), ["sweep", "--axis", "r"],
+     "stencil order must be 2 or 4, got 3"),
+    (("order = 2\n", "order = 2\nL = -1\n"), ["sweep", "--axis", "eps"],
+     "period L must be finite and positive, got -1.0"),
+    (("N = 256\n", "N = 8\n"), ["sweep", "--axis", "eps"],
+     "need at least 16 nodes per axis, got 8"),
+    (("eps_phi = 0.1\n", "eps_phi = -1\n"), ["sweep", "--axis", "eps"],
+     "decay rate eps_phi must be finite and nonnegative, got -1.0"),
+    (("eps_phi = 0.1\n", "eps_phi = 0.1\nt0 = 1.7\n"),
+     ["sweep", "--axis", "eps"], "anchor t0 = 1.7 must lie in (0.5, 1.6)"),
 ], ids=["N-verify", "N-solve", "N-sweep", "r-above-n", "r-above-n-eps-axis",
-        "r-below-1", "one-r", "one-eps", "curvature-r-0", "grid-n-3"])
+        "r-below-1", "one-r", "one-eps", "curvature-r-0", "grid-n-3",
+        "profile-p", "grid-order", "grid-L", "grid-N", "eps-phi",
+        "t0-outside-slab"])
 def test_bad_sweep_values_exit_3_naming_them(tmp_path, capsys, extra,
                                              command, message):
     if isinstance(extra, tuple):
         cfg = write_cfg(tmp_path)
+        assert extra[0] in cfg.read_text()
         cfg.write_text(cfg.read_text().replace(*extra))
     else:
         cfg = write_cfg(tmp_path, extra=extra)
-    assert main([command[0], "--config", str(cfg), *command[1:]]) == 3
+    # a bad eps_phi is a GaugeError (exit 5), every other a ConfigError
+    error = "GaugeError" if "eps_phi" in message else "ConfigError"
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == \
+        EXIT_CODES[getattr(wc, error)]
     err = capsys.readouterr().err
-    assert err.startswith(f"error[ConfigError]: {message}")
+    assert err.startswith(f"error[{error}]: {message}")
     assert not list(tmp_path.rglob("*.csv"))
 
 

@@ -117,8 +117,9 @@ def test_unknown_json_keys_exit_3(tmp_path, capsys):
 
 def test_json_arrays_echo_like_strings(tmp_path):
     lists = {
+        # load builds the profile, so the interval lies inside the table
         "profile": {"kind": "custom-table", "table_t": [0.1, 0.5, 1.0, 2.0],
-                    "table_h": [1.0, 1.1, 1.5, 3.7]},
+                    "table_h": [1.0, 1.1, 1.5, 3.7], "t_hi": 2.0},
         "grid": {"n": 2, "N": 16},
         "curvature": {"r": 2},
         "prescription": {"mode": [1, 2]},

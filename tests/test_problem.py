@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import warpcurve as wc
 from warpcurve import verify
 from warpcurve.ambient import kappa
-from warpcurve.problem import (CUSTOM_C_SLACK, S_LATTICE, Gauge,
+from warpcurve.problem import (CUSTOM_C_SLACK, S_LATTICE, CheckRow, Gauge,
                                HomotopyProblem, Prescription,
                                barrier_crossings, build_phi,
                                build_prescription, hypothesis_rows,
@@ -185,7 +185,6 @@ def test_settable_surface_has_no_overwritten_or_raising_inputs():
 # pin and CHANGES.md record it
 _SETTABLE_SURFACE = {
     "ambient.WarpingProfile.__init__": ('_spline=None',),
-    "ambient.WarpingProfile._values": ('xp=numpy',),
     "ambient.WarpingProfile.from_table": ('t_lo=None', 't_hi=None'),
     "cli.RunConfig.__init__": (
         "profile_kind='cosh'", 'profile_p=2.0', 'table_t=()', 'table_h=()',
@@ -210,6 +209,7 @@ _SETTABLE_SURFACE = {
     "grid.make_grid": ('L=6.283185307179586', 'order=2'),
     "grid.random_smooth": ('amplitude=1.0',),
     "problem.CheckRow.__init__": ('witness=None',),
+    "problem.CheckRow.against": ('witness=None',),
     "problem.CheckRow.format": ('width=46',),
     "problem.Gauge.__init__": ('t0=0.0', 'eps_phi=0.1'),
     "problem.Prescription.__init__": (
@@ -278,6 +278,26 @@ def _defaulted_parameters():
 
 def test_settable_surface_pins_every_default():
     assert _defaulted_parameters() == _SETTABLE_SURFACE
+
+
+@pytest.mark.parametrize("requirement, below, at, above", [
+    ("> 0", False, False, True),
+    ("> 0 (strict lattice)", False, False, True),
+    ("< 0", True, False, False),
+    ("<= 1e-12", True, True, False),
+])
+def test_a_row_verdict_is_its_requirement(requirement, below, at, above):
+    bound = float(requirement.split()[1])
+    step = max(abs(bound), 1e-300) * 1e-3
+    for value, passed in ((bound - step, below), (bound, at),
+                          (bound + step, above), (np.nan, False)):
+        row = CheckRow.against("row", np.float64(value), requirement)
+        assert row.passed is passed, (value, requirement)
+        assert type(row.value) is float
+        assert row.value == value or np.isnan(value) and np.isnan(row.value)
+        assert (row.name, row.requirement, row.witness) == \
+            ("row", requirement, None)
+    assert CheckRow.against("row", 1.0, "> 0", (0.5, 3)).witness == (0.5, 3)
 
 
 def test_validation_lattice_resolution(cosh, spec1):
@@ -639,9 +659,24 @@ def test_angular_mode_two_axes(cosh):
     # stored once, in flat node order
     assert np.allclose(p.angular, g.flatten(np.cos(2 * X) * np.cos(Y)),
                        atol=1e-14)
-    with pytest.raises(wc.ConfigError):
-        build_prescription(cosh, spec, g, c0=1.0, eps=0.1, mode=(1,),
+    with pytest.raises(wc.ConfigError,
+                       match=r"needs 2 frequencies, got \(1, 2, 3\)"):
+        build_prescription(cosh, spec, g, c0=1.0, eps=0.1, mode=(1, 2, 3),
                            t_minus=0.5, t_plus=1.5)
+
+
+def test_the_default_mode_at_n2_is_m_0(cosh):
+    # one frequency at n = 2 means (m, 0), for the library's default too
+    spec, g = wc.CurvatureSpec(2, 2), wc.make_grid(2, 16)
+    kw = dict(c0=np.sinh(1.0), eps=0.1, t_minus=0.5, t_plus=1.6)
+    default = build_prescription(cosh, spec, g, **kw)
+    assert np.array_equal(default.angular,
+                          build_prescription(cosh, spec, g, mode=(1, 0),
+                                             **kw).angular)
+    assert np.array_equal(default.angular,
+                          build_prescription(cosh, spec, g, mode=(1,),
+                                             **kw).angular)
+    assert wc.problem.angular_mode(3, 2) == (3, 0)
 
 
 # -- fused (psi, d_t psi) and the streamed homotopy report ----------------------

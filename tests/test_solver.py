@@ -379,18 +379,36 @@ def test_gmres_reports_an_unreachable_tolerance(hp2_wavy):
     J, rhs = _wavy_system(hp2_wavy)
     applies = []
 
+    def mean_free(r):
+        applies.append(1)
+        return r - r.mean()
+
+    # a preconditioner that removes the mean leaves J's range over it
+    # short of rhs, so neither cycle reaches 1e-12; a cycle applies the
+    # preconditioner once per step and once to form its correction, and
+    # only the one refinement cycle follows the first
+    x, converged = solver._gmres(J, rhs, mean_free)
+    assert not converged
+    assert len(applies) == solver._GMRES_CYCLES * (solver._GMRES_STEPS + 1)
+    assert np.all(np.isfinite(x))
+
+
+def test_gmres_refines_a_first_cycle_that_misses(hp2_wavy):
+    J, rhs = _wavy_system(hp2_wavy)
+    applies = []
+
     def unpreconditioned(r):
         applies.append(1)
         return r
 
-    # without the circulant preconditioner the cycle's 50 steps leave a
-    # relative residual of about 5e-9, far above 1e-12; the cycle applies
-    # the preconditioner once per step and once to form x, and is not
-    # restarted
+    # without the circulant preconditioner the first cycle's 50 steps
+    # stop short of 1e-12; the refinement cycle from the true residual
+    # reaches it
     x, converged = solver._gmres(J, rhs, unpreconditioned)
-    assert not converged
-    assert len(applies) == solver._GMRES_STEPS + 1
-    assert np.all(np.isfinite(x))
+    assert converged
+    assert solver._GMRES_STEPS + 1 < len(applies) \
+        <= solver._GMRES_CYCLES * (solver._GMRES_STEPS + 1)
+    assert solver._norm(rhs - J @ x) <= 1e-12 * solver._norm(rhs)
 
 
 @pytest.mark.parametrize("mode", [(1, 1), (1, 2), (2, 1), (2, 2)],
@@ -398,7 +416,7 @@ def test_gmres_reports_an_unreachable_tolerance(hp2_wavy):
 def test_gmres_converges_within_half_its_cycle(mode, monkeypatch):
     # the benchmark's solve2d problems (n = 2, r = 2, N = 128, slab
     # (0.5, 1.5)) at eps 0.15, one per mode: every Krylov step converges
-    # in at most half of the one cycle, which is why _gmres is not restarted
+    # in at most half of a cycle
     g = wc.make_grid(2, 128)
     p = wc.build_prescription(wc.WarpingProfile.cosh(0.2, 3.0),
                               wc.CurvatureSpec(2, 2), g, c0=SINH1, eps=0.15,
@@ -428,6 +446,50 @@ def test_gmres_matches_the_direct_solve(order):
     x, converged = solver._gmres(J, rhs, _preconditioner(hp, J))
     assert converged
     assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def _bench_problem(N, mode, eps):
+    """An n = 2, r = 2 problem of the benchmark's setup at N nodes."""
+    p = wc.build_prescription(wc.WarpingProfile.cosh(0.2, 3.0),
+                              wc.CurvatureSpec(2, 2), wc.make_grid(2, N),
+                              c0=SINH1, eps=eps, mode=mode, t_minus=0.5,
+                              t_plus=1.5)
+    return wc.build_homotopy(p, eps_phi=0.1)
+
+
+def test_a_fine_two_dimensional_continuation_needs_no_direct_solve(
+        monkeypatch):
+    # at N = 256 rounding in J x leaves a first GMRES cycle's true residual
+    # just above 1e-12 |rhs|; the refinement cycle meets it, where the
+    # direct fallback took about 5x the whole solve
+    monkeypatch.setattr(spla, "spsolve", _forbidden)
+    _, report = solver.continuation(_bench_problem(256, (3, 3), 0.3))
+    assert report.verdict == "converged"
+    assert [s.newton_iters for s in report.steps] == [0, 4]
+
+
+def test_an_n512_linear_step_meets_the_tolerance_without_fallback(
+        monkeypatch):
+    # the second Newton step of this continuation misses the tolerance
+    # after one GMRES cycle; the run stops after that step
+    class Stop(Exception):
+        pass
+
+    solves = []
+
+    def second_only(D, rhs, grid):
+        delta = _linear_step(D, rhs, grid)
+        solves.append(solver._norm(rhs - grid.pattern_matrix(D) @ delta)
+                      / solver._norm(rhs))
+        if len(solves) == 2:
+            raise Stop
+        return delta
+
+    monkeypatch.setattr(spla, "spsolve", _forbidden)
+    monkeypatch.setattr(solver, "_linear_step", second_only)
+    with pytest.raises(Stop):
+        solver.continuation(_bench_problem(512, (1, 1), 0.1))
+    assert max(solves) <= 1e-12
 
 
 _ROOT = Path(__file__).resolve().parent.parent

@@ -97,6 +97,63 @@ def test_condition_table_row_names_are_pinned(n, N, r, names):
     assert len(_ROWS_2D) == 33 and all(row.passed for row in rows)
 
 
+# each row's printed requirement, which its verdict applies (but for the
+# homotopy (v) and support-order rows, whose verdicts say more)
+_REQUIREMENTS = {
+    "profile: min h on domain scan": "> 0",
+    "profile: min kappa on domain scan": "> 0",
+    "prescription: min psi on slab": "> 0",
+    "hypothesis (a): min psi - k, t <= t_minus": "> 0",
+    "hypothesis (b): min k - psi, t >= t_plus": "> 0",
+    "hypothesis (c): max d/dt(h psi) on slab": "<= 0",
+    "gauge (a): min phi": "> 0",
+    "gauge (b): min phi - 1, t <= t_minus": "> 0",
+    "gauge (c): min 1 - phi, t >= t_plus": "> 0",
+    "gauge (d): max phi'": "< 0",
+    "gauge: |phi(t0) - 1|": "<= 1e-14",
+    "homotopy (ii): Psi > 0": "> 0 (strict lattice)",
+    "homotopy (iii): Psi(s, t_minus) > k": "> 0 (strict lattice)",
+    "homotopy (iv): Psi(s, t_plus) < k": "> 0 (strict lattice)",
+    "homotopy (v): d_t Psi + kappa Psi < 0": "> 0 (strict lattice)",
+    "curvature: Euler |sum f_i lam_i - f|": "<= 1e-12",
+    "curvature: midpoint concavity violation": "<= 1e-12",
+    "curvature: min sum f_i on slab": "> 0",
+    "curvature: min sum f_i lam_i on slab": "> 0",
+    "curvature: min f_i on slab": "> 0",
+    "curvature: Schur ordering violation": "<= 1e-12",
+    "curvature: homogeneity |f(c lam) - c f|": "<= 1e-12",
+    "curvature: permutation symmetry": "<= 1e-14",
+    "oracle: f_grad vs FD, 200 cone points": "<= 1e-6",
+    "oracle: matrix derivative vs FD": "<= 1e-6",
+    "geometry: umbilic slice |lam - kappa|": "<= 1e-12",
+    "geometry: det g identity rel err": "<= 1e-10",
+    "geometry: orientation nu0 W = -h": "<= 1e-14",
+    "geometry: special frame dev, <k> nodes": "<= 1e-10",
+    "oracle: eig2 vs eigh eigenvalues": "<= 1e-10",
+    "geometry: support eta error ratio N->2N": "4 +- 15%",
+    "geometry: support tau error ratio N->2N": "4 +- 15%",
+    "oracle: analytic J v vs FD, 3 states x 2 probes": "<= 1e-6",
+}
+_EXPLICIT_VERDICTS = {"homotopy (v): d_t Psi + kappa Psi < 0",
+                      "geometry: support eta error ratio N->2N",
+                      "geometry: support tau error ratio N->2N"}
+
+
+@pytest.mark.parametrize("n, N, r", [(1, 64, 1), (2, 16, 2)])
+def test_condition_table_requirements_are_pinned(n, N, r):
+    rows = verify.build_condition_table(
+        make_problem(n=n, N=N, r=r, eps=0.1, t_plus=1.5))
+    got = [(re.sub(r"\d+ nodes$", "<k> nodes", row.name), row.requirement)
+           for row in rows]
+    assert got == [(name, _REQUIREMENTS[name]) for name, _ in got]
+    assert len(got) == (30 if n == 1 else 33)
+    # every other row's verdict is its requirement applied to its value
+    for row, (name, requirement) in zip(rows, got):
+        if name not in _EXPLICIT_VERDICTS:
+            assert row == verify.CheckRow.against(row.name, row.value,
+                                                  requirement, row.witness)
+
+
 def _flip_first_grad(state, hp, coef):
     return [coef[0], -coef[1]] + coef[2:]
 
