@@ -132,6 +132,7 @@ class RunConfig:
         profile = build_profile(self)
         make_grid(self.n, self.N, self.L, self.order)
         build_phi(profile, self.t_minus, self.t_plus, self.t0, self.eps_phi)
+        solver_config(self)
 
     def echo(self):
         pairs = {k: (list(v) if isinstance(v, tuple) else v)
@@ -319,7 +320,7 @@ def cmd_sweep(cfg, axis):
     ok_runs, failures = 0, []
     for value in values:
         try:
-            rows += run(value)
+            rows.append(run(value))
             ok_runs += 1
         except WarpcurveError as exc:
             failures.append(exc)
@@ -338,7 +339,7 @@ def cmd_sweep(cfg, axis):
 
 
 def _sweep_runner(cfg, scfg, axis):
-    """The function solving one point of a sweep axis into its CSV rows.
+    """The function solving one point of a sweep axis into its CSV row.
 
     An N row adds the refinement columns: dz_coarse, the largest change
     of z on the previous N's nodes (every other node of each axis), and
@@ -360,10 +361,10 @@ def _sweep_runner(cfg, scfg, axis):
                 refine = (dz, np.log2(dz_prev / dz))
             last.update(z=z.values, dz=dz)
         fin = report.final
-        return [_sweep_row(axis, value, "ok", fin.residual,
-                           sum(s.newton_iters for s in report.steps),
-                           fin.z_min, fin.z_max, lo, hi, fin.lam1_max,
-                           fin.grad_max, *refine)]
+        return _sweep_row(axis, value, "ok", fin.residual,
+                          sum(s.newton_iters for s in report.steps),
+                          fin.z_min, fin.z_max, lo, hi, fin.lam1_max,
+                          fin.grad_max, *refine)
     return run
 
 

@@ -174,11 +174,7 @@ def f_grad(spec, lam):
 class StructuralReport:
     """Sampled extrema of the structural conditions on a cone slab."""
 
-    spec: CurvatureSpec
-    mu1: float
-    mu2: float
     samples: int
-    seed: int
     min_sum_fi: float
     min_sum_fi_lambda: float
     euler_violation: float
@@ -190,7 +186,7 @@ class StructuralReport:
         "condition holds whenever inf psi > 0")
 
 
-def sample_cone(spec, rng, count, fmin=1.0, fmax=1.0):
+def sample_cone(spec, rng, count, fmin, fmax):
     """Random points of Gamma_r rescaled so f lands in [fmin, fmax]."""
     out = np.empty((count, spec.n))
     got = 0
@@ -231,8 +227,7 @@ def check_structural(spec, mu1, mu2, seed=20240901):
     schur = float(np.maximum(0.0, fg_desc[..., :-1] - fg_desc[..., 1:]).max()) \
         if spec.n > 1 else 0.0
     return StructuralReport(
-        spec=spec, mu1=float(mu1), mu2=float(mu2), samples=_SAMPLES,
-        seed=seed,
+        samples=_SAMPLES,
         min_sum_fi=float(sum_fi.min()),
         min_sum_fi_lambda=float(sum_fi_lam.min()),
         euler_violation=float(euler),

@@ -39,18 +39,12 @@ class FrameError(WarpcurveError):
 class ValidationError(WarpcurveError):
     """A prescription hypothesis failed; carries the letter and witness."""
 
-    def __init__(self, hypothesis, t=None, node=None, detail=""):
+    def __init__(self, hypothesis, t, node, detail):
         self.hypothesis = hypothesis
         self.t = t
         self.node = node
-        msg = f"hypothesis ({hypothesis}) violated"
-        if t is not None:
-            msg += f" at t={t!r}"
-        if node is not None:
-            msg += f", node={node!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"hypothesis ({hypothesis}) violated at t={t!r}, "
+                         f"node={node!r}: {detail}")
 
 
 class GaugeError(WarpcurveError):

@@ -185,11 +185,11 @@ class TorusGrid:
         weights = self.stencil_pattern()[2][keys.index(key)]
         return self.pattern_matrix(np.tile(weights, self.size))
 
-    def d1_matrix(self, axis=0):
+    def d1_matrix(self, axis):
         """Sparse first derivative along an axis, in the fixed layout."""
         return self._operator(("d1", axis))
 
-    def d2_matrix(self, axis=0):
+    def d2_matrix(self, axis):
         """Sparse second derivative along an axis, in the fixed layout."""
         return self._operator(("d2", axis))
 
@@ -272,9 +272,7 @@ class TorusGrid:
         return self._coloring
 
 
-def make_grid(n, N, L=2.0 * np.pi, order=2):
-    """Construct a TorusGrid, validating all preconditions."""
-    return TorusGrid(n, N, L, order)
+make_grid = TorusGrid      # the name the package exports
 
 
 @dataclass
@@ -311,7 +309,7 @@ def reduce(fld: NodeField, mode):
     raise ConfigError(f"unknown reduction mode {mode!r}")
 
 
-def random_smooth(grid, rng, amplitude=1.0):
+def random_smooth(grid, rng, amplitude):
     """Random trigonometric field of per-axis frequencies 0, 1, 2, the
     constant mode left out, normalized to sup-norm = amplitude."""
     X = grid.coords() * (2.0 * np.pi / grid.L)

@@ -83,8 +83,14 @@ _STRICT = "> 0 (strict lattice)"   # requirement of the homotopy rows
 
 def angular_mode(mode, n):
     """The n integer frequencies of an angular mode; one value at n = 2
-    means (m, 0)."""
-    mode = tuple(int(m) for m in np.atleast_1d(mode))
+    means (m, 0).  A frequency must be a finite number equal to an
+    integer (1.0 is 1)."""
+    freqs = np.atleast_1d(mode)
+    if freqs.dtype.kind not in "iuf" or not np.all(np.isfinite(freqs)) \
+            or np.any(freqs != np.round(freqs)):
+        raise ConfigError(f"angular mode needs integer frequencies, "
+                          f"got {mode!r}")
+    mode = tuple(int(m) for m in freqs)
     if len(mode) == 1 and n == 2:
         mode += (0,)
     if len(mode) != n:
@@ -129,7 +135,7 @@ class CheckRow:
                   "<=": value <= bound}[op]
         return cls(name, value, requirement, passed, witness)
 
-    def format(self, width=46):
+    def format(self, width):
         mark = "pass" if self.passed else "FAIL"
         return (f"{self.name:<{width}s} {self.value: .17g}  "
                 f"[{self.requirement}]  {mark}")
@@ -146,9 +152,9 @@ class Prescription:
     fastest): the angular factor g(u) of the radial-decay form, or the
     node coordinates x, shape (n, size), that a custom psi_fn receives.
     psi and psi_pair evaluate at heights t over the nodes a flat index
-    selects (all by default), t broadcasting against them, from the
-    caller's profile values h = h(t) and h1 = h'(t); the custom form sees
-    x[:, node], so x[d] broadcasts against t.
+    selects (psi_pair all by default), t broadcasting against them, from
+    the caller's profile values h = h(t) and h1 = h'(t); the custom form
+    sees x[:, node], so x[d] broadcasts against t.
 
     Constructed directly, a Prescription checks only the spec's n and the
     psi pair; build_prescription also verifies the existence hypotheses.
@@ -157,13 +163,13 @@ class Prescription:
     profile: object = field(repr=False)
     spec: object = field(repr=False)
     grid: object = field(repr=False)
-    t_minus: float = 0.0
-    t_plus: float = 0.0
-    c0: float = 0.0
-    eps: float = 0.0
-    mode: tuple = (1,)
-    psi_fn: object = field(default=None, repr=False)
-    psi_t_fn: object = field(default=None, repr=False)
+    t_minus: float
+    t_plus: float
+    c0: float
+    eps: float
+    mode: tuple
+    psi_fn: object = field(repr=False)
+    psi_t_fn: object = field(repr=False)
     angular: np.ndarray = field(default=None, init=False, repr=False)
     coords: np.ndarray = field(default=None, init=False, repr=False)
     # h_psi over all nodes, read-only: constant per prescription
@@ -204,7 +210,7 @@ class Prescription:
             self._h_psi.flags.writeable = False
         return self._h_psi
 
-    def psi(self, t, h, node=slice(None)):
+    def psi(self, t, h, node):
         """psi at heights t over the selected nodes, from h = h(t)."""
         if self.form == "radial-decay":
             return self.h_psi(node) / h
@@ -459,8 +465,8 @@ class Gauge:
     """Explicit decreasing gauge phi with phi(t0) = 1."""
 
     profile: object = field(repr=False)
-    t0: float = 0.0
-    eps_phi: float = 0.1
+    t0: float
+    eps_phi: float
     k0h0: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
@@ -488,8 +494,9 @@ class Gauge:
         return psi0, -(self.eps_phi + h1 / h) * psi0
 
 
-def build_phi(profile, t_minus, t_plus, t0=None, eps_phi=0.1):
-    """Construct the gauge; GaugeError if it fails to decrease strictly."""
+def build_phi(profile, t_minus, t_plus, t0, eps_phi):
+    """Construct the gauge, anchored at t0 (None: the slab's midpoint);
+    GaugeError if it fails to decrease strictly."""
     if t0 is None:
         t0 = 0.5 * (t_minus + t_plus)
     if not (t_minus < t0 < t_plus):

@@ -221,10 +221,10 @@ class NewtonStats:
     halvings: int
     # first contraction |Delta_1| / |Delta_0| of the undamped corrections;
     # 0 when Newton took at most one iteration
-    theta0: float = 0.0
+    theta0: float
     # the evaluation of the returned iterate, read by the step monitors and
     # lent to the next solve from the same iterate (newton_solve's at)
-    state: _EvalState = field(default=None, repr=False, compare=False)
+    state: _EvalState = field(repr=False, compare=False)
 
     @property
     def quadratic_constant(self):
@@ -621,7 +621,7 @@ class ManufacturedProblem:
         return self.psi_values, zeros
 
 
-def manufactured_field(grid, center=1.0, amplitude=0.01, freqs=None):
+def manufactured_field(grid, center, amplitude, freqs=None):
     """Exact height field with analytic derivatives.
 
     n=1: z = c + A sin(m0 x);  n=2: z = c + A sin(m0 x) cos(m1 y), with

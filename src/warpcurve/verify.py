@@ -234,7 +234,7 @@ def jacobian_rows(hp, seed):
                              f"x {_PROBES} probes", worst, "<= 1e-6")]
 
 
-def build_condition_table(hp, seed=12345):
+def build_condition_table(hp, seed):
     """All verification rows for a configured problem."""
     rows = []
     rows += profile_rows(hp.profile)

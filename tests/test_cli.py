@@ -307,6 +307,30 @@ def test_bad_sweep_values_exit_3_naming_them(tmp_path, capsys, extra,
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("newton_tol", "0", "solver newton_tol must be finite and positive, "
+                        "got 0.0"),
+    ("max_newton", "0", "solver max_newton must be an integer >= 1, got 0"),
+    ("ds0", "2", "initial continuation step must be <= 1"),
+    ("ds_min", "-1", "solver ds_min must be finite and positive, got -1.0"),
+], ids=["newton_tol", "max_newton", "ds0", "ds_min"])
+@pytest.mark.parametrize("command", [
+    ["verify"], ["solve"], ["sweep", "--axis", "N"],
+    ["sweep", "--axis", "eps"], ["sweep", "--axis", "r"]],
+    ids=["verify", "solve", "sweep-N", "sweep-eps", "sweep-r"])
+def test_bad_solver_keys_exit_3_at_load(tmp_path, capsys, command, key,
+                                        value, message):
+    # verify used to run its table with them and exit 0, and solve to stop
+    # at a failing hypothesis first (t_minus = 1.2 fails (a)), exit 4
+    cfg = write_cfg(tmp_path, t_minus=1.2,
+                    extra=f"\n[solver]\n{key} = {value}\n")
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[ConfigError]: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_unsafe_flag_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", str(write_cfg(tmp_path)), "--axis", "N",

@@ -119,7 +119,8 @@ def test_quadratic_constant_without_a_tail_is_zero():
     # one residual, or only residuals at the rounding floor: no pair
     for norms in ([1e-3], [1e-15, 1e-16]):
         stats = solver.NewtonStats(iterations=len(norms) - 1,
-                                   residual_norms=norms, halvings=0)
+                                   residual_norms=norms, halvings=0,
+                                   theta0=0.0, state=None)
         assert stats.quadratic_constant == 0.0
 
 
@@ -277,7 +278,8 @@ def test_nan_residual_never_counts_as_converged():
     grid = wc.make_grid(1, 64)
     p = wc.problem.Prescription(wc.WarpingProfile.cosh(0.2, 3.0),
                                 wc.CurvatureSpec(1, 1), grid, c0=1.0,
-                                eps=np.nan, t_minus=0.5, t_plus=1.5)
+                                eps=np.nan, mode=(1,), t_minus=0.5,
+                                t_plus=1.5, psi_fn=None, psi_t_fn=None)
     hp = wc.build_homotopy(p)
     with pytest.raises(wc.NewtonStall, match="residual nan"):
         newton_solve(NodeField.constant(grid, hp.t0), 1.0, hp)
@@ -850,7 +852,7 @@ def test_a_crossing_far_from_the_anchor_needs_subdivision(monkeypatch):
     kwargs = dict(c0=np.sinh(2.85), eps=0.05, mode=2, t_minus=0.21,
                   t_plus=2.95)
     small = wc.build_prescription(profile, spec, wc.make_grid(1, 64), **kwargs)
-    rows = build_condition_table(wc.build_homotopy(small))
+    rows = build_condition_table(wc.build_homotopy(small), seed=12345)
     assert all(r.passed for r in rows)
     p = wc.build_prescription(profile, spec, wc.make_grid(1, 256), **kwargs)
     stalls = []
@@ -969,7 +971,7 @@ def test_seam_and_stencil_caches_hold_per_grid():
                 <= 1e-10 * np.abs(direct).max()
             z = hp.t0 + random_smooth(hp.grid, np.random.default_rng(3), 0.05)
             grad = hp.grid.gradient(z)[0]
-            ref = hp.grid.d1_matrix() @ hp.grid.flatten(z)
+            ref = hp.grid.d1_matrix(0) @ hp.grid.flatten(z)
             assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
             if rep == 0:
                 first.append((delta, grad))

@@ -91,7 +91,7 @@ def test_condition_table_row_names_are_pinned(n, N, r, names):
     # the benchmark's verify workload requires these 33 rows at n = 2; a
     # renamed or dropped row fails here rather than in the benchmark
     hp = make_problem(n=n, N=N, r=r, eps=0.1, t_plus=1.5)
-    rows = verify.build_condition_table(hp)
+    rows = verify.build_condition_table(hp, seed=12345)
     got = [re.sub(r"\d+ nodes$", "<k> nodes", row.name) for row in rows]
     assert got == names
     assert len(_ROWS_2D) == 33 and all(row.passed for row in rows)
@@ -142,7 +142,7 @@ _EXPLICIT_VERDICTS = {"homotopy (v): d_t Psi + kappa Psi < 0",
 @pytest.mark.parametrize("n, N, r", [(1, 64, 1), (2, 16, 2)])
 def test_condition_table_requirements_are_pinned(n, N, r):
     rows = verify.build_condition_table(
-        make_problem(n=n, N=N, r=r, eps=0.1, t_plus=1.5))
+        make_problem(n=n, N=N, r=r, eps=0.1, t_plus=1.5), seed=12345)
     got = [(re.sub(r"\d+ nodes$", "<k> nodes", row.name), row.requirement)
            for row in rows]
     assert got == [(name, _REQUIREMENTS[name]) for name, _ in got]
