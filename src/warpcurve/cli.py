@@ -27,8 +27,8 @@ from .errors import (BarrierViolation, BisectError, ConeError, ConfigError,
                      WarpcurveError)
 from .geometry import compute_geometry, fields_csv
 from .grid import make_grid, save_field
-from .problem import (angular_mode, barrier_crossings, build_homotopy,
-                      build_phi, build_prescription)
+from .problem import (barrier_crossings, build_homotopy, build_phi,
+                      build_prescription, check_slab, radial_decay_inputs)
 from .solver import SolverConfig, continuation
 from .verify import build_condition_table
 
@@ -112,27 +112,32 @@ class RunConfig:
 
     def validate(self):
         """Refuse a bad key before any command runs.  The library checks
-        the keys no sweep axis varies, by building the objects they set;
-        c0 and the hypotheses stay per sweep point (build_prescription)."""
-        CurvatureSpec(n=self.n, r=self.r)
-        if not (self.t_lo < self.t_minus < self.t_plus < self.t_hi):
-            raise ConfigError("need t_lo < t_minus < t_plus < t_hi")
+        every key, by building or checking what it sets, at its configured
+        value and at each [sweep] value; only the hypotheses stay per
+        sweep point (build_prescription)."""
         if self.seed < 0:
             raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
-        if not np.all(np.isfinite((self.eps,) + self.sweep_eps)):
-            raise ConfigError(f"[prescription] eps = {self.eps} and [sweep] "
-                              f"eps = {self.sweep_eps} must be finite")
         # the N/2 grid's nodes are every other node of the N grid
         if any(b != 2 * a for a, b in zip(self.sweep_N, self.sweep_N[1:])):
             raise ConfigError(f"[sweep] N = {list(self.sweep_N)} must double "
                               f"from each value to the next")
-        if not all(1 <= r <= self.n for r in self.sweep_r):
-            raise ConfigError(f"[sweep] r = {list(self.sweep_r)} must lie in "
-                              f"1 <= r <= n = {self.n}")
         profile = build_profile(self)
-        make_grid(self.n, self.N, self.L, self.order)
+        check_slab(profile, self.t_minus, self.t_plus)
+        self.mode = _check_point(self, self.r, self.eps, self.N)
+        for axis in ("N", "eps", "r"):
+            self.check_sweep(axis, getattr(self, f"sweep_{axis}"))
         build_phi(profile, self.t_minus, self.t_plus, self.t0, self.eps_phi)
         solver_config(self)
+
+    def check_sweep(self, axis, values):
+        """The library's checks of each point of a sweep axis; an error
+        names the key and the value before the library's reason."""
+        for value in values:
+            try:
+                _check_point(self, **{"r": self.r, "eps": self.eps,
+                                      "N": self.N, axis: value})
+            except ConfigError as exc:
+                raise ConfigError(f"[sweep] {axis} = {value}: {exc}") from None
 
     def echo(self):
         pairs = {k: (list(v) if isinstance(v, tuple) else v)
@@ -206,8 +211,16 @@ def load_config(path):
         raise ConfigError(f"[profile] kind = {cfg.profile_kind} ignores "
                           f"{', '.join(ignored)}")
     cfg.validate()
-    cfg.mode = angular_mode(cfg.mode, cfg.n)
     return cfg
+
+
+def _check_point(cfg, r, eps, N):
+    """The library's checks of the problem at (r, eps, N) that its
+    hypotheses do not need: the curvature spec, the grid and the
+    radial-decay inputs.  Returns the mode as build_prescription reads it."""
+    CurvatureSpec(n=cfg.n, r=r)
+    make_grid(cfg.n, N, cfg.L, cfg.order)
+    return radial_decay_inputs(cfg.c0, eps, cfg.mode, cfg.n, N)
 
 
 def build_profile(cfg):
@@ -315,6 +328,7 @@ def cmd_sweep(cfg, axis):
     if len(values) < 2:
         raise ConfigError(f"sweep axis {axis} needs at least 2 values, "
                           f"got {list(values)}")
+    cfg.check_sweep(axis, values)          # the default N axis too
     run = _sweep_runner(cfg, scfg, axis)
     rows = [_SWEEP_HEADER + (",dz_coarse,order" if axis == "N" else "")]
     ok_runs, failures = 0, []

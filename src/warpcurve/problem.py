@@ -81,30 +81,52 @@ _MARGIN_FACTOR = 0.5       # how far beyond the barriers (a)/(b) are sampled
 _STRICT = "> 0 (strict lattice)"   # requirement of the homotopy rows
 
 
-def angular_mode(mode, n):
-    """The n integer frequencies of an angular mode; one value at n = 2
-    means (m, 0).  A frequency must be a finite number equal to an
-    integer (1.0 is 1)."""
-    freqs = np.atleast_1d(mode)
-    if freqs.dtype.kind not in "iuf" or not np.all(np.isfinite(freqs)) \
-            or np.any(freqs != np.round(freqs)):
+def angular_mode(mode, n, N):
+    """The n integer frequencies of an angular mode, each resolved by N
+    nodes per axis: |m| <= N/2, as a higher one samples the same cosine
+    as a lower one.  One value at n = 2 means (m, 0).  A frequency must be
+    a finite number equal to an integer (1.0 is 1)."""
+    freqs = np.atleast_1d(mode).tolist()
+    # Python numbers: a float's % 1 is NaN at NaN and inf, and an int of
+    # any size is exact, so nothing overflows or warns
+    if not all(isinstance(m, (int, float)) and m % 1 == 0 for m in freqs):
         raise ConfigError(f"angular mode needs integer frequencies, "
                           f"got {mode!r}")
-    mode = tuple(int(m) for m in freqs)
-    if len(mode) == 1 and n == 2:
-        mode += (0,)
-    if len(mode) != n:
-        raise ConfigError(f"angular mode needs {n} frequencies, got {mode}")
-    return mode
+    freqs = tuple(int(m) for m in freqs) + (0,) * (n == 2 and len(freqs) == 1)
+    if len(freqs) != n:
+        raise ConfigError(f"angular mode needs {n} frequencies, got {freqs}")
+    if any(2 * abs(m) > N for m in freqs):
+        raise ConfigError(f"angular mode needs |m| <= N/2 = {N / 2:g} for "
+                          f"N = {N} nodes per axis, got {mode!r}")
+    return freqs
+
+
+def radial_decay_inputs(c0, eps, mode, n, N):
+    """The one check of the radial-decay inputs: c0 finite and > 0, eps
+    finite, and the mode as angular_mode returns it for n and N."""
+    # each comparison is False on NaN too
+    for need, ok, value in (("c0 > 0", 0 < c0 < np.inf, c0),
+                            ("eps", abs(eps) < np.inf, eps)):
+        if not ok:
+            raise ConfigError(f"radial-decay prescription needs a finite "
+                              f"{need}, got {value!r}")
+    return angular_mode(mode, n, N)
+
+
+def check_slab(profile, t_minus, t_plus):
+    """The barrier slab must lie inside the profile interval, in order."""
+    if not (profile.t_lo < t_minus < t_plus < profile.t_hi):
+        raise ConfigError(
+            f"need t_lo < t_minus < t_plus < t_hi, got "
+            f"({profile.t_lo}, {t_minus}, {t_plus}, {profile.t_hi})")
 
 
 def _angular_field(grid, mode):
     """Product of per-axis cosines with integer frequencies, flat order."""
     X = grid.coords() * (2.0 * np.pi / grid.L)
     out = np.ones(grid.shape)
-    for d, m in enumerate(angular_mode(mode, grid.n)):
-        if m != 0:
-            out = out * np.cos(m * X[d])
+    for d, m in enumerate(angular_mode(mode, grid.n, grid.N)):
+        out = out * np.cos(m * X[d])        # cos(0 X) is exactly 1
     return grid.flatten(out)
 
 
@@ -149,15 +171,18 @@ class Prescription:
     together, select the custom form; without them c0, eps and mode set
     the radial-decay form.  spec and grid must have the same n.
     The per-node data is stored once, in flat node order (axis 0
-    fastest): the angular factor g(u) of the radial-decay form, or the
+    fastest): the angular factor g(u) of the radial-decay form and its
+    h_psi = c0 + eps g(u), read-only (None for the custom form), or the
     node coordinates x, shape (n, size), that a custom psi_fn receives.
     psi and psi_pair evaluate at heights t over the nodes a flat index
     selects (psi_pair all by default), t broadcasting against them, from
     the caller's profile values h = h(t) and h1 = h'(t); the custom form
     sees x[:, node], so x[d] broadcasts against t.
 
-    Constructed directly, a Prescription checks only the spec's n and the
-    psi pair; build_prescription also verifies the existence hypotheses.
+    Constructed directly, a Prescription checks only the spec's n, the
+    psi pair and the mode (angular_mode); build_prescription also checks
+    the slab (check_slab) and the radial-decay inputs (radial_decay_inputs)
+    and verifies the existence hypotheses.
     """
 
     profile: object = field(repr=False)
@@ -172,9 +197,7 @@ class Prescription:
     psi_t_fn: object = field(repr=False)
     angular: np.ndarray = field(default=None, init=False, repr=False)
     coords: np.ndarray = field(default=None, init=False, repr=False)
-    # h_psi over all nodes, read-only: constant per prescription
-    _h_psi: np.ndarray = field(default=None, init=False, repr=False,
-                               compare=False)
+    h_psi: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.spec.n != self.grid.n:
@@ -185,6 +208,8 @@ class Prescription:
                               "exact t derivative psi_t_fn together")
         if self.psi_fn is None:
             self.angular = _angular_field(self.grid, self.mode)
+            self.h_psi = self.c0 + self.eps * self.angular
+            self.h_psi.flags.writeable = False
         else:
             self.coords = np.stack([self.grid.flatten(c)
                                     for c in self.grid.coords()])
@@ -200,26 +225,16 @@ class Prescription:
         is exactly t-independent, CUSTOM_C_SLACK of rounding otherwise."""
         return 0.0 if self.form == "radial-decay" else CUSTOM_C_SLACK
 
-    def h_psi(self, node=slice(None)):
-        """h psi = c0 + eps g(u) of the radial-decay form, per node; over
-        all nodes it is computed once and returned read-only."""
-        if not (isinstance(node, slice) and node == slice(None)):
-            return self.c0 + self.eps * self.angular[node]
-        if self._h_psi is None:
-            self._h_psi = self.c0 + self.eps * self.angular
-            self._h_psi.flags.writeable = False
-        return self._h_psi
-
     def psi(self, t, h, node):
         """psi at heights t over the selected nodes, from h = h(t)."""
         if self.form == "radial-decay":
-            return self.h_psi(node) / h
+            return self.h_psi[node] / h
         return self.psi_fn(t, self.coords[:, node])
 
     def psi_pair(self, t, h, h1, node=slice(None)):
         """(psi, d_t psi) at heights t over the selected nodes."""
         if self.form == "radial-decay":
-            num = self.h_psi(node)
+            num = self.h_psi[node]
             return num / h, -(h1 / h) * num / h
         x = self.coords[:, node]
         return self.psi_fn(t, x), self.psi_t_fn(t, x)
@@ -244,7 +259,7 @@ class Prescription:
         h psi for radial-decay (see the module docstring); custom forms
         have none and are reduced over the whole lattice.
         """
-        return self.h_psi() if self.form == "radial-decay" else None
+        return self.h_psi
 
 
 def _column(profile, tarr):
@@ -297,18 +312,17 @@ def _reduce(slices, tarr, pick=np.argmin, svals=None):
 def build_prescription(profile, spec, grid, c0=1.0, eps=0.0, mode=1, *,
                        t_minus, t_plus, psi_fn=None, psi_t_fn=None):
     """Construct a prescription (its form as in Prescription) and verify
-    the existence hypotheses.  A custom psi_fn reads none of c0, eps and
-    mode, so one set away from its default is a ConfigError.
+    the existence hypotheses.  The slab and the radial-decay inputs are
+    checked first, by check_slab and radial_decay_inputs, the checks the
+    CLI runs at load.  A custom psi_fn reads none of c0, eps and mode, so
+    one set away from its default is a ConfigError.
 
     Checks, in order: positivity of psi on the slab, (a) psi > k at and
     below t_minus, (b) psi < k at and above t_plus, (c) d/dt (h psi) <= 0
     on [t_minus, t_plus].  Raises ValidationError naming the first failed
     hypothesis with a witnessing (t, node).
     """
-    if not (profile.t_lo < t_minus < t_plus < profile.t_hi):
-        raise ConfigError(
-            f"need t_lo < t_minus < t_plus < t_hi, got "
-            f"({profile.t_lo}, {t_minus}, {t_plus}, {profile.t_hi})")
+    check_slab(profile, t_minus, t_plus)
     if psi_fn is not None:
         # a custom psi reads none of them: a set one would change nothing
         for name, value, default in (("c0", c0, 1.0), ("eps", eps, 0.0),
@@ -316,9 +330,8 @@ def build_prescription(profile, spec, grid, c0=1.0, eps=0.0, mode=1, *,
             if not np.array_equal(value, default):
                 raise ConfigError(f"a custom psi_fn takes no radial-decay "
                                   f"{name}, got {name} = {value!r}")
-    elif not 0 < c0 < np.inf:                       # NaN too
-        raise ConfigError(f"radial-decay prescription needs a finite c0 > 0, "
-                          f"got {c0!r}")
+    else:
+        radial_decay_inputs(c0, eps, mode, grid.n, grid.N)
     p = Prescription(profile=profile, spec=spec, grid=grid,
                      t_minus=float(t_minus), t_plus=float(t_plus),
                      c0=float(c0), eps=float(eps), mode=mode,

@@ -62,8 +62,11 @@ backtracking budget.  That, any other NewtonStall and a Newton iterate
 that leaves the barrier slab (BarrierViolation) halve ds; after a step
 whose first contraction Theta_1 is <= 1/4, ds doubles, clamped to land
 on s = 1.  Every accepted state is asserted to lie in the barrier slab
-and the cone; its monitors (residual, cone margin, gradient, curvature)
-are read from the evaluation Newton ended on.  Each step, at the next s
+(newton_solve) and the cone.  The cone assertion is curvature.f_eval's
+alone: it raises ConeError on every evaluation with a non-positive
+margin, so Newton never accepts a state outside the cone.  The monitors
+of an accepted state (residual, cone margin, gradient, curvature) are
+read from the evaluation Newton ended on.  Each step, at the next s
 or after a halving, starts from that evaluation: the geometry and f of
 a z do not depend on s, so only Psi is computed again, and Newton
 releases the evaluation once it has moved past it.  When the step falls
@@ -514,7 +517,7 @@ class StepRecord:
 
 @dataclass
 class SolveReport:
-    steps: list = field(default_factory=list)
+    steps: list
     # continuation returns a report only once s = 1 is reached
     verdict = "converged"
 
@@ -559,12 +562,16 @@ def continuation(hp, cfg=None):
     leaves the barrier slab halve ds, and below ds_min a
     ContinuationStall names the last cause.  After an accepted step whose
     first contraction Theta_1 is <= 1/4, ds doubles, clamped so that
-    s = 1 is hit exactly.  Accepted states are asserted to stay inside
-    the barrier slab and the admissibility cone.  Each step starts from
-    the evaluation Newton accepted last: the same z, so only Psi changes.
+    s = 1 is hit exactly.  Accepted states stay inside the barrier slab,
+    which newton_solve asserts, and the admissibility cone, which is
+    curvature.f_eval's to assert: it raises ConeError on every evaluation
+    with a non-positive margin, Newton halves a trial that fails it, and
+    a start that fails it ends the solve, so no cone check is repeated
+    here.  Each step starts from the evaluation Newton accepted last: the
+    same z, so only Psi changes.
     """
     cfg = cfg or SolverConfig()
-    report = SolveReport()
+    report = SolveReport(steps=[])
     z = NodeField.constant(hp.grid, hp.t0)
     z, stats = newton_solve(z, 0.0, hp, cfg)
     report.steps.append(_monitors(stats, hp, 0.0, 0.0))
@@ -584,12 +591,8 @@ def continuation(hp, cfg=None):
                     f"step fell below ds_min = {cfg.ds_min:.3e} at s = {s:.6g}"
                     f": {cause}") from exc
             continue
-        z = z_new
-        step = _monitors(stats, hp, s_try, s_try - s)
-        s = s_try
-        if step.cone_margin <= 0:
-            raise ConeError(f"accepted state left the cone at s={s:.6g}")
-        report.steps.append(step)
+        report.steps.append(_monitors(stats, hp, s_try, s_try - s))
+        z, s = z_new, s_try
         if stats.theta0 <= _THETA_GROW:
             ds = min(2.0 * ds, 1.0 - s)
     return z, report
@@ -617,8 +620,7 @@ class ManufacturedProblem:
         self.t0 = 0.5 * (t_minus + t_plus)
 
     def psi_of(self, s, zvals, h, h1):
-        zeros = np.zeros_like(self.psi_values)
-        return self.psi_values, zeros
+        return self.psi_values, np.zeros_like(self.psi_values)
 
 
 def manufactured_field(grid, center, amplitude, freqs=None):
@@ -653,14 +655,15 @@ def manufactured_field(grid, center, amplitude, freqs=None):
     return z, grad, hess
 
 
-def build_manufactured(grid, profile, spec, center=1.0, amplitude=0.01,
-                       freqs=None):
-    """Manufactured problem: z_m plus the psi that makes it exact.
+def build_manufactured(grid, profile, spec, amplitude=0.01, freqs=None):
+    """Manufactured problem: z_m, centred at height 1, plus the psi that
+    makes it exact.
 
     The prescription is f(lam) of the *continuum* geometry of z_m (exact
     analytic derivatives), so the discrete residual at z_m is pure stencil
     truncation error.
     """
+    center = 1.0
     z, grad, hess = manufactured_field(grid, center, amplitude, freqs)
     geom = geometry_from_derivatives(z, grad, hess, grid, profile)
     psi = curvature.f_eval(spec, geom.lam)
@@ -670,8 +673,8 @@ def build_manufactured(grid, profile, spec, center=1.0, amplitude=0.01,
     return NodeField(z, grid), hp
 
 
-def manufactured_residual_norm(grid, profile, spec, center=1.0,
-                               amplitude=0.01, freqs=None):
-    """Sup-norm of the discrete residual at the manufactured solution."""
-    z, hp = build_manufactured(grid, profile, spec, center, amplitude, freqs)
+def manufactured_residual_norm(grid, profile, spec):
+    """Sup-norm of the discrete residual at the manufactured solution of
+    build_manufactured's default amplitude and frequencies."""
+    z, hp = build_manufactured(grid, profile, spec)
     return float(np.abs(residual(z, 1.0, hp).values).max())

@@ -254,20 +254,30 @@ _N_BAD = "\n[sweep]\nN = 32, 64, 96\n"
     (_N_BAD, ["solve"], "[sweep] N = [32, 64, 96] must double"),
     (_N_BAD, ["sweep", "--axis", "N"], "[sweep] N = [32, 64, 96] must double"),
     # r = 2 > n = 1 used to run into a ConfigError row and exit 0, and an
-    # eps sweep used to load r = 3 without a word
+    # eps sweep used to load r = 3 without a word; each [sweep] value is
+    # checked by the library, and its error names the key and the value
     ("\n[sweep]\nr = 1, 2\n", ["sweep", "--axis", "r"],
-     "[sweep] r = [1, 2] must lie in 1 <= r <= n = 1"),
+     "[sweep] r = 2: order r must satisfy 1 <= r <= n=1"),
     ("\n[sweep]\nr = 3\n", ["sweep", "--axis", "eps"],
-     "[sweep] r = [3] must lie in 1 <= r <= n = 1"),
+     "[sweep] r = 3: order r must satisfy 1 <= r <= n=1"),
     ("\n[sweep]\nr = 0\n", ["verify"],
-     "[sweep] r = [0] must lie in 1 <= r <= n = 1"),
+     "[sweep] r = 0: order r must satisfy 1 <= r <= n=1"),
+    # N = 8 used to write a ConfigError row and exit 0
+    ("\n[sweep]\nN = 8, 16, 32\n", ["sweep", "--axis", "N"],
+     "[sweep] N = 8: need at least 16 nodes per axis, got 8"),
+    ("\n[sweep]\nN = 8, 16, 32\n", ["verify"],
+     "[sweep] N = 8: need at least 16 nodes per axis, got 8"),
+    ("\n[sweep]\neps = 0.0, nan\n", ["sweep", "--axis", "eps"],
+     "[sweep] eps = nan: radial-decay prescription needs a finite eps, "
+     "got nan"),
     # at n = 1 the default r axis is [1]
     ("", ["sweep", "--axis", "r"], "sweep axis r needs at least 2 values, "
                                    "got [1]"),
     ("\n[sweep]\neps = 0.1\n", ["sweep", "--axis", "eps"],
      "sweep axis eps needs at least 2 values, got [0.1]"),
-    # an (old, new) pair edits the base config: these used to load, and
-    # the eps sweep wrote a table of identical ConfigError rows
+    # an (old, new) pair, or a list of them, edits the base config: these
+    # used to load, and the eps sweep wrote a table of identical
+    # ConfigError rows
     (("r = 1\n", "r = 0\n"), ["sweep", "--axis", "eps"],
      "order r must satisfy 1 <= r <= n=1"),
     (("n = 1\n", "n = 3\n"), ["sweep", "--axis", "eps"],
@@ -286,16 +296,37 @@ _N_BAD = "\n[sweep]\nN = 32, 64, 96\n"
      "decay rate eps_phi must be finite and nonnegative, got -1.0"),
     (("eps_phi = 0.1\n", "eps_phi = 0.1\nt0 = 1.7\n"),
      ["sweep", "--axis", "eps"], "anchor t0 = 1.7 must lie in (0.5, 1.6)"),
+    (("c0 = 1.1752011936438014\n", "c0 = -1\n"), ["sweep", "--axis", "eps"],
+     "radial-decay prescription needs a finite c0 > 0, got -1.0"),
+    (("eps = 0.0\n", "eps = inf\n"), ["verify"],
+     "radial-decay prescription needs a finite eps, got inf"),
+    (("t_minus = 0.5\n", "t_minus = 2.0\n"), ["sweep", "--axis", "eps"],
+     "need t_lo < t_minus < t_plus < t_hi, got (0.2, 2.0, 1.6, 3.0)"),
+    # mode 40 at N = 64 used to solve the aliased mode-24 problem, exit 0
+    ([("N = 256\n", "N = 64\n"), ("mode = 1\n", "mode = 40\n")], ["solve"],
+     "angular mode needs |m| <= N/2 = 32 for N = 64 nodes per axis, "
+     "got (40,)"),
+    ([("mode = 1\n", "mode = 12\n"),
+      ("[output]", "[sweep]\nN = 16, 32, 64\n\n[output]")],
+     ["sweep", "--axis", "N"], "[sweep] N = 16: angular mode needs "
+     "|m| <= N/2 = 8 for N = 16 nodes per axis, got (12,)"),
+    # the default N axis at n = 1 is 64, 128, 256
+    (("mode = 1\n", "mode = 40\n"), ["sweep", "--axis", "N"],
+     "[sweep] N = 64: angular mode needs |m| <= N/2 = 32 for N = 64 nodes "
+     "per axis, got (40,)"),
 ], ids=["N-verify", "N-solve", "N-sweep", "r-above-n", "r-above-n-eps-axis",
-        "r-below-1", "one-r", "one-eps", "curvature-r-0", "grid-n-3",
-        "profile-p", "grid-order", "grid-L", "grid-N", "eps-phi",
-        "t0-outside-slab"])
+        "r-below-1", "N-below-16-sweep", "N-below-16-verify", "sweep-eps-nan",
+        "one-r", "one-eps", "curvature-r-0", "grid-n-3", "profile-p",
+        "grid-order", "grid-L", "grid-N", "eps-phi", "t0-outside-slab",
+        "c0-eps-axis", "eps-inf", "slab-order", "mode-above-N/2",
+        "mode-above-sweep-N/2", "mode-above-default-sweep-N/2"])
 def test_bad_sweep_values_exit_3_naming_them(tmp_path, capsys, extra,
                                              command, message):
-    if isinstance(extra, tuple):
+    if not isinstance(extra, str):
         cfg = write_cfg(tmp_path)
-        assert extra[0] in cfg.read_text()
-        cfg.write_text(cfg.read_text().replace(*extra))
+        for old, new in extra if isinstance(extra, list) else [extra]:
+            assert old in cfg.read_text()
+            cfg.write_text(cfg.read_text().replace(old, new))
     else:
         cfg = write_cfg(tmp_path, extra=extra)
     # a bad eps_phi is a GaugeError (exit 5), every other a ConfigError

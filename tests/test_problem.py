@@ -5,6 +5,7 @@ import inspect
 import pkgutil
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,26 +209,19 @@ _SETTABLE_SURFACE = {
     "grid.TorusGrid.__init__": ('L=6.283185307179586', 'order=2'),
     "problem.CheckRow.__init__": ('witness=None',),
     "problem.CheckRow.against": ('witness=None',),
-    "problem.Prescription.h_psi": ('node=slice(None, None, None)',),
     "problem.Prescription.psi_pair": ('node=slice(None, None, None)',),
     "problem._reduce": ('pick=argmin', 'svals=None'),
     "problem.build_homotopy": ('t0=None', 'eps_phi=0.1'),
     "problem.build_prescription": (
         'c0=1.0', 'eps=0.0', 'mode=1', 'psi_fn=None', 'psi_t_fn=None',
     ),
-    "solver.SolveReport.__init__": ('steps=<factory>',),
     "solver.SolverConfig.__init__": (
         'newton_tol=1e-10', 'max_newton=30', 'ds0=1.0', 'ds_min=0.0001',
     ),
     "solver._evaluate": ('at=None',),
-    "solver.build_manufactured": (
-        'center=1.0', 'amplitude=0.01', 'freqs=None',
-    ),
+    "solver.build_manufactured": ('amplitude=0.01', 'freqs=None'),
     "solver.continuation": ('cfg=None',),
     "solver.manufactured_field": ('freqs=None',),
-    "solver.manufactured_residual_norm": (
-        'center=1.0', 'amplitude=0.01', 'freqs=None',
-    ),
     "solver.newton_solve": (
         'cfg=None', 'theta_max=None', 'at=None',
     ),
@@ -283,13 +277,18 @@ _OMITTED_ONLY_BY_TESTS = {
 }
 
 
-def _omitted_defaults(call, fn):
-    """The defaulted parameters of fn that a call leaves out; the call
-    binds a first parameter self or cls.  A **kwargs argument leaves out
-    every default; a *args one passes every positional rest."""
+def _params(fn):
+    """fn's parameters as a call binds them: without a first self or cls."""
     params = list(inspect.signature(fn).parameters.values())
-    if params and params[0].name in ("self", "cls"):
-        params = params[1:]
+    return params[1:] if params and params[0].name in ("self", "cls") \
+        else params
+
+
+def _omitted_defaults(call, fn):
+    """The defaulted parameters of fn that a call leaves out.  A **kwargs
+    argument leaves out every default; a *args one passes every
+    positional rest."""
+    params = _params(fn)
     if any(kw.arg is None for kw in call.keywords):
         return {q.name for q in params if q.default is not q.empty}
     if any(isinstance(a, ast.Starred) for a in call.args):
@@ -299,38 +298,85 @@ def _omitted_defaults(call, fn):
             if q.default is not q.empty and q.name not in named}
 
 
-def test_every_default_is_omitted_outside_tests():
-    # a call is matched to the package's callables by the name it calls,
-    # a bare name or an attribute: a function or a class by any module
-    # name bound to it (a class calls its __init__), a method by its own
+def _passed_parameters(call, fn):
+    """The parameters of fn that a call passes.  A **kwargs argument
+    passes every one; a *args one every positional rest."""
+    params = _params(fn)
+    if any(kw.arg is None for kw in call.keywords):
+        return {q.name for q in params}
+    if not any(isinstance(a, ast.Starred) for a in call.args):
+        params = params[:len(call.args)]
+    return {q.name for q in params if q.kind.name.startswith("POSITIONAL")} \
+        | {kw.arg for kw in call.keywords}
+
+
+def _package_calls(dirs):
+    """(path, surface key, function, call) for every call of a callable
+    the package defines, in the .py files under the repository's dirs.
+
+    A call is matched by the name it calls, a bare name or an attribute:
+    a function or a class by any module name bound to it (a class calls
+    its __init__), a method by its own; cls(...) in a classmethod calls
+    the class that defines it."""
     by_name = {}
     for name, key, fn in _package_callables():
         method = "." in fn.__qualname__ and fn.__name__ != "__init__"
         called = fn.__name__ if method else name
         by_name.setdefault(called, []).append((key, fn))
     root = Path(__file__).resolve().parents[1]
-    sources = [p for d in ("src", "demos", "perfbench")
-               for p in (root / d).rglob("*.py")
-               if "tests" not in p.relative_to(root).parts]
-    relied = {}
-    for path in sources:
-        for call in ast.walk(ast.parse(path.read_text())):
+    for path in sorted(p for d in dirs for p in (root / d).rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        class_of = {}
+        for cdef in ast.walk(tree):
+            for fdef in cdef.body if isinstance(cdef, ast.ClassDef) else ():
+                if any(getattr(d, "id", None) == "classmethod"
+                       for d in getattr(fdef, "decorator_list", ())):
+                    class_of.update(
+                        (call, cdef.name) for call in ast.walk(fdef)
+                        if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "cls")
+        for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
             func = call.func
-            called = func.id if isinstance(func, ast.Name) else \
-                func.attr if isinstance(func, ast.Attribute) else None
+            called = class_of.get(call) or (
+                func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
             for key, fn in by_name.get(called, ()):
-                relied.setdefault(key, set()).update(
-                    _omitted_defaults(call, fn))
+                yield path.relative_to(root), key, fn, call
+
+
+def _surface_names(defaults):
+    return {d.split("=", 1)[0] for d in defaults}
+
+
+def test_every_default_is_omitted_outside_tests():
+    relied = {}
+    for path, key, fn, call in _package_calls(("src", "demos", "perfbench")):
+        if "tests" not in path.parts:
+            relied.setdefault(key, set()).update(_omitted_defaults(call, fn))
     unrelied = {}
     for key, defaults in _SETTABLE_SURFACE.items():
-        names = {d.split("=", 1)[0] for d in defaults}
-        dead = names - relied.get(key, set()) \
+        dead = _surface_names(defaults) - relied.get(key, set()) \
             - _OMITTED_ONLY_BY_TESTS.get(key, set())
         if dead:
             unrelied[key] = sorted(dead)
     assert unrelied == {}
+
+
+def test_every_default_is_overridden_by_some_call():
+    # the dual of the test above: a default that no call in src/, a demo,
+    # perfbench or a test ever overrides is a constant in disguise
+    passed = {}
+    for _, key, fn, call in _package_calls(("src", "demos", "perfbench",
+                                            "tests")):
+        passed.setdefault(key, set()).update(_passed_parameters(call, fn))
+    never = {}
+    for key, defaults in _SETTABLE_SURFACE.items():
+        fixed = _surface_names(defaults) - passed.get(key, set())
+        if fixed:
+            never[key] = sorted(fixed)
+    assert never == {}
 
 
 @pytest.mark.parametrize("requirement, below, at, above", [
@@ -686,7 +732,7 @@ def test_separable_bisect_error_names_the_full_check_node(cosh, n, N, mode,
     assert two.startswith("no sign change for the crossing at node ")
     assert two == every
     if c0 in (0.3, 0.5):
-        key = p.h_psi()
+        key = p.h_psi
         node = int(two.rsplit(" ", 1)[1])
         assert node != np.argmin(key) and key[node] != key.min()
 
@@ -731,7 +777,7 @@ def test_the_default_mode_at_n2_is_m_0(cosh):
     assert np.array_equal(default.angular,
                           build_prescription(cosh, spec, g, mode=(1,),
                                              **kw).angular)
-    assert wc.problem.angular_mode(3, 2) == (3, 0)
+    assert wc.problem.angular_mode(3, 2, 16) == (3, 0)
 
 
 @pytest.mark.parametrize("n, mode", [(1, 1.5), (1, np.nan), (1, np.inf),
@@ -749,13 +795,49 @@ def test_a_non_integer_mode_is_a_config_error(cosh, n, mode):
                            t_minus=0.5, t_plus=1.5)
 
 
+_BOUND_64 = "angular mode needs |m| <= N/2 = 32 for N = 64 nodes per axis"
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"eps": np.nan}, "radial-decay prescription needs a finite eps, got nan"),
+    ({"eps": np.inf}, "radial-decay prescription needs a finite eps, got inf"),
+    ({"eps": -np.inf},
+     "radial-decay prescription needs a finite eps, got -inf"),
+    ({"mode": 40}, f"{_BOUND_64}, got 40"),
+    ({"mode": 2.0 ** 70}, f"{_BOUND_64}, got 1.1805916207174113e+21"),
+    ({"mode": 1e308}, f"{_BOUND_64}, got 1e+308"),
+    ({"mode": 10 ** 20}, f"{_BOUND_64}, got 100000000000000000000"),
+    ({"mode": (1, -33)}, f"{_BOUND_64}, got (1, -33)"),
+], ids=["eps-nan", "eps-inf", "eps-minus-inf", "mode-40", "mode-2**70",
+        "mode-1e308", "mode-10**20", "mode-1--33"])
+def test_radial_decay_inputs_are_config_errors(cosh, kw, message):
+    # eps = nan failed as "hypothesis (positivity) violated"; mode 40 built
+    # the mode-24 field on 64 nodes, 2**70 an aliased one, 1e308 a NaN
+    # field after an overflow warning, and 10**20 was "not an integer"
+    n = len(np.atleast_1d(kw.get("mode", 1)))
+    args = {"c0": SINH1, "eps": 0.1, "mode": 1, **kw}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wc.ConfigError, match=f"^{re.escape(message)}$"):
+            build_prescription(cosh, wc.CurvatureSpec(n, 1),
+                               wc.make_grid(n, 64), t_minus=0.5,
+                               t_plus=1.5, **args)
+
+
+def test_a_mode_at_the_nyquist_bound_is_resolved(cosh, spec1):
+    # cos(32 u) on 64 nodes is (-1)^j; 33 would sample cos(31 u)
+    p = build_prescription(cosh, spec1, wc.make_grid(1, 64), c0=SINH1,
+                           eps=0.1, mode=-32, t_minus=0.5, t_plus=1.5)
+    assert np.array_equal(p.angular, (-1.0) ** np.arange(64))
+
+
 def test_an_integer_valued_float_mode_is_that_integer(cosh, spec1):
     g = wc.make_grid(1, 64)
     kw = dict(c0=SINH1, eps=0.1, t_minus=0.5, t_plus=1.5)
     assert np.array_equal(
         build_prescription(cosh, spec1, g, mode=2.0, **kw).angular,
         build_prescription(cosh, spec1, g, mode=2, **kw).angular)
-    mode = wc.problem.angular_mode(np.array([2.0, -1.0]), 2)
+    mode = wc.problem.angular_mode(np.array([2.0, -1.0]), 2, 16)
     assert mode == (2, -1) and all(type(m) is int for m in mode)
 
 
@@ -1090,7 +1172,7 @@ def test_separable_witness_keeps_rounding_ties(cosh, n, N, mode):
                            c0=SINH1, eps=0.3, mode=mode, t_minus=0.5,
                            t_plus=1.5)
     node = _assert_engine_rows(p)[0].witness[1]
-    key = p.h_psi()
+    key = p.h_psi
     assert node != np.argmin(key) and key[node] != key.min()
 
 
