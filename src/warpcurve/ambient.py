@@ -11,7 +11,10 @@ Profiles are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+# scipy.interpolate loads on first use, as only tables need it: it pulls
+# in optimize, spatial and special, whose memory and start-up time the
+# closed-form profiles are spared
+import scipy
 
 from .errors import ConfigError, DomainError, ProfileError
 
@@ -82,9 +85,13 @@ class WarpingProfile:
         hs = np.asarray(hs, dtype=float)
         if ts.ndim != 1 or ts.shape != hs.shape or ts.size < 4:
             raise ConfigError("table needs matching 1-d arrays, >= 4 samples")
-        if np.any(np.diff(ts) <= 0):
+        for name, arr in (("abscissae", ts), ("values", hs)):
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"table {name} must be finite, got "
+                                  f"{arr.tolist()}")
+        if not np.all(np.diff(ts) > 0):
             raise ConfigError("table abscissae must be strictly increasing")
-        spline = CubicSpline(ts, hs, bc_type="not-a-knot")
+        spline = scipy.interpolate.CubicSpline(ts, hs, bc_type="not-a-knot")
         if t_lo is None:
             t_lo = ts[0]
         if t_hi is None:

@@ -137,7 +137,7 @@ def in_cone(spec, lam):
 def _require_cone(spec, lam):
     """ConeError unless lam lies in Gamma_r; returns [S_1, ..., S_r]."""
     polys, m = _cone_polys(spec, lam)
-    if np.any(m <= 0):
+    if not np.all(m > 0):  # a NaN margin too
         if m.ndim == 0:
             raise ConeError(f"lambda outside Gamma_{spec.r}: margin {float(m):.3e}")
         flat = int(np.argmin(m))

@@ -80,7 +80,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
+# scipy.fft loads on first use (only the n = 2 step needs it), to keep it
+# out of the memory and start-up of n = 1 runs and verify
+import scipy
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
@@ -222,6 +224,8 @@ class NewtonStats:
     iterations: int
     residual_norms: list
     halvings: int
+    # Newton steps whose linear system went to the spsolve fallback
+    fallbacks: int
     # first contraction |Delta_1| / |Delta_0| of the undamped corrections;
     # 0 when Newton took at most one iteration
     theta0: float
@@ -254,7 +258,7 @@ def _circulant_symbol(D, grid):
     kernel[tuple(foot.T)] = D.mean(axis=0)
     # (C x)_i = sum_o kernel[o] x_{i+o} is a correlation, so its symbol is
     # the conjugate transform of the (real) kernel
-    return np.conj(sfft.rfftn(kernel))
+    return np.conj(scipy.fft.rfftn(kernel))
 
 
 def _circulant_preconditioner(sym, grid):
@@ -262,9 +266,10 @@ def _circulant_preconditioner(sym, grid):
     inv_half = 1.0 / sym
 
     def apply(r):
-        rhat = sfft.rfftn(grid.unflatten(r))
+        rhat = scipy.fft.rfftn(grid.unflatten(r))
         rhat *= inv_half
-        return grid.flatten(sfft.irfftn(rhat, s=grid.shape, overwrite_x=True))
+        return grid.flatten(
+            scipy.fft.irfftn(rhat, s=grid.shape, overwrite_x=True))
     return apply
 
 
@@ -393,7 +398,8 @@ def _linear_step(D, rhs, grid):
     """Solve J delta = rhs, J given by its data D in the fixed layout: a
     cyclic band solve at n = 1, FFT-preconditioned GMRES at n = 2, each
     with a direct fallback (see the module docstring).  Only GMRES and
-    the fallback build the CSR matrix."""
+    the fallback build the CSR matrix.  Returns (delta, fell_back), the
+    latter True when delta came from the fallback."""
     if grid.n == 1:
         try:
             delta = _cyclic_band_solve(D, rhs)
@@ -401,7 +407,7 @@ def _linear_step(D, rhs, grid):
             pass
         else:
             if np.all(np.isfinite(delta)):
-                return delta
+                return delta, False
     J = grid.pattern_matrix(D)
     if grid.n == 2:
         sym = _circulant_symbol(D, grid)
@@ -410,8 +416,8 @@ def _linear_step(D, rhs, grid):
             delta, converged = _gmres(J, rhs,
                                       _circulant_preconditioner(sym, grid))
             if converged:
-                return delta
-    return spla.spsolve(J.tocsc(), rhs)
+                return delta, False
+    return spla.spsolve(J.tocsc(), rhs), True
 
 
 def _check_barrier(zvals, hp):
@@ -449,15 +455,16 @@ def newton_solve(z0, s, hp, cfg=None, theta_max=None, at=None):
     rnorm = float(np.abs(state.res).max())
     norms = [rnorm]
     iters = 0
-    halvings = 0
+    halvings = fallbacks = 0
     dnorm = theta0 = 0.0
     while not rnorm <= cfg.newton_tol:      # a NaN residual never converges
         if iters >= cfg.max_newton:
             raise NewtonStall(
                 f"no convergence in {cfg.max_newton} iterations at s={s:.6g} "
                 f"(residual {rnorm:.3e})")
-        delta = _linear_step(_analytic_jacobian(state, hp),
-                             -hp.grid.flatten(state.res), hp.grid)
+        delta, fell_back = _linear_step(_analytic_jacobian(state, hp),
+                                        -hp.grid.flatten(state.res), hp.grid)
+        fallbacks += fell_back
         if not np.all(np.isfinite(delta)):
             raise NewtonStall(f"non-finite linear step at s={s:.6g} "
                               f"(residual {rnorm:.3e})")
@@ -498,8 +505,8 @@ def newton_solve(z0, s, hp, cfg=None, theta_max=None, at=None):
         norms.append(rnorm)
     return (NodeField(zvals, hp.grid),
             NewtonStats(iterations=iters, residual_norms=norms,
-                        halvings=halvings, theta0=theta0,
-                        state=state))
+                        halvings=halvings, fallbacks=fallbacks,
+                        theta0=theta0, state=state))
 
 
 @dataclass

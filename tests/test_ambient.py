@@ -158,6 +158,20 @@ def test_table_and_power_inputs_are_refused_by_name():
             wc.WarpingProfile.from_table(ts, np.cosh(ts), t_lo=lo, t_hi=hi)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_table_samples_are_config_errors(bad):
+    # named before the spline is built, not by SciPy's own ValueError
+    ts = np.array([0.1, 0.5, 1.0, 2.0, 3.0])
+    t_bad, h_bad = ts.copy(), np.cosh(ts)
+    t_bad[1] = h_bad[2] = bad
+    with pytest.raises(wc.ConfigError,
+                       match=r"^table abscissae must be finite, got \["):
+        wc.WarpingProfile.from_table(t_bad, np.cosh(ts))
+    with pytest.raises(wc.ConfigError,
+                       match=r"^table values must be finite, got \["):
+        wc.WarpingProfile.from_table(ts, h_bad)
+
+
 def test_eval_refuses_an_underflowed_h():
     # t^400 underflows to 0 near the open end t = 0 of a power profile
     prof = wc.WarpingProfile.power(400.0, 0.0, 2.0)

@@ -145,6 +145,29 @@ def test_an_overflowing_profile_exits_as_a_config_error(tmp_path, capsys,
                           f"overflows at {where}: ")
 
 
+@pytest.mark.parametrize("key,samples", [
+    ("t", "0.2 0.5 nan 1.5 2.0 3.0"), ("t", "0.2 0.5 1.0 inf 2.0 3.0"),
+    ("h", "1.02 1.13 nan 2.35 3.76 10.07"),
+])
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_a_non_finite_table_sample_exits_as_a_config_error(tmp_path, capsys,
+                                                           key, samples,
+                                                           command):
+    # SciPy's own ValueError used to escape as exit 2, naming no key
+    table = {"t": "0.2 0.5 1.0 1.5 2.0 3.0",
+             "h": "1.02 1.13 1.54 2.35 3.76 10.07"}
+    table[key] = samples
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        "kind = cosh\n", f"kind = custom-table\ntable_t = {table['t']}\n"
+                         f"table_h = {table['h']}\n"))
+    assert main([command, "--config", str(cfg)]) == 3
+    name = "abscissae" if key == "t" else "values"
+    assert capsys.readouterr().err.startswith(
+        f"error[ConfigError]: table {name} must be finite, got [")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "solve"])
 def test_an_underflowing_gauge_asks_for_a_lower_rate(tmp_path, capsys,
                                                      command):

@@ -279,6 +279,24 @@ def test_cone_error_carries_node():
     assert exc.value.node == (2, 3)
 
 
+def test_a_nan_margin_is_a_cone_error():
+    # in_cone says False on NaN; the evaluations raise, naming the node
+    spec = CurvatureSpec(2, 2)
+    assert not in_cone(spec, [np.nan, 1.0])
+    for fn in (f_eval, f_grad):
+        with pytest.raises(wc.ConeError, match="margin nan$") as exc:
+            fn(spec, [np.nan, 1.0])
+        assert exc.value.node is None
+    lam = np.ones((4, 4, 2))
+    lam[1, 2] = [np.nan, 1.0]
+    lam[3, 0] = [1.0, -1.0]
+    for fn in (f_eval, f_grad):
+        with pytest.raises(wc.ConeError,
+                           match=r"at node \(.*\): margin nan$") as exc:
+            fn(spec, lam)
+        assert exc.value.node == (1, 2)
+
+
 # Rounding floors of the checks below at a point lam, scaled by f(c lam):
 # EPS c max|lam| for f(c lam) - c f(lam), EPS max|lam| / step for the
 # central difference.  Over seeds 0-2999 of the test body the measured

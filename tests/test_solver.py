@@ -120,7 +120,7 @@ def test_quadratic_constant_without_a_tail_is_zero():
     for norms in ([1e-3], [1e-15, 1e-16]):
         stats = solver.NewtonStats(iterations=len(norms) - 1,
                                    residual_norms=norms, halvings=0,
-                                   theta0=0.0, state=None)
+                                   fallbacks=0, theta0=0.0, state=None)
         assert stats.quadratic_constant == 0.0
 
 
@@ -336,14 +336,17 @@ def test_krylov_step_matches_direct_solve(order, jacobian, monkeypatch):
     J, rhs = _wavy_system(hp, jacobian)
     direct = spla.spsolve(J.tocsc(), rhs)
     monkeypatch.setattr(spla, "spsolve", _forbidden)   # Krylov path only
-    delta = _linear_step(_data(J, hp.grid), rhs, hp.grid)
+    delta, fell_back = _linear_step(_data(J, hp.grid), rhs, hp.grid)
+    assert not fell_back
     assert np.abs(delta - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
 def test_krylov_failure_falls_back_to_direct_solve(hp2_wavy, monkeypatch):
     J, rhs = _wavy_system(hp2_wavy)
     monkeypatch.setattr(solver, "_gmres", _gmres_misses)
-    delta = _linear_step(_data(J, hp2_wavy.grid), rhs, hp2_wavy.grid)
+    delta, fell_back = _linear_step(_data(J, hp2_wavy.grid), rhs,
+                                    hp2_wavy.grid)
+    assert fell_back
     assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
 
 
@@ -358,7 +361,9 @@ def test_one_dimensional_step_is_a_direct_solve(monkeypatch):
                 m.setattr(spla, "gmres", _forbidden)
                 m.setattr(solver, "_gmres", _forbidden)
                 m.setattr(spla, "spsolve", _forbidden)
-                delta = _linear_step(_data(J, hp.grid), rhs, hp.grid)
+                delta, fell_back = _linear_step(_data(J, hp.grid), rhs,
+                                                hp.grid)
+            assert not fell_back
             assert np.abs(delta - direct).max() \
                 <= 1e-10 * np.abs(direct).max()
 
@@ -465,9 +470,19 @@ def test_a_fine_two_dimensional_continuation_needs_no_direct_solve(
     # just above 1e-12 |rhs|; the refinement cycle meets it, where the
     # direct fallback took about 5x the whole solve
     monkeypatch.setattr(spla, "spsolve", _forbidden)
+    stats = []
+    newton = solver.newton_solve
+
+    def recording(*args, **kwargs):
+        z, st = newton(*args, **kwargs)
+        stats.append(st)
+        return z, st
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
     _, report = solver.continuation(_bench_problem(256, (3, 3), 0.3))
     assert report.verdict == "converged"
     assert [s.newton_iters for s in report.steps] == [0, 4]
+    assert [st.fallbacks for st in stats] == [0, 0]
 
 
 def test_an_n512_linear_step_meets_the_tolerance_without_fallback(
@@ -480,12 +495,12 @@ def test_an_n512_linear_step_meets_the_tolerance_without_fallback(
     solves = []
 
     def second_only(D, rhs, grid):
-        delta = _linear_step(D, rhs, grid)
+        delta, fell_back = _linear_step(D, rhs, grid)
         solves.append(solver._norm(rhs - grid.pattern_matrix(D) @ delta)
                       / solver._norm(rhs))
         if len(solves) == 2:
             raise Stop
-        return delta
+        return delta, fell_back
 
     monkeypatch.setattr(spla, "spsolve", _forbidden)
     monkeypatch.setattr(solver, "_linear_step", second_only)
@@ -534,9 +549,26 @@ def _band_nan(l_and_u, ab, b, **kwargs):
 def test_band_failure_falls_back_to_direct_solve(hp1_wavy, band,
                                                  monkeypatch):
     J, rhs = _wavy_system(hp1_wavy)
+    z0 = NodeField.constant(hp1_wavy.grid, hp1_wavy.t0)
+    _, clean = newton_solve(z0, 1.0, hp1_wavy)
+    assert clean.fallbacks == 0
+    solve_banded = solver.sla.solve_banded
     monkeypatch.setattr(solver.sla, "solve_banded", band)
-    delta = _linear_step(_data(J, hp1_wavy.grid), rhs, hp1_wavy.grid)
+    delta, fell_back = _linear_step(_data(J, hp1_wavy.grid), rhs,
+                                    hp1_wavy.grid)
+    assert fell_back
     assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
+    # a band failure in the first Newton step only: one fallback
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(1)
+        return (band if len(calls) == 1 else solve_banded)(*args, **kwargs)
+
+    monkeypatch.setattr(solver.sla, "solve_banded", first_fails)
+    _, stats = newton_solve(z0, 1.0, hp1_wavy)
+    assert stats.fallbacks == 1
+    assert stats.iterations == clean.iterations > 1
 
 
 def test_krylov_continuation_matches_direct_continuation(hp2_wavy,
@@ -577,7 +609,8 @@ def test_step_records_match_a_fresh_evaluation(hp1_wavy, monkeypatch):
 
 def test_non_finite_linear_step_is_named(hp1_wavy, monkeypatch):
     monkeypatch.setattr(solver, "_linear_step",
-                        lambda J, rhs, grid: np.full_like(rhs, np.nan))
+                        lambda J, rhs, grid: (np.full_like(rhs, np.nan),
+                                              False))
     z0 = NodeField.constant(hp1_wavy.grid, hp1_wavy.t0)
     with pytest.raises(wc.NewtonStall, match="non-finite linear step at s=1"):
         newton_solve(z0, 1.0, hp1_wavy)
@@ -806,10 +839,10 @@ def test_a_step_that_does_not_contract_is_subdivided(hp1_wavy, monkeypatch):
     deltas = []
 
     def stuck(J, rhs, grid):
-        deltas.append(step(J, rhs, grid))
+        deltas.append(step(J, rhs, grid)[0])
         # s = 0 needs no iteration, so calls 1 and 2 are the first s = 1
         # attempt: its second correction is as long as its first
-        return deltas[0].copy() if len(deltas) == 2 else deltas[-1]
+        return (deltas[0].copy() if len(deltas) == 2 else deltas[-1]), False
 
     stalls = []
     newton = solver.newton_solve
@@ -886,9 +919,9 @@ def test_standalone_newton_has_no_contraction_check(cosh_profile,
     norms = []
 
     def recording(J, rhs, grid):
-        delta = step(J, rhs, grid)
+        delta, fell_back = step(J, rhs, grid)
         norms.append(np.abs(delta).max())
-        return delta
+        return delta, fell_back
 
     monkeypatch.setattr(solver, "_linear_step", recording)
     z, stats = newton_solve(z0, 1.0, hp)
