@@ -178,7 +178,14 @@ def _load_blocks(path):
 
 
 def load_config(path):
-    """Parse a config file (INI blocks or JSON) into a RunConfig.
+    """Parse a config file (INI blocks or JSON) into a validated RunConfig."""
+    cfg = _parse_config(path)
+    cfg.validate()
+    return cfg
+
+
+def _parse_config(path):
+    """A config file's RunConfig, before validate().
 
     Every block and key outside the schema, and every profile key the
     chosen profile kind ignores, is a ConfigError naming all of them; a
@@ -210,7 +217,6 @@ def load_config(path):
     if ignored:
         raise ConfigError(f"[profile] kind = {cfg.profile_kind} ignores "
                           f"{', '.join(ignored)}")
-    cfg.validate()
     return cfg
 
 
@@ -319,26 +325,48 @@ def _sweep_row(axis, value, status, residual=np.nan, newton=0, *floats):
 def cmd_sweep(cfg, axis):
     """Solve at each axis value; a failed point is a row naming its error.
     Exits with the first invariant error's code if one fired, else with
-    the first failure's if no point succeeded."""
+    the first failure's if no point succeeded.
+
+    An N row adds the refinement columns: dz_coarse, the largest change
+    of z on the previous N's nodes (every other node of each axis), and
+    order, log2 of the ratio of successive dz_coarse.  Each is NaN where
+    its previous points are missing or failed."""
     scfg = solver_config(cfg)
-    values = {"N": cfg.sweep_N or ((64, 128, 256) if cfg.n == 1
-                                   else (24, 48, 96)),
-              "eps": cfg.sweep_eps,
-              "r": cfg.sweep_r or tuple(range(1, cfg.n + 1))}[axis]
+    configured = getattr(cfg, f"sweep_{axis}")
+    values = configured or {"N": (64, 128, 256) if cfg.n == 1
+                            else (24, 48, 96), "eps": (),
+                            "r": tuple(range(1, cfg.n + 1))}[axis]
     if len(values) < 2:
         raise ConfigError(f"sweep axis {axis} needs at least 2 values, "
                           f"got {list(values)}")
-    cfg.check_sweep(axis, values)          # the default N axis too
-    run = _sweep_runner(cfg, scfg, axis)
+    if not configured:                  # load checked the configured ones
+        cfg.check_sweep(axis, values)
     rows = [_SWEEP_HEADER + (",dz_coarse,order" if axis == "N" else "")]
     ok_runs, failures = 0, []
+    z_prev, dz_prev = None, np.nan
     for value in values:
         try:
-            rows.append(run(value))
-            ok_runs += 1
+            hp = build_problem(cfg, **{axis: value})
+            z, report = continuation(hp, scfg)
+            lo, hi = barrier_crossings(hp.prescription)
         except WarpcurveError as exc:
             failures.append(exc)
             rows.append(_sweep_row(axis, value, type(exc).__name__))
+            z_prev, dz_prev = None, np.nan  # a failed point breaks the chain
+            continue
+        refine = ()
+        if axis == "N":
+            coarse = z.values[(slice(None, None, 2),) * z.grid.n]
+            dz = np.nan if z_prev is None else np.abs(coarse - z_prev).max()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                refine = (dz, np.log2(dz_prev / dz))
+            z_prev, dz_prev = z.values, dz
+        fin = report.final
+        rows.append(_sweep_row(axis, value, "ok", fin.residual,
+                               sum(s.newton_iters for s in report.steps),
+                               fin.z_min, fin.z_max, lo, hi, fin.lam1_max,
+                               fin.grad_max, *refine))
+        ok_runs += 1
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -350,36 +378,6 @@ def cmd_sweep(cfg, axis):
     if fired or not ok_runs:
         return EXIT_CODES.get(type((fired or failures)[0]), 70)
     return EXIT_OK
-
-
-def _sweep_runner(cfg, scfg, axis):
-    """The function solving one point of a sweep axis into its CSV row.
-
-    An N row adds the refinement columns: dz_coarse, the largest change
-    of z on the previous N's nodes (every other node of each axis), and
-    order, log2 of the ratio of successive dz_coarse.  Each is NaN where
-    its previous points are missing or failed."""
-    last = {"z": None, "dz": np.nan}
-
-    def run(value):
-        z_prev, dz_prev = last["z"], last["dz"]
-        last.update(z=None, dz=np.nan)      # a failed point breaks the chain
-        hp = build_problem(cfg, **{axis: value})
-        z, report = continuation(hp, scfg)
-        lo, hi = barrier_crossings(hp.prescription)
-        refine = ()
-        if axis == "N":
-            coarse = z.values[(slice(None, None, 2),) * z.grid.n]
-            dz = np.nan if z_prev is None else np.abs(coarse - z_prev).max()
-            with np.errstate(divide="ignore", invalid="ignore"):
-                refine = (dz, np.log2(dz_prev / dz))
-            last.update(z=z.values, dz=dz)
-        fin = report.final
-        return _sweep_row(axis, value, "ok", fin.residual,
-                          sum(s.newton_iters for s in report.steps),
-                          fin.z_min, fin.z_max, lo, hi, fin.lam1_max,
-                          fin.grad_max, *refine)
-    return run
 
 
 # -- entry point ----------------------------------------------------------------
@@ -414,7 +412,12 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _parse_config(args.config)
+        if getattr(args, "out", None):
+            cfg.out_dir = args.out
+        if getattr(args, "seed", None) is not None:
+            cfg.seed = args.seed
+        cfg.validate()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -423,12 +426,7 @@ def main(argv=None):
         return EXIT_USAGE
     except WarpcurveError as exc:
         return _report_error(exc)
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     try:
-        cfg.validate()
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "verify":

@@ -141,7 +141,7 @@ def _require_cone(spec, lam):
         if m.ndim == 0:
             raise ConeError(f"lambda outside Gamma_{spec.r}: margin {float(m):.3e}")
         flat = int(np.argmin(m))
-        node = np.unravel_index(flat, m.shape)
+        node = tuple(int(i) for i in np.unravel_index(flat, m.shape))
         raise ConeError(
             f"lambda outside Gamma_{spec.r} at node {node}: "
             f"margin {float(m.ravel()[flat]):.3e}", node=node)

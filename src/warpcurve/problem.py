@@ -26,7 +26,7 @@ which turns the homotopy drift condition at s = 0 into the identity
 d/dt (phi k) + kappa (phi k) = -eps_phi * phi k < 0.
 
 psi is evaluated in one place, Prescription.psi / psi_pair, at heights t
-over a flat node index, from profile values the caller already holds (the
+over a flat node index / all nodes, from values the caller already holds (the
 solver passes the geometry's h, h').  Each hypothesis margin is computed
 once, here, as a CheckRow with the first witness of its value, by one
 reducer, _reduce (the point np.argmin or np.argmax picks on the full
@@ -174,8 +174,8 @@ class Prescription:
     fastest): the angular factor g(u) of the radial-decay form and its
     h_psi = c0 + eps g(u), read-only (None for the custom form), or the
     node coordinates x, shape (n, size), that a custom psi_fn receives.
-    psi and psi_pair evaluate at heights t over the nodes a flat index
-    selects (psi_pair all by default), t broadcasting against them, from
+    psi evaluates at heights t over the nodes a flat index selects, and
+    psi_pair over all nodes, t broadcasting against them, from
     the caller's profile values h = h(t) and h1 = h'(t); the custom form
     sees x[:, node], so x[d] broadcasts against t.
 
@@ -231,13 +231,12 @@ class Prescription:
             return self.h_psi[node] / h
         return self.psi_fn(t, self.coords[:, node])
 
-    def psi_pair(self, t, h, h1, node=slice(None)):
-        """(psi, d_t psi) at heights t over the selected nodes."""
+    def psi_pair(self, t, h, h1):
+        """(psi, d_t psi) at heights t over all nodes."""
         if self.form == "radial-decay":
-            num = self.h_psi[node]
+            num = self.h_psi
             return num / h, -(h1 / h) * num / h
-        x = self.coords[:, node]
-        return self.psi_fn(t, x), self.psi_t_fn(t, x)
+        return self.psi_fn(t, self.coords), self.psi_t_fn(t, self.coords)
 
     # -- (t-lattice) x (all nodes) evaluation --------------------------------
 
@@ -382,16 +381,21 @@ def hypothesis_rows(p):
                            f"<= {p.c_slack:g}", w)
 
 
-# ValidationError letter and detail of each hypothesis_rows row, in order
-_FAILURES = (("positivity", "psi = {:.6g} <= 0"),
-             ("a", "psi - k = {:.6g} <= 0 (need psi > k)"),
-             ("b", "k - psi = {:.6g} <= 0 (need psi < k)"),
-             ("c", "d/dt(h psi) = {:.6g} > 0"))
+# ValidationError letter and detail of each hypothesis_rows row, by name
+_FAILURES = {
+    "prescription: min psi on slab": ("positivity", "psi = {:.6g} <= 0"),
+    "hypothesis (a): min psi - k, t <= t_minus":
+        ("a", "psi - k = {:.6g} <= 0 (need psi > k)"),
+    "hypothesis (b): min k - psi, t >= t_plus":
+        ("b", "k - psi = {:.6g} <= 0 (need psi < k)"),
+    "hypothesis (c): max d/dt(h psi) on slab":
+        ("c", "d/dt(h psi) = {:.6g} > 0")}
 
 
 def _validate_prescription(p):
-    for (letter, detail), row in zip(_FAILURES, hypothesis_rows(p)):
+    for row in hypothesis_rows(p):
         if not row.passed:
+            letter, detail = _FAILURES[row.name]
             t, node = row.witness
             raise ValidationError(letter, t=t, node=node,
                                   detail=detail.format(row.value))

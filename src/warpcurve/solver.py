@@ -98,6 +98,7 @@ _MAX_HALVINGS = 20     # backtracking budget per Newton step
 _GMRES_STEPS = 50      # Arnoldi steps per GMRES cycle
 _GMRES_CYCLES = 2      # the first cycle and one refinement cycle
 _GMRES_RTOL = 1e-12    # the relative residual target
+_MANUFACTURED_AMPLITUDE = 0.01   # of build_manufactured's exact solution
 
 
 @dataclass(frozen=True)
@@ -630,58 +631,53 @@ class ManufacturedProblem:
         return self.psi_values, np.zeros_like(self.psi_values)
 
 
-def manufactured_field(grid, center, amplitude, freqs=None):
+def manufactured_field(grid, center, amplitude):
     """Exact height field with analytic derivatives.
 
-    n=1: z = c + A sin(m0 x);  n=2: z = c + A sin(m0 x) cos(m1 y), with
-    x, y scaled to period L.  Returns (z, grad, hess) in grid layout.
+    n=1: z = c + A sin(w x);  n=2: z = c + A sin(w x) cos(w y), with
+    w = 2 pi / L, one period per axis.  Returns (z, grad, hess) in grid
+    layout.
     """
-    if freqs is None:
-        freqs = (1,) * grid.n
     w = 2.0 * np.pi / grid.L
     X = grid.coords()
+    x = w * X[0]
     if grid.n == 1:
-        a = freqs[0] * w
-        x = a * X[0]
         z = center + amplitude * np.sin(x)
-        grad = (amplitude * a * np.cos(x))[None]
-        hess = (-amplitude * a * a * np.sin(x))[None, None]
+        grad = (amplitude * w * np.cos(x))[None]
+        hess = (-amplitude * w * w * np.sin(x))[None, None]
         return z, grad, hess
-    a = freqs[0] * w
-    b = freqs[1] * w
-    x = a * X[0]
-    y = b * X[1]
+    y = w * X[1]
     sx, cx = np.sin(x), np.cos(x)
     sy, cy = np.sin(y), np.cos(y)
     z = center + amplitude * sx * cy
-    grad = np.stack([amplitude * a * cx * cy, -amplitude * b * sx * sy])
-    hxx = -amplitude * a * a * sx * cy
-    hyy = -amplitude * b * b * sx * cy
-    hxy = -amplitude * a * b * cx * sy
-    hess = np.stack([np.stack([hxx, hxy]), np.stack([hxy, hyy])])
+    grad = np.stack([amplitude * w * cx * cy, -amplitude * w * sx * sy])
+    hxx = -amplitude * w * w * sx * cy      # = hyy
+    hxy = -amplitude * w * w * cx * sy
+    hess = np.stack([np.stack([hxx, hxy]), np.stack([hxy, hxx])])
     return z, grad, hess
 
 
-def build_manufactured(grid, profile, spec, amplitude=0.01, freqs=None):
-    """Manufactured problem: z_m, centred at height 1, plus the psi that
-    makes it exact.
+def build_manufactured(grid, profile, spec):
+    """Manufactured problem: z_m = manufactured_field of amplitude
+    _MANUFACTURED_AMPLITUDE, centred at height 1, plus the psi that makes
+    it exact.
 
     The prescription is f(lam) of the *continuum* geometry of z_m (exact
     analytic derivatives), so the discrete residual at z_m is pure stencil
     truncation error.
     """
     center = 1.0
-    z, grad, hess = manufactured_field(grid, center, amplitude, freqs)
+    z, grad, hess = manufactured_field(grid, center, _MANUFACTURED_AMPLITUDE)
     geom = geometry_from_derivatives(z, grad, hess, grid, profile)
     psi = curvature.f_eval(spec, geom.lam)
-    span = max(3.0 * amplitude, 1e-3)
+    span = 3.0 * _MANUFACTURED_AMPLITUDE
     hp = ManufacturedProblem(grid, profile, spec, psi,
                              t_minus=center - span, t_plus=center + span)
     return NodeField(z, grid), hp
 
 
 def manufactured_residual_norm(grid, profile, spec):
-    """Sup-norm of the discrete residual at the manufactured solution of
-    build_manufactured's default amplitude and frequencies."""
+    """Sup-norm of the discrete residual at build_manufactured's exact
+    solution."""
     z, hp = build_manufactured(grid, profile, spec)
     return float(np.abs(residual(z, 1.0, hp).values).max())

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import curvature, oracle
-from .ambient import kappa
+from .ambient import k_level, kappa
 from .errors import ConeError
 from .geometry import (compute_geometry, matrix_derivative,
                        special_frame_deviations, support_identity_check)
@@ -129,7 +129,8 @@ def geometry_rows(hp, seed):
     rows = []
     zc = NodeField.constant(grid, hp.t0)
     geom_c = compute_geometry(zc, grid, profile)
-    kap0 = float(geom_c.h1[(0,) * grid.n] / geom_c.h[(0,) * grid.n])
+    node = (0,) * grid.n
+    kap0 = float(k_level(geom_c.h[node], geom_c.h1[node]))
     umb = float(np.abs(geom_c.lam - kap0).max())
     rows.append(CheckRow.against("geometry: umbilic slice |lam - kappa|", umb,
                                  "<= 1e-12"))

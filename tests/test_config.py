@@ -283,15 +283,62 @@ def test_profile_keys_the_kind_ignores_exit_3(tmp_path, capsys, profile,
 @pytest.mark.parametrize("extra, argv", [
     ("\n[run]\nseed = -5\n", []),
     ("", ["--seed", "-5"]),
+    ("", ["--seed", "-1"]),
+    # --seed is checked at load with the rest, and the seed comes first
+    ("\n[sweep]\nN = 64, 100\n", ["--seed", "-1"]),
 ])
 def test_negative_seed_exits_3_naming_the_key(tmp_path, capsys, extra, argv):
     # it used to reach NumPy's generator and exit 1, the code of a failed
     # verify row
     path = write_cfg(tmp_path, extra=extra)
     assert main(["verify", "--config", str(path)] + argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error[ConfigError]") and "seed" in err \
-        and "-5" in err
+    seed = argv[-1] if argv else "-5"
+    assert capsys.readouterr().err == \
+        f"error[ConfigError]: [run] seed must be >= 0, got {seed}\n"
+
+
+def test_the_seed_flag_replaces_the_config_seed_before_the_check(tmp_path,
+                                                                capsys):
+    # --seed is applied before load's one validate(), so a bad seed it
+    # replaces no longer stops the run
+    path = write_cfg(tmp_path, extra="\n[run]\nseed = -1\n")
+    assert main(["verify", "--config", str(path), "--seed", "5"]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"warpcurve {cli.__version__} verification table (seed 5)\n")
+
+
+def _counting_checks(monkeypatch):
+    counts = {"validate": 0, "_check_point": 0}
+    validate, check_point = cli.RunConfig.validate, cli._check_point
+
+    def counted_validate(cfg):
+        counts["validate"] += 1
+        return validate(cfg)
+
+    def counted_check_point(*args, **kwargs):
+        counts["_check_point"] += 1
+        return check_point(*args, **kwargs)
+
+    monkeypatch.setattr(cli.RunConfig, "validate", counted_validate)
+    monkeypatch.setattr(cli, "_check_point", counted_check_point)
+    return counts
+
+
+@pytest.mark.parametrize("argv, sweep, points", [
+    (["solve"], "N = 64, 128\neps = 0.0 0.05", 1 + 4),
+    (["sweep", "--axis", "eps"], "N = 64, 128\neps = 0.0 0.05", 1 + 4),
+    (["sweep", "--axis", "N"], "N = 64, 128\neps = 0.0 0.05", 1 + 4),
+    # the default N axis (64, 128, 256) is checked where sweep adds it
+    (["sweep", "--axis", "N"], "eps = 0.0 0.05", 1 + 2 + 3),
+], ids=["solve", "sweep-eps", "sweep-N", "sweep-default-N"])
+def test_each_config_check_runs_once(tmp_path, capsys, monkeypatch, argv,
+                                     sweep, points):
+    # the configured point and each configured [sweep] value are checked
+    # once, at load
+    counts = _counting_checks(monkeypatch)
+    path = write_cfg(tmp_path, extra=f"\n[sweep]\n{sweep}\n")
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+    assert counts == {"validate": 1, "_check_point": points}
 
 
 @pytest.mark.parametrize("value", [0, -3, 2.5, "30"])

@@ -273,10 +273,12 @@ def test_structural_report_is_deterministic():
 def test_cone_error_carries_node():
     spec = CurvatureSpec(2, 2)
     lam = np.ones((4, 4, 2))
-    lam[2, 3] = [1.0, -1.0]
-    with pytest.raises(wc.ConeError) as exc:
+    lam[1, 2] = [1.0, -1.0]
+    with pytest.raises(wc.ConeError,
+                       match=r"at node \(1, 2\): margin -1\.000e\+00$") as exc:
         f_eval(spec, lam)
-    assert exc.value.node == (2, 3)
+    assert exc.value.node == (1, 2)
+    assert all(type(i) is int for i in exc.value.node)
 
 
 def test_a_nan_margin_is_a_cone_error():
@@ -292,9 +294,10 @@ def test_a_nan_margin_is_a_cone_error():
     lam[3, 0] = [1.0, -1.0]
     for fn in (f_eval, f_grad):
         with pytest.raises(wc.ConeError,
-                           match=r"at node \(.*\): margin nan$") as exc:
+                           match=r"at node \(1, 2\): margin nan$") as exc:
             fn(spec, lam)
         assert exc.value.node == (1, 2)
+        assert all(type(i) is int for i in exc.value.node)
 
 
 # Rounding floors of the checks below at a point lam, scaled by f(c lam):

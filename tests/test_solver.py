@@ -803,8 +803,7 @@ def test_manufactured_solution_error_order(cosh_profile, n, r, Ns, order,
     errs = []
     for N in Ns:
         grid = wc.make_grid(n, N, order=order)
-        zm, hp = build_manufactured(grid, cosh_profile, wc.CurvatureSpec(n, r),
-                                    amplitude=0.05)
+        zm, hp = build_manufactured(grid, cosh_profile, wc.CurvatureSpec(n, r))
         z, _ = newton_solve(NodeField.constant(grid, hp.t0), 1.0, hp, cfg)
         errs.append(np.abs(z.values - zm.values).max())
     for coarse, fine in zip(errs, errs[1:]):
@@ -910,10 +909,13 @@ def test_a_crossing_far_from_the_anchor_needs_subdivision(monkeypatch):
 
 def test_standalone_newton_has_no_contraction_check(cosh_profile,
                                                     monkeypatch):
-    # from the constant start the damped steps contract by less than 1/2
-    grid = wc.make_grid(1, 64)
-    zm, hp = build_manufactured(grid, cosh_profile, wc.CurvatureSpec(1, 1),
-                                amplitude=0.26, freqs=(2,))
+    # at the far crossing (c0 = sinh 2.85 puts it near t = 2.85) the first
+    # step from the constant start at t0 contracts by less than 1/2
+    grid = wc.make_grid(1, 256)
+    p = wc.build_prescription(cosh_profile, wc.CurvatureSpec(1, 1), grid,
+                              c0=np.sinh(2.85), eps=0.05, mode=2,
+                              t_minus=0.21, t_plus=2.95)
+    hp = wc.build_homotopy(p)
     z0 = NodeField.constant(grid, hp.t0)
     step = solver._linear_step
     norms = []
