@@ -177,13 +177,6 @@ def _load_blocks(path):
     return {name: dict(cp.items(name)) for name in cp.sections()}
 
 
-def load_config(path):
-    """Parse a config file (INI blocks or JSON) into a validated RunConfig."""
-    cfg = _parse_config(path)
-    cfg.validate()
-    return cfg
-
-
 def _parse_config(path):
     """A config file's RunConfig, before validate().
 
@@ -311,15 +304,19 @@ def cmd_verify(cfg):
     return EXIT_OK
 
 
-_SWEEP_HEADER = ("axis,value,status,residual,newton_total,z_min,z_max,"
-                 "barrier_lo,barrier_hi,lam1_max,grad_max")
+def _sweep_header(axis):
+    """The columns of a sweep CSV; an N sweep adds the refinement ones."""
+    return ("axis,value,status,residual,newton_total,z_min,z_max,"
+            "barrier_lo,barrier_hi,lam1_max,grad_max"
+            + (",dz_coarse,order" if axis == "N" else ""))
 
 
 def _sweep_row(axis, value, status, residual=np.nan, newton=0, *floats):
-    """One CSV row; the float columns left out at its end are NaN."""
-    floats += (np.nan,) * ((8 if axis == "N" else 6) - len(floats))
-    return ",".join([axis, _fmt(value), status, _fmt(residual), str(newton),
-                     *map(_fmt, floats)])
+    """One CSV row; the columns of the header left out at its end are NaN."""
+    cells = [axis, _fmt(value), status, _fmt(residual), str(newton),
+             *map(_fmt, floats)]
+    cells += [_fmt(np.nan)] * (_sweep_header(axis).count(",") + 1 - len(cells))
+    return ",".join(cells)
 
 
 def cmd_sweep(cfg, axis):
@@ -341,7 +338,7 @@ def cmd_sweep(cfg, axis):
                           f"got {list(values)}")
     if not configured:                  # load checked the configured ones
         cfg.check_sweep(axis, values)
-    rows = [_SWEEP_HEADER + (",dz_coarse,order" if axis == "N" else "")]
+    rows = [_sweep_header(axis)]
     ok_runs, failures = 0, []
     z_prev, dz_prev = None, np.nan
     for value in values:

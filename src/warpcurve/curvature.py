@@ -61,21 +61,20 @@ class CurvatureSpec:
 
 
 def sym_poly(lam, q):
-    """Elementary symmetric polynomial S_q over the last axis (n = 1, 2).
+    """Elementary symmetric polynomial S_q over the last axis (n = 1, 2),
+    1 <= q <= n, the orders the cone margin reads.
 
-    S_0 = 1.  The recurrence e_m += lam_i e_{m-1} is unrolled, one
-    operation per step of it, so the result is the recurrence's bit for
-    bit (-0.0, NaN and inf included): S_1 = (0 + l0) + l1 and
-    S_2 = 0 + l1 (0 + l0), l1 * 1 being l1 exactly.
+    The recurrence e_m += lam_i e_{m-1} is unrolled, one operation per
+    step of it, so the result is the recurrence's bit for bit (-0.0, NaN
+    and inf included): S_1 = (0 + l0) + l1 and S_2 = 0 + l1 (0 + l0),
+    l1 * 1 being l1 exactly.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
-    if n not in (1, 2) or not 0 <= q <= n:
-        raise ConfigError(f"need n in (1, 2) and 0 <= q <= n, got n = {n}, "
+    if n not in (1, 2) or not 1 <= q <= n:
+        raise ConfigError(f"need n in (1, 2) and 1 <= q <= n, got n = {n}, "
                           f"q = {q}")
-    if q == 0:
-        out = np.ones(lam.shape[:-1])
-    elif n == 1:
+    if n == 1:
         out = 0.0 + lam[..., 0]
     else:
         e1 = 0.0 + lam[..., 0]

@@ -27,9 +27,9 @@ form the way LAPACK's dlaev2 does it: the eigenvalue of larger magnitude
 is (p + r)/2 +- rad with the sign of p + r, the other is det / that one
 (no cancellation), and the eigenvector of the larger eigenvalue is
 (p - r + 2 rad, 2q) or (2q, 2 rad - p + r), whichever avoids
-cancellation.  The matrices g, g^{-1}, g^{-1/2}, a, A, the symmetrized
-form, nu0, tau and eta are not read on the Newton path, so they are built
-on first access.
+cancellation.  The matrices g, g^{-1}, a, A, the symmetrized form, nu0,
+tau and eta are not read on the Newton path, so they are built on first
+access.
 
 The derivative of f(lam) in the form is one frame sum, sum_k f_k v_k v_k^T:
 over the g-orthonormal eigenvectors for Newton (GraphGeometry.frame_sum),
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import curvature
 from .errors import ConfigError, FrameError
-from .grid import NodeField
+from .grid import field_values
 
 _FRAME_TOL = 1e-10
 
@@ -87,7 +87,7 @@ class GraphGeometry:
     """Per-node extrinsic data of a graph (grid axes first, matrix axes last).
 
     grad is (*shape, n), hess (*shape, n, n), lam (*shape, n) descending;
-    g, g_inv, g_inv_sqrt, a, A, atilde are (*shape, n, n).
+    g, g_inv, a, A, atilde are (*shape, n, n).
     """
 
     def __init__(self, grid, profile, z, grad, hess, h, h1, h2, W, lam,
@@ -155,10 +155,6 @@ class GraphGeometry:
             - self._pp * (1.0 / (h * h * W * W))[..., None, None]
 
     @cached_property
-    def g_inv_sqrt(self):
-        return _sym(self._inv_sqrt)
-
-    @cached_property
     def a(self):
         return _sym(_second_form(self.h, self.h1, self.W, self._grad,
                                  self._hess))
@@ -205,27 +201,24 @@ def _frame_sum(w, V):
 def matrix_derivative(spec, m):
     """Derivative of f(eigenvalues of m) in the symmetric matrices m.
 
-    m is (..., n, n) with n = spec.n in {1, 2}.  Returns the (..., n, n)
-    frame sum of f_grad(lam) over the eig2_sym eigenpairs (lam_k, q_k) of
-    m.  f is symmetric, so f_1 - f_2 = O(lam_1 - lam_2) and the sum stays
+    m is (..., 2, 2), at spec.n = 2: verify checks Newton's frame sum
+    through it at n = 2 only.  Returns the (..., 2, 2) frame sum of
+    f_grad(lam) over the eig2_sym eigenpairs (lam_k, q_k) of m.  f is
+    symmetric, so f_1 - f_2 = O(lam_1 - lam_2) and the sum stays
     smooth through repeated eigenvalues with no limit rule.  On the
     symmetrized form it is Newton's M seen through g^{1/2}:
     frame_sum(f_grad(lam)) = g^{-1/2} matrix_derivative(atilde) g^{-1/2}.
     """
     m = np.asarray(m, dtype=float)
-    n = spec.n
-    if m.shape[-2:] != (n, n):
-        raise ConfigError(f"matrix_derivative needs (..., n, n) matrices, "
-                          f"got shape {m.shape} at n = {n}")
+    if spec.n != 2 or m.shape[-2:] != (2, 2):
+        raise ConfigError(f"matrix_derivative needs (..., 2, 2) matrices at "
+                          f"n = 2, got shape {m.shape} at n = {spec.n}")
     # one flat batch, so that a single matrix takes the array path too
-    flat = m.reshape(-1, n, n)
-    if n == 1:
-        lam, Q = flat[:, 0], [[1.0]]
-    else:
-        lam_max, lam_min, c, s = eig2_sym(flat[:, 0, 0], flat[:, 0, 1],
-                                          flat[:, 1, 1])
-        lam, Q = np.stack([lam_max, lam_min], axis=-1), [[c, -s], [s, c]]
-    M = _frame_sum(curvature.f_grad(spec, lam), Q)
+    flat = m.reshape(-1, 2, 2)
+    lam_max, lam_min, c, s = eig2_sym(flat[:, 0, 0], flat[:, 0, 1],
+                                      flat[:, 1, 1])
+    lam = np.stack([lam_max, lam_min], axis=-1)
+    M = _frame_sum(curvature.f_grad(spec, lam), [[c, -s], [s, c]])
     return np.moveaxis(np.array(M), -1, 0).reshape(m.shape)
 
 
@@ -311,7 +304,7 @@ def compute_geometry(z, grid, profile):
 
     Raises DomainError if any height leaves the profile interval.
     """
-    zvals = z.values if isinstance(z, NodeField) else np.asarray(z, float)
+    zvals = field_values(z)
     return geometry_from_derivatives(
         zvals, grid.gradient(zvals), grid.hessian(zvals), grid, profile)
 
@@ -401,13 +394,13 @@ def fields_csv(geom):
     merges NaNs.  The text is thus a value-by-value dump for any input.
     """
     grid = geom.grid
-    axes = ",".join(f"u{d}" for d in range(grid.n))
-    cols = list(grid.coords()) + [geom.W, geom.lam[..., 0], geom.lam[..., -1],
-                                  geom.tau]
-    k = len(cols)
-    parts = [f"{axes},W,lambda_max,lambda_min,tau\n"]
+    named = [(f"u{d}", u) for d, u in enumerate(grid.coords())] + [
+        ("W", geom.W), ("lambda_max", geom.lam[..., 0]),
+        ("lambda_min", geom.lam[..., -1]), ("tau", geom.tau)]
+    k = len(named)
+    parts = [",".join(name for name, _ in named) + "\n"]
     parts += [None] * (grid.size * k)
-    for j, col in enumerate(cols):
+    for j, (_, col) in enumerate(named):
         bits, inv = np.unique(grid.flatten(col).view(np.int64),
                               return_inverse=True)
         # "\0" never occurs in %.17g output, so it splits the one text

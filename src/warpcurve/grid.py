@@ -295,6 +295,12 @@ class NodeField:
         return cls(np.full(grid.shape, float(value)), grid)
 
 
+def field_values(z):
+    """The node values of a height field: a NodeField's, or an array's
+    as floats; every entry point that takes z reads it here."""
+    return z.values if isinstance(z, NodeField) else np.asarray(z, float)
+
+
 def reduce(fld: NodeField, mode):
     """Reduce a field: max, min, linf, or volume-weighted l2."""
     v = fld.values

@@ -12,8 +12,7 @@ at the step GRAD_STEP, and the 2x2 eigensolver is the half-angle form
 eigenpairs from a different closed form (geometry.eig2_sym: the root of
 larger magnitude, the other as det / root, the eigenvector from a
 cancellation-free null vector), so the verify row "oracle: eig2 vs eigh
-eigenvalues" compares two independent computations; it keeps its name so
-reports stay comparable."""
+eigenvalues" compares two independent computations."""
 
 from __future__ import annotations
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .errors import ConeError
 from . import curvature, solver
+from .grid import field_values
 
 GRAD_STEP = 1e-6           # central step of fd_gradcheck
 
@@ -54,7 +54,7 @@ def fd_colored_jacobian(z, s, hp):
 def _shrinking_step(fd, z, s, hp):
     """fd(zvals, s, hp, step) at step 1e-6 (1 + |z|_inf), shrunk on
     ConeError."""
-    zvals = np.asarray(z.values if hasattr(z, "values") else z, dtype=float)
+    zvals = field_values(z)
     step = 1e-6 * (1.0 + float(np.abs(zvals).max()))
     for attempt in range(4):
         try:

@@ -171,9 +171,9 @@ class Prescription:
     together, select the custom form; without them c0, eps and mode set
     the radial-decay form.  spec and grid must have the same n.
     The per-node data is stored once, in flat node order (axis 0
-    fastest): the angular factor g(u) of the radial-decay form and its
-    h_psi = c0 + eps g(u), read-only (None for the custom form), or the
-    node coordinates x, shape (n, size), that a custom psi_fn receives.
+    fastest): h_psi = c0 + eps g(u) of the radial-decay form, g(u) its
+    angular factor, read-only (None for the custom form), or the node
+    coordinates x, shape (n, size), that a custom psi_fn receives.
     psi evaluates at heights t over the nodes a flat index selects, and
     psi_pair over all nodes, t broadcasting against them, from
     the caller's profile values h = h(t) and h1 = h'(t); the custom form
@@ -195,7 +195,6 @@ class Prescription:
     mode: tuple
     psi_fn: object = field(repr=False)
     psi_t_fn: object = field(repr=False)
-    angular: np.ndarray = field(default=None, init=False, repr=False)
     coords: np.ndarray = field(default=None, init=False, repr=False)
     h_psi: np.ndarray = field(default=None, init=False, repr=False)
 
@@ -207,8 +206,8 @@ class Prescription:
             raise ConfigError("a custom prescription takes psi_fn and its "
                               "exact t derivative psi_t_fn together")
         if self.psi_fn is None:
-            self.angular = _angular_field(self.grid, self.mode)
-            self.h_psi = self.c0 + self.eps * self.angular
+            self.h_psi = self.c0 + self.eps * _angular_field(self.grid,
+                                                             self.mode)
             self.h_psi.flags.writeable = False
         else:
             self.coords = np.stack([self.grid.flatten(c)

@@ -77,7 +77,7 @@ repeats its message, so the cause is named.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 # scipy.fft loads on first use (only the n = 2 step needs it), to keep it
@@ -90,7 +90,7 @@ from . import curvature
 from .errors import (BarrierViolation, ConeError, ConfigError,
                      ContinuationStall, DomainError, NewtonStall)
 from .geometry import compute_geometry, geometry_from_derivatives
-from .grid import NodeField
+from .grid import NodeField, field_values
 
 _THETA_MAX = 0.5       # continuation abandons a step once Theta_k > this
 _THETA_GROW = 0.25     # and doubles ds after a step with Theta_1 <= this
@@ -145,8 +145,7 @@ def _evaluate(zvals, s, hp, at=None):
 
 def residual(z, s, hp):
     """Per-node f(lam(z)) - Psi(s, z, u) as a NodeField."""
-    zvals = z.values if isinstance(z, NodeField) else np.asarray(z, float)
-    state = _evaluate(zvals, s, hp)
+    state = _evaluate(field_values(z), s, hp)
     return NodeField(state.res, hp.grid)
 
 
@@ -215,9 +214,8 @@ def _fd_colored_jacobian(zvals, s, hp, step):
 
 def assemble_jacobian(z, s, hp):
     """Sparse analytic Jacobian of the residual at z, in the fixed layout."""
-    zvals = z.values if isinstance(z, NodeField) else np.asarray(z, float)
-    return hp.grid.pattern_matrix(_analytic_jacobian(_evaluate(zvals, s, hp),
-                                                     hp))
+    return hp.grid.pattern_matrix(
+        _analytic_jacobian(_evaluate(field_values(z), s, hp), hp))
 
 
 @dataclass
@@ -233,16 +231,6 @@ class NewtonStats:
     # the evaluation of the returned iterate, read by the step monitors and
     # lent to the next solve from the same iterate (newton_solve's at)
     state: _EvalState = field(repr=False, compare=False)
-
-    @property
-    def quadratic_constant(self):
-        """max r_{k+1} / r_k^2 over the tail pairs above rounding floor."""
-        rs = [r for r in self.residual_norms if r > 5e-15]
-        pairs = [(rs[i], rs[i + 1]) for i in range(len(rs) - 1)]
-        tail = pairs[-3:]
-        if not tail:
-            return 0.0
-        return max(rb / ra ** 2 for ra, rb in tail)
 
 
 def _circulant_symbol(D, grid):
@@ -448,8 +436,7 @@ def newton_solve(z0, s, hp, cfg=None, theta_max=None, at=None):
     that the evaluation is not held through the solve.
     """
     cfg = cfg or SolverConfig()
-    zvals = (z0.values if isinstance(z0, NodeField) else np.asarray(z0, float)
-             ).copy()
+    zvals = field_values(z0).copy()
     # ConeError here = inadmissible start
     state = _evaluate(zvals, s, hp, at=None if at is None else at.state)
     _check_barrier(zvals, hp)
@@ -523,6 +510,10 @@ class StepRecord:
     lam1_max: float
 
 
+# the columns of steps.csv, in StepRecord's field order
+_STEP_COLUMNS = tuple(f.name for f in fields(StepRecord))
+
+
 @dataclass
 class SolveReport:
     steps: list
@@ -538,15 +529,12 @@ class SolveReport:
         return self.steps[-1]
 
     def csv_header(self):
-        return ("s,ds,newton_iters,residual,z_min,z_max,cone_margin,"
-                "grad_max,lam1_max")
+        return ",".join(_STEP_COLUMNS)
 
     def csv_rows(self):
+        # %.17g prints the integer newton_iters as its digits
         for st in self.steps:
-            yield (f"{st.s:.17g},{st.ds:.17g},{st.newton_iters},"
-                   f"{st.residual:.17g},{st.z_min:.17g},{st.z_max:.17g},"
-                   f"{st.cone_margin:.17g},{st.grad_max:.17g},"
-                   f"{st.lam1_max:.17g}")
+            yield ",".join(f"{getattr(st, c):.17g}" for c in _STEP_COLUMNS)
 
 
 def _monitors(stats, hp, s, ds):

@@ -123,6 +123,12 @@ def _eigvals_desc(m):
     return np.linalg.eigvalsh(m)[..., ::-1]
 
 
+def _field_amplitude(hp):
+    """Sup-norm of the smooth fields added to t0 for the geometry, support
+    order and Jacobian rows: 0.04 of the barrier slab's width."""
+    return 0.04 * (hp.t_plus - hp.t_minus)
+
+
 def geometry_rows(hp, seed):
     grid, profile, spec = hp.grid, hp.profile, hp.spec
     rng = np.random.default_rng(seed + 2)
@@ -134,8 +140,7 @@ def geometry_rows(hp, seed):
     umb = float(np.abs(geom_c.lam - kap0).max())
     rows.append(CheckRow.against("geometry: umbilic slice |lam - kappa|", umb,
                                  "<= 1e-12"))
-    amp = 0.04 * (hp.t_plus - hp.t_minus)
-    z = hp.t0 + random_smooth(grid, rng, amp)
+    z = hp.t0 + random_smooth(grid, rng, _field_amplitude(hp))
     geom = compute_geometry(z, grid, profile)
     det_err = np.abs(np.linalg.det(geom.g)
                      / (geom.h ** (2 * grid.n - 2) * geom.W ** 2) - 1.0).max()
@@ -169,7 +174,7 @@ def _special_frame_row(geom, rng):
 
 def _support_order_rows(hp):
     grid, profile = hp.grid, hp.profile
-    amp = 0.04 * (hp.t_plus - hp.t_minus)
+    amp = _field_amplitude(hp)
 
     def errs(g):
         z = manufactured_field(g, hp.t0, amp)[0]
@@ -213,12 +218,12 @@ def jacobian_rows(hp, seed):
     amplifies a perturbation by 1/dx^2, so h = _PROBE_STEP dx^2
     (1 + |z|_inf) keeps the truncation error independent of N.  The
     error is relative to max |J v|.  Each state is t0 plus a smooth
-    field of amplitude 0.04 (t_plus - t_minus), halved until the state
-    lies in the cone (_cone_jacobian).
+    field of amplitude _field_amplitude(hp), halved until the state lies
+    in the cone (_cone_jacobian).
     """
     grid = hp.grid
     rng = np.random.default_rng(seed + 3)
-    amp = 0.04 * (hp.t_plus - hp.t_minus)
+    amp = _field_amplitude(hp)
     drawn = [(random_smooth(grid, rng, amp), float(rng.uniform(0.0, 1.0)))
              for _ in range(_STATES)]
     worst = 0.0

@@ -42,3 +42,17 @@ def fields_csv_by_node(geom):
         out.append(f"{cs},{geom.W[node]:.17g},{geom.lam[node][0]:.17g},"
                    f"{geom.lam[node][-1]:.17g},{geom.tau[node]:.17g}\n")
     return "".join(out)
+
+
+def quadratic_constant(norms):
+    """max r_{k+1} / r_k^2 over the last three pairs of Newton residual
+    norms above the rounding floor: bounded under quadratic convergence."""
+    rs = [r for r in norms if r > 5e-15]
+    return max(rb / ra ** 2 for ra, rb in list(zip(rs, rs[1:]))[-3:])
+
+
+def inv_sqrt(m):
+    """m^{-1/2} of symmetric positive definite matrices (..., n, n), from
+    their eigendecomposition."""
+    w, U = np.linalg.eigh(m)
+    return (U / np.sqrt(w)[..., None, :]) @ np.swapaxes(U, -1, -2)

@@ -16,7 +16,7 @@ from warpcurve.oracle import fd_colored_jacobian
 from warpcurve.solver import (assemble_jacobian, continuation,
                               manufactured_residual_norm, newton_solve)
 
-from conftest import make_problem
+from conftest import make_problem, quadratic_constant
 
 CASES = ((1, 1, 256), (2, 1, 48), (2, 2, 48))
 
@@ -106,7 +106,7 @@ def test_criterion_5_jacobian_correctness():
                                          np.random.default_rng(3), 0.05),
                    hp.grid)
     _, stats = newton_solve(z0, 0.0, hp)
-    C = stats.quadratic_constant
+    C = quadratic_constant(stats.residual_norms)
     assert stats.iterations >= 3
     assert np.isfinite(C) and C <= 1e3, f"quadratic constant {C:.3e}"
     _report(5, f"jacobian agreement <= {worst:.2e} over 15 states; "

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -545,6 +546,32 @@ def test_deterministic_verify_and_sweep_reports(tmp_path, capsys):
         csvs.append([(out / f"sweep_{axis}.csv").read_bytes()
                      for axis in ("eps", "N")])
     assert tables[0] == tables[1] and csvs[0] == csvs[1]
+
+
+def test_solve_and_sweep_do_not_read_the_seed(tmp_path, capsys):
+    # [run] seed draws verify's random rows only: at seeds 7 and 8, solve
+    # and sweep print and write the same, but for report.txt's echo of it
+    runs = []
+    for seed in (7, 8):
+        cfg = write_cfg(tmp_path, eps=0.1, t_plus=1.5,
+                        extra=f"\n[run]\nseed = {seed}\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--axis", "eps"]) == 0
+        runs.append((capsys.readouterr(),
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+        shutil.rmtree(out)
+    (printed7, files7), (printed8, files8) = runs
+    assert printed7 == printed8
+    assert sorted(files7) == sorted(files8) == [
+        "fields.csv", "report.txt", "steps.csv", "sweep_eps.csv",
+        "z_final.f64"]
+    report7 = files7.pop("report.txt").decode().split("\n")
+    report8 = files8.pop("report.txt").decode().split("\n")
+    assert files7 == files8
+    assert len(report7) == len(report8)
+    assert [(a, b) for a, b in zip(report7, report8) if a != b] == \
+        [('  "seed": 7,', '  "seed": 8,')]
 
 
 def _sweep_statuses(path):

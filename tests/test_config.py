@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from warpcurve import ConfigError, SolverConfig, cli
-from warpcurve.cli import load_config, main
+from warpcurve.cli import main
 
 from test_cli import write_cfg
 
@@ -34,7 +34,8 @@ def readme_example():
 def test_readme_example_config_verifies(tmp_path, capsys):
     path = tmp_path / "run.ini"
     path.write_text(readme_example())
-    cfg = load_config(path)
+    cfg = cli._parse_config(path)
+    cfg.validate()
     # the inline `; ...` comments are stripped, not read as part of the value
     assert (cfg.profile_kind, cfg.n, cfg.N, cfg.order, cfg.r) == \
         ("cosh", 1, 256, 2, 1)
@@ -132,8 +133,10 @@ def test_json_arrays_echo_like_strings(tmp_path):
                 block[key] = ", ".join(str(x) for x in value)
     (tmp_path / "lists.json").write_text(json.dumps(lists))
     (tmp_path / "strings.json").write_text(json.dumps(strings))
-    a = load_config(tmp_path / "lists.json")
-    b = load_config(tmp_path / "strings.json")
+    a = cli._parse_config(tmp_path / "lists.json")
+    b = cli._parse_config(tmp_path / "strings.json")
+    a.validate()
+    b.validate()
     assert a.echo() == b.echo()
     assert (a.mode, a.sweep_N, a.sweep_eps, a.sweep_r, a.table_h) == \
         ((1, 2), (16, 32), (0.0, 0.05), (1, 2), (1.0, 1.1, 1.5, 3.7))
@@ -256,7 +259,9 @@ def test_all_keys_echo_matches_golden():
     assert len(set().union(*map(all_keys, ALL_KEYS))) == 27
     for name in ALL_KEYS:
         golden = (DATA / f"{name}.echo.json").read_text().rstrip("\n")
-        assert load_config(DATA / f"{name}.ini").echo() == golden, name
+        cfg = cli._parse_config(DATA / f"{name}.ini")
+        cfg.validate()
+        assert cfg.echo() == golden, name
 
 
 @pytest.mark.parametrize("profile, offenders", [

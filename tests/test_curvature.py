@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,8 @@ from warpcurve.curvature import (CurvatureSpec, check_structural, f_eval,
                                  f_grad, in_cone, sample_cone, sym_poly)
 from warpcurve.geometry import matrix_derivative
 from warpcurve.oracle import GRAD_STEP, fd_gradcheck
+
+from conftest import inv_sqrt
 
 
 def test_spec_validation():
@@ -29,7 +33,9 @@ def test_sym_poly_values():
     assert sym_poly([1.0, 2.0], 2) == pytest.approx(2.0)
     assert sym_poly([1.0, 1.0], 1) == pytest.approx(2.0)
     assert sym_poly([0.3, -0.1], 2) == pytest.approx(-0.03, rel=1e-14)
-    assert sym_poly([5.0, -2.0], 0) == 1.0
+    # S_0 = 1 is no order the cone margin reads
+    with pytest.raises(wc.ConfigError, match="1 <= q <= n, got n = 2, q = 0"):
+        sym_poly([5.0, -2.0], 0)
 
 
 _SPECIAL = [0.0, -0.0, 1.5, -2.25, 1e-300, np.nan, np.inf, -np.inf]
@@ -46,7 +52,7 @@ def test_unrolled_sym_poly_is_the_recurrence_bit_for_bit(n):
     # every n-tuple of special values, batched and one point at a time
     grid = np.meshgrid(*[np.array(_SPECIAL)] * n, indexing="ij")
     lam = np.stack([g.ravel() for g in grid], axis=-1)
-    for q in range(n + 1):
+    for q in range(1, n + 1):
         ref = curvature._sym_poly_recurrence(lam, q)
         assert _bits(sym_poly(lam, q)) == _bits(ref)
         assert _bits(sym_poly(lam.reshape(-1, 4, n), q)) \
@@ -145,9 +151,11 @@ def test_matrix_derivative_diagonal_and_umbilic():
 
 
 def test_matrix_derivative_n1_and_unsupported_dimensions():
-    spec = CurvatureSpec(1, 1)
-    F = matrix_derivative(spec, np.array([[[0.7]], [[2.5]]]))
-    assert np.array_equal(F, np.ones((2, 1, 1)))       # f = lam, f_1 = 1
+    # verify checks the frame sum at n = 2 only, so n = 1 is refused
+    with pytest.raises(wc.ConfigError, match=re.escape(
+            "matrix_derivative needs (..., 2, 2) matrices at n = 2, got "
+            "shape (2, 1, 1) at n = 1")):
+        matrix_derivative(CurvatureSpec(1, 1), np.array([[[0.7]], [[2.5]]]))
     with pytest.raises(wc.ConfigError):
         matrix_derivative(CurvatureSpec(3, 2), np.eye(3))
     with pytest.raises(wc.ConfigError):
@@ -219,7 +227,8 @@ def test_frame_sum_is_the_matrix_derivative_through_the_metric():
     M = np.array(geom.frame_sum(fi))              # (2, 2, *shape)
     M = np.moveaxis(M, (0, 1), (-2, -1))
     F = matrix_derivative(spec, geom.atilde)
-    ref = geom.g_inv_sqrt @ F @ geom.g_inv_sqrt
+    S = inv_sqrt(geom.g)
+    ref = S @ F @ S
     scale = np.abs(ref).max(axis=(-2, -1))
     assert (np.abs(M - ref).max(axis=(-2, -1)) / scale).max() <= 3e-14
     # trace identity: F : atilde = sum f_i lam_i = f (Euler)

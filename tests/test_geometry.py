@@ -11,7 +11,7 @@ from warpcurve.geometry import (compute_geometry, eig2_sym, fields_csv,
                                 support_identity_check)
 from warpcurve.grid import NodeField, random_smooth
 
-from conftest import fields_csv_by_node
+from conftest import fields_csv_by_node, inv_sqrt
 
 
 def test_umbilic_slice(cosh_profile):
@@ -312,7 +312,7 @@ def test_geometry_eigenpairs_match_eigh_of_symmetrized_form(cosh_profile, amp):
     assert np.abs(back - geom.atilde).max() <= 1e-13
     # frame_sum(w) = V diag(w) V^T with V = g^{-1/2} Q
     wts = np.stack([np.full(g.shape, 2.0), np.full(g.shape, 0.5)], axis=-1)
-    V = geom.g_inv_sqrt @ Q
+    V = inv_sqrt(geom.g) @ Q
     ref = np.einsum("...ik,...k,...jk->...ij", V, wts, V)
     M = geom.frame_sum(wts)
     for i in range(2):

@@ -94,7 +94,7 @@ def test_psi_fn_selects_the_custom_form(cosh, spec1):
                                 psi_t_fn=_custom_psi_t, t_minus=0.5,
                                 t_plus=1.5)
     assert (radial.form, custom.form) == ("radial-decay", "custom")
-    assert radial.coords is None and custom.angular is None
+    assert radial.coords is None and custom.h_psi is None
     h = cosh.eval(1.1)[0]
     assert np.array_equal(custom.psi(1.1, h, slice(None)),
                           _custom_psi(1.1, custom.coords))
@@ -761,15 +761,21 @@ def test_s_lattice_is_the_documented_one():
     assert S_LATTICE == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def _angular(p):
+    """The angular factor g(u) of a radial-decay prescription, flat order."""
+    return wc.problem._angular_field(p.grid, p.mode)
+
+
 def test_angular_mode_two_axes(cosh):
     spec = wc.CurvatureSpec(2, 1)
     g = wc.make_grid(2, 16)
     p = build_prescription(cosh, spec, g, c0=np.sinh(1.0), eps=0.1,
                            mode=(2, 1), t_minus=0.5, t_plus=1.5)
     X, Y = g.coords()
-    # stored once, in flat node order
-    assert np.allclose(p.angular, g.flatten(np.cos(2 * X) * np.cos(Y)),
+    # in flat node order, and h psi = c0 + eps g(u) stored once from it
+    assert np.allclose(_angular(p), g.flatten(np.cos(2 * X) * np.cos(Y)),
                        atol=1e-14)
+    assert np.array_equal(p.h_psi, p.c0 + p.eps * _angular(p))
     with pytest.raises(wc.ConfigError,
                        match=r"needs 2 frequencies, got \(1, 2, 3\)"):
         build_prescription(cosh, spec, g, c0=1.0, eps=0.1, mode=(1, 2, 3),
@@ -781,12 +787,12 @@ def test_the_default_mode_at_n2_is_m_0(cosh):
     spec, g = wc.CurvatureSpec(2, 2), wc.make_grid(2, 16)
     kw = dict(c0=np.sinh(1.0), eps=0.1, t_minus=0.5, t_plus=1.6)
     default = build_prescription(cosh, spec, g, **kw)
-    assert np.array_equal(default.angular,
+    assert np.array_equal(default.h_psi,
                           build_prescription(cosh, spec, g, mode=(1, 0),
-                                             **kw).angular)
-    assert np.array_equal(default.angular,
+                                             **kw).h_psi)
+    assert np.array_equal(default.h_psi,
                           build_prescription(cosh, spec, g, mode=(1,),
-                                             **kw).angular)
+                                             **kw).h_psi)
     assert wc.problem.angular_mode(3, 2, 16) == (3, 0)
 
 
@@ -838,15 +844,15 @@ def test_a_mode_at_the_nyquist_bound_is_resolved(cosh, spec1):
     # cos(32 u) on 64 nodes is (-1)^j; 33 would sample cos(31 u)
     p = build_prescription(cosh, spec1, wc.make_grid(1, 64), c0=SINH1,
                            eps=0.1, mode=-32, t_minus=0.5, t_plus=1.5)
-    assert np.array_equal(p.angular, (-1.0) ** np.arange(64))
+    assert np.array_equal(p.h_psi, SINH1 + 0.1 * (-1.0) ** np.arange(64))
 
 
 def test_an_integer_valued_float_mode_is_that_integer(cosh, spec1):
     g = wc.make_grid(1, 64)
     kw = dict(c0=SINH1, eps=0.1, t_minus=0.5, t_plus=1.5)
     assert np.array_equal(
-        build_prescription(cosh, spec1, g, mode=2.0, **kw).angular,
-        build_prescription(cosh, spec1, g, mode=2, **kw).angular)
+        build_prescription(cosh, spec1, g, mode=2.0, **kw).h_psi,
+        build_prescription(cosh, spec1, g, mode=2, **kw).h_psi)
     mode = wc.problem.angular_mode(np.array([2.0, -1.0]), 2, 16)
     assert mode == (2, -1) and all(type(m) is int for m in mode)
 
@@ -914,7 +920,8 @@ def test_fused_psi_pairs_match_per_term_formulas(cosh, spec1):
         z = 1.0 + 0.2 * rng.standard_normal(grid.shape)
         coords = grid.coords()
         flat = np.stack([grid.flatten(c) for c in coords])
-        ang = None if p.angular is None else grid.unflatten(p.angular)
+        flat_ang = None if p.form == "custom" else _angular(p)
+        ang = None if flat_ang is None else grid.unflatten(flat_ang)
         h, h1, _ = cosh.eval(z)
         for s in (0.0, 0.3, 1.0):
             val, dt, *_ = _per_term(hp, s, z, ang, coords)
@@ -922,19 +929,19 @@ def test_fused_psi_pairs_match_per_term_formulas(cosh, spec1):
             assert np.array_equal(got[0], val) and np.array_equal(got[1], dt)
             # one node through the evaluator's flat node index
             _, _, psi, psi_t, psi0, psi0_t = _per_term(
-                hp, s, 1.1, None if ang is None else p.angular[5], flat[:, 5])
+                hp, s, 1.1, None if ang is None else flat_ang[5], flat[:, 5])
             h5, h15, _ = cosh.eval(1.1)
             assert p.psi(1.1, h5, 5) == psi
             assert hp.gauge.psi0_pair(1.1, h5, h15) == (psi0, psi0_t)
             # psi_pair at one height over every node, node 5 among them
-            _, _, psi, psi_t, _, _ = _per_term(hp, s, 1.1, p.angular, flat)
+            _, _, psi, psi_t, _, _ = _per_term(hp, s, 1.1, flat_ang, flat)
             pair = p.psi_pair(1.1, h5, h15)
             assert np.array_equal(pair[0], psi)
             assert np.array_equal(pair[1], psi_t)
         # the lattices: (t column) x (all nodes in flat order)
         slab = np.linspace(0.5, 1.5, 9)
         t = slab[:, None]
-        a = np.zeros((1, grid.size)) if ang is None else p.angular[None, :]
+        a = np.zeros((1, grid.size)) if ang is None else flat_ang[None, :]
         val, dt, psi, psi_t, _, _ = _per_term(hp, 1.0, t, a, flat[:, None, :])
         assert np.array_equal(_psi_lattice(p, slab), psi)
         assert np.array_equal(_Psi_lattice(hp, 1.0, slab), val)
