@@ -7,7 +7,7 @@ for the default L = 2 pi, which makes order measurements clean.
 
 import numpy as np
 
-from warpcurve import NodeField, make_grid, reduce
+from warpcurve import NodeField, l2_norm, make_grid
 
 print("gradient error for z = sin u under grid doubling:")
 for order in (2, 4):
@@ -21,11 +21,11 @@ for order in (2, 4):
     print(f"  order {order}: errors {[f'{e:.2e}' for e in errs]}, "
           f"measured rates {[f'{r:.3f}' for r in rates]}")
 
-# reductions carry the volume weight: the l2 norm of sin over one period
-# is sqrt(pi)
+# the l2 norm carries the volume weight: that of sin over one period is
+# sqrt(pi)
 g = make_grid(1, 256)
 sin = NodeField(np.sin(g.coords()[0]), g)
-print(f"\nl2 norm of sin: {reduce(sin, 'l2'):.8f}  (sqrt(pi) = "
+print(f"\nl2 norm of sin: {l2_norm(sin):.8f}  (sqrt(pi) = "
       f"{np.sqrt(np.pi):.8f})")
 
 # centered first differences are exactly skew-adjoint on the torus, which

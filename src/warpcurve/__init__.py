@@ -17,10 +17,11 @@ from .errors import (BarrierViolation, BisectError, ConeError, ConfigError,
                      WarpcurveError)
 from .geometry import (compute_geometry, special_frame_deviations,
                        support_identity_check)
-from .grid import NodeField, make_grid, random_smooth, reduce
+from .grid import NodeField, l2_norm, make_grid, random_smooth
 from .oracle import OracleReport, fd_gradcheck
 from .problem import (Gauge, HomotopyProblem, barrier_crossings,
-                      build_homotopy, build_phi, build_prescription)
+                      build_custom_prescription, build_homotopy, build_phi,
+                      build_prescription)
 from .solver import (SolverConfig, assemble_jacobian, build_manufactured,
                      continuation, manufactured_residual_norm, newton_solve,
                      residual)

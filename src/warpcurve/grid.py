@@ -301,18 +301,10 @@ def field_values(z):
     return z.values if isinstance(z, NodeField) else np.asarray(z, float)
 
 
-def reduce(fld: NodeField, mode):
-    """Reduce a field: max, min, linf, or volume-weighted l2."""
+def l2_norm(fld: NodeField):
+    """The volume-weighted l2 norm (sum v^2 dx^n)^(1/2) of a field."""
     v = fld.values
-    if mode == "max":
-        return float(v.max())
-    if mode == "min":
-        return float(v.min())
-    if mode == "linf":
-        return float(np.abs(v).max())
-    if mode == "l2":
-        return float(np.sqrt(np.sum(v * v) * fld.grid.dx ** fld.grid.n))
-    raise ConfigError(f"unknown reduction mode {mode!r}")
+    return float(np.sqrt(np.sum(v * v) * fld.grid.dx ** fld.grid.n))
 
 
 def random_smooth(grid, rng, amplitude):

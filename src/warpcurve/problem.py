@@ -14,18 +14,21 @@ The built-in prescription family is
 
     psi(t, u) = (c0 + eps * g(u)) / h(t),
 
-with g a product of integer-frequency cosines.  For it h * psi is
-t-independent, so the decay hypothesis d/dt (h psi) <= 0 holds with
-equality.  A psi_fn with its exact t-derivative psi_t_fn selects the
-custom form instead, whose decay is checked up to a rounding slack.  The
-gauge is the explicit closed form
+with g a product of integer-frequency cosines: a Prescription, built by
+build_prescription.  For it h * psi is t-independent, so the decay
+hypothesis d/dt (h psi) <= 0 holds with equality.  The paper's general
+psi is a CustomPrescription, built by build_custom_prescription from a
+psi_fn and its exact t-derivative psi_t_fn; its decay is checked up to a
+rounding slack.  Each form is its own type, with its own psi, psi_pair,
+(c) lattice and slack and separable key.  The gauge is the explicit
+closed form
 
     phi(t) = k(t0) h(t0) exp(eps_phi (t0 - t)) / (k(t) h(t)),
 
 which turns the homotopy drift condition at s = 0 into the identity
 d/dt (phi k) + kappa (phi k) = -eps_phi * phi k < 0.
 
-psi is evaluated in one place, Prescription.psi / psi_pair, at heights t
+psi is evaluated in one place, each form's psi / psi_pair, at heights t
 over a flat node index / all nodes, from values the caller already holds (the
 solver passes the geometry's h, h').  Each hypothesis margin is computed
 once, here, as a CheckRow with the first witness of its value, by one
@@ -164,25 +167,15 @@ class CheckRow:
 
 
 @dataclass
-class Prescription:
-    """A prescription psi together with its barrier levels.
+class _PrescriptionSlab:
+    """What both prescription forms hold: the profile, the curvature spec
+    and the grid, which must have the same n, and the barrier slab.
 
-    A psi_fn(t, x) and its exact t derivative psi_t_fn(t, x), given
-    together, select the custom form; without them c0, eps and mode set
-    the radial-decay form.  spec and grid must have the same n.
-    The per-node data is stored once, in flat node order (axis 0
-    fastest): h_psi = c0 + eps g(u) of the radial-decay form, g(u) its
-    angular factor, read-only (None for the custom form), or the node
-    coordinates x, shape (n, size), that a custom psi_fn receives.
-    psi evaluates at heights t over the nodes a flat index selects, and
-    psi_pair over all nodes, t broadcasting against them, from
-    the caller's profile values h = h(t) and h1 = h'(t); the custom form
-    sees x[:, node], so x[d] broadcasts against t.
-
-    Constructed directly, a Prescription checks only the spec's n, the
-    psi pair and the mode (angular_mode); build_prescription also checks
-    the slab (check_slab) and the radial-decay inputs (radial_decay_inputs)
-    and verifies the existence hypotheses.
+    Each form supplies psi at heights t over the nodes a flat index
+    selects and psi_pair over all nodes, t broadcasting against them,
+    from the caller's profile values h = h(t) and h1 = h'(t); the
+    lattice d/dt (h psi) of hypothesis (c), its slack c_slack, and the
+    separable_key the margins are reduced by (see the module docstring).
     """
 
     profile: object = field(repr=False)
@@ -190,74 +183,93 @@ class Prescription:
     grid: object = field(repr=False)
     t_minus: float
     t_plus: float
-    c0: float
-    eps: float
-    mode: tuple
-    psi_fn: object = field(repr=False)
-    psi_t_fn: object = field(repr=False)
-    coords: np.ndarray = field(default=None, init=False, repr=False)
-    h_psi: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.spec.n != self.grid.n:
             raise ConfigError(f"curvature spec n = {self.spec.n} does not "
                               f"match the grid's n = {self.grid.n}")
-        if (self.psi_fn is None) != (self.psi_t_fn is None):
-            raise ConfigError("a custom prescription takes psi_fn and its "
-                              "exact t derivative psi_t_fn together")
-        if self.psi_fn is None:
-            self.h_psi = self.c0 + self.eps * _angular_field(self.grid,
-                                                             self.mode)
-            self.h_psi.flags.writeable = False
-        else:
-            self.coords = np.stack([self.grid.flatten(c)
-                                    for c in self.grid.coords()])
 
-    @property
-    def form(self):
-        """'custom' when a psi_fn is given, else 'radial-decay'."""
-        return "radial-decay" if self.psi_fn is None else "custom"
 
-    @property
-    def c_slack(self):
-        """The bound hypothesis (c) allows max d/dt (h psi): 0 where h psi
-        is exactly t-independent, CUSTOM_C_SLACK of rounding otherwise."""
-        return 0.0 if self.form == "radial-decay" else CUSTOM_C_SLACK
+@dataclass
+class Prescription(_PrescriptionSlab):
+    """The radial-decay prescription psi = (c0 + eps g(u)) / h.
+
+    h_psi = c0 + eps g(u) is stored once, read-only, in flat node order
+    (axis 0 fastest).  Constructed directly, a Prescription checks only
+    the spec's n and the mode (angular_mode); build_prescription also
+    checks the slab (check_slab) and the inputs (radial_decay_inputs) and
+    verifies the existence hypotheses.
+    """
+
+    c0: float
+    eps: float
+    mode: tuple
+    h_psi: np.ndarray = field(default=None, init=False, repr=False)
+
+    c_slack = 0.0       # h psi is exactly t-independent
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.h_psi = self.c0 + self.eps * _angular_field(self.grid, self.mode)
+        self.h_psi.flags.writeable = False
 
     def psi(self, t, h, node):
         """psi at heights t over the selected nodes, from h = h(t)."""
-        if self.form == "radial-decay":
-            return self.h_psi[node] / h
+        return self.h_psi[node] / h
+
+    def psi_pair(self, t, h, h1):
+        """(psi, d_t psi) at heights t over all nodes."""
+        num = self.h_psi
+        return num / h, -(h1 / h) * num / h
+
+    def dt_h_psi_lattice(self, tarr):
+        """d/dt (h psi) on (t-lattice) x nodes: one column of zeros, as
+        h psi = c0 + eps g(u) is exactly t-independent."""
+        return np.zeros((len(tarr), 1))
+
+    def separable_key(self):
+        """h psi, which each lattice row is monotone in."""
+        return self.h_psi
+
+
+@dataclass
+class CustomPrescription(_PrescriptionSlab):
+    """A prescription psi_fn(t, x) with its exact t derivative
+    psi_t_fn(t, x), x the node coordinates, shape (n, size) in flat node
+    order; psi sees x[:, node], so x[d] broadcasts against t.
+    Constructed directly it checks only the spec's n;
+    build_custom_prescription also checks the slab and verifies the
+    existence hypotheses.
+    """
+
+    psi_fn: object = field(repr=False)
+    psi_t_fn: object = field(repr=False)
+    coords: np.ndarray = field(default=None, init=False, repr=False)
+
+    c_slack = CUSTOM_C_SLACK
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.coords = np.stack([self.grid.flatten(c)
+                                for c in self.grid.coords()])
+
+    def psi(self, t, h, node):
+        """psi at heights t over the selected nodes."""
         return self.psi_fn(t, self.coords[:, node])
 
     def psi_pair(self, t, h, h1):
         """(psi, d_t psi) at heights t over all nodes."""
-        if self.form == "radial-decay":
-            num = self.h_psi
-            return num / h, -(h1 / h) * num / h
         return self.psi_fn(t, self.coords), self.psi_t_fn(t, self.coords)
 
-    # -- (t-lattice) x (all nodes) evaluation --------------------------------
-
     def dt_h_psi_lattice(self, tarr):
-        """d/dt (h psi) on (t-lattice) x nodes, as h' psi + h psi_t.
-
-        For radial-decay it is one column: h psi = c0 + eps g(u) is
-        exactly t-independent, so every node's value is 0.
-        """
-        if self.form == "radial-decay":
-            return np.zeros((len(tarr), 1))
+        """d/dt (h psi) on (t-lattice) x nodes, as h' psi + h psi_t."""
         t, h, h1 = _column(self.profile, tarr)
         psi, psi_t = self.psi_pair(t, h, h1)
         return h1 * psi + h * psi_t
 
     def separable_key(self):
-        """Per-node value each lattice row is monotone in, or None.
-
-        h psi for radial-decay (see the module docstring); custom forms
-        have none and are reduced over the whole lattice.
-        """
-        return self.h_psi
+        """None: the margins are reduced over the whole lattice."""
+        return None
 
 
 def _column(profile, tarr):
@@ -307,33 +319,29 @@ def _reduce(slices, tarr, pick=np.argmin, svals=None):
         where[k] if svals is None else (svals[k],) + where[k]
 
 
-def build_prescription(profile, spec, grid, c0=1.0, eps=0.0, mode=1, *,
-                       t_minus, t_plus, psi_fn=None, psi_t_fn=None):
-    """Construct a prescription (its form as in Prescription) and verify
-    the existence hypotheses.  The slab and the radial-decay inputs are
+def build_prescription(profile, spec, grid, c0, eps, mode, *, t_minus,
+                       t_plus):
+    """Construct the radial-decay Prescription and verify the existence
+    hypotheses (_validate_prescription).  The slab and the inputs are
     checked first, by check_slab and radial_decay_inputs, the checks the
-    CLI runs at load.  A custom psi_fn reads none of c0, eps and mode, so
-    one set away from its default is a ConfigError.
-
-    Checks, in order: positivity of psi on the slab, (a) psi > k at and
-    below t_minus, (b) psi < k at and above t_plus, (c) d/dt (h psi) <= 0
-    on [t_minus, t_plus].  Raises ValidationError naming the first failed
-    hypothesis with a witnessing (t, node).
-    """
+    CLI runs at load."""
     check_slab(profile, t_minus, t_plus)
-    if psi_fn is not None:
-        # a custom psi reads none of them: a set one would change nothing
-        for name, value, default in (("c0", c0, 1.0), ("eps", eps, 0.0),
-                                     ("mode", mode, 1)):
-            if not np.array_equal(value, default):
-                raise ConfigError(f"a custom psi_fn takes no radial-decay "
-                                  f"{name}, got {name} = {value!r}")
-    else:
-        radial_decay_inputs(c0, eps, mode, grid.n, grid.N)
+    radial_decay_inputs(c0, eps, mode, grid.n, grid.N)
     p = Prescription(profile=profile, spec=spec, grid=grid,
                      t_minus=float(t_minus), t_plus=float(t_plus),
-                     c0=float(c0), eps=float(eps), mode=mode,
-                     psi_fn=psi_fn, psi_t_fn=psi_t_fn)
+                     c0=float(c0), eps=float(eps), mode=mode)
+    _validate_prescription(p)
+    return p
+
+
+def build_custom_prescription(profile, spec, grid, psi_fn, psi_t_fn, *,
+                              t_minus, t_plus):
+    """Construct a CustomPrescription and verify the existence
+    hypotheses (_validate_prescription), after check_slab."""
+    check_slab(profile, t_minus, t_plus)
+    p = CustomPrescription(profile=profile, spec=spec, grid=grid,
+                           t_minus=float(t_minus), t_plus=float(t_plus),
+                           psi_fn=psi_fn, psi_t_fn=psi_t_fn)
     _validate_prescription(p)
     return p
 
@@ -392,6 +400,10 @@ _FAILURES = {
 
 
 def _validate_prescription(p):
+    """Check, in order, positivity of psi on the slab, (a) psi > k at and
+    below t_minus, (b) psi < k at and above t_plus, (c) d/dt (h psi) <= 0
+    on [t_minus, t_plus].  Raises ValidationError naming the first failed
+    hypothesis with a witnessing (t, node)."""
     for row in hypothesis_rows(p):
         if not row.passed:
             letter, detail = _FAILURES[row.name]
@@ -554,7 +566,7 @@ class HomotopyProblem:
     prescription's, the anchor t0 and decay rate eps_phi the gauge's.
     """
 
-    prescription: Prescription
+    prescription: _PrescriptionSlab
     gauge: Gauge
 
     @property

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import warpcurve as wc
-from warpcurve.grid import (_W1, _W2, NodeField, load_field, random_smooth,
-                            reduce, save_field)
+from warpcurve.grid import (_W1, _W2, NodeField, l2_norm, load_field,
+                            random_smooth, save_field)
 
 
 def test_make_grid_spacing():
@@ -90,16 +90,13 @@ def test_mixed_partial_at_quarter_period():
     assert np.array_equal(hess[0, 1], hess[1, 0])
 
 
-def test_reduce_modes():
+def test_l2_norm_carries_the_volume_weight():
     g = wc.make_grid(1, 256)
-    assert reduce(NodeField.constant(g, 3.0), "max") == 3.0
-    alt = NodeField(np.where(np.arange(256) % 2 == 0, 1.0, -1.0), g)
-    assert reduce(alt, "linf") == 1.0
     sin = NodeField(np.sin(g.coords()[0]), g)
-    assert reduce(sin, "l2") == pytest.approx(1.7724538509055160, abs=1e-3)
-    with pytest.raises(wc.ConfigError):
-        reduce(sin, "median")
-    assert reduce(sin, "min") == float(np.sin(g.coords()[0]).min())
+    assert l2_norm(sin) == pytest.approx(1.7724538509055160, abs=1e-3)
+    g2 = wc.make_grid(2, 16)
+    assert l2_norm(NodeField.constant(g2, 3.0)) == pytest.approx(
+        3.0 * g2.L, rel=1e-14)
 
 
 @pytest.mark.parametrize("order", [2, 4])

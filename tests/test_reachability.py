@@ -1,10 +1,11 @@
-"""No library code that only tests run.
+"""No library code that only tests run, and no export that nothing uses.
 
 Every function, method and property warpcurve defines needs a reference
 outside tests: in src/ outside its own body, in a demo, or in perfbench
 outside its tests.  A reference is a name, an attribute or a string that
 is an identifier (the benchmark wraps attributes by name).  The few
-definitions that only tests reach are listed with their reasons.
+definitions that only tests reach are listed with their reasons.  Every
+name the package exports needs a reference in a demo or a test.
 """
 
 import ast
@@ -74,3 +75,15 @@ def test_every_test_reference_is_read_by_a_test():
     refs = sum((_references(ast.parse(p.read_text()))
                 for p in sorted((ROOT / "tests").glob("*.py"))), Counter())
     assert all(refs[q.rsplit(".", 1)[1]] for q in _TEST_REFERENCES)
+
+
+def test_every_export_is_used_by_a_demo_or_a_test():
+    init = ast.parse((ROOT / "src/warpcurve/__init__.py").read_text())
+    exports = {alias.asname or alias.name for node in ast.walk(init)
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    # this file names no export, so it cannot count as their user
+    users = [p for p in sorted((ROOT / "tests").glob("*.py"))
+             if p.name != Path(__file__).name]
+    refs = sum((_references(ast.parse(p.read_text()))
+                for p in users + _files("demos")), Counter())
+    assert {name for name in exports if not refs[name]} == set()

@@ -150,6 +150,30 @@ def test_continuation_wavy_stays_in_crossing_interval(hp1_wavy):
     assert report.final.residual <= 1e-10
 
 
+def _decaying_psi(t, x):
+    # h psi = (sinh 1 + 0.1 cos u) e^{-0.2 (t - 1)} decreases strictly in t
+    return (SINH1 + 0.1 * np.cos(x[-1])) * np.exp(-0.2 * (t - 1.0)) \
+        / np.cosh(t)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_custom_prescription_solves_between_its_crossings(cosh_profile, n,
+                                                          N):
+    # a psi not of the radial-decay form reaches the solver and the
+    # crossings through its psi and psi_pair alone
+    p = wc.build_custom_prescription(
+        cosh_profile, wc.CurvatureSpec(n, 1), wc.make_grid(n, N),
+        _decaying_psi, lambda t, x: -(0.2 + np.tanh(t)) * _decaying_psi(t, x),
+        t_minus=0.5, t_plus=1.5)
+    lo, hi = wc.barrier_crossings(p)
+    z, report = continuation(wc.build_homotopy(p))
+    assert report.verdict == "converged"
+    assert report.final.residual <= 1e-10
+    for st in report.steps:
+        assert lo < st.z_min and st.z_max < hi
+    assert report.final.z_max - report.final.z_min > 0.05
+
+
 def test_continuation_stall_surfaces(hp1_wavy):
     # one iteration cannot reach 1e-14 at any ds
     cfg = SolverConfig(max_newton=1, newton_tol=1e-14, ds_min=1e-2)
@@ -270,7 +294,7 @@ def test_nan_residual_never_counts_as_converged():
     p = wc.problem.Prescription(wc.WarpingProfile.cosh(0.2, 3.0),
                                 wc.CurvatureSpec(1, 1), grid, c0=1.0,
                                 eps=np.nan, mode=(1,), t_minus=0.5,
-                                t_plus=1.5, psi_fn=None, psi_t_fn=None)
+                                t_plus=1.5)
     hp = wc.build_homotopy(p)
     with pytest.raises(wc.NewtonStall, match="residual nan"):
         newton_solve(NodeField.constant(grid, hp.t0), 1.0, hp)
