@@ -157,7 +157,7 @@ class WarpingProfile:
         """Return (h, h', h'') at t; t may be a scalar or an array."""
         scalar = np.isscalar(t) or np.ndim(t) == 0
         h, h1, h2 = self._values(self._check_domain(t))
-        if np.any(h <= 0):
+        if (h <= 0).any():
             raise ProfileError("h(t) <= 0 inside the queried interval")
         if scalar:
             return float(h), float(h1), float(h2)

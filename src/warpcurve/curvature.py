@@ -136,7 +136,7 @@ def in_cone(spec, lam):
 def _require_cone(spec, lam):
     """ConeError unless lam lies in Gamma_r; returns [S_1, ..., S_r]."""
     polys, m = _cone_polys(spec, lam)
-    if not np.all(m > 0):  # a NaN margin too
+    if not (m > 0).all():  # a NaN margin too
         if m.ndim == 0:
             raise ConeError(f"lambda outside Gamma_{spec.r}: margin {float(m):.3e}")
         flat = int(np.argmin(m))
@@ -151,7 +151,9 @@ def f_eval(spec, lam):
     """Normalized curvature value (S_r / C(n,r)) ** (1/r) on Gamma_r."""
     lam = np.asarray(lam, dtype=float)
     Sr = _require_cone(spec, lam)[-1]
-    val = (Sr / spec.normalization) ** (1.0 / spec.r)
+    val = Sr / spec.normalization
+    if spec.r > 1:                     # x ** 1.0 is x
+        val = val ** (1.0 / spec.r)
     return float(val) if np.ndim(val) == 0 else val
 
 

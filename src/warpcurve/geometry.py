@@ -19,9 +19,11 @@ root of the rank-one-updated metric has the cancellation-free closed form
 
     g^{-1/2} = I/h - (p p^T) / (W h (W + h)),   p = grad z.
 
-The Newton path needs only h, h', h'', W, the derivatives, lam and the
-g-orthonormal eigenvectors, so those are built per node from scalar
-components with no batched linear algebra.  At n = 1, lam = a / W^2.  At
+The Newton path needs only h, h', h'', W, the derivatives, lam and, at
+n = 2, the g-orthonormal eigenvectors, so those are built per node from
+scalar components with no batched linear algebra; h^2 and the products
+of the gradient's components are formed once and shared by W, g^{-1/2}
+and a.  At n = 1, lam = a / W^2.  At
 n = 2 the symmetrized form [[p, q], [q, r]] is diagonalized in closed
 form the way LAPACK's dlaev2 does it: the eigenvalue of larger magnitude
 is (p + r)/2 +- rad with the sign of p + r, the other is det / that one
@@ -31,10 +33,11 @@ cancellation.  The matrices g, g^{-1}, a, A, the symmetrized form, nu0,
 tau and eta are not read on the Newton path, so they are built on first
 access.
 
-The derivative of f(lam) in the form is one frame sum, sum_k f_k v_k v_k^T:
-over the g-orthonormal eigenvectors for Newton (GraphGeometry.frame_sum),
-over the eig2_sym eigenvectors of a raw symmetric matrix for verification
-(matrix_derivative).
+The derivative of f(lam) in the form is one frame sum, sum_k f_k v_k v_k^T
+(n = 2): over the g-orthonormal eigenvectors for Newton
+(GraphGeometry.frame_sum), over the eig2_sym eigenvectors of a raw
+symmetric matrix for verification (matrix_derivative).  At n = 1 it is
+f_1 s^2 with f_1 = 1, which the solver forms in closed form.
 """
 
 from __future__ import annotations
@@ -115,23 +118,22 @@ class GraphGeometry:
 
     @property
     def grad_sup(self):
-        return float(np.sqrt((self.grad ** 2).sum(axis=-1)).max())
+        return float(np.sqrt(sum(p * p for p in self._grad)).max())
 
     def frame_sum(self, w):
-        """sum_k w_k v_k v_k^T over the g-orthonormal eigenvectors v_k.
+        """sum_k w_k v_k v_k^T over the g-orthonormal eigenvectors v_k, at
+        n = 2 (at n = 1 the sum is w s^2, s = g^{-1/2}, which the solver
+        forms itself).
 
-        w is (*shape, n), matched to lam; the result is _frame_sum's.
+        w is (*shape, 2), matched to lam; the result is _frame_sum's.
         """
         return _frame_sum(w, self._eigvec_g)
 
     @cached_property
     def _eigvec_g(self):
         # components V[i][k] of v_k = g^{-1/2} q_k, with q_0 = (c, s) and
-        # q_1 = (-s, c) at n = 2
-        S = self._inv_sqrt
-        if self.grid.n == 1:
-            return [S]
-        s00, s01, s11 = S
+        # q_1 = (-s, c)
+        s00, s01, s11 = self._inv_sqrt
         c, s = self._frame
         return [[s00 * c + s01 * s, s01 * c - s00 * s],
                 [s01 * c + s11 * s, s11 * c - s01 * s]]
@@ -154,10 +156,15 @@ class GraphGeometry:
         return (1.0 / (h * h))[..., None, None] * np.eye(self.grid.n) \
             - self._pp * (1.0 / (h * h * W * W))[..., None, None]
 
+    def _second(self):
+        # _second_form's components, as geometry_from_derivatives forms them
+        h = self.h
+        return _second_form(h, h * h, self.h1, self.W, _outer(self._grad),
+                            self._hess)
+
     @cached_property
     def a(self):
-        return _sym(_second_form(self.h, self.h1, self.W, self._grad,
-                                 self._hess))
+        return _sym(self._second())
 
     @cached_property
     def A(self):
@@ -165,8 +172,7 @@ class GraphGeometry:
 
     @cached_property
     def atilde(self):
-        return _sym(_symmetrized_form(self.h, self.h1, self.W, self._grad,
-                                      self._hess, self._inv_sqrt))
+        return _sym(_symmetrized_form(self._second(), self._inv_sqrt))
 
     @cached_property
     def nu0(self):
@@ -233,32 +239,39 @@ def _sym(comps):
     return np.moveaxis(np.array([[m00, m01], [m01, m11]]), (0, 1), (-2, -1))
 
 
-def _inv_sqrt_metric(h, W, grad):
-    """g^{-1/2} = I/h - p p^T / (W h (W + h)), p = grad z."""
+def _outer(grad):
+    """p p^T, p = grad z."""
+    if len(grad) == 1:
+        return [grad[0] * grad[0]]
+    p0, p1 = grad
+    return [p0 * p0, p0 * p1, p1 * p1]
+
+
+def _inv_sqrt_metric(h, W, pp):
+    """g^{-1/2} = I/h - p p^T / (W h (W + h)), from pp = _outer(p)."""
     c = 1.0 / (W * h * (W + h))
-    if len(grad) == 1:
-        return [1.0 / h - grad[0] * grad[0] * c]
-    p0, p1 = grad
+    if len(pp) == 1:
+        return [1.0 / h - pp[0] * c]
+    pp00, pp01, pp11 = pp
     ih = 1.0 / h
-    return [ih - p0 * p0 * c, -(p0 * p1) * c, ih - p1 * p1 * c]
+    return [ih - pp00 * c, -pp01 * c, ih - pp11 * c]
 
 
-def _second_form(h, h1, W, grad, hess):
-    """a = (-h hess + 2 h' p p^T + h^2 h' I) / W, p = grad z."""
-    diag = h * h * h1
-    if len(grad) == 1:
-        p = grad[0]
-        return [(-h * hess[0, 0] + 2.0 * h1 * (p * p) + diag) / W]
-    p0, p1 = grad
-    return [(-h * hess[0, 0] + 2.0 * h1 * (p0 * p0) + diag) / W,
-            (-h * hess[0, 1] + 2.0 * h1 * (p0 * p1)) / W,
-            (-h * hess[1, 1] + 2.0 * h1 * (p1 * p1) + diag) / W]
+def _second_form(h, hh, h1, W, pp, hess):
+    """a = (-h hess + 2 h' p p^T + h^2 h' I) / W, from hh = h^2 and
+    pp = _outer(p)."""
+    diag = hh * h1
+    if len(pp) == 1:
+        return [(-h * hess[0, 0] + 2.0 * h1 * pp[0] + diag) / W]
+    pp00, pp01, pp11 = pp
+    return [(-h * hess[0, 0] + 2.0 * h1 * pp00 + diag) / W,
+            (-h * hess[0, 1] + 2.0 * h1 * pp01) / W,
+            (-h * hess[1, 1] + 2.0 * h1 * pp11 + diag) / W]
 
 
-def _symmetrized_form(h, h1, W, grad, hess, S):
+def _symmetrized_form(a, S):
     """g^{-1/2} a g^{-1/2}, whose eigenvalues are the curvatures, from the
-    components S of g^{-1/2} (_inv_sqrt_metric)."""
-    a = _second_form(h, h1, W, grad, hess)
+    components of a (_second_form) and of g^{-1/2} (_inv_sqrt_metric)."""
     if len(S) == 1:
         return [S[0] * a[0] * S[0]]
     s00, s01, s11 = S
@@ -282,13 +295,16 @@ def geometry_from_derivatives(zvals, grad, hess, grid, profile):
     h, h1, h2 = (np.asarray(v) for v in profile.eval(zvals))
     grad = np.asarray(grad)
     hess = np.asarray(hess)
-    W = np.sqrt(h * h + sum(p * p for p in grad))
+    # h^2 and the products of the gradient components, formed once
+    hh, pp = h * h, _outer(grad)
+    W = np.sqrt(hh + (pp[0] if len(pp) == 1 else pp[0] + pp[2]))
     # at n = 1 the curvature is s a s with the scalar s = g^{-1/2} = 1/W in
     # its rank-one form: at fine 1D grids the residual's rounding floor is
     # near newton_tol, so this evaluation order is kept to keep 1D
     # iterates, and Newton counts, unchanged to the last bit
-    S = _inv_sqrt_metric(h, W, grad)
-    st = _symmetrized_form(h, h1, W, grad, hess, S)
+    S = _inv_sqrt_metric(h, W, pp)
+    a = _second_form(h, hh, h1, W, pp, hess)
+    st = _symmetrized_form(a, S)
     if grid.n == 1:
         lam, frame = st[0][..., None], None
     else:

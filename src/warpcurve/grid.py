@@ -165,8 +165,8 @@ class TorusGrid:
 
     def gradient(self, values):
         """Periodic centered gradient, shape (n,) + grid shape."""
-        return np.stack(self._stencil_sums(
-            values, [("d1", d) for d in range(self.n)]))
+        sums = self._stencil_sums(values, [("d1", d) for d in range(self.n)])
+        return sums[0][None] if self.n == 1 else np.stack(sums)
 
     def hessian(self, values):
         """Per-node Hessian, shape (n, n) + grid shape: d2 per axis on the

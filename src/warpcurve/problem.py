@@ -258,8 +258,12 @@ class CustomPrescription(_PrescriptionSlab):
         return self.psi_fn(t, self.coords[:, node])
 
     def psi_pair(self, t, h, h1):
-        """(psi, d_t psi) at heights t over all nodes."""
-        return self.psi_fn(t, self.coords), self.psi_t_fn(t, self.coords)
+        """(psi, d_t psi) at heights t over all nodes, each broadcast to
+        t's shape against the nodes: a psi_fn or psi_t_fn may return a
+        constant, which psi_of at s = 1 passes on unmixed."""
+        shape = np.broadcast_shapes(np.shape(t), self.coords.shape[1:])
+        return tuple(np.broadcast_to(fn(t, self.coords), shape)
+                     for fn in (self.psi_fn, self.psi_t_fn))
 
     def dt_h_psi_lattice(self, tarr):
         """d/dt (h psi) on (t-lattice) x nodes, as h' psi + h psi_t."""
@@ -600,12 +604,17 @@ class HomotopyProblem:
     def psi_of(self, s, zvals, h, h1):
         """(Psi, d_t Psi) per node at homotopy parameter s.
 
-        h and h1 are h and h' at the heights zvals (the geometry's).
+        h and h1 are h and h' at the heights zvals (the geometry's).  At
+        s = 1 the gauge pair's weight is 0, and the pair is not computed:
+        Psi is the prescription's (1 psi + 0 psi0 is psi bit for bit
+        wherever psi0 is finite, up to the sign of a zero).
         """
         f, u = self.grid.flatten, self.grid.unflatten
         t, h, h1 = f(zvals), f(h), f(h1)
-        (psi, psi_t), (psi0, psi0_t) = (self.prescription.psi_pair(t, h, h1),
-                                        self.gauge.psi0_pair(t, h, h1))
+        psi, psi_t = self.prescription.psi_pair(t, h, h1)
+        if s == 1.0:
+            return u(psi), u(psi_t)
+        psi0, psi0_t = self.gauge.psi0_pair(t, h, h1)
         return u(_blend(s, psi, psi0)), u(_blend(s, psi_t, psi0_t))
 
     def drift_lattice(self, s, tarr):

@@ -12,14 +12,15 @@ eigenproblem a v = lam g v: with g-orthonormal eigenvectors v_i,
 
 which needs no matrix square roots and stays smooth through eigenvalue
 crossings because f is symmetric.  Writing M = sum f_i v_i v_i^T and
-M2 = sum f_i lam_i v_i v_i^T (GraphGeometry.frame_sum, in components),
-the per-node sensitivities to (z, grad z, hess z) are one coefficient per
-stencil operator.  J is built as its data in the grid's fixed CSR layout
+M2 = sum f_i lam_i v_i v_i^T (GraphGeometry.frame_sum at n = 2, in
+components; closed forms at n = 1, below), the per-node sensitivities
+to (z, grad z, hess z) are one coefficient per stencil operator.  J is
+built as its data in the grid's fixed CSR layout
 (TorusGrid.stencil_pattern: row i holds the columns i + o in footprint
 order), (size x offsets), as one product: coefficients (size x
-operators) times the weights (operators x offsets) of the operator table
-the residual's derivatives apply.  It stays layout data until a matrix
-is needed: the n = 1 band solve reads the data directly, and
+operators) times the weights (operators x offsets) of the operator
+table the residual's derivatives apply.  It stays layout data until a
+matrix is needed: the n = 1 band solve reads the data directly, and
 TorusGrid.pattern_matrix wraps it for GMRES, the sparse fallback and
 assemble_jacobian.  Newton uses this analytic J only.  The colored
 finite-difference Jacobian built here (_fd_colored_jacobian, reached
@@ -27,16 +28,29 @@ through oracle.fd_colored_jacobian) is the entrywise reference the tests
 check it against, in the same layout.  verify checks J by directional
 probes of the residual instead.
 
+At n = 1 the equation is the prescribed curvature of a closed curve in
+I x_h S^1, and the iteration does only n = 1 work.  f(lam) = lam, so
+f_1 = 1, M = s^2 and M2 = lam s^2 with the scalar s = g^{-1/2}, and
+sum f_i lam_i = lam: J's coefficients take these closed forms, with no
+f_grad and no frame sum, each product in the order the frame sums form
+it, so that iterates and Newton counts are bit for bit those of the
+general code.  At s = 1, Psi is the prescription alone
+(HomotopyProblem.psi_of).
+
 Each Newton step solves J delta = -R.  At n = 1 J is a periodic band
 matrix: the band of half-width b (the stencil radius) plus b wrapped
-entries in the corners of the first and last b rows.  Its data in the
-fixed layout go straight into LAPACK band storage, and the corners are a
+entries in the corners of the first and last b rows.  The corners are a
 rank-2b Woodbury correction (Temperton, J. Comput. Phys. 19, 1975; Hager,
 SIAM Rev. 31, 1989): one band solve with 1 + 2b right-hand sides, then a
-2b x 2b solve; the seam's index structure is cached per (size, b).  A
-singular band part or a non-finite result falls back to the sparse
-direct solve.  At n = 2 the step is GMRES (_gmres), cycles of at most 50
-steps right-preconditioned by the circulant part of J (T. Chan, SIAM
+2b x 2b solve; the seam's index structure is cached per (size, b).  The
+band solve calls LAPACK directly, the routines and arguments of
+scipy.linalg.solve_banded without its wrapper: at b = 1 gtsv takes the
+three diagonals straight from J's data in the fixed layout, at b = 2
+gbsv takes that data in band storage, and the right-hand sides are one
+Fortran-ordered block solved in place.  A singular band part (LAPACK's
+info > 0) or a non-finite result falls back to the sparse direct solve.
+At n = 2 the step is GMRES (_gmres), cycles of at most 50 steps
+right-preconditioned by the circulant part of J (T. Chan, SIAM
 J. Sci. Stat. Comput. 9, 1988): the periodic stencils are circulant, so
 the mean coefficient per stencil offset (the column means of J's data in
 the fixed layout) is inverted exactly by the 2D FFT.  That kernel is
@@ -83,7 +97,7 @@ import numpy as np
 # scipy.fft loads on first use (only the n = 2 step needs it), to keep it
 # out of the memory and start-up of n = 1 runs and verify
 import scipy
-import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse.linalg as spla
 
 from . import curvature
@@ -162,26 +176,39 @@ def _jacobian_coefficients(state, hp):
     rng = range(n)
     p = geom._grad                     # components, grid layout
     H = geom._hess
-    # f_eval has checked the cone at these eigenvalues already
-    fi = curvature.f_grad(hp.spec, geom.lam)
-    fl = fi * geom.lam
-    M = geom.frame_sum(fi)
-    M2 = geom.frame_sum(fl)
-    sfl = fl.sum(axis=-1)
-    Mp = [sum(M[i][j] * p[j] for j in rng) for i in rng]
-    M2p = [sum(M2[i][j] * p[j] for j in rng) for i in rng]
-    MH = sum(M[i][j] * H[i][j] for i in rng for j in rng)
-    pMp = sum(p[i] * M[i][j] * p[j] for i in rng for j in rng)
-    trM = sum(M[i][i] for i in rng)
-    trM2 = sum(M2[i][i] for i in rng)
-    c_z = (-h1 * MH + 2.0 * h2 * pMp + (2.0 * h * h1 ** 2 + h ** 2 * h2) * trM) \
-        / W - sfl * h * h1 / W ** 2 - 2.0 * h * h1 * trM2
-    c_grad = [(4.0 * h1 / W) * Mp[d] - p[d] * (sfl / W ** 2) - 2.0 * M2p[d]
-              for d in rng]
+    if n == 1:
+        # f(lam) = lam: f_1 = 1, so M = s^2 and M2 = lam s^2 with the
+        # scalar s = g^{-1/2}, and sum f_i lam_i = lam; each product in the
+        # order the frame sums of the n = 2 branch form it, so that J is
+        # theirs bit for bit
+        (s,), lam = geom._inv_sqrt, geom.lam[..., 0]
+        m, m2 = s * s, lam * s * s
+        M, sfl = [[m]], lam
+        Mp, M2p = [m * p[0]], [m2 * p[0]]
+        MH, pMp, trM, trM2 = m * H[0][0], p[0] * m * p[0], m, m2
+    else:
+        # f_eval has checked the cone at these eigenvalues already
+        fi = curvature.f_grad(hp.spec, geom.lam)
+        fl = fi * geom.lam
+        M = geom.frame_sum(fi)
+        M2 = geom.frame_sum(fl)
+        sfl = fl.sum(axis=-1)
+        Mp = [sum(M[i][j] * p[j] for j in rng) for i in rng]
+        M2p = [sum(M2[i][j] * p[j] for j in rng) for i in rng]
+        MH = sum(M[i][j] * H[i][j] for i in rng for j in rng)
+        pMp = sum(p[i] * M[i][j] * p[j] for i in rng for j in rng)
+        trM = sum(M[i][i] for i in rng)
+        trM2 = sum(M2[i][i] for i in rng)
+    two_h, W2 = 2.0 * h, W ** 2
+    c_z = (-h1 * MH + 2.0 * h2 * pMp + (two_h * h1 ** 2 + h ** 2 * h2) * trM) \
+        / W - sfl * h * h1 / W2 - two_h * h1 * trM2
+    g1, g2 = 4.0 * h1 / W, sfl / W2
+    c_grad = [g1 * Mp[d] - p[d] * g2 - 2.0 * M2p[d] for d in rng]
     # c_hess = -(h / W) M; the symmetric cross entries share one stencil
-    c_hess = [-(h / W) * M[d][d] for d in rng]
+    hW = -(h / W)
+    c_hess = [hW * M[d][d] for d in rng]
     if n == 2:
-        c_hess.append(-(h / W) * (2.0 * M[0][1]))
+        c_hess.append(hW * (2.0 * M[0][1]))
     return [c_z - state.psi_t] + c_grad + c_hess
 
 
@@ -365,19 +392,29 @@ def _cyclic_band_solve(D, rhs):
     """
     size = D.shape[0]
     b = D.shape[1] // 2
-    # LAPACK band storage: ab[b - o, j] = J[j - o, j]
-    ab = np.zeros((2 * b + 1, size))
-    for k in range(2 * b + 1):
-        o = k - b
-        lo, hi = max(o, 0), size + min(o, 0)
-        ab[b - o, lo:hi] = D[lo - o:hi - o, k]
     S, cross, gather = _seam(size, b)
     C = np.zeros((2 * b, 2 * b))
     C[cross] = D.ravel()[gather]
-    B = np.zeros((size, 1 + 2 * b))
+    # Fortran order, so that LAPACK solves in place
+    B = np.zeros((size, 1 + 2 * b), order="F")
     B[:, 0] = rhs
     B[S, np.arange(1, 2 * b + 1)] = 1.0
-    Y = sla.solve_banded((b, b), ab, B, check_finite=False)
+    if b == 1:
+        # the three diagonals: J[j + 1, j], J[j, j], J[j, j + 1]
+        *_, Y, info = lapack.dgtsv(D[1:, 0], D[:, 1], D[:-1, 2], B,
+                                   overwrite_b=True)
+    else:
+        # LAPACK band storage below b rows of fill-in space:
+        # ab[2b - o, j] = J[j - o, j]
+        ab = np.zeros((3 * b + 1, size), order="F")
+        for k in range(2 * b + 1):
+            o = k - b
+            lo, hi = max(o, 0), size + min(o, 0)
+            ab[2 * b - o, lo:hi] = D[lo - o:hi - o, k]
+        *_, Y, info = lapack.dgbsv(b, b, ab, B, overwrite_ab=True,
+                                   overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular band matrix")
     y, Z = Y[:, 0], Y[:, 1:]
     cap = np.eye(2 * b) + C @ Z[S]
     return y - Z @ np.linalg.solve(cap, C @ y[S])
@@ -395,7 +432,7 @@ def _linear_step(D, rhs, grid):
         except np.linalg.LinAlgError:      # singular band or corner system
             pass
         else:
-            if np.all(np.isfinite(delta)):
+            if np.isfinite(delta).all():
                 return delta, False
     J = grid.pattern_matrix(D)
     if grid.n == 2:
@@ -453,10 +490,10 @@ def newton_solve(z0, s, hp, cfg=None, theta_max=None, at=None):
         delta, fell_back = _linear_step(_analytic_jacobian(state, hp),
                                         -hp.grid.flatten(state.res), hp.grid)
         fallbacks += fell_back
-        if not np.all(np.isfinite(delta)):
+        dnorm_prev, dnorm = dnorm, float(np.abs(delta).max())
+        if not dnorm < np.inf:              # an inf or NaN entry
             raise NewtonStall(f"non-finite linear step at s={s:.6g} "
                               f"(residual {rnorm:.3e})")
-        dnorm_prev, dnorm = dnorm, float(np.abs(delta).max())
         if iters > 0:
             theta = dnorm / dnorm_prev
             if iters == 1:
@@ -469,7 +506,8 @@ def newton_solve(z0, s, hp, cfg=None, theta_max=None, at=None):
         alpha = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
-            trial = zvals + alpha * delta
+            # the full step adds delta itself (1 delta is delta)
+            trial = zvals + (delta if alpha == 1.0 else alpha * delta)
             try:
                 tstate = _evaluate(trial, s, hp)
             except (ConeError, DomainError):

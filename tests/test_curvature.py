@@ -100,6 +100,20 @@ def test_f_at_kappa_times_ones_is_kappa_bit_for_bit(n, r):
     assert [f_eval(spec, np.full(n, k)) for k in single] == single.tolist()
 
 
+def test_f_at_n1_is_lam_with_derivative_one_bit_for_bit():
+    # the n = 1 Newton Jacobian takes f(lam) = lam and f_1 = 1 in closed
+    # form (solver._jacobian_coefficients) and calls no f_grad
+    spec = CurvatureSpec(1, 1)
+    rng = np.random.default_rng(23)
+    lam = np.concatenate([sample_cone(spec, rng, 2000, 1e-3, 1e3),
+                          np.geomspace(1e-300, 1e300, 601)[:, None]])
+    assert f_grad(spec, lam).tobytes() == np.ones(lam.shape).tobytes()
+    assert f_eval(spec, lam).tobytes() == lam[:, 0].tobytes()
+    single = lam[::13]
+    assert [f_eval(spec, point) for point in single] == single[:, 0].tolist()
+    assert all(f_grad(spec, point).tolist() == [1.0] for point in single)
+
+
 def test_f_grad_closed_form_and_fd():
     spec = CurvatureSpec(2, 1)
     g = f_grad(spec, np.array([0.4, 2.0]))

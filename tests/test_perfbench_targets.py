@@ -11,9 +11,14 @@ two-node crossings of every reference case are pinned here to the
 all-node ones, and one solve2d operation runs through its checks.  A
 speedup must leave Newton's work unchanged, so every reference case's
 per-step Newton counts are pinned (tests/data) and its z range checked
-against the benchmark's stored reference.
+against the benchmark's stored reference.  Its result must not move by a
+bit either: the sha256 of each case's z bytes and final residual is pinned
+too (tests/data/reference_bits.json, with the NumPy and SciPy versions it
+was recorded with), for the reference cases and for an order-4 n = 1 set
+that runs the b = 2 band solve.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -116,13 +121,24 @@ def test_reference_crossings_equal_the_all_node_path(monkeypatch):
     assert mismatched == []
 
 
+_DATA = Path(__file__).resolve().parent / "data"
+
+
+def _bits(z, report):
+    """sha256 of the solution's bytes followed by its final residual's."""
+    return hashlib.sha256(z.values.tobytes() + np.float64(
+        report.final.residual).tobytes()).hexdigest()
+
+
 def test_reference_cases_keep_their_newton_counts_and_z():
     # the 120 solves any seed can draw: the per-step Newton counts are
-    # pinned, and each z range is the benchmark's reference within its
-    # tolerance (perfbench/reference.json is read, never written)
+    # pinned, each z range is the benchmark's reference within its
+    # tolerance (perfbench/reference.json is read, never written), and z
+    # and the final residual are the recorded ones bit for bit
     workloads = _load("workloads")
-    pinned = json.loads((Path(__file__).resolve().parent / "data"
-                         / "reference_newton_counts.json").read_text())
+    pinned = json.loads((_DATA / "reference_newton_counts.json").read_text())
+    bits = json.loads((_DATA / "reference_bits.json").read_text())[
+        "z_and_residual_sha256"]
     reference = workloads.load_reference()
     cases, moved = workloads.reference_cases(), []
     assert len(cases) == len(pinned) == 120
@@ -133,6 +149,31 @@ def test_reference_cases_keep_their_newton_counts_and_z():
         zr = (float(z.values.min()), float(z.values.max()))
         ref = reference[case.key]
         if iters != pinned[case.key] or max(
-                abs(a - b) for a, b in zip(zr, ref)) > workloads.Z_REF_TOL:
+                abs(a - b) for a, b in zip(zr, ref)) > workloads.Z_REF_TOL \
+                or _bits(z, report) != bits[case.key]:
             moved.append((case.key, iters, zr))
+    assert moved == []
+
+
+def test_order4_band_cases_keep_their_newton_counts_and_z():
+    # the reference cases are order 2 (b = 1, LAPACK's gtsv); these four
+    # order-4 solves run the b = 2 band solve (gbsv)
+    workloads = _load("workloads")
+    data = json.loads((_DATA / "reference_bits.json").read_text())
+    pinned, moved = data["order4_newton_counts"], []
+    assert len(pinned) == 4
+    for mode in (1, 2, 3, 4):
+        key = f"n1-r1-N256-order4-mode{mode}-eps0.1"
+        p = wc.build_prescription(
+            wc.WarpingProfile.cosh(workloads.T_LO, workloads.T_HI),
+            wc.CurvatureSpec(1, 1), wc.make_grid(1, 256, order=4),
+            c0=workloads.C0, eps=0.1, mode=(mode,),
+            t_minus=workloads.T_MINUS, t_plus=workloads.T_PLUS)
+        z, report = wc.continuation(
+            wc.build_homotopy(p, eps_phi=workloads.EPS_PHI),
+            workloads.SOLVER_CONFIG)
+        iters = [st.newton_iters for st in report.steps]
+        if iters != pinned[key] or _bits(z, report) != \
+                data["z_and_residual_sha256"][key]:
+            moved.append((key, iters))
     assert moved == []

@@ -21,7 +21,7 @@ from warpcurve.problem import (CUSTOM_C_SLACK, S_LATTICE, CheckRow,
                                Prescription, barrier_crossings,
                                build_custom_prescription, build_phi,
                                build_prescription, hypothesis_rows,
-                               validation_lattices)
+                               validation_lattices, _blend)
 
 from conftest import SINH1, TANH1, make_problem
 
@@ -898,6 +898,47 @@ def _problems_2d(cosh):
                                   _custom_psi, _custom_psi_t, t_minus=0.5,
                                   t_plus=1.5)
     return [make_problem(n=2, N=16, eps=0.1, t_plus=1.5), wc.build_homotopy(p)]
+
+
+def test_psi_of_is_the_blend_of_both_pairs_bit_for_bit(cosh, spec1):
+    # at s = 1 psi_of computes no gauge pair, whose weight in the blend is
+    # 0; its result is the blend's all the same, as it is at s < 1, also
+    # for a psi_t_fn that returns a constant (psi_pair broadcasts it)
+    rng = np.random.default_rng(29)
+    constant_t = CustomPrescription(
+        profile=cosh, spec=spec1, grid=wc.make_grid(1, 64), t_minus=0.5,
+        t_plus=1.5, psi_fn=lambda t, x: 0.7 - 0.05 * np.cos(x[-1]) + 0.0 * t,
+        psi_t_fn=lambda t, x: 0.0)
+    for hp in _problems(cosh, spec1) + _problems_2d(cosh) + [
+            wc.build_homotopy(constant_t)]:
+        f, u = hp.grid.flatten, hp.grid.unflatten
+        for _ in range(4):
+            z = rng.uniform(0.55, 1.45, hp.grid.shape)
+            h, h1, _ = cosh.eval(z)
+            flat = f(z), f(h), f(h1)
+            pairs = hp.prescription.psi_pair(*flat), hp.gauge.psi0_pair(*flat)
+            for s in (0.0, 0.5, 1.0):
+                got = hp.psi_of(s, z, h, h1)
+                for k in range(2):
+                    want = u(_blend(s, pairs[0][k], pairs[1][k]))
+                    assert got[k].tobytes() == want.tobytes()
+
+
+def test_psi_at_s1_is_finite_where_the_gauge_overflows(cosh, spec1,
+                                                       monkeypatch):
+    # the gauge pair is non-finite only where exp(eps_phi (t0 - z))
+    # overflows, eps_phi (t0 - z) > 709: there the blend at s = 1 was
+    # 0 inf = NaN, and Psi(1) is psi, as the homotopy defines it
+    for hp in _problems(cosh, spec1):
+        z = np.linspace(0.6, 1.4, hp.grid.N)
+        h, h1, _ = cosh.eval(z)
+        monkeypatch.setattr(hp.gauge, "psi0_pair", lambda t, h, h1: (
+            np.full(t.shape, np.inf), np.full(t.shape, -np.inf)))
+        psi, psi_t = hp.prescription.psi_pair(z, h, h1)
+        got = hp.psi_of(1.0, z, h, h1)
+        assert got[0].tobytes() == psi.tobytes()
+        assert got[1].tobytes() == psi_t.tobytes()
+        assert np.all(np.isinf(hp.psi_of(0.5, z, h, h1)[0]))
 
 
 def test_fused_psi_pairs_match_per_term_formulas(cosh, spec1):

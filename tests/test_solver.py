@@ -552,25 +552,38 @@ def test_two_dimensional_continuation_is_independent_of_the_thread_count():
     assert outs[0][0] == outs[1][0]
 
 
-def _band_singular(*args, **kwargs):
-    raise np.linalg.LinAlgError("singular matrix")
+# the LAPACK routine of the band solve per stencil order: b = 1 and b = 2
+_BAND_ROUTINES = {2: "dgtsv", 4: "dgbsv"}
 
 
-def _band_nan(l_and_u, ab, b, **kwargs):
-    return np.full(b.shape, np.nan)
+def _band_singular(x, info):
+    return x, 1                # info > 0: LAPACK met a zero pivot
 
 
-@pytest.mark.parametrize("band", [_band_singular, _band_nan])
-def test_band_failure_falls_back_to_direct_solve(hp1_wavy, band,
-                                                 monkeypatch):
-    J, rhs = _wavy_system(hp1_wavy)
-    z0 = NodeField.constant(hp1_wavy.grid, hp1_wavy.t0)
-    _, clean = newton_solve(z0, 1.0, hp1_wavy)
+def _band_nan(x, info):
+    return np.full(x.shape, np.nan), info
+
+
+@pytest.mark.parametrize(
+    "band,order", [(_band_singular, 2), (_band_nan, 2), (_band_singular, 4),
+                   (_band_nan, 4)],
+    ids=["_band_singular", "_band_nan", "_band_singular-order4",
+         "_band_nan-order4"])
+def test_band_failure_falls_back_to_direct_solve(band, order, monkeypatch):
+    hp = make_problem(n=1, N=256, eps=0.1, t_plus=1.5, order=order)
+    J, rhs = _wavy_system(hp)
+    z0 = NodeField.constant(hp.grid, hp.t0)
+    _, clean = newton_solve(z0, 1.0, hp)
     assert clean.fallbacks == 0
-    solve_banded = solver.sla.solve_banded
-    monkeypatch.setattr(solver.sla, "solve_banded", band)
-    delta, fell_back = _linear_step(_data(J, hp1_wavy.grid), rhs,
-                                    hp1_wavy.grid)
+    name = _BAND_ROUTINES[order]
+    routine = getattr(solver.lapack, name)
+
+    def failing(*args, **kwargs):
+        *out, x, info = routine(*args, **kwargs)
+        return (*out, *band(x, info))
+
+    monkeypatch.setattr(solver.lapack, name, failing)
+    delta, fell_back = _linear_step(_data(J, hp.grid), rhs, hp.grid)
     assert fell_back
     assert np.array_equal(delta, spla.spsolve(J.tocsc(), rhs))
     # a band failure in the first Newton step only: one fallback
@@ -578,10 +591,10 @@ def test_band_failure_falls_back_to_direct_solve(hp1_wavy, band,
 
     def first_fails(*args, **kwargs):
         calls.append(1)
-        return (band if len(calls) == 1 else solve_banded)(*args, **kwargs)
+        return (failing if len(calls) == 1 else routine)(*args, **kwargs)
 
-    monkeypatch.setattr(solver.sla, "solve_banded", first_fails)
-    _, stats = newton_solve(z0, 1.0, hp1_wavy)
+    monkeypatch.setattr(solver.lapack, name, first_fails)
+    _, stats = newton_solve(z0, 1.0, hp)
     assert stats.fallbacks == 1
     assert stats.iterations == clean.iterations > 1
 
@@ -742,7 +755,8 @@ def test_f_grad_is_computed_only_for_the_analytic_jacobian(n, monkeypatch):
     fd_colored_jacobian(z, 0.6, hp)
     assert calls == []
     assemble_jacobian(z, 0.6, hp)
-    assert len(calls) == 1
+    # at n = 1, f_1 = 1 and J needs no f_grad (test_curvature pins f there)
+    assert len(calls) == (1 if n == 2 else 0)
 
 
 # N = 32 at order 2: blocks of 3 and 4 nodes per axis
