@@ -256,10 +256,9 @@ def cmd_solve(cfg):
     z, report = continuation(hp, scfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "steps.csv", "w", newline="") as f:
-        f.write(report.csv_header() + "\n")
-        for row in report.csv_rows():
-            f.write(row + "\n")
+    # steps.csv and report.txt's [steps] section are the same lines
+    steps = [report.csv_header(), *report.csv_rows()]
+    (out / "steps.csv").write_text("\n".join(steps) + "\n", newline="")
     save_field(z, out / "z_final.f64")
     geom = compute_geometry(z, grid, hp.profile)
     (out / "fields.csv").write_text(fields_csv(geom))
@@ -270,17 +269,15 @@ def cmd_solve(cfg):
              "[field header]",
              f"n = {grid.n}", f"N = {grid.N}", f"L = {_fmt(grid.L)}",
              "layout = little-endian float64, node order axis-0 fastest", "",
-             "[steps]", report.csv_header()]
-    lines += list(report.csv_rows())
-    lines += ["", "[summary]",
-              f"verdict = {report.verdict}",
-              f"final_residual = {_fmt(fin.residual)}",
-              f"z_min = {_fmt(fin.z_min)}",
-              f"z_max = {_fmt(fin.z_max)}",
-              f"barrier_margin_lo = {_fmt(margin_lo)}",
-              f"barrier_margin_hi = {_fmt(margin_hi)}",
-              f"cone_margin = {_fmt(fin.cone_margin)}",
-              f"newton_total = {sum(s.newton_iters for s in report.steps)}"]
+             "[steps]", *steps, "", "[summary]",
+             f"verdict = {report.verdict}",
+             f"final_residual = {_fmt(fin.residual)}",
+             f"z_min = {_fmt(fin.z_min)}",
+             f"z_max = {_fmt(fin.z_max)}",
+             f"barrier_margin_lo = {_fmt(margin_lo)}",
+             f"barrier_margin_hi = {_fmt(margin_hi)}",
+             f"cone_margin = {_fmt(fin.cone_margin)}",
+             f"newton_total = {sum(s.newton_iters for s in report.steps)}"]
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     print(f"solve ok: residual={_fmt(fin.residual)} "
           f"barrier_margins=({_fmt(margin_lo)}, {_fmt(margin_hi)}) "

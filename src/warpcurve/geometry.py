@@ -31,7 +31,7 @@ is (p + r)/2 +- rad with the sign of p + r, the other is det / that one
 (p - r + 2 rad, 2q) or (2q, 2 rad - p + r), whichever avoids
 cancellation.  The matrices g, g^{-1}, a, A, the symmetrized form, nu0,
 tau and eta are not read on the Newton path, so they are built on first
-access.
+access, g, g^{-1} and a from the components Newton formed.
 
 The derivative of f(lam) in the form is one frame sum, sum_k f_k v_k v_k^T
 (n = 2): over the g-orthonormal eigenvectors for Newton
@@ -90,11 +90,12 @@ class GraphGeometry:
     """Per-node extrinsic data of a graph (grid axes first, matrix axes last).
 
     grad is (*shape, n), hess (*shape, n, n), lam (*shape, n) descending;
-    g, g_inv, a, A, atilde are (*shape, n, n).
+    g, g_inv, a, A, atilde are (*shape, n, n), built from the
+    components of p p^T and g^{-1/2} that geometry_from_derivatives formed.
     """
 
     def __init__(self, grid, profile, z, grad, hess, h, h1, h2, W, lam,
-                 frame, inv_sqrt):
+                 frame, inv_sqrt, outer_p):
         self.grid = grid
         self.profile = profile
         self.z = z
@@ -107,6 +108,7 @@ class GraphGeometry:
         self.lam = lam
         self._frame = frame            # (c, s) of lam_max at n = 2
         self._inv_sqrt = inv_sqrt      # _inv_sqrt_metric's components
+        self._outer_p = outer_p        # _outer(grad)'s components
 
     @property
     def grad(self):
@@ -141,30 +143,25 @@ class GraphGeometry:
     # -- fields read by verification only, built on first access ---------
 
     @cached_property
-    def _pp(self):
-        p = self.grad
-        return p[..., :, None] * p[..., None, :]
-
-    @cached_property
     def g(self):
-        h = self.h
-        return (h * h)[..., None, None] * np.eye(self.grid.n) + self._pp
+        return _sym(_identity_plus(self.h * self.h, 1.0, self._outer_p))
 
     @cached_property
     def g_inv(self):
         h, W = self.h, self.W
-        return (1.0 / (h * h))[..., None, None] * np.eye(self.grid.n) \
-            - self._pp * (1.0 / (h * h * W * W))[..., None, None]
+        return _sym(_identity_plus(1.0 / (h * h), -1.0 / (h * h * W * W),
+                                   self._outer_p))
 
+    @cached_property
     def _second(self):
         # _second_form's components, as geometry_from_derivatives forms them
         h = self.h
-        return _second_form(h, h * h, self.h1, self.W, _outer(self._grad),
+        return _second_form(h, h * h, self.h1, self.W, self._outer_p,
                             self._hess)
 
     @cached_property
     def a(self):
-        return _sym(self._second())
+        return _sym(self._second)
 
     @cached_property
     def A(self):
@@ -172,7 +169,7 @@ class GraphGeometry:
 
     @cached_property
     def atilde(self):
-        return _sym(_symmetrized_form(self._second(), self._inv_sqrt))
+        return _sym(_symmetrized_form(self._second, self._inv_sqrt))
 
     @cached_property
     def nu0(self):
@@ -247,6 +244,15 @@ def _outer(grad):
     return [p0 * p0, p0 * p1, p1 * p1]
 
 
+def _identity_plus(d, c, pp):
+    """d I + c p p^T, from pp = _outer(p); off the diagonal it adds I's
+    zero, as the dense form does, to keep that form's signs of zero."""
+    if len(pp) == 1:
+        return [d + c * pp[0]]
+    pp00, pp01, pp11 = pp
+    return [d + c * pp00, 0.0 + c * pp01, d + c * pp11]
+
+
 def _inv_sqrt_metric(h, W, pp):
     """g^{-1/2} = I/h - p p^T / (W h (W + h)), from pp = _outer(p)."""
     c = 1.0 / (W * h * (W + h))
@@ -312,7 +318,7 @@ def geometry_from_derivatives(zvals, grad, hess, grid, profile):
         lam = np.stack([lam_max, lam_min], axis=-1)
         frame = (c, s)
     return GraphGeometry(grid, profile, np.asarray(zvals, dtype=float), grad,
-                         hess, h, h1, h2, W, lam, frame, S)
+                         hess, h, h1, h2, W, lam, frame, S, pp)
 
 
 def compute_geometry(z, grid, profile):
@@ -334,13 +340,6 @@ def special_frame_deviations(geom, idx):
     from the rotated general-formula operator g^{-1} a is returned.
     Raises FrameError at the first node where grad z vanishes.
     """
-    A_sp, A_gen = _special_frame(geom, idx)
-    return np.abs(A_sp - A_gen).max(axis=(-2, -1))
-
-
-def _special_frame(geom, idx):
-    """Special-frame and rotated general shape operators, each (k, n, n),
-    at the k nodes of idx."""
     grad = geom.grad[idx]
     norm = np.sqrt((grad ** 2).sum(axis=-1))
     bad = norm < _FRAME_TOL
@@ -370,7 +369,7 @@ def _special_frame(geom, idx):
         for j in range(1, n):
             A_sp[:, i, j] = (-h * Ht[:, i, j]
                              + (h * h * h1 if i == j else 0.0)) / (h * h * W)
-    return A_sp, R @ geom.A[idx] @ Rt
+    return np.abs(A_sp - R @ geom.A[idx] @ Rt).max(axis=(-2, -1))
 
 
 def support_identity_check(geom):

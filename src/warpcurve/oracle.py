@@ -1,18 +1,20 @@
 """Independent brute-force cross-checks.
 
 These deliberately avoid the code paths they certify.  The two finite-
-difference Jacobians difference the residual without the chain rule:
-fd_jacobian one node at a time into a dense array, fd_colored_jacobian
-one color of TorusGrid.coloring at a time into the fixed sparse layout
-(Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974).  Both take the
-central step 1e-6 (1 + |z|_inf) and shrink it by 10x, at most three
-times, on a ConeError.  The gradient check differences f_eval directly,
-at the step GRAD_STEP, and the 2x2 eigensolver is the half-angle form
-(mean +- radius, eigenvectors from the arctan2 angle).  The geometry takes its
-eigenpairs from a different closed form (geometry.eig2_sym: the root of
-larger magnitude, the other as det / root, the eigenvector from a
-cancellation-free null vector), so the verify row "oracle: eig2 vs eigh
-eigenvalues" compares two independent computations."""
+difference Jacobians difference the residual without the chain rule,
+by solver.fd_quotient: fd_jacobian one node at a time into a dense
+array, fd_colored_jacobian one color of TorusGrid.coloring at a time
+into the fixed sparse layout (Curtis, Powell & Reid, J. Inst. Math.
+Appl. 13, 1974).  Both take the central step 1e-6 (1 + |z|_inf) and
+shrink it by 10x, at most three times, on a ConeError; a non-finite
+residual is a ShapeError.  The gradient check differences f_eval
+directly, at the step GRAD_STEP, and the 2x2 eigensolver is the
+half-angle form (mean +- radius, eigenvectors from the arctan2 angle).
+The geometry takes its eigenpairs from a different closed form
+(geometry.eig2_sym: the root of larger magnitude, the other as det /
+root, the eigenvector from a cancellation-free null vector), so the
+verify row "oracle: eig2 vs eigh eigenvalues" compares two independent
+computations."""
 
 from __future__ import annotations
 
@@ -67,18 +69,8 @@ def _shrinking_step(fd, z, s, hp):
 
 def _fd_dense(zvals, s, hp, step):
     grid = hp.grid
-    size = grid.size
-    J = np.empty((size, size))
-    flat = grid.flatten(zvals).copy()
-    for q in range(size):
-        zp = flat.copy()
-        zp[q] += step
-        zm = flat.copy()
-        zm[q] -= step
-        rp = grid.flatten(solver.residual(grid.unflatten(zp), s, hp).values)
-        rm = grid.flatten(solver.residual(grid.unflatten(zm), s, hp).values)
-        J[:, q] = (rp - rm) / (2.0 * step)
-    return J
+    return np.stack([solver.fd_quotient(zvals, s, hp, step, grid.unflatten(e))
+                     for e in np.eye(grid.size)], axis=1)
 
 
 def fd_gradcheck(spec, lam):

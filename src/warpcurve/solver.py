@@ -22,11 +22,11 @@ operators) times the weights (operators x offsets) of the operator
 table the residual's derivatives apply.  It stays layout data until a
 matrix is needed: the n = 1 band solve reads the data directly, and
 TorusGrid.pattern_matrix wraps it for GMRES, the sparse fallback and
-assemble_jacobian.  Newton uses this analytic J only.  The colored
-finite-difference Jacobian built here (_fd_colored_jacobian, reached
-through oracle.fd_colored_jacobian) is the entrywise reference the tests
-check it against, in the same layout.  verify checks J by directional
-probes of the residual instead.
+assemble_jacobian.  Newton uses this analytic J only.  Every finite-
+difference check of J takes one central difference of the residual,
+fd_quotient: the colored Jacobian built here (_fd_colored_jacobian,
+reached through oracle.fd_colored_jacobian) is the tests' entrywise
+reference in the same layout, and verify probes J along directions.
 
 At n = 1 the equation is the prescribed curvature of a closed curve in
 I x_h S^1, and the iteration does only n = 1 work.  f(lam) = lam, so
@@ -74,7 +74,8 @@ undamped corrections give Theta_k = |Delta_k|_inf / |Delta_{k-1}|_inf
 > 1/2, after two linear solves rather than a run to its iteration or
 backtracking budget.  That, any other NewtonStall and a Newton iterate
 that leaves the barrier slab (BarrierViolation) halve ds; after a step
-whose first contraction Theta_1 is <= 1/4, ds doubles, clamped to land
+that used fewer than max_newton iterations and whose first contraction
+Theta_1 is <= 1/4 (0 after one iteration), ds doubles, clamped to land
 on s = 1.  Every accepted state is asserted to lie in the barrier slab
 (newton_solve) and the cone.  The cone assertion is curvature.f_eval's
 alone: it raises ConeError on every evaluation with a non-positive
@@ -222,18 +223,22 @@ def _analytic_jacobian(state, hp):
     return np.stack(coef, axis=1) @ grid.stencil_pattern()[2]
 
 
+def fd_quotient(z, s, hp, step, v):
+    """(R(z + step v) - R(z - step v)) / (2 step), flat in node order, for
+    a grid-shaped v; a non-finite residual raises ShapeError."""
+    rp = residual(z + step * v, s, hp).values
+    rm = residual(z - step * v, s, hp).values
+    return hp.grid.flatten(rp - rm) / (2.0 * step)
+
+
 def _fd_colored_jacobian(zvals, s, hp, step):
     grid = hp.grid
     colors, ncol = grid.coloring()
     indices = grid.stencil_pattern()[0]
     # color of the column at each (row, offset) slot of the layout
     slot_colors = colors[indices].reshape(grid.size, -1)
-    dr = np.empty((ncol, grid.size))
-    for c in range(ncol):
-        pert = grid.unflatten(step * (colors == c))
-        rp = grid.flatten(_evaluate(zvals + pert, s, hp).res)
-        rm = grid.flatten(_evaluate(zvals - pert, s, hp).res)
-        dr[c] = (rp - rm) / (2.0 * step)
+    dr = np.array([fd_quotient(zvals, s, hp, step, grid.unflatten(colors == c))
+                   for c in range(ncol)])
     # each row meets at most one column of a color: the entry at a slot is
     # its row's difference quotient for the color of the slot's column
     return grid.pattern_matrix(dr[slot_colors, np.arange(grid.size)[:, None]])
@@ -594,15 +599,16 @@ def continuation(hp, cfg=None):
     abandons a step as soon as a correction fails to contract by 1/2
     (Theta > 1/2); that, any other NewtonStall and a Newton iterate that
     leaves the barrier slab halve ds, and below ds_min a
-    ContinuationStall names the last cause.  After an accepted step whose
-    first contraction Theta_1 is <= 1/4, ds doubles, clamped so that
-    s = 1 is hit exactly.  Accepted states stay inside the barrier slab,
-    which newton_solve asserts, and the admissibility cone, which is
-    curvature.f_eval's to assert: it raises ConeError on every evaluation
-    with a non-positive margin, Newton halves a trial that fails it, and
-    a start that fails it ends the solve, so no cone check is repeated
-    here.  Each step starts from the evaluation Newton accepted last: the
-    same z, so only Psi changes.
+    ContinuationStall names the last cause.  After an accepted step that
+    used fewer than cfg.max_newton iterations and whose first contraction
+    Theta_1 is <= 1/4, ds doubles, clamped so that s = 1 is hit exactly.
+    Accepted states stay inside the barrier slab, which newton_solve
+    asserts, and the admissibility cone, which is curvature.f_eval's to
+    assert: it raises ConeError on every evaluation with a non-positive
+    margin, Newton halves a trial that fails it, and a start that fails
+    it ends the solve, so no cone check is repeated here.  Each step
+    starts from the evaluation Newton accepted last: the same z, so only
+    Psi changes.
     """
     cfg = cfg or SolverConfig()
     report = SolveReport(steps=[])
@@ -627,7 +633,7 @@ def continuation(hp, cfg=None):
             continue
         report.steps.append(_monitors(stats, hp, s_try, s_try - s))
         z, s = z_new, s_try
-        if stats.theta0 <= _THETA_GROW:
+        if stats.theta0 <= _THETA_GROW and stats.iterations < cfg.max_newton:
             ds = min(2.0 * ds, 1.0 - s)
     return z, report
 

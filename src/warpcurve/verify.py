@@ -24,7 +24,7 @@ from .geometry import (compute_geometry, matrix_derivative,
                        special_frame_deviations, support_identity_check)
 from .grid import NodeField, make_grid, random_smooth
 from .problem import CheckRow, hypothesis_rows
-from .solver import assemble_jacobian, manufactured_field, residual
+from .solver import assemble_jacobian, fd_quotient, manufactured_field
 
 _STATES = 3            # seeded states of the Jacobian probe row
 _PROBES = 2            # seeded +-1 directions per Jacobian state
@@ -212,7 +212,7 @@ def jacobian_rows(hp, seed):
 
     Newton uses J only through products J x, so each of the _PROBES probes
     per state compares J v, for a seeded +-1 vector v, with the central
-    difference of the public residual along v (Griewank & Walther,
+    difference of the residual along v, fd_quotient (Griewank & Walther,
     "Evaluating Derivatives", SIAM 2008): 1 + 2 _PROBES residual
     evaluations per state.  The step scales with the stencil: d2
     amplifies a perturbation by 1/dx^2, so h = _PROBE_STEP dx^2
@@ -232,9 +232,8 @@ def jacobian_rows(hp, seed):
         h = _PROBE_STEP * grid.dx ** 2 * (1.0 + float(np.abs(z).max()))
         for v in rng.choice((-1.0, 1.0), size=(_PROBES,) + grid.shape):
             Jv = J @ grid.flatten(v)
-            fd = (residual(z + h * v, s, hp).values
-                  - residual(z - h * v, s, hp).values) / (2.0 * h)
-            err = np.abs(Jv - grid.flatten(fd)).max() / np.abs(Jv).max()
+            err = np.abs(Jv - fd_quotient(z, s, hp, h, v)).max() \
+                / np.abs(Jv).max()
             worst = max(worst, float(err))
     return [CheckRow.against(f"oracle: analytic J v vs FD, {_STATES} states "
                              f"x {_PROBES} probes", worst, "<= 1e-6")]

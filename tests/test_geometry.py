@@ -69,6 +69,26 @@ def test_metric_determinant_identity(cosh_profile):
     assert np.all(geom.nu0 < 0)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_metric_components_are_the_dense_formulas_bit_for_bit(cosh_profile,
+                                                              n):
+    # g and g^{-1} come from the gradient products Newton forms; they are
+    # the dense h^2 I + p p^T and I/h^2 - p p^T / (h^2 W^2) to the last
+    # bit, signs of zero included (a cos mode has p_1 = +-0 on whole rows)
+    grid = wc.make_grid(n, 16)
+    X = grid.coords() * (2.0 * np.pi / grid.L)
+    z = 1.0 + 0.1 * np.cos(X[0]) + (0.05 * np.sin(X[-1]) if n == 2 else 0.0)
+    geom = compute_geometry(z, grid, cosh_profile)
+    p, h, W, eye = geom.grad, geom.h, geom.W, np.eye(n)
+    pp = p[..., :, None] * p[..., None, :]
+    g = (h * h)[..., None, None] * eye + pp
+    g_inv = (1.0 / (h * h))[..., None, None] * eye \
+        - pp * (1.0 / (h * h * W * W))[..., None, None]
+    for got, want in ((geom.g, g), (geom.g_inv, g_inv)):
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
 # profile and barrier slab (t_minus, t_plus) of each drawn state
 _SLABS = {"cosh": (wc.WarpingProfile.cosh(0.2, 3.0), 0.5, 1.5),
           "exp": (wc.WarpingProfile.exp(-2.0, 2.0), -1.0, 1.0)}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import warpcurve as wc
-from warpcurve import oracle, solver
+from warpcurve import oracle, problem, solver, verify
 from warpcurve.curvature import sample_cone
 from warpcurve.grid import NodeField, random_smooth
 from warpcurve.oracle import (eig2_oracle, fd_colored_jacobian, fd_gradcheck,
@@ -58,6 +58,29 @@ def test_fd_step_shrinks_tenfold_on_a_cone_error(hp_small, monkeypatch, fd,
     monkeypatch.setattr(owner, builder, fake)
     assert fd(z, 0.5, hp_small) == "J"
     assert steps == pytest.approx([s0, s0 / 10, s0 / 100], rel=1e-15)
+
+
+@pytest.mark.parametrize("check", [
+    lambda hp, z: fd_colored_jacobian(z, 0.5, hp),
+    lambda hp, z: fd_jacobian(z, 0.5, hp),
+    lambda hp, z: verify.jacobian_rows(hp, seed=12345)],
+    ids=["colored", "dense", "probes"])
+def test_every_fd_check_of_j_raises_on_a_non_finite_residual(
+        hp_small, monkeypatch, check):
+    # one residual difference, one policy: a NaN psi at one node is a
+    # ShapeError in each, not a NaN entry of the colored reference
+    psi_of = problem.HomotopyProblem.psi_of
+
+    def nan_at_one_node(self, *args):
+        psi, psi_t = psi_of(self, *args)
+        psi = psi.copy()
+        psi[3] = np.nan
+        return psi, psi_t
+
+    monkeypatch.setattr(problem.HomotopyProblem, "psi_of", nan_at_one_node)
+    z = NodeField.constant(hp_small.grid, hp_small.t0)
+    with pytest.raises(wc.ShapeError, match="non-finite"):
+        check(hp_small, z)
 
 
 @_FD_BUILDERS

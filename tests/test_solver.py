@@ -904,6 +904,29 @@ def test_an_iteration_budget_below_the_full_step_subdivides():
     assert report.final.residual <= cfg.newton_tol
 
 
+def test_a_step_that_used_the_whole_iteration_budget_does_not_double(
+        monkeypatch):
+    # every accepted step needs both of max_newton = 2 iterations and its
+    # first contraction is <= 1/4; doubling ds after each one made the
+    # next attempt stall, 18 failed attempts in all
+    failed = []
+    newton = solver.newton_solve
+
+    def recording(*args, **kwargs):
+        try:
+            return newton(*args, **kwargs)
+        except wc.NewtonStall:
+            failed.append(args[1])
+            raise
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    hp = make_problem(n=1, N=32, eps=0.1, t_plus=1.5)
+    _, report = continuation(hp, SolverConfig(max_newton=2))
+    assert [(st.s, st.newton_iters) for st in report.steps] == \
+        [(0.0, 0)] + [(k / 16, 2) for k in range(1, 17)]
+    assert len(failed) <= 4
+
+
 def test_a_crossing_far_from_the_anchor_needs_subdivision(monkeypatch):
     # psi crosses k near t = 2.85, the top of a wide slab, far from the
     # anchor t0 = 1.58: the full step's corrections contract by more than
